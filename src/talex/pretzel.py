@@ -347,53 +347,140 @@ def r1_scale(ctx):
 # root solving
 
 
+@lru_cache(maxsize=None)
+def r0_cofactor(n):
+    """(val, q) with r0 = s^val (s - 1)^2 (s + 1)^3 q exactly, in integer
+    arithmetic.  These factors are present for every n; what remains has
+    simple roots at a generic m, so it is the polynomial the solver works on.
+    """
+    r0 = r0_polynomial(n)
+    val = r0.s_valuation()
+    q = r0.shift(s_exp=-val)
+    for root in (1, 1, -1, -1, -1):
+        q, rem = q.divide_s_linear(root)
+        if rem:
+            raise ArithmeticError(
+                f"r0 at n={n} is not divisible by (s - 1)^2 (s + 1)^3")
+    return val, q
+
+
 @dataclass(frozen=True)
 class RootRecord:
+    """One root s of r0(m, .).  ``radius`` is its inclusion certificate: the
+    disc of that radius about s holds exactly one root (0 for the exact
+    roots 0, 1 and -1)."""
+
     s: Scalar
     residual: object
     flags: frozenset
+    radius: object = mpf(0)
 
 
-def solve_s_roots(n, m, prec=DEFAULT_PREC, maxsteps=500):
-    """All complex roots of s -> r0(m, s), each with its relative residual
-    and degeneracy flags.  The s = 0 roots come from the exact s-valuation;
-    the rest from a simultaneous (Durand-Kerner style) iteration at working
-    precision well above the target.  Degenerate roots (s ~ +-1 are always
-    present) are flagged, never dropped.
+def _horner(coeffs, z):
+    """p(z) and p'(z) for coefficients listed leading first."""
+    p, dp = coeffs[0], 0
+    for c in coeffs[1:]:
+        dp = dp * z + p
+        p = p * z + c
+    return p, dp
+
+
+def _newton(coeffs, z, prec):
+    """Polish an approximate simple root at the ambient precision ``prec``;
+    quadratic convergence takes a 64-bit seed to ``prec`` bits in about
+    log2(prec / 64) steps."""
+    tol = mpf(2) ** (-(3 * prec // 4))
+    for _ in range(prec.bit_length() + 4):
+        p, dp = _horner(coeffs, z)
+        if not dp:
+            break
+        step = p / dp
+        z -= step
+        if not abs(step) > tol * max(1, abs(z)):
+            break
+    return z
+
+
+def _inclusion_radius(coeffs, z, prec):
+    """d |p(z)| / |p'(z)|, with both values widened by the rounding error of
+    their Horner evaluation: a disc of this radius about z holds a root of p
+    (Henrici, Applied and Computational Complex Analysis I)."""
+    d = len(coeffs) - 1
+    p, dp = _horner(coeffs, z)
+    mag, dmag = _horner([abs(c) for c in coeffs], abs(z))
+    err = 8 * (d + 1) * mpf(2) ** -prec
+    den = abs(dp) - err * dmag
+    return d * (abs(p) + err * mag) / den if den > 0 else mpf("inf")
+
+
+def _disjoint(roots, radii):
+    return all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
+               for i in range(len(roots)) for j in range(i))
+
+
+def certified_roots(coeffs, prec):
+    """All roots of a polynomial with simple roots (coefficients leading
+    first), each with an inclusion radius, at ``prec`` bits.
+
+    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``) and
+    are Newton-polished at ``prec``.  The d discs must be pairwise disjoint:
+    each then holds exactly one root.  If they are not, the seeds are
+    computed again at ``prec``; if that fails too, ``NonConvergence`` is
+    raised.
+    """
+    for seed_prec in (64, prec):
+        try:
+            with mp.workprec(seed_prec):
+                seeds = mp.polyroots(coeffs)
+        except mp.NoConvergence:
+            continue
+        with mp.workprec(prec):
+            roots = [_newton(coeffs, z, prec) for z in seeds]
+            radii = [_inclusion_radius(coeffs, z, prec) for z in roots]
+            if _disjoint(roots, radii):
+                return roots, radii
+    raise NonConvergence(
+        f"could not isolate the {len(coeffs) - 1} roots in disjoint discs "
+        f"at {prec} bits")
+
+
+def solve_s_roots(n, m, prec=DEFAULT_PREC):
+    """All complex roots of s -> r0(m, s), each with its relative residual,
+    degeneracy flags and inclusion radius.
+
+    The roots 0 (of multiplicity the s-valuation), 1 (double) and -1
+    (triple) are exact and come from the integer factorisation of r0
+    (``r0_cofactor``); they are always flagged, never dropped.  The rest
+    are the simple roots of the cofactor q(m, .), found by
+    ``certified_roots`` at ``prec`` bits and checked against r0 by their
+    relative residual.  Records are sorted by Re s, then Im s.
     """
     m = Scalar(m, prec)
     if abs(m) == 0:
         raise ValueError("the meridian eigenvalue m must be nonzero")
     r0 = r0_polynomial(n)
-    coeffs = r0.specialize_m(m)
-    val = min(coeffs)
-    deg = max(coeffs)
-    records = [RootRecord(Scalar(0, prec), mpf(0), degeneracy_flags(n, m, Scalar(0, prec)))
-               for _ in range(val)]
-    lead_to_low = [coeffs.get(e, Scalar(0, prec)).val for e in range(deg, val - 1, -1)]
-    steps, extra = maxsteps, prec
-    roots = None
-    for _ in range(3):
-        try:
-            with mp.workprec(prec):
-                roots = mp.polyroots(lead_to_low, maxsteps=steps, extraprec=extra)
-            break
-        except mp.NoConvergence:
-            steps *= 2
-            extra += prec
-    if roots is None:
-        raise NonConvergence(
-            f"root iteration for (n={n}, m={m.val}) did not converge; "
-            "retry at higher precision")
+    val, q = r0_cofactor(n)
+    records = []
+    for root, mult in ((0, val), (1, 2), (-1, 3)):
+        s = Scalar(root, prec)
+        records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
+    coeffs = q.specialize_m(m)
+    zero = Scalar(0, prec)
+    lead_to_low = [coeffs.get(e, zero).val for e in range(q.s_degree(), -1, -1)]
+    roots, radii = certified_roots(lead_to_low, prec)
     bound = mpf(2) ** (-(prec // 2))
-    for r in roots:
+    for r, radius in zip(roots, radii):
         s = Scalar(r, prec)
         res = abs(r0.eval(m, s)) / r0.eval_mag(m, s)
-        if res > bound:
+        if not res <= bound:
             raise NonConvergence(
                 f"root {r} has relative residual {res} above {bound}")
-        records.append(RootRecord(s, res, degeneracy_flags(n, m, s)))
-    records.sort(key=lambda rec: (rec.s.re, rec.s.im))
+        records.append(RootRecord(s, res, degeneracy_flags(n, m, s), radius))
+    # Re s is compared to 2^(-prec/2) absolute, so real parts that agree up
+    # to rounding noise (conjugate pairs at real m, the m-independent roots
+    # of s^(2n+1) = -1) are ordered by Im s, not by the noise
+    records.sort(key=lambda rec: (mpmath.nint(mpmath.ldexp(rec.s.re, prec // 2)),
+                                  rec.s.im))
     return records
 
 

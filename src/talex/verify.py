@@ -18,7 +18,7 @@ from mpmath import mpf
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
-from .errors import InexactDivision, SingularDenominator
+from .errors import DegenerateContext, InexactDivision, SingularDenominator
 from .fox import wada_denominator, wada_numerator, wada_polynomial
 from .laurent import divide_with_remainder, normalize_delta
 from .pretzel import (build_context, eval_r1, presentation_three_gen,
@@ -171,7 +171,7 @@ def verify_sweep(ns, ms, prec=256, thorough=False, thresholds=None,
             roots = solve_s_roots(n, m, prec)
             try:
                 default_idx = select_root(roots)
-            except Exception:
+            except DegenerateContext:
                 default_idx = None
             for idx, rec in enumerate(roots):
                 if rec.flags:

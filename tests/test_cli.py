@@ -5,9 +5,10 @@ import json
 import pytest
 from mpmath import mpf
 
-from talex import cli
+from talex import cli, pretzel
+from talex.closed_form import genus_fiberedness_report
 from talex.errors import InexactDivision, NonConvergence
-from talex.pretzel import RootRecord
+from talex.pretzel import BivarPoly, RootRecord
 from talex.scalars import Scalar
 
 
@@ -28,6 +29,11 @@ def run(capsys, *argv):
     ("roots", "--n", "2"),
     ("delta", "--n", "2", "--m", "1.2,0.4", "--precision-bits", "16"),
     ("verify", "--n-range", "5..2"),
+    ("delta", "--n", "1", "--m", "nan,0", "--method", "theorem"),
+    ("roots", "--n", "2", "--m", "inf,0"),
+    ("roots", "--n", "2", "--m", "0.5,nan"),
+    ("delta", "--n", "2", "--m", "1.2,inf"),
+    ("verify", "--n-range", "1..1", "--m", "nan,nan"),
 ))
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
@@ -95,6 +101,25 @@ def test_delta_all_methods_agree(capsys):
     assert data["genus"] == 3
 
 
+def test_delta_all_genus_from_fox_route(capsys, monkeypatch):
+    reported = []
+
+    def spy(result, n):
+        reported.append(result)
+        return genus_fiberedness_report(result, n)
+
+    monkeypatch.setattr(cli, "genus_fiberedness_report", spy)
+    code, out, _ = run(capsys, "delta", "--n", "2", "--m", "1.2,0.4",
+                       "--format", "json")
+    assert code == 0
+    [result] = reported
+    assert result.method == "fox"
+    fox = genus_fiberedness_report(result, 2)
+    data = json.loads(out)
+    assert (data["genus"], data["fibered_consistent"]) == (
+        fox.genus, fox.fibered_consistent)
+
+
 def test_delta_degenerate_root_index(capsys):
     code, out, err = run(capsys, "roots", "--n", "2", "--m", "1.2,0.4",
                          "--format", "json")
@@ -138,6 +163,15 @@ def test_nonconvergence_exit(capsys, monkeypatch):
     def explode(*a, **kw):
         raise NonConvergence("did not settle")
     monkeypatch.setattr(cli, "solve_s_roots", explode)
+    code, _, err = run(capsys, "roots", "--n", "2", "--m", "1.2,0.4")
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert "non-convergence" in err
+
+
+def test_uncertifiable_roots_exit(capsys, monkeypatch):
+    # a cofactor with a double root: its inclusion discs cannot be disjoint
+    double = BivarPoly({(2, 0): 1, (1, 0): -2, (0, 0): 1})
+    monkeypatch.setattr(pretzel, "r0_cofactor", lambda n: (0, double))
     code, _, err = run(capsys, "roots", "--n", "2", "--m", "1.2,0.4")
     assert code == cli.EXIT_NONCONVERGENCE
     assert "non-convergence" in err

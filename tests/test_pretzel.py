@@ -8,12 +8,14 @@ from mpmath import mp, mpf, mpc
 
 from talex import (DegenerateContext, Scalar, build_context, select_root,
                    solve_s_roots)
+from talex.errors import NonConvergence
 from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
-                           build_holonomy_rep, degeneracy_flags, eval_r1,
+                           build_holonomy_rep, certified_roots,
+                           degeneracy_flags, eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            holonomy_matrices, presentation_three_gen,
-                           presentation_two_gen, r0_polynomial, r1_polynomial,
-                           r1_scale, rep_relation_check)
+                           presentation_two_gen, r0_cofactor, r0_polynomial,
+                           r1_polynomial, r1_scale, rep_relation_check)
 from talex.scalars import eps
 from conftest import STD_M, cached_contexts, cached_roots
 
@@ -71,10 +73,20 @@ def test_r0_m_palindromic_exact(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_r0_s_pm1_roots_exact(n):
+    """r0 = s^val (s - 1)^2 (s + 1)^3 q exactly, and q(m, s) vanishes
+    identically at none of s = 0, 1, -1: the multiplicities are exact."""
     r0 = r0_polynomial(n)
+    val, q = r0_cofactor(n)
+    assert val == r0.s_valuation()
+    factor = BivarPoly.monomial(1, s_exp=val)
+    for root in (1, 1, -1, -1, -1):
+        factor = factor * BivarPoly({(1, 0): 1, (0, 0): -root})
+    assert q * factor == r0
+    assert q.s_valuation() == 0
     for root in (1, -1):
-        _, rem = r0.divide_s_linear(root)
-        assert rem == {}, f"s={root} is not an exact root at n={n}"
+        _, rem = q.divide_s_linear(root)
+        assert rem != {}, f"s={root} has a higher multiplicity at n={n}"
+    assert q.s_degree() == {1: 6, 2: 8}.get(n, 6 * n - 6)
 
 
 def test_r0_rejects_bad_n():
@@ -162,6 +174,65 @@ def test_solve_roots_residuals_and_flags(n):
             continue
         res = abs(r0.eval(m, rec.s)) / r0.eval_mag(m, rec.s)
         assert res < bound
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_solve_roots_exact_roots_and_certificates(n):
+    """0, 1 and -1 come out exactly, with their multiplicities and residual
+    0; every other root sits in a disc disjoint from all other discs and
+    not containing the exact roots."""
+    _, roots = cached_roots(n, STD_M[0])
+    val, _ = r0_cofactor(n)
+    exact = [r for r in roots if r.s.val in (0, 1, -1)]
+    assert sorted(int(r.s.re) for r in exact) == [-1] * 3 + [0] * val + [1] * 2
+    assert all(r.residual == 0 and r.radius == 0 and r.flags for r in exact)
+    rest = [r for r in roots if r.s.val not in (0, 1, -1)]
+    assert all(0 < r.radius < mpf("1e-60") for r in rest)
+    for i, a in enumerate(rest):
+        assert all(abs(a.s - e) > a.radius for e in (0, 1, -1))
+        for b in rest[i + 1:]:
+            assert abs(a.s - b.s) > a.radius + b.radius
+
+
+def test_certifier_refuses_a_double_root():
+    with mp.workprec(256):
+        coeffs = [mpc(1), mpc(0), mpc(-3), mpc(2)]  # (s - 1)^2 (s + 2)
+    with pytest.raises(NonConvergence):
+        certified_roots(coeffs, 256)
+
+
+def test_solve_roots_match_undeflated_polyroots():
+    """Oracle: mpmath's polyroots on the whole of r0, as the solver did
+    before the exact deflation, at n = 2 and 256 bits."""
+    n, prec = 2, 256
+    m, roots = cached_roots(n, STD_M[0])
+    r0 = r0_polynomial(n)
+    coeffs = r0.specialize_m(m)
+    val = min(coeffs)
+    with mp.workprec(prec):
+        full = mp.polyroots([coeffs.get(e, Scalar(0)).val
+                             for e in range(max(coeffs), val - 1, -1)],
+                            maxsteps=500, extraprec=prec)
+    ref = sorted([Scalar(0, prec)] * val + [Scalar(z, prec) for z in full],
+                 key=lambda s: (s.re, s.im))
+    assert ([degeneracy_flags(n, m, s) for s in ref]
+            == [rec.flags for rec in roots])
+    for s, rec in zip(ref, roots):
+        if not rec.flags:
+            assert abs(s - rec.s) < mpf("1e-70")
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_root_sets_invariant_under_m_symmetries(n):
+    """r0 is even and palindromic in m, so m, -m and 1/m share one root
+    set."""
+    for m_pair in STD_M:
+        m, roots = cached_roots(n, m_pair)
+        for other in (-m, 1 / m):
+            twin = solve_s_roots(n, other, 256)
+            assert [r.flags for r in twin] == [r.flags for r in roots]
+            for a, b in zip(twin, roots):
+                assert abs(a.s - b.s) < mpf("1e-70")
 
 
 def test_solve_roots_rejects_zero_m():
