@@ -5,19 +5,29 @@ K_n associated to its SL2(C) holonomy-type representations by three
 independent routes -- a generic Fox-calculus pipeline, a closed coefficient
 formula, and an intermediate grouped form -- cross-validates them, and
 reports the genus/fiberedness consequences.
+
+Precision contract.  Values are plain mpmath numbers (``mpc``/``mpf``);
+nothing carries a precision of its own.  A function that is given a working
+precision enters ``mp.workprec`` with it and computes everything at that
+precision: ``solve_s_roots`` and ``build_context`` take an explicit ``prec``
+(default ``DEFAULT_PREC`` = 256 bits, at least 64), the functions of a
+context use ``PretzelContext.prec``, the Fox pipeline ``Representation.prec``
+and Laurent arithmetic ``LaurentPoly.prec``.  Helpers that receive only
+values (``BivarPoly.eval``/``eval_mag``/``specialize_m``,
+``degeneracy_flags``, ``Mat2`` arithmetic) compute at their caller's
+ambient precision.  Inputs are rounded to the working precision on entry.
 """
 
 from .errors import (AmbiguousAbelianization, DegenerateContext,
                      InexactDivision, NonConvergence, SingularDenominator,
                      TalexError)
-from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
-                      mat2_determinant, normalize_delta)
-from .scalars import DEFAULT_PREC, Scalar
+from .laurent import (DEFAULT_PREC, DeltaResult, LaurentPoly, Mat2,
+                      laurent_divide_exact, normalize_delta)
 from .fox import (GroupRingElement, Presentation, Relator, Representation,
                   fox_derivative, fox_derivative_of_relator,
                   infer_abelianization, phi_map, wada_polynomial,
                   word_invert, word_multiply)
-from .pretzel import (BivarPoly, PretzelContext, alpha_beta, build_context,
+from .pretzel import (BivarPoly, PretzelContext, build_context,
                       build_holonomy_rep, context_from_root, eval_r1,
                       presentation_three_gen, presentation_two_gen,
                       r0_polynomial, rep_relation_check, select_root,
@@ -34,13 +44,13 @@ __all__ = [
     "AmbiguousAbelianization", "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
     "DeltaResult", "GroupRingElement", "InexactDivision", "LaurentPoly",
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
-    "Representation", "Scalar", "SingularDenominator", "TalexError",
-    "alpha_beta", "build_context", "build_holonomy_rep", "context_from_root",
+    "Representation", "SingularDenominator", "TalexError",
+    "build_context", "build_holonomy_rep", "context_from_root",
     "delta_prop32", "delta_theorem", "denominator_closed_form",
     "derivative_expansion_eq2", "eval_r1", "fox_derivative",
     "fox_derivative_of_relator", "genus_fiberedness_report",
     "infer_abelianization", "laurent_divide_exact", "lambda_coefficients",
-    "mat2_determinant", "normalize_delta", "phi_map",
+    "normalize_delta", "phi_map",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "rep_relation_check", "select_root", "solve_s_roots", "verify_sweep",
     "wada_polynomial", "word_invert", "word_multiply", "zeta_vanishing",

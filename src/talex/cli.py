@@ -23,14 +23,14 @@ import os
 import sys
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
+from .laurent import DEFAULT_PREC
 from .pretzel import (build_holonomy_rep, context_from_root,
                       presentation_two_gen, select_root, solve_s_roots)
-from .scalars import DEFAULT_PREC, Scalar
 from .verify import coefficient_deviation, verify_sweep
 
 EXIT_OK = 0
@@ -73,28 +73,21 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
-def _default_prec():
-    raw = os.environ.get(ENV_PRECISION)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            pass
-    return DEFAULT_PREC
-
-
 def build_parser():
     parser = _Parser(prog="talex",
                      description="Twisted Alexander polynomials of the "
                                  "(-2,3,2n+1)-pretzel knots")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a string default goes through type=int like a command-line value, so
+    # a malformed environment value is a usage error
+    default_prec = os.environ.get(ENV_PRECISION, str(DEFAULT_PREC))
 
     def common(p, need_m=True):
         p.add_argument("--n", type=int, required=True, help="family index, n >= 1")
         if need_m:
             p.add_argument("--m", type=_parse_m, required=True,
                            help="meridian eigenvalue as RE,IM")
-        p.add_argument("--precision-bits", type=int, default=_default_prec())
+        p.add_argument("--precision-bits", type=int, default=default_prec)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_roots = sub.add_parser("roots", help="enumerate roots of the defining polynomial")
@@ -109,7 +102,7 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--n-range", type=_parse_range, default=range(1, 6))
     p_verify.add_argument("--m", type=_parse_m, action="append", default=None)
-    p_verify.add_argument("--precision-bits", type=int, default=_default_prec())
+    p_verify.add_argument("--precision-bits", type=int, default=default_prec)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--thorough", action="store_true",
                           help="run independence checks on every root, not "
@@ -143,17 +136,21 @@ def _digits(prec):
 
 
 def _fmt(x, prec):
-    with mp.workprec(prec):
-        return mpmath.nstr(x, _digits(prec), strip_zeros=False)
+    return mpmath.nstr(x, _digits(prec), strip_zeros=False)
 
 
 def _pair(z, prec):
-    return [_fmt(z.re, prec), _fmt(z.im, prec)]
+    return [_fmt(z.real, prec), _fmt(z.imag, prec)]
+
+
+def _m_value(pair):
+    """m from its RE,IM decimal strings, rounded at the ambient precision."""
+    return mpc(mpf(pair[0]), mpf(pair[1]))
 
 
 def cmd_roots(args):
     prec = args.precision_bits
-    m = Scalar.from_strings(*args.m, prec=prec)
+    m = _m_value(args.m)
     records = solve_s_roots(args.n, m, prec)
     payload = {
         "n": args.n,
@@ -197,8 +194,8 @@ def _delta_payload(result, ctx, args, extra=None):
         "method": result.method,
         "unit": {"sign": result.sign, "shift": result.shift},
         "coefficients": [
-            {"exp": e, "re": _fmt(result.poly.coeff(e).re, prec),
-             "im": _fmt(result.poly.coeff(e).im, prec)}
+            {"exp": e, "re": _fmt(result.poly.coeff(e).real, prec),
+             "im": _fmt(result.poly.coeff(e).imag, prec)}
             for e in result.poly.support()
         ],
     }
@@ -209,7 +206,7 @@ def _delta_payload(result, ctx, args, extra=None):
 
 def cmd_delta(args):
     prec = args.precision_bits
-    m = Scalar.from_strings(*args.m, prec=prec)
+    m = _m_value(args.m)
     records = solve_s_roots(args.n, m, prec)
     if args.root_index is None and all(rec.flags for rec in records):
         print("error: no nondegenerate root at this (n, m)", file=sys.stderr)
@@ -252,7 +249,7 @@ def cmd_delta(args):
             for name, res in results.items():
                 for e in res.poly.support():
                     c = res.poly.coeff(e)
-                    print(f"{name},{e},{_fmt(c.re, prec)},{_fmt(c.im, prec)}")
+                    print(f"{name},{e},{_fmt(c.real, prec)},{_fmt(c.imag, prec)}")
         else:
             print(f"Delta_(K_{ctx.n}) at root #{idx}, all methods; "
                   f"max pairwise deviation {payload['max_pairwise_deviation']}")
@@ -279,13 +276,13 @@ def cmd_delta(args):
 def _print_poly(result, prec):
     for e in result.poly.support():
         c = result.poly.coeff(e)
-        print(f"  t^{e:<3d} {_fmt(c.re, prec)}  {_fmt(c.im, prec)}i")
+        print(f"  t^{e:<3d} {_fmt(c.real, prec)}  {_fmt(c.imag, prec)}i")
 
 
 def cmd_verify(args):
     prec = args.precision_bits
     m_list = args.m or [("1.2", "0.4"), ("0.9", "-0.2")]
-    ms = [Scalar.from_strings(*pair, prec=prec) for pair in m_list]
+    ms = [_m_value(pair) for pair in m_list]
     report = verify_sweep(args.n_range, ms, prec=prec, thorough=args.thorough,
                           perturb_s=args.inject_perturbation)
     if args.format == "json":
@@ -309,11 +306,13 @@ def main(argv=None):
         return exc.code
     try:
         _validate(args)
-        if args.command == "roots":
-            return cmd_roots(args)
-        if args.command == "delta":
-            return cmd_delta(args)
-        return cmd_verify(args)
+        # the one working precision of the command; --m is parsed under it
+        with mp.workprec(args.precision_bits):
+            if args.command == "roots":
+                return cmd_roots(args)
+            if args.command == "delta":
+                return cmd_delta(args)
+            return cmd_verify(args)
     except SystemExit as exc:
         return exc.code
     except NonConvergence:

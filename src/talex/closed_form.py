@@ -13,16 +13,17 @@ derivative of the 2-generator relator directly from representation
 matrices; its entrywise agreement with the generic Fox image certifies the
 whole chain of intermediate bookkeeping identities without transcribing
 them.
+
+Every evaluator runs at the context's precision ``ctx.prec``.
 """
 
 from dataclasses import dataclass
 
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext
 from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
 from .pretzel import holonomy_matrices
-from .scalars import Scalar
 
 
 def _require_nondegenerate(ctx):
@@ -33,7 +34,7 @@ def _require_nondegenerate(ctx):
 def _balanced_geometric(s, k):
     """(s^k - s^-k)/(s - s^-1) as the branch-safe sum s^(k-1) + s^(k-3) +
     ... + s^(1-k); defined for every s, including s = +-1."""
-    total = Scalar(0, s.prec)
+    total = mpc(0)
     for j in range(k):
         total = total + s ** (k - 1 - 2 * j)
     return total
@@ -49,20 +50,21 @@ def lambda_coefficients(ctx):
     _require_nondegenerate(ctx)
     n, m, s = ctx.n, ctx.m, ctx.s
     H, beta = ctx.H, ctx.beta
-    eta_sum = ctx.eta1 + ctx.eta2
     out = []
-    for i in range(2 * n):
-        if i == 2 * n - 1:
-            lam = (_balanced_geometric(s, n - 1)
-                   - (s * s - 1) * ctx.eta1 / (H * ctx.S * beta))
-        elif i % 2 == 0:
-            k = i // 2 + 1
-            lam = ((1 + m * m)
-                   * (H * s ** k * beta - s * (s ** k - s ** (-k)) * eta_sum)
-                   / (H * m * beta))
-        else:
-            lam = _balanced_geometric(s, (i - 1) // 2)
-        out.append(lam)
+    with mp.workprec(ctx.prec):
+        eta_sum = ctx.eta1 + ctx.eta2
+        for i in range(2 * n):
+            if i == 2 * n - 1:
+                lam = (_balanced_geometric(s, n - 1)
+                       - (s * s - 1) * ctx.eta1 / (H * ctx.S * beta))
+            elif i % 2 == 0:
+                k = i // 2 + 1
+                lam = ((1 + m * m)
+                       * (H * s ** k * beta - s * (s ** k - s ** (-k)) * eta_sum)
+                       / (H * m * beta))
+            else:
+                lam = _balanced_geometric(s, (i - 1) // 2)
+            out.append(lam)
     return out
 
 
@@ -71,10 +73,11 @@ def delta_theorem(ctx):
     construction."""
     lams = lambda_coefficients(ctx)
     n, prec = ctx.n, ctx.prec
-    terms = {0: Scalar(1, prec), 4 * n + 6: Scalar(1, prec)}
-    for i, lam in enumerate(lams):
-        for e in (i + 3, 4 * n - i + 3):
-            terms[e] = terms[e] + lam if e in terms else lam
+    terms = {0: 1, 4 * n + 6: 1}
+    with mp.workprec(prec):
+        for i, lam in enumerate(lams):
+            for e in (i + 3, 4 * n - i + 3):
+                terms[e] = terms[e] + lam if e in terms else lam
     poly = LaurentPoly(terms, prec)
     return DeltaResult(poly, 1, 0, "theorem", ctx)
 
@@ -93,35 +96,36 @@ def delta_prop32(ctx):
     n, m, s, S = ctx.n, ctx.m, ctx.s, ctx.S
     prec = ctx.prec
     H, beta = ctx.H, ctx.beta
-    one_minus_s2 = 1 - s * s
-    eta_sum = ctx.eta1 + ctx.eta2
-    k2 = (1 + m * m) * eta_sum / (H * m * beta)
+    with mp.workprec(prec):
+        one_minus_s2 = 1 - s * s
+        eta_sum = ctx.eta1 + ctx.eta2
+        k2 = (1 + m * m) * eta_sum / (H * m * beta)
 
-    geo1 = LaurentPoly({2 * i: S / s ** (i + 1) for i in range(n)}, prec)
-    geo2 = LaurentPoly({2 * i: s ** i for i in range(n)}, prec)
+        geo1 = LaurentPoly({2 * i: S / s ** (i + 1) for i in range(n)}, prec)
+        geo2 = LaurentPoly({2 * i: s ** i for i in range(n)}, prec)
 
-    # first grouped block, times t^2 n shifts already folded into exponents
-    blk1 = LaurentPoly({
-        -2: s / one_minus_s2,
-        2 * n - 2: -S / one_minus_s2,
-        2 * n - 1: (1 + m * m) * S / m - k2 * s * S,
-        -3: k2,
-    }, prec)
-    blk2 = LaurentPoly({
-        -3: (1 + m * m) * S / m - k2 * s * S,
-        -2: -S / one_minus_s2,
-        2 * n - 2: s / one_minus_s2,
-        2 * n - 1: k2,
-    }, prec)
-    tail_coeff = one_minus_s2 * ctx.eta1 / (H * S * beta)
-    blk3 = LaurentPoly({
-        -6: Scalar(1, prec),
-        4 * n: Scalar(1, prec),
-        2 * n - 4: tail_coeff,
-        2 * n - 2: tail_coeff,
-    }, prec)
+        # first grouped block, times t^2 n shifts already folded into exponents
+        blk1 = LaurentPoly({
+            -2: s / one_minus_s2,
+            2 * n - 2: -S / one_minus_s2,
+            2 * n - 1: (1 + m * m) * S / m - k2 * s * S,
+            -3: k2,
+        }, prec)
+        blk2 = LaurentPoly({
+            -3: (1 + m * m) * S / m - k2 * s * S,
+            -2: -S / one_minus_s2,
+            2 * n - 2: s / one_minus_s2,
+            2 * n - 1: k2,
+        }, prec)
+        tail_coeff = one_minus_s2 * ctx.eta1 / (H * S * beta)
+        blk3 = LaurentPoly({
+            -6: 1,
+            4 * n: 1,
+            2 * n - 4: tail_coeff,
+            2 * n - 2: tail_coeff,
+        }, prec)
 
-    scale = s / S
+        scale = s / S
     total = geo1 * (blk1 * scale) + geo2 * (blk2 * scale) + blk3
     poly = total.shifted(6)
     result = normalize_delta(poly, "prop32", ctx)
@@ -132,9 +136,9 @@ def denominator_closed_form(ctx):
     """det Phi(c - 1) as its printed closed form: exponents 0, 2n+1, 4n+2."""
     _require_nondegenerate(ctx)
     n, m, s = ctx.n, ctx.m, ctx.s
-    mid = -(m * m + 1) * (s - 1) * ctx.eta2 / (m * ctx.S * ctx.H * ctx.beta)
-    return LaurentPoly({0: Scalar(1, ctx.prec), 2 * n + 1: mid,
-                        4 * n + 2: Scalar(1, ctx.prec)}, ctx.prec)
+    with mp.workprec(ctx.prec):
+        mid = -(m * m + 1) * (s - 1) * ctx.eta2 / (m * ctx.S * ctx.H * ctx.beta)
+    return LaurentPoly({0: 1, 2 * n + 1: mid, 4 * n + 2: 1}, ctx.prec)
 
 
 def derivative_expansion_eq2(ctx):
@@ -151,20 +155,21 @@ def derivative_expansion_eq2(ctx):
     _require_nondegenerate(ctx)
     n, prec = ctx.n, ctx.prec
     A, B, X = holonomy_matrices(ctx)
-    XB = X * B
-    AXB = A * XB
-    W = AXB * A * XB.inverse()
-    Wi = W.inverse()
     zero = LaurentPoly.zero(prec)
     total = Mat2(zero, zero, zero, zero)
-    acc = Mat2.identity(prec)
-    for i in range(n - 1):
-        total = total + acc.to_laurent(2 * i, prec)
-        total = total + (acc * AXB).to_laurent(2 * i + 2 * n + 2, prec)
-        acc = acc * W
-    total = total + (XB * XB * A.inverse()).to_laurent(4 * n + 1, prec)
-    total = total + (XB * Wi).to_laurent(2 * n - 1, prec)
-    total = total + (XB * Wi * XB.inverse() * A.inverse()).to_laurent(-3, prec)
+    with mp.workprec(prec):
+        XB = X * B
+        AXB = A * XB
+        W = AXB * A * XB.inverse()
+        Wi = W.inverse()
+        acc = Mat2.identity()
+        for i in range(n - 1):
+            total = total + acc.to_laurent(2 * i, prec)
+            total = total + (acc * AXB).to_laurent(2 * i + 2 * n + 2, prec)
+            acc = acc * W
+        total = total + (XB * XB * A.inverse()).to_laurent(4 * n + 1, prec)
+        total = total + (XB * Wi).to_laurent(2 * n - 1, prec)
+        total = total + (XB * Wi * XB.inverse() * A.inverse()).to_laurent(-3, prec)
     return total
 
 
@@ -177,12 +182,13 @@ def zeta_vanishing(ctx):
     n, m, s, S = ctx.n, ctx.m, ctx.s, ctx.S
     H, eta1, eta2 = ctx.H, ctx.eta1, ctx.eta2
     alpha, beta = ctx.alpha, ctx.beta
-    S2 = S * S
-    zeta1 = m * (m * m + 1) * s * (s + 1) * (
-        H * S2 * beta - s * (S2 - 1) * eta1 - (s * S2 - 1) * eta2)
-    zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
-             - (s * s - 1) * (m * m * eta1 + m * m * s ** 3 * eta1
-                              + s * eta2 + m * m * s * eta2))
+    with mp.workprec(ctx.prec):
+        S2 = S * S
+        zeta1 = m * (m * m + 1) * s * (s + 1) * (
+            H * S2 * beta - s * (S2 - 1) * eta1 - (s * S2 - 1) * eta2)
+        zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
+                 - (s * s - 1) * (m * m * eta1 + m * m * s ** 3 * eta1
+                                  + s * eta2 + m * m * s * eta2))
     return zeta1, zeta2
 
 
@@ -190,8 +196,9 @@ def zeta2_cofactor(ctx):
     """The printed cofactor with zeta_2 = cofactor * r0, checkable at
     arbitrary (root or non-root) parameter points."""
     m, s, S = ctx.m, ctx.s, ctx.S
-    return m * ((m * m * (s * s - s + 1) - s) * (s ** 3 * S * S + 1)
-                - ctx.H * s * (s - 1))
+    with mp.workprec(ctx.prec):
+        return m * ((m * m * (s * s - s + 1) - s) * (s ** 3 * S * S + 1)
+                    - ctx.H * s * (s - 1))
 
 
 @dataclass(frozen=True)
@@ -208,8 +215,9 @@ def genus_fiberedness_report(delta, n, tol=mpf("1e-20")):
     """Degree, monicity and the inferred genus (degree+2)/4 of a normalized
     polynomial, checked against the expected degree 4n+6 and genus n+2."""
     deg = delta.poly.max_exp or 0
-    monic = (abs(delta.poly.coeff(0) - 1) <= tol
-             and abs(delta.poly.coeff(deg) - 1) <= tol)
+    with mp.workprec(delta.poly.prec):
+        monic = (abs(delta.poly.coeff(0) - 1) <= tol
+                 and abs(delta.poly.coeff(deg) - 1) <= tol)
     genus = (deg + 2) / 4 if (deg + 2) % 4 else (deg + 2) // 4
     expected_degree = 4 * n + 6
     expected_genus = n + 2

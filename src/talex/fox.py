@@ -7,18 +7,18 @@ with d(x_j)/dx_j = 1 and, as a consequence, d(x_j^-1)/dx_j = -x_j^-1.
 The Wada twisted Alexander polynomial of a deficiency-one presentation with
 an SL2 representation is det(A_rho_k) / det(Phi(x_k - 1)), where A_rho_k is
 the block matrix of Phi-images of relator derivatives with the k-th
-generator's column removed.
+generator's column removed.  Everything numeric runs at the
+representation's precision ``rep.prec``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .errors import AmbiguousAbelianization, SingularDenominator
-from .laurent import (LaurentPoly, Mat2, laurent_divide_exact, normalize_delta,
-                      poly_mat_det)
-from .scalars import DEFAULT_PREC, Scalar
+from .laurent import (DEFAULT_PREC, LaurentPoly, Mat2, laurent_divide_exact,
+                      normalize_delta, poly_mat_det)
 
 # ---------------------------------------------------------------------------
 # words
@@ -236,53 +236,57 @@ def _integer_kernel(rows, ncols):
 
 
 class Representation:
-    """One Scalar-flavored Mat2 per generator."""
+    """One Mat2 of numbers per generator, with the precision ``prec`` that
+    every product of them is computed at."""
 
     def __init__(self, images, prec=DEFAULT_PREC):
         self.images = tuple(images)
         self.prec = prec
-        self._inverses = tuple(M.inverse() for M in self.images)
+        with mp.workprec(prec):
+            self._inverses = tuple(M.inverse() for M in self.images)
 
     def image_of_word(self, w):
-        M = Mat2.identity(self.prec)
-        for g, e in w:
-            M = M * (self.images[g] if e == 1 else self._inverses[g])
-        return M
+        with mp.workprec(self.prec):
+            M = Mat2.identity()
+            for g, e in w:
+                M = M * (self.images[g] if e == 1 else self._inverses[g])
+            return M
 
     def relation_residual(self, rel):
         """Infinity-norm of rho(lhs) - rho(rhs)."""
-        return (self.image_of_word(rel.lhs) - self.image_of_word(rel.rhs)).infnorm()
+        with mp.workprec(self.prec):
+            return (self.image_of_word(rel.lhs)
+                    - self.image_of_word(rel.rhs)).infnorm()
 
 
-def phi_map(elem, rep, exps, prec=None):
+def phi_map(elem, rep, exps):
     """The ring map Phi: each word w goes to rho(w) * t^alpha(w), extended
     additively over integer combinations.  Returns a LaurentPoly matrix."""
-    prec = prec or rep.prec
+    prec = rep.prec
     total = Mat2(LaurentPoly.zero(prec), LaurentPoly.zero(prec),
                  LaurentPoly.zero(prec), LaurentPoly.zero(prec))
-    for w, c in elem.terms.items():
-        block = rep.image_of_word(w).scaled(Scalar(c, prec)).to_laurent(
-            abelian_exponent(w, exps), prec)
-        total = total + block
+    with mp.workprec(prec):
+        for w, c in elem.terms.items():
+            block = rep.image_of_word(w).scaled(c).to_laurent(
+                abelian_exponent(w, exps), prec)
+            total = total + block
     return total
 
 
-def wada_denominator(pres, rep, k, prec=None):
+def wada_denominator(pres, rep, k):
     """det Phi(x_k - 1) as a LaurentPoly."""
-    prec = prec or rep.prec
-    block = rep.images[k].to_laurent(pres.abelian_exponents[k], prec)
-    return (block - Mat2.identity_poly(prec)).det()
+    block = rep.images[k].to_laurent(pres.abelian_exponents[k], rep.prec)
+    return (block - Mat2.identity_poly(rep.prec)).det()
 
 
-def wada_numerator(pres, rep, remove_k, prec=None):
+def wada_numerator(pres, rep, remove_k):
     """det of the 2(n-1) x 2(n-1) matrix of Phi-images of relator
     derivatives with the remove_k column of blocks deleted."""
-    prec = prec or rep.prec
     cols = [j for j in range(pres.num_generators) if j != remove_k]
     rows = []
     for rel in pres.relators:
         blocks = [phi_map(fox_derivative_of_relator(rel, j), rep,
-                          pres.abelian_exponents, prec) for j in cols]
+                          pres.abelian_exponents) for j in cols]
         top, bottom = [], []
         for b in blocks:
             top += [b.a11, b.a12]
@@ -292,15 +296,14 @@ def wada_numerator(pres, rep, remove_k, prec=None):
     return poly_mat_det(rows)
 
 
-def wada_polynomial(pres, rep, remove_k, rel_tol=None, prec=None, context=None):
+def wada_polynomial(pres, rep, remove_k, context=None):
     """The full generic pipeline: numerator determinant, exact division by
     det Phi(x_k - 1), and unit normalization."""
-    prec = prec or rep.prec
-    den = wada_denominator(pres, rep, remove_k, prec)
-    if den.infnorm() <= mpf(2) ** (-(prec // 2)):
+    den = wada_denominator(pres, rep, remove_k)
+    if den.infnorm() <= mpf(2) ** (-(rep.prec // 2)):
         raise SingularDenominator(
             f"det Phi(x_{remove_k} - 1) is numerically zero; remove another column"
         )
-    num = wada_numerator(pres, rep, remove_k, prec)
-    quot = laurent_divide_exact(num, den, rel_tol)
+    num = wada_numerator(pres, rep, remove_k)
+    quot = laurent_divide_exact(num, den)
     return normalize_delta(quot, "fox", context)

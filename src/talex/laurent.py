@@ -1,13 +1,16 @@
 """Sparse Laurent polynomials and 2x2 matrices over them.
 
-A ``LaurentPoly`` maps integer exponents of t to ``Scalar`` coefficients.
-After every arithmetic operation coefficients with magnitude below
-2^-(prec-8) relative to the polynomial's sup-norm are swept to structural
-zero, so supports stay finite and degree queries stay meaningful.
+A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
+carries its working precision ``prec``: every operation on it runs under
+``mp.workprec(prec)`` (the larger one for two operands).  After every
+arithmetic operation coefficients with magnitude below 2^-(prec-8) relative
+to the polynomial's sup-norm are swept to structural zero, so supports stay
+finite and degree queries stay meaningful.
 
-``Mat2`` is a 2x2 matrix whose entries are either all Scalars
-(representation matrices) or all LaurentPolys (Phi-images); the two flavors
-share one class since the algebra is entrywise-generic.
+``Mat2`` is a 2x2 matrix whose entries are either all numbers
+(representation matrices, computed at the caller's ambient precision) or
+all LaurentPolys (Phi-images); the two flavors share one class since the
+algebra is entrywise-generic.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +18,8 @@ from dataclasses import dataclass, field
 from mpmath import mp, mpf, mpc
 
 from .errors import InexactDivision
-from .scalars import DEFAULT_PREC, Scalar
 
+DEFAULT_PREC = 256
 SWEEP_GUARD_BITS = 8
 
 
@@ -24,16 +27,11 @@ class LaurentPoly:
     __slots__ = ("terms", "prec")
 
     def __init__(self, terms=None, prec=DEFAULT_PREC, sweep=True):
-        raw = {}
-        if terms:
-            for e, c in terms.items():
-                c = c if isinstance(c, Scalar) else Scalar(c, prec)
-                prec = max(prec, c.prec)
-                raw[int(e)] = c
         self.prec = prec
-        self.terms = raw
-        if sweep:
-            self._sweep()
+        with mp.workprec(prec):
+            self.terms = {int(e): mpc(c) for e, c in (terms or {}).items()}
+            if sweep:
+                self._sweep()
 
     # -- constructors -----------------------------------------------------
 
@@ -43,7 +41,7 @@ class LaurentPoly:
 
     @classmethod
     def one(cls, prec=DEFAULT_PREC):
-        return cls({0: Scalar(1, prec)}, prec)
+        return cls({0: 1}, prec)
 
     @classmethod
     def term(cls, coeff, exp, prec=DEFAULT_PREC):
@@ -62,7 +60,7 @@ class LaurentPoly:
         self.terms = {e: c for e, c in self.terms.items() if abs(c) > cut}
 
     def coeff(self, e):
-        return self.terms.get(e, Scalar(0, self.prec))
+        return self.terms.get(e, mpc(0))
 
     @property
     def min_exp(self):
@@ -79,7 +77,8 @@ class LaurentPoly:
         return not self.terms
 
     def infnorm(self):
-        return max((abs(c) for c in self.terms.values()), default=mpf(0))
+        with mp.workprec(self.prec):
+            return max((abs(c) for c in self.terms.values()), default=mpf(0))
 
     def shifted(self, k):
         return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec, sweep=False)
@@ -89,8 +88,8 @@ class LaurentPoly:
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, float, complex, Scalar, mpf, mpc)):
-            return LaurentPoly({0: Scalar(other, self.prec)}, self.prec, sweep=False)
+        if isinstance(other, (int, float, complex, mpf, mpc)):
+            return LaurentPoly({0: other}, self.prec, sweep=False)
         return NotImplemented
 
     def __add__(self, other):
@@ -99,14 +98,18 @@ class LaurentPoly:
             return NotImplemented
         prec = max(self.prec, other.prec)
         out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out[e] + c if e in out else c
+        with mp.workprec(prec):
+            for e, c in other.terms.items():
+                out[e] = out[e] + c if e in out else c
         return LaurentPoly(out, prec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly({e: -c for e, c in self.terms.items()}, self.prec, sweep=False)
+        # mpmath rounds even unary minus to the ambient precision
+        with mp.workprec(self.prec):
+            terms = {e: -c for e, c in self.terms.items()}
+        return LaurentPoly(terms, self.prec, sweep=False)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -125,29 +128,28 @@ class LaurentPoly:
         with mp.workprec(prec):
             acc = {}
             for e1, c1 in self.terms.items():
-                v1 = c1.val
                 for e2, c2 in other.terms.items():
                     e = e1 + e2
-                    acc[e] = acc.get(e, 0) + v1 * c2.val
-        return LaurentPoly({e: Scalar(v, prec) for e, v in acc.items()}, prec)
+                    acc[e] = acc.get(e, 0) + c1 * c2
+        return LaurentPoly(acc, prec)
 
     __rmul__ = __mul__
 
     def eval_at(self, t):
-        """Value of the polynomial at a scalar t (t must be nonzero if
+        """Value of the polynomial at a number t (t must be nonzero if
         negative exponents are present)."""
-        t = t if isinstance(t, Scalar) else Scalar(t, self.prec)
-        total = Scalar(0, max(self.prec, t.prec))
-        for e, c in self.terms.items():
-            total = total + c * t ** e
-        return total
+        with mp.workprec(self.prec):
+            total = mpc(0)
+            for e, c in self.terms.items():
+                total += c * t ** e
+            return total
 
     def __repr__(self):
-        parts = [f"({c.val})*t^{e}" for e, c in sorted(self.terms.items())]
+        parts = [f"({c})*t^{e}" for e, c in sorted(self.terms.items())]
         return "LaurentPoly(" + " + ".join(parts or ["0"]) + ")"
 
 
-def divide_with_remainder(num, den, rel_tol=None):
+def divide_with_remainder(num, den):
     """Laurent long division from the top exponent down.
 
     Returns (quotient, relative_remainder_norm).  The quotient support is
@@ -157,18 +159,16 @@ def divide_with_remainder(num, den, rel_tol=None):
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
-    if rel_tol is None:
-        rel_tol = mpf(2) ** (-(prec // 2))
     num_norm = num.infnorm()
     if num_norm == 0:
         return LaurentPoly.zero(prec), mpf(0)
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp
-    cut = mpf(2) ** (-(prec - SWEEP_GUARD_BITS)) * num_norm
     with mp.workprec(prec):
-        dlead = den.terms[dmax].val
-        dtail = [(e, c.val) for e, c in den.terms.items() if e != dmax]
-        rem = {e: c.val for e, c in num.terms.items()}
+        cut = mpf(2) ** (-(prec - SWEEP_GUARD_BITS)) * num_norm
+        dlead = den.terms[dmax]
+        dtail = [(e, c) for e, c in den.terms.items() if e != dmax]
+        rem = dict(num.terms)
         quot = {}
         while rem:
             e = max(rem)
@@ -184,17 +184,15 @@ def divide_with_remainder(num, den, rel_tol=None):
                 elif k in rem:
                     del rem[k]
         rem_norm = max((abs(v) for v in rem.values()), default=mpf(0))
-    q = LaurentPoly({e: Scalar(v, prec) for e, v in quot.items()}, prec)
-    return q, rem_norm / num_norm
+        rel_rem = rem_norm / num_norm
+    return LaurentPoly(quot, prec), rel_rem
 
 
-def laurent_divide_exact(num, den, rel_tol=None):
+def laurent_divide_exact(num, den):
     """Exact quotient num/den; raises InexactDivision if a remainder above
-    rel_tol * ||num||_inf is left."""
-    prec = max(num.prec, den.prec)
-    if rel_tol is None:
-        rel_tol = mpf(2) ** (-(prec // 2))
-    q, rel_rem = divide_with_remainder(num, den, rel_tol)
+    2^-(prec/2) * ||num||_inf is left."""
+    rel_tol = mpf(2) ** (-(max(num.prec, den.prec) // 2))
+    q, rel_rem = divide_with_remainder(num, den)
     if rel_rem > rel_tol:
         raise InexactDivision(
             f"relative remainder {rel_rem} exceeds tolerance {rel_tol}"
@@ -203,7 +201,7 @@ def laurent_divide_exact(num, den, rel_tol=None):
 
 
 class Mat2:
-    """2x2 matrix with Scalar or LaurentPoly entries."""
+    """2x2 matrix with number or LaurentPoly entries."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
 
@@ -211,8 +209,8 @@ class Mat2:
         self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
 
     @classmethod
-    def identity(cls, prec=DEFAULT_PREC):
-        one, zero = Scalar(1, prec), Scalar(0, prec)
+    def identity(cls):
+        one, zero = mpc(1), mpc(0)
         return cls(one, zero, zero, one)
 
     @classmethod
@@ -248,22 +246,13 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     def inverse(self):
-        """Inverse of a Scalar-flavored matrix (adjugate over determinant)."""
+        """Inverse of a number-flavored matrix (adjugate over determinant)."""
         d = self.det()
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
-    def power(self, k):
-        if k < 0:
-            return self.inverse().power(-k)
-        prec = self.a11.prec if isinstance(self.a11, Scalar) else DEFAULT_PREC
-        out = Mat2.identity(prec)
-        for _ in range(k):
-            out = out * self
-        return out
-
-    def to_laurent(self, t_exp, prec=None):
-        """Embed a Scalar matrix as a one-term LaurentPoly matrix M * t^k."""
-        prec = prec or max(e.prec for e in self.entries())
+    def to_laurent(self, t_exp, prec):
+        """Embed a number matrix as a one-term LaurentPoly matrix M * t^k
+        at ``prec`` bits."""
         return Mat2(*(LaurentPoly.term(e, t_exp, prec) for e in self.entries()))
 
     def infnorm(self):
@@ -271,11 +260,6 @@ class Mat2:
         for e in self.entries():
             vals.append(e.infnorm() if isinstance(e, LaurentPoly) else abs(e))
         return max(vals)
-
-
-def mat2_determinant(M):
-    """Determinant in the entry algebra (works for both flavors)."""
-    return M.det()
 
 
 def poly_mat_det(rows):
@@ -325,7 +309,9 @@ def normalize_delta(poly, method, context=None):
     p = poly.shifted(shift)
     c0 = p.coeff(0)
     sign = 1
-    if abs(c0 + 1) < abs(c0 - 1):
+    with mp.workprec(p.prec):
+        flip = abs(c0 + 1) < abs(c0 - 1)
+    if flip:
         p = -p
         sign = -1
     return DeltaResult(p, sign, shift, method, context)

@@ -6,20 +6,30 @@ integer bivariate polynomials in (s, m), assembled term-by-term from their
 printed groupings.  Numerical evaluation happens only at the very end, so
 the same objects serve for exact structural checks (m-palindromicity,
 (s -+ 1) divisibility) and for high-precision evaluation.
+
+``solve_s_roots`` and ``build_context`` take the working precision and
+enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
+``BivarPoly`` evaluation and ``degeneracy_flags`` run at their caller's
+ambient precision.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import Mat2
-from .scalars import DEFAULT_PREC, Scalar
+from .laurent import DEFAULT_PREC, Mat2
 
+MIN_PREC = 64
 DEGENERACY_TOL = mpf("1e-10")
+
+
+def _check_prec(prec):
+    if prec < MIN_PREC:
+        raise ValueError(f"precision_bits must be >= {MIN_PREC}, got {prec}")
 
 
 class BivarPoly:
@@ -82,49 +92,41 @@ class BivarPoly:
         return max((b for _, b in self.terms), default=None)
 
     def eval(self, m, s):
-        """Numerical value at Scalar arguments, via cached integer powers."""
-        m, s = Scalar(m), Scalar(s)
-        prec = max(m.prec, s.prec)
-        with mp.workprec(prec):
-            spow, mpow = {0: mpmath.mpc(1)}, {0: mpmath.mpc(1)}
-            total = mpmath.mpc(0)
-            for (a, b), v in self.terms.items():
-                if a not in spow:
-                    spow[a] = s.val ** a
-                if b not in mpow:
-                    mpow[b] = m.val ** b
-                total += v * spow[a] * mpow[b]
-            return Scalar(total, prec)
+        """Numerical value at (m, s), via cached integer powers."""
+        spow, mpow = {0: mpc(1)}, {0: mpc(1)}
+        total = mpc(0)
+        for (a, b), v in self.terms.items():
+            if a not in spow:
+                spow[a] = s ** a
+            if b not in mpow:
+                mpow[b] = m ** b
+            total += v * spow[a] * mpow[b]
+        return total
 
     def eval_mag(self, m, s):
         """Sum of term magnitudes at |m|, |s| -- the natural scale against
         which residuals and near-zero tests are measured."""
-        m, s = Scalar(m), Scalar(s)
-        prec = max(m.prec, s.prec)
-        with mp.workprec(prec):
-            am, as_ = abs(m.val), abs(s.val)
-            spow, mpow = {0: mpf(1)}, {0: mpf(1)}
-            total = mpf(0)
-            for (a, b), v in self.terms.items():
-                if a not in spow:
-                    spow[a] = as_ ** a
-                if b not in mpow:
-                    mpow[b] = am ** b
-                total += abs(v) * spow[a] * mpow[b]
-            return total
+        am, as_ = abs(m), abs(s)
+        spow, mpow = {0: mpf(1)}, {0: mpf(1)}
+        total = mpf(0)
+        for (a, b), v in self.terms.items():
+            if a not in spow:
+                spow[a] = as_ ** a
+            if b not in mpow:
+                mpow[b] = am ** b
+            total += abs(v) * spow[a] * mpow[b]
+        return total
 
     def specialize_m(self, m):
         """Coefficients of the univariate polynomial in s at a fixed m, as
-        {s_exp: Scalar}."""
-        m = Scalar(m)
-        with mp.workprec(m.prec):
-            mpow = {0: mpmath.mpc(1)}
-            out = {}
-            for (a, b), v in self.terms.items():
-                if b not in mpow:
-                    mpow[b] = m.val ** b
-                out[a] = out.get(a, mpmath.mpc(0)) + v * mpow[b]
-        return {a: Scalar(c, m.prec) for a, c in out.items()}
+        {s_exp: mpc}."""
+        mpow = {0: mpc(1)}
+        out = {}
+        for (a, b), v in self.terms.items():
+            if b not in mpow:
+                mpow[b] = m ** b
+            out[a] = out.get(a, mpc(0)) + v * mpow[b]
+        return out
 
     def m_reversed(self, total_m_degree):
         """m^d * p(1/m, s): the coefficient-reversal in m."""
@@ -265,14 +267,14 @@ class PretzelContext:
     a root s of r0(m, .), and every derived quantity of the closed forms."""
 
     n: int
-    m: Scalar
-    s: Scalar
-    alpha: Scalar
-    beta: Scalar
-    H: Scalar
-    eta1: Scalar
-    eta2: Scalar
-    S: Scalar
+    m: mpc
+    s: mpc
+    alpha: mpc
+    beta: mpc
+    H: mpc
+    eta1: mpc
+    eta2: mpc
+    S: mpc
     prec: int
     flags: frozenset
     residual: object = None
@@ -285,7 +287,6 @@ class PretzelContext:
 def degeneracy_flags(n, m, s):
     """Near-zero flags for every quantity the representation formulas divide
     by, each measured relative to its natural scale."""
-    m, s = Scalar(m), Scalar(s)
     flags = set()
     am, as_ = abs(m), abs(s)
     if am < DEGENERACY_TOL:
@@ -307,40 +308,37 @@ def degeneracy_flags(n, m, s):
     return frozenset(flags)
 
 
-def build_context(n, m, s, prec=None, strict=False, residual=None):
-    m, s = Scalar(m), Scalar(s)
-    prec = prec or max(m.prec, s.prec)
-    m, s = Scalar(m, prec), Scalar(s, prec)
-    flags = degeneracy_flags(n, m, s)
-    if strict and flags:
-        raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
-    ctx = PretzelContext(
-        n=n, m=m, s=s,
-        alpha=alpha_polynomial(n).eval(m, s),
-        beta=beta_polynomial(n).eval(m, s),
-        H=h_polynomial(n).eval(m, s),
-        eta1=eta1_polynomial(n).eval(m, s),
-        eta2=eta2_polynomial(n).eval(m, s),
-        S=s ** n,
-        prec=prec,
-        flags=flags,
-        residual=residual,
-    )
-    return ctx
-
-
-def alpha_beta(n, m, s):
-    """Direct evaluation of the printed alpha and beta expressions."""
-    m, s = Scalar(m), Scalar(s)
-    return alpha_polynomial(n).eval(m, s), beta_polynomial(n).eval(m, s)
+def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
+    """The context at (n, m, s), with m and s rounded to ``prec`` bits and
+    every derived quantity computed at ``prec``."""
+    _check_prec(prec)
+    with mp.workprec(prec):
+        m, s = mpc(m), mpc(s)
+        flags = degeneracy_flags(n, m, s)
+        if strict and flags:
+            raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
+        return PretzelContext(
+            n=n, m=m, s=s,
+            alpha=alpha_polynomial(n).eval(m, s),
+            beta=beta_polynomial(n).eval(m, s),
+            H=h_polynomial(n).eval(m, s),
+            eta1=eta1_polynomial(n).eval(m, s),
+            eta2=eta2_polynomial(n).eval(m, s),
+            S=s ** n,
+            prec=prec,
+            flags=flags,
+            residual=residual,
+        )
 
 
 def eval_r1(ctx):
-    return r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
+    with mp.workprec(ctx.prec):
+        return r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
 
 
 def r1_scale(ctx):
-    return r1_polynomial(ctx.n).eval_mag(ctx.m, ctx.s)
+    with mp.workprec(ctx.prec):
+        return r1_polynomial(ctx.n).eval_mag(ctx.m, ctx.s)
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +368,7 @@ class RootRecord:
     disc of that radius about s holds exactly one root (0 for the exact
     roots 0, 1 and -1)."""
 
-    s: Scalar
+    s: mpc
     residual: object
     flags: frozenset
     radius: object = mpf(0)
@@ -455,32 +453,32 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
     ``certified_roots`` at ``prec`` bits and checked against r0 by their
     relative residual.  Records are sorted by Re s, then Im s.
     """
-    m = Scalar(m, prec)
-    if abs(m) == 0:
-        raise ValueError("the meridian eigenvalue m must be nonzero")
-    r0 = r0_polynomial(n)
-    val, q = r0_cofactor(n)
-    records = []
-    for root, mult in ((0, val), (1, 2), (-1, 3)):
-        s = Scalar(root, prec)
-        records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
-    coeffs = q.specialize_m(m)
-    zero = Scalar(0, prec)
-    lead_to_low = [coeffs.get(e, zero).val for e in range(q.s_degree(), -1, -1)]
-    roots, radii = certified_roots(lead_to_low, prec)
-    bound = mpf(2) ** (-(prec // 2))
-    for r, radius in zip(roots, radii):
-        s = Scalar(r, prec)
-        res = abs(r0.eval(m, s)) / r0.eval_mag(m, s)
-        if not res <= bound:
-            raise NonConvergence(
-                f"root {r} has relative residual {res} above {bound}")
-        records.append(RootRecord(s, res, degeneracy_flags(n, m, s), radius))
+    _check_prec(prec)
+    with mp.workprec(prec):
+        m = mpc(m)
+        if m == 0:
+            raise ValueError("the meridian eigenvalue m must be nonzero")
+        r0 = r0_polynomial(n)
+        val, q = r0_cofactor(n)
+        records = []
+        for root, mult in ((0, val), (1, 2), (-1, 3)):
+            s = mpc(root)
+            records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
+        coeffs = q.specialize_m(m)
+        lead_to_low = [coeffs.get(e, mpc(0)) for e in range(q.s_degree(), -1, -1)]
+        roots, radii = certified_roots(lead_to_low, prec)
+        bound = mpf(2) ** (-(prec // 2))
+        for s, radius in zip(roots, radii):
+            res = abs(r0.eval(m, s)) / r0.eval_mag(m, s)
+            if not res <= bound:
+                raise NonConvergence(
+                    f"root {s} has relative residual {res} above {bound}")
+            records.append(RootRecord(s, res, degeneracy_flags(n, m, s), radius))
     # Re s is compared to 2^(-prec/2) absolute, so real parts that agree up
     # to rounding noise (conjugate pairs at real m, the m-independent roots
     # of s^(2n+1) = -1) are ordered by Im s, not by the noise
-    records.sort(key=lambda rec: (mpmath.nint(mpmath.ldexp(rec.s.re, prec // 2)),
-                                  rec.s.im))
+    records.sort(key=lambda rec: (mpmath.nint(mpmath.ldexp(rec.s.real, prec // 2)),
+                                  rec.s.imag))
     return records
 
 
@@ -500,7 +498,7 @@ def select_root(records, root_index=None):
     for i, rec in enumerate(records):
         if rec.flags:
             continue
-        if best is None or abs(rec.s.im) > abs(records[best].s.im):
+        if best is None or abs(rec.s.imag) > abs(records[best].s.imag):
             best = i
     if best is None:
         raise DegenerateContext("no nondegenerate root found")
@@ -508,8 +506,8 @@ def select_root(records, root_index=None):
 
 
 def context_from_root(n, m, rec, prec=DEFAULT_PREC, strict=True):
-    return build_context(n, Scalar(m, prec), Scalar(rec.s, prec), prec=prec,
-                         strict=strict, residual=rec.residual)
+    return build_context(n, m, rec.s, prec=prec, strict=strict,
+                         residual=rec.residual)
 
 
 # ---------------------------------------------------------------------------
@@ -554,13 +552,14 @@ def holonomy_matrices(ctx):
             f"cannot build a representation at flags {sorted(ctx.flags)}")
     n, m, s = ctx.n, ctx.m, ctx.s
     alpha, beta = ctx.alpha, ctx.beta
-    sp1 = s ** (2 * n + 1) + 1
-    A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), Scalar(0, ctx.prec), 1 / m)
-    u = s * alpha - m * beta
-    v = m * s * alpha - beta
-    B = Mat2(beta, -u * v / (m * beta), beta, (m * v + s * alpha) / m).scaled(
-        1 / (s * alpha))
-    X = Mat2(ctx.S, Scalar(0, ctx.prec), (ctx.S - 1 / ctx.S) / sp1, 1 / ctx.S)
+    with mp.workprec(ctx.prec):
+        sp1 = s ** (2 * n + 1) + 1
+        A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
+        u = s * alpha - m * beta
+        v = m * s * alpha - beta
+        B = Mat2(beta, -u * v / (m * beta), beta, (m * v + s * alpha) / m).scaled(
+            1 / (s * alpha))
+        X = Mat2(ctx.S, mpc(0), (ctx.S - 1 / ctx.S) / sp1, 1 / ctx.S)
     return A, B, X
 
 
@@ -569,7 +568,9 @@ def build_holonomy_rep(ctx, presentation="two"):
     one the image of c is rho(x) rho(b)."""
     A, B, X = holonomy_matrices(ctx)
     if presentation == "two":
-        return Representation((A, X * B), prec=ctx.prec)
+        with mp.workprec(ctx.prec):
+            XB = X * B
+        return Representation((A, XB), prec=ctx.prec)
     if presentation == "three":
         return Representation((A, B, X), prec=ctx.prec)
     raise ValueError(f"unknown presentation {presentation!r}")

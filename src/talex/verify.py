@@ -14,17 +14,16 @@ On any tolerance failure a point is retried at doubled precision, up to
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
 from .errors import DegenerateContext, InexactDivision, SingularDenominator
 from .fox import wada_denominator, wada_numerator, wada_polynomial
-from .laurent import divide_with_remainder, normalize_delta
+from .laurent import DEFAULT_PREC, divide_with_remainder, normalize_delta
 from .pretzel import (build_context, eval_r1, presentation_three_gen,
                       presentation_two_gen, build_holonomy_rep,
                       rep_relation_check, select_root, solve_s_roots)
-from .scalars import Scalar
 
 MAX_RETRY_PREC = 1024
 
@@ -61,77 +60,80 @@ class CheckOutcome:
 def coefficient_deviation(p, q):
     """Max per-coefficient deviation relative to the coefficient scale."""
     worst = mpf(0)
-    for e in set(p.terms) | set(q.terms):
-        a, b = p.coeff(e), q.coeff(e)
-        dev = abs(a - b) / max(mpf(1), abs(a), abs(b))
-        worst = max(worst, dev)
+    with mp.workprec(max(p.prec, q.prec)):
+        for e in set(p.terms) | set(q.terms):
+            a, b = p.coeff(e), q.coeff(e)
+            dev = abs(a - b) / max(mpf(1), abs(a), abs(b))
+            worst = max(worst, dev)
     return worst
 
 
 def check_context(ctx, thresholds=None, independence=False):
-    """All per-point checks; returns a list of CheckOutcome."""
+    """All per-point checks, at ``ctx.prec``; returns a list of
+    CheckOutcome."""
     thr = dict(DEFAULT_THRESHOLDS, **(thresholds or {}))
     out = []
 
     def add(name, value):
         out.append(CheckOutcome(name, value <= thr[name], value, thr[name]))
 
-    rels = rep_relation_check(ctx)
-    add("relation_two", max(rels.two))
-    add("relation_three", max(rels.three))
-    add("r1", abs(eval_r1(ctx)))
-    z1, z2 = zeta_vanishing(ctx)
-    add("zeta1", abs(z1))
-    add("zeta2", abs(z2))
+    with mp.workprec(ctx.prec):
+        rels = rep_relation_check(ctx)
+        add("relation_two", max(rels.two))
+        add("relation_three", max(rels.three))
+        add("r1", abs(eval_r1(ctx)))
+        z1, z2 = zeta_vanishing(ctx)
+        add("zeta1", abs(z1))
+        add("zeta2", abs(z2))
 
-    pres2 = presentation_two_gen(ctx.n)
-    rep2 = build_holonomy_rep(ctx, "two")
-    num = wada_numerator(pres2, rep2, remove_k=1)
-    den = wada_denominator(pres2, rep2, k=1)
-    quot, rel_rem = divide_with_remainder(num, den)
-    add("division", rel_rem)
-    fox = normalize_delta(quot, "fox", ctx)
+        pres2 = presentation_two_gen(ctx.n)
+        rep2 = build_holonomy_rep(ctx, "two")
+        num = wada_numerator(pres2, rep2, remove_k=1)
+        den = wada_denominator(pres2, rep2, k=1)
+        quot, rel_rem = divide_with_remainder(num, den)
+        add("division", rel_rem)
+        fox = normalize_delta(quot, "fox", ctx)
 
-    theorem = delta_theorem(ctx)
-    prop32 = delta_prop32(ctx)
-    agreement = max(coefficient_deviation(fox.poly, theorem.poly),
-                    coefficient_deviation(fox.poly, prop32.poly),
-                    coefficient_deviation(theorem.poly, prop32.poly))
-    add("agreement", agreement)
+        theorem = delta_theorem(ctx)
+        prop32 = delta_prop32(ctx)
+        agreement = max(coefficient_deviation(fox.poly, theorem.poly),
+                        coefficient_deviation(fox.poly, prop32.poly),
+                        coefficient_deviation(theorem.poly, prop32.poly))
+        add("agreement", agreement)
 
-    deg = 4 * ctx.n + 6
-    forced = max(abs(fox.poly.coeff(e)) for e in (1, 2, deg - 2, deg - 1))
-    add("structural_zeros", forced)
-    palin = max((abs(fox.poly.coeff(e) - fox.poly.coeff(deg - e))
-                 for e in range(deg + 1)), default=mpf(0))
-    add("palindromic", palin)
+        deg = 4 * ctx.n + 6
+        forced = max(abs(fox.poly.coeff(e)) for e in (1, 2, deg - 2, deg - 1))
+        add("structural_zeros", forced)
+        palin = max((abs(fox.poly.coeff(e) - fox.poly.coeff(deg - e))
+                     for e in range(deg + 1)), default=mpf(0))
+        add("palindromic", palin)
 
-    report = genus_fiberedness_report(fox, ctx.n)
-    out.append(CheckOutcome("monic_degree", report.fibered_consistent,
-                            mpf(report.degree), mpf(report.expected_degree)))
+        report = genus_fiberedness_report(fox, ctx.n)
+        out.append(CheckOutcome("monic_degree", report.fibered_consistent,
+                                mpf(report.degree), mpf(report.expected_degree)))
 
-    if independence:
-        try:
-            alt = wada_polynomial(pres2, rep2, remove_k=0, context=ctx)
-            rep3 = build_holonomy_rep(ctx, "three")
-            three = wada_polynomial(presentation_three_gen(ctx.n), rep3,
-                                    remove_k=0, context=ctx)
-            dev = max(coefficient_deviation(fox.poly, alt.poly),
-                      coefficient_deviation(fox.poly, three.poly))
-        except (InexactDivision, SingularDenominator):
-            # the alternative pipelines refuse to divide at an invalid
-            # point; report that as a failed check, not a crash
-            dev = mpf("inf")
-        add("independence", dev)
+        if independence:
+            try:
+                alt = wada_polynomial(pres2, rep2, remove_k=0, context=ctx)
+                rep3 = build_holonomy_rep(ctx, "three")
+                three = wada_polynomial(presentation_three_gen(ctx.n), rep3,
+                                        remove_k=0, context=ctx)
+                dev = max(coefficient_deviation(fox.poly, alt.poly),
+                          coefficient_deviation(fox.poly, three.poly))
+            except (InexactDivision, SingularDenominator):
+                # the alternative pipelines refuse to divide at an invalid
+                # point; report that as a failed check, not a crash
+                dev = mpf("inf")
+            add("independence", dev)
     return out
 
 
 @dataclass
 class SweepEntry:
     n: int
-    m: Scalar
+    m: mpc
     root_index: int
-    s: Scalar
+    s: mpc
     flags: frozenset
     residual: object
     checks: list = field(default_factory=list)
@@ -143,7 +145,7 @@ class SweepEntry:
 
     def as_dict(self, digits=30):
         def pair(z):
-            return [mpmath.nstr(z.re, digits), mpmath.nstr(z.im, digits)]
+            return [mpmath.nstr(z.real, digits), mpmath.nstr(z.imag, digits)]
         return {
             "n": self.n,
             "m": pair(self.m),
@@ -157,17 +159,18 @@ class SweepEntry:
         }
 
 
-def verify_sweep(ns, ms, prec=256, thorough=False, thresholds=None,
-                 perturb_s=None, max_retry_prec=MAX_RETRY_PREC):
+def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, thresholds=None,
+                 perturb_s=None):
     """Run the suite over all nondegenerate roots for every (n, m).
 
-    ``perturb_s`` offsets every root before checking; it exists as the
-    negative-control hook and is expected to make the suite fail.
+    Each point is checked at ``prec`` bits, and retried at doubled
+    precision up to ``MAX_RETRY_PREC``.  ``perturb_s`` offsets every root
+    before checking; it exists as the negative-control hook and is
+    expected to make the suite fail.
     """
     entries = []
     for n in ns:
         for m in ms:
-            m = Scalar(m, prec)
             roots = solve_s_roots(n, m, prec)
             try:
                 default_idx = select_root(roots)
@@ -182,10 +185,9 @@ def verify_sweep(ns, ms, prec=256, thorough=False, thresholds=None,
                 if (not entry.passed and perturb_s is None
                         and _retry_worthwhile(entry)):
                     p2 = prec
-                    while not entry.passed and p2 < max_retry_prec:
+                    while not entry.passed and p2 < MAX_RETRY_PREC:
                         p2 *= 2
-                        retried = _check_one(n, Scalar(m, p2),
-                                             solve_s_roots(n, Scalar(m, p2), p2),
+                        retried = _check_one(n, m, solve_s_roots(n, m, p2),
                                              None, p2,
                                              thorough or idx == default_idx,
                                              thresholds, None,
@@ -220,14 +222,15 @@ def _retry_worthwhile(entry):
 
 def _check_one(n, m, roots, idx, prec, independence, thresholds, perturb_s,
                near=None):
-    if idx is None:
-        # retry path: find the root nearest to the one that failed
-        idx = min((i for i, r in enumerate(roots) if not r.flags),
-                  key=lambda i: abs(roots[i].s - near))
-    rec = roots[idx]
-    s = rec.s
-    if perturb_s is not None:
-        s = s + Scalar(perturb_s, prec)
+    with mp.workprec(prec):
+        if idx is None:
+            # retry path: find the root nearest to the one that failed
+            idx = min((i for i, r in enumerate(roots) if not r.flags),
+                      key=lambda i: abs(roots[i].s - near))
+        rec = roots[idx]
+        s = rec.s
+        if perturb_s is not None:
+            s = s + perturb_s
     ctx = build_context(n, m, s, prec=prec, strict=False, residual=rec.residual)
     checks = check_context(ctx, thresholds, independence=independence)
     return SweepEntry(n=n, m=m, root_index=idx, s=s, flags=rec.flags,

@@ -6,8 +6,11 @@ same (n, m) points, so both are memoized for the session.
 """
 
 import pytest
+from mpmath import mp, mpc, mpf
 
-from talex import Scalar, solve_s_roots
+from talex import (build_holonomy_rep, context_from_root, delta_prop32,
+                   delta_theorem, presentation_two_gen, select_root,
+                   solve_s_roots, wada_polynomial)
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -18,14 +21,32 @@ _ctx_cache = {}
 _check_cache = {}
 
 
-def std_m_scalars(prec=256):
-    return [Scalar.from_strings(re, im, prec) for re, im in STD_M]
+def eps(prec):
+    """Unit roundoff at the given binary precision."""
+    return mpf(2) ** (-prec)
+
+
+def m_at(re_str, im_str="0", prec=256):
+    """A complex number from decimal strings, rounded to ``prec`` bits."""
+    with mp.workprec(prec):
+        return mpc(mpf(re_str), mpf(im_str))
+
+
+def three_routes(n, m_pair, prec):
+    """The Fox, final-formula and grouped-form results at the default root
+    of (n, m), all at ``prec`` bits."""
+    m = m_at(*m_pair, prec=prec)
+    roots = solve_s_roots(n, m, prec)
+    ctx = context_from_root(n, m, roots[select_root(roots)], prec)
+    fox = wada_polynomial(presentation_two_gen(n), build_holonomy_rep(ctx),
+                          remove_k=1, context=ctx)
+    return fox, delta_theorem(ctx), delta_prop32(ctx)
 
 
 def cached_roots(n, m_pair, prec=256):
     key = (n, m_pair, prec)
     if key not in _root_cache:
-        m = Scalar.from_strings(*m_pair, prec=prec)
+        m = m_at(*m_pair, prec=prec)
         _root_cache[key] = (m, solve_s_roots(n, m, prec))
     return _root_cache[key]
 

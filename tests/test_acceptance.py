@@ -11,14 +11,13 @@ import time
 import mpmath
 from mpmath import mp, mpf, mpc
 
-from talex import Scalar
 from talex.pretzel import (BivarPoly, build_context, r0_polynomial,
                            rep_relation_check, solve_s_roots)
 from talex.fox import wada_denominator, wada_numerator
 from talex.laurent import divide_with_remainder
 from talex.closed_form import zeta_vanishing
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen)
-from conftest import STD_M, cached_checks, cached_contexts
+from conftest import STD_M, cached_checks, cached_contexts, m_at
 
 NS = (1, 2, 3, 4, 5)
 
@@ -66,8 +65,8 @@ def test_criterion_2_identity_vanishing():
     z1_peak = mpf(0)
     for n in (1, 2, 3):
         for _ in range(5):
-            m = Scalar(mpc(rng.uniform(0.6, 1.3), rng.uniform(-0.5, 0.5)))
-            s = Scalar(mpc(rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0)))
+            m = mpc(rng.uniform(0.6, 1.3), rng.uniform(-0.5, 0.5))
+            s = mpc(rng.uniform(-1.2, 1.2), rng.uniform(-1.0, 1.0))
             ctx = build_context(n, m, s, strict=False)
             z1, _ = zeta_vanishing(ctx)
             z1_peak = max(z1_peak, abs(z1))
@@ -138,7 +137,7 @@ def test_criterion_8_precision_scaling():
     n = 2
     residuals = {}
     for prec in (128, 256, 512):
-        m = Scalar.from_strings(*STD_M[0], prec=prec)
+        m = m_at(*STD_M[0], prec=prec)
         roots = solve_s_roots(n, m, prec)
         res = mpf(0)
         for rec in roots:
@@ -162,8 +161,10 @@ def test_criterion_9_negative_controls():
     details = []
     for n, m_pair in ((2, STD_M[0]), (3, STD_M[1])):
         base = cached_contexts(n, m_pair)[0]
-        ctx = build_context(n, base.m, base.s + Scalar(mpf("1e-3"), base.prec),
-                            strict=False)
+        shift = mpf("1e-3")
+        with mp.workprec(base.prec):
+            s = base.s + shift
+        ctx = build_context(n, base.m, s, strict=False)
         rels = rep_relation_check(ctx)
         if not rels.max_residual > mpf("1e-6"):
             ok = False

@@ -3,13 +3,12 @@
 import json
 
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
 from talex import cli, pretzel
 from talex.closed_form import genus_fiberedness_report
 from talex.errors import InexactDivision, NonConvergence
 from talex.pretzel import BivarPoly, RootRecord
-from talex.scalars import Scalar
 
 
 def run(capsys, *argv):
@@ -137,6 +136,27 @@ def test_precision_env_var(capsys, monkeypatch):
     assert args.precision_bits == 128
 
 
+@pytest.mark.parametrize("value", ("abc", "16"))
+def test_bad_precision_env_var(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_PRECISION, value)
+    code, _, _ = run(capsys, "roots", "--n", "1", "--m", "1.2,0.4")
+    assert code == cli.EXIT_USAGE
+
+
+@pytest.mark.parametrize("method", ("fox", "all"))
+@pytest.mark.parametrize("prec", (64, 96, 128))
+def test_low_precision_fox_division(capsys, prec, method):
+    """The Fox division tolerance is 2^-(prec/2) of the precision asked
+    for, and the division meets it at every precision the CLI accepts."""
+    code, out, err = run(capsys, "delta", "--n", "2", "--m", "0.9,-0.2",
+                         "--method", method, "--precision-bits", str(prec),
+                         "--format", "json")
+    assert code == 0, err
+    if method == "all":
+        dev = mpf(json.loads(out)["max_pairwise_deviation"])
+        assert dev <= mpf(2) ** -(prec // 2)
+
+
 def test_delta_csv(capsys):
     code, out, _ = run(capsys, "delta", "--n", "1", "--m", "1.2,0.4",
                        "--method", "theorem", "--format", "csv")
@@ -148,7 +168,7 @@ def test_delta_csv(capsys):
 
 
 def all_flagged_roots(n, m, prec=256, **kw):
-    rec = RootRecord(Scalar(1, prec), mpf(0), frozenset({"s_one"}))
+    rec = RootRecord(mpc(1), mpf(0), frozenset({"s_one"}))
     return [rec, rec]
 
 

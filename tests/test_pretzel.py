@@ -6,8 +6,7 @@ import random
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import (DegenerateContext, Scalar, build_context, select_root,
-                   solve_s_roots)
+from talex import DegenerateContext, build_context, select_root, solve_s_roots
 from talex.errors import NonConvergence
 from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
                            build_holonomy_rep, certified_roots,
@@ -16,15 +15,14 @@ from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
                            holonomy_matrices, presentation_three_gen,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
                            r1_polynomial, r1_scale, rep_relation_check)
-from talex.scalars import eps
-from conftest import STD_M, cached_contexts, cached_roots
+from conftest import STD_M, cached_contexts, cached_roots, eps, m_at
 
 import oracles
 
 
-def rand_ms(rng, prec=256):
-    m = Scalar(mpc(rng.uniform(0.5, 1.5), rng.uniform(-0.8, 0.8)), prec)
-    s = Scalar(mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.2, 1.2)), prec)
+def rand_ms(rng):
+    m = mpc(rng.uniform(0.5, 1.5), rng.uniform(-0.8, 0.8))
+    s = mpc(rng.uniform(-1.5, 1.5), rng.uniform(-1.2, 1.2))
     return m, s
 
 
@@ -45,9 +43,11 @@ def test_bivar_eval_matches_horner():
     p = BivarPoly({(0, 0): 3, (2, 1): -1, (5, 4): 7})
     for _ in range(5):
         m, s = rand_ms(rng)
+        with mp.workprec(256):
+            got, scale = p.eval(m, s), p.eval_mag(m, s)
         with mp.workprec(300):
-            direct = 3 - s.val ** 2 * m.val + 7 * s.val ** 5 * m.val ** 4
-            assert abs(p.eval(m, s).val - direct) < eps(200) * p.eval_mag(m, s)
+            direct = 3 - s ** 2 * m + 7 * s ** 5 * m ** 4
+            assert abs(got - direct) < eps(200) * scale
 
 
 def test_divide_s_linear():
@@ -100,10 +100,11 @@ def test_r0_double_transcription():
         r0 = r0_polynomial(n)
         for _ in range(20):
             m, s = rand_ms(rng)
+            with mp.workprec(256):
+                got, scale = r0.eval(m, s), r0.eval_mag(m, s)
             with mp.workprec(320):
-                ref = oracles.r0_value(n, m.val, s.val)
-                scale = r0.eval_mag(m, s)
-                assert abs(r0.eval(m, s).val - ref) < eps(200) * (1 + scale)
+                ref = oracles.r0_value(n, m, s)
+                assert abs(got - ref) < eps(200) * (1 + scale)
 
 
 def test_alpha_beta_double_transcription():
@@ -111,13 +112,13 @@ def test_alpha_beta_double_transcription():
     for n in (1, 2, 3):
         for _ in range(10):
             m, s = rand_ms(rng)
-            with mp.workprec(320):
-                da = abs(alpha_polynomial(n).eval(m, s).val
-                         - oracles.alpha_value(n, m.val, s.val))
-                db = abs(beta_polynomial(n).eval(m, s).val
-                         - oracles.beta_value(n, m.val, s.val))
-                assert da < eps(200) * (1 + alpha_polynomial(n).eval_mag(m, s))
-                assert db < eps(200) * (1 + beta_polynomial(n).eval_mag(m, s))
+            for poly, oracle in ((alpha_polynomial(n), oracles.alpha_value),
+                                 (beta_polynomial(n), oracles.beta_value)):
+                with mp.workprec(256):
+                    got, scale = poly.eval(m, s), poly.eval_mag(m, s)
+                with mp.workprec(320):
+                    d = abs(got - oracle(n, m, s))
+                    assert d < eps(200) * (1 + scale)
 
 
 def test_derived_constants_double_transcription():
@@ -125,24 +126,27 @@ def test_derived_constants_double_transcription():
     n = 2
     for _ in range(10):
         m, s = rand_ms(rng)
-        with mp.workprec(320):
-            pairs = (
-                (h_polynomial(n), oracles.h_value),
-                (eta1_polynomial(n), oracles.eta1_value),
-                (eta2_polynomial(n), oracles.eta2_value),
-                (r1_polynomial(n), oracles.r1_value),
-            )
-            for poly, oracle in pairs:
-                d = abs(poly.eval(m, s).val - oracle(n, m.val, s.val))
-                assert d < eps(200) * (1 + poly.eval_mag(m, s))
+        pairs = (
+            (h_polynomial(n), oracles.h_value),
+            (eta1_polynomial(n), oracles.eta1_value),
+            (eta2_polynomial(n), oracles.eta2_value),
+            (r1_polynomial(n), oracles.r1_value),
+        )
+        for poly, oracle in pairs:
+            with mp.workprec(256):
+                got, scale = poly.eval(m, s), poly.eval_mag(m, s)
+            with mp.workprec(320):
+                d = abs(got - oracle(n, m, s))
+                assert d < eps(200) * (1 + scale)
 
 
 def test_alpha_vanishes_at_s_one():
     for n in (1, 2, 4):
         for m_pair in STD_M:
-            m = Scalar.from_strings(*m_pair)
-            v = alpha_polynomial(n).eval(m, Scalar(1))
-            assert abs(v) < eps(200) * alpha_polynomial(n).eval_mag(m, Scalar(1))
+            m = m_at(*m_pair)
+            with mp.workprec(256):
+                v = alpha_polynomial(n).eval(m, 1)
+                assert abs(v) < eps(200) * alpha_polynomial(n).eval_mag(m, 1)
 
 
 def test_beta_odd_in_m():
@@ -151,8 +155,9 @@ def test_beta_odd_in_m():
 
 
 def test_h_vanishes_at_s_one():
-    m = Scalar.from_strings("1.2", "0.4")
-    assert abs(h_polynomial(3).eval(m, Scalar(1))) < eps(200) * 10
+    m = m_at("1.2", "0.4")
+    with mp.workprec(256):
+        assert abs(h_polynomial(3).eval(m, 1)) < eps(200) * 10
 
 
 # -- roots ------------------------------------------------------------------
@@ -172,7 +177,8 @@ def test_solve_roots_residuals_and_flags(n):
     for rec in roots:
         if "s_zero" in rec.flags:
             continue
-        res = abs(r0.eval(m, rec.s)) / r0.eval_mag(m, rec.s)
+        with mp.workprec(256):
+            res = abs(r0.eval(m, rec.s)) / r0.eval_mag(m, rec.s)
         assert res < bound
 
 
@@ -183,10 +189,10 @@ def test_solve_roots_exact_roots_and_certificates(n):
     not containing the exact roots."""
     _, roots = cached_roots(n, STD_M[0])
     val, _ = r0_cofactor(n)
-    exact = [r for r in roots if r.s.val in (0, 1, -1)]
-    assert sorted(int(r.s.re) for r in exact) == [-1] * 3 + [0] * val + [1] * 2
+    exact = [r for r in roots if r.s in (0, 1, -1)]
+    assert sorted(int(r.s.real) for r in exact) == [-1] * 3 + [0] * val + [1] * 2
     assert all(r.residual == 0 and r.radius == 0 and r.flags for r in exact)
-    rest = [r for r in roots if r.s.val not in (0, 1, -1)]
+    rest = [r for r in roots if r.s not in (0, 1, -1)]
     assert all(0 < r.radius < mpf("1e-60") for r in rest)
     for i, a in enumerate(rest):
         assert all(abs(a.s - e) > a.radius for e in (0, 1, -1))
@@ -207,16 +213,15 @@ def test_solve_roots_match_undeflated_polyroots():
     n, prec = 2, 256
     m, roots = cached_roots(n, STD_M[0])
     r0 = r0_polynomial(n)
-    coeffs = r0.specialize_m(m)
-    val = min(coeffs)
     with mp.workprec(prec):
-        full = mp.polyroots([coeffs.get(e, Scalar(0)).val
+        coeffs = r0.specialize_m(m)
+        val = min(coeffs)
+        full = mp.polyroots([coeffs.get(e, 0)
                              for e in range(max(coeffs), val - 1, -1)],
                             maxsteps=500, extraprec=prec)
-    ref = sorted([Scalar(0, prec)] * val + [Scalar(z, prec) for z in full],
-                 key=lambda s: (s.re, s.im))
-    assert ([degeneracy_flags(n, m, s) for s in ref]
-            == [rec.flags for rec in roots])
+        ref = sorted([mpc(0)] * val + full, key=lambda s: (s.real, s.imag))
+        assert ([degeneracy_flags(n, m, s) for s in ref]
+                == [rec.flags for rec in roots])
     for s, rec in zip(ref, roots):
         if not rec.flags:
             assert abs(s - rec.s) < mpf("1e-70")
@@ -228,7 +233,9 @@ def test_root_sets_invariant_under_m_symmetries(n):
     set."""
     for m_pair in STD_M:
         m, roots = cached_roots(n, m_pair)
-        for other in (-m, 1 / m):
+        with mp.workprec(256):
+            others = (-m, 1 / m)
+        for other in others:
             twin = solve_s_roots(n, other, 256)
             assert [r.flags for r in twin] == [r.flags for r in roots]
             for a, b in zip(twin, roots):
@@ -237,15 +244,15 @@ def test_root_sets_invariant_under_m_symmetries(n):
 
 def test_solve_roots_rejects_zero_m():
     with pytest.raises(ValueError):
-        solve_s_roots(2, Scalar(0))
+        solve_s_roots(2, 0)
 
 
 def test_select_root_policy():
     _, roots = cached_roots(2, STD_M[0])
     idx = select_root(roots)
     assert not roots[idx].flags
-    best = max((abs(r.s.im) for r in roots if not r.flags))
-    assert abs(abs(roots[idx].s.im) - best) < mpf("1e-50")
+    best = max((abs(r.s.imag) for r in roots if not r.flags))
+    assert abs(abs(roots[idx].s.imag) - best) < mpf("1e-50")
     flagged = next(i for i, r in enumerate(roots) if r.flags)
     with pytest.raises(DegenerateContext):
         select_root(roots, flagged)
@@ -254,18 +261,19 @@ def test_select_root_policy():
 
 
 def test_degeneracy_flags():
-    m = Scalar.from_strings("1.2", "0.4")
-    assert "s_one" in degeneracy_flags(2, m, Scalar(1))
-    assert "s_minus_one" in degeneracy_flags(2, m, Scalar(-1))
-    assert "s_zero" in degeneracy_flags(2, m, Scalar(0))
-    assert "m_zero" in degeneracy_flags(2, Scalar(mpf("1e-15")), Scalar(2))
+    m = m_at("1.2", "0.4")
+    with mp.workprec(256):
+        assert "s_one" in degeneracy_flags(2, m, mpc(1))
+        assert "s_minus_one" in degeneracy_flags(2, m, mpc(-1))
+        assert "s_zero" in degeneracy_flags(2, m, mpc(0))
+        assert "m_zero" in degeneracy_flags(2, mpc(mpf("1e-15")), mpc(2))
 
 
 def test_build_context_strict():
-    m = Scalar.from_strings("1.2", "0.4")
+    m = m_at("1.2", "0.4")
     with pytest.raises(DegenerateContext):
-        build_context(2, m, Scalar(1), strict=True)
-    ctx = build_context(2, m, Scalar(1), strict=False)
+        build_context(2, m, 1, strict=True)
+    ctx = build_context(2, m, 1, strict=False)
     assert not ctx.nondegenerate
 
 
@@ -301,17 +309,18 @@ def test_holonomy_matrix_structure():
     A, B, X = holonomy_matrices(ctx)
     m, S = ctx.m, ctx.S
     assert abs(A.a11 - m) == 0 and abs(A.a21) == 0
-    assert abs(A.a22 - 1 / m) < eps(200)
     assert abs(X.a11 - S) == 0 and abs(X.a12) == 0
-    for M in (A, B, X):
-        assert abs(M.det() - 1) < mpf("1e-60")
-    tr = A.a11 + A.a22
-    assert abs(tr - (m + 1 / m)) < eps(200)
+    with mp.workprec(ctx.prec):
+        assert abs(A.a22 - 1 / m) < eps(200)
+        for M in (A, B, X):
+            assert abs(M.det() - 1) < mpf("1e-60")
+        tr = A.a11 + A.a22
+        assert abs(tr - (m + 1 / m)) < eps(200)
 
 
 def test_holonomy_rejects_degenerate():
-    m = Scalar.from_strings("1.2", "0.4")
-    ctx = build_context(2, m, Scalar(1), strict=False)
+    m = m_at("1.2", "0.4")
+    ctx = build_context(2, m, 1, strict=False)
     with pytest.raises(DegenerateContext):
         build_holonomy_rep(ctx, "two")
 

@@ -1,0 +1,51 @@
+"""Property test over random (n, m): the three routes agree and the Fox
+route reproduces the shape claims, at 256 and at 128 bits.  m is drawn as
+the benchmark draws it: 0.7 <= |m| <= 1.5, 0.15 <= |arg m| <= pi/2 - 0.15,
+as 4-decimal strings."""
+
+import math
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from mpmath import mp, mpf
+
+from talex import DegenerateContext, genus_fiberedness_report
+from talex.verify import DEFAULT_THRESHOLDS, coefficient_deviation
+from conftest import three_routes
+
+GATE = DEFAULT_THRESHOLDS["agreement"]
+
+
+def draw_m_pair(r, arg, sign):
+    arg *= sign
+    return f"{r * math.cos(arg):.4f}", f"{r * math.sin(arg):.4f}"
+
+
+def max_deviation(results):
+    fox, theorem, prop32 = (r.poly for r in results)
+    return max(coefficient_deviation(fox, theorem),
+               coefficient_deviation(fox, prop32),
+               coefficient_deviation(theorem, prop32))
+
+
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(n=st.integers(1, 3),
+       r=st.floats(0.7, 1.5),
+       arg=st.floats(0.15, math.pi / 2 - 0.15),
+       sign=st.sampled_from((1, -1)))
+def test_three_routes_agree_and_fox_route_has_the_claimed_shape(n, r, arg, sign):
+    m_pair = draw_m_pair(r, arg, sign)
+    try:
+        results = three_routes(n, m_pair, 256)
+    except DegenerateContext:  # every root of r0 at this m is flagged
+        assume(False)
+    assert max_deviation(results) <= GATE
+    fox = results[0]
+    report = genus_fiberedness_report(fox, n)
+    assert report.monic and report.degree == 4 * n + 6
+    deg = report.degree
+    with mp.workprec(256):
+        palin = max(abs(fox.poly.coeff(e) - fox.poly.coeff(deg - e))
+                    for e in range(deg + 1))
+    assert palin <= GATE
+    assert max_deviation(three_routes(n, m_pair, 128)) <= mpf(2) ** -64
