@@ -15,7 +15,9 @@ context use ``PretzelContext.prec``, the Fox pipeline ``Representation.prec``
 and Laurent arithmetic ``LaurentPoly.prec``.  Helpers that receive only
 values (``BivarPoly.eval``/``eval_mag``/``specialize_m``,
 ``degeneracy_flags``, ``Mat2`` arithmetic) compute at their caller's
-ambient precision.  Inputs are rounded to the working precision on entry.
+ambient precision.  Inputs are rounded to the working precision on entry;
+``verify_sweep`` takes m as decimal strings, so each precision it retries at
+parses m afresh.
 """
 
 from .errors import (AmbiguousAbelianization, DegenerateContext,

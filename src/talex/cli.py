@@ -23,7 +23,7 @@ import os
 import sys
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
@@ -31,7 +31,7 @@ from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
 from .laurent import DEFAULT_PREC
 from .pretzel import (build_holonomy_rep, context_from_root,
                       presentation_two_gen, select_root, solve_s_roots)
-from .verify import coefficient_deviation, verify_sweep
+from .verify import coefficient_deviation, m_at, verify_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -143,14 +143,9 @@ def _pair(z, prec):
     return [_fmt(z.real, prec), _fmt(z.imag, prec)]
 
 
-def _m_value(pair):
-    """m from its RE,IM decimal strings, rounded at the ambient precision."""
-    return mpc(mpf(pair[0]), mpf(pair[1]))
-
-
 def cmd_roots(args):
     prec = args.precision_bits
-    m = _m_value(args.m)
+    m = m_at(args.m, prec)
     records = solve_s_roots(args.n, m, prec)
     payload = {
         "n": args.n,
@@ -206,7 +201,7 @@ def _delta_payload(result, ctx, args, extra=None):
 
 def cmd_delta(args):
     prec = args.precision_bits
-    m = _m_value(args.m)
+    m = m_at(args.m, prec)
     records = solve_s_roots(args.n, m, prec)
     if args.root_index is None and all(rec.flags for rec in records):
         print("error: no nondegenerate root at this (n, m)", file=sys.stderr)
@@ -281,8 +276,7 @@ def _print_poly(result, prec):
 
 def cmd_verify(args):
     prec = args.precision_bits
-    m_list = args.m or [("1.2", "0.4"), ("0.9", "-0.2")]
-    ms = [_m_value(pair) for pair in m_list]
+    ms = args.m or [("1.2", "0.4"), ("0.9", "-0.2")]
     report = verify_sweep(args.n_range, ms, prec=prec, thorough=args.thorough,
                           perturb_s=args.inject_perturbation)
     if args.format == "json":

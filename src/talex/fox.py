@@ -9,6 +9,17 @@ an SL2 representation is det(A_rho_k) / det(Phi(x_k - 1)), where A_rho_k is
 the block matrix of Phi-images of relator derivatives with the k-th
 generator's column removed.  Everything numeric runs at the
 representation's precision ``rep.prec``.
+
+``wada_numerator`` builds A_rho_k without going through the group ring.  By
+the Fox rule, Phi(d w/dx_j) is a signed sum of rho(p) t^alpha(p) over the
+prefixes p of w at the letters x_j^(+-1), so one left-to-right scan of each
+relator side, carrying the prefix matrix rho(p) and its t-exponent
+alpha(p), yields every kept column at once in O(L) matrix products for a
+side of length L, and each block entry is collected as a plain coefficient
+dict and turned into a ``LaurentPoly`` once.  ``fox_derivative``,
+``GroupRingElement`` and ``phi_map``, which multiply each prefix word out
+from the identity (O(L^2)), stay as the symbolic reference the scan is
+tested against.
 """
 
 from dataclasses import dataclass
@@ -279,14 +290,46 @@ def wada_denominator(pres, rep, k):
     return (block - Mat2.identity_poly(rep.prec)).det()
 
 
+def phi_fox_blocks(rel, rep, exps, cols):
+    """Phi(d rel/dx_j) for every j in ``cols``, as LaurentPoly Mat2 blocks in
+    the order of ``cols``, from one scan of each side of the relator.
+
+    A letter x_j adds +rho(p) t^alpha(p) to block j with p the prefix before
+    it; a letter x_j^-1 adds -rho(p) t^alpha(p) with p the prefix through
+    it.  The rhs enters with the opposite sign, as in
+    ``fox_derivative_of_relator``.  Prefix matrices are multiplied out from
+    the identity in the same order as ``Representation.image_of_word``."""
+    prec = rep.prec
+    acc = {j: ({}, {}, {}, {}) for j in cols}
+
+    def add(j, P, k, sign):
+        for d, v in zip(acc[j], P.entries()):
+            if sign < 0:
+                v = -v
+            d[k] = d[k] + v if k in d else v
+
+    with mp.workprec(prec):
+        for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
+            P, k = Mat2.identity(), 0
+            for g, e in reduce_word(side):
+                if e == 1:
+                    if g in acc:
+                        add(g, P, k, sign)
+                    P, k = P * rep.images[g], k + exps[g]
+                else:
+                    P, k = P * rep._inverses[g], k - exps[g]
+                    if g in acc:
+                        add(g, P, k, -sign)
+    return [Mat2(*(LaurentPoly.from_mpc(d, prec) for d in acc[j])) for j in cols]
+
+
 def wada_numerator(pres, rep, remove_k):
     """det of the 2(n-1) x 2(n-1) matrix of Phi-images of relator
     derivatives with the remove_k column of blocks deleted."""
     cols = [j for j in range(pres.num_generators) if j != remove_k]
     rows = []
     for rel in pres.relators:
-        blocks = [phi_map(fox_derivative_of_relator(rel, j), rep,
-                          pres.abelian_exponents) for j in cols]
+        blocks = phi_fox_blocks(rel, rep, pres.abelian_exponents, cols)
         top, bottom = [], []
         for b in blocks:
             top += [b.a11, b.a12]

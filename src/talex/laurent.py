@@ -3,9 +3,14 @@
 A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
 carries its working precision ``prec``: every operation on it runs under
 ``mp.workprec(prec)`` (the larger one for two operands).  After every
-arithmetic operation coefficients with magnitude below 2^-(prec-8) relative
+arithmetic operation coefficients with magnitude at most 2^-(prec-8) relative
 to the polynomial's sup-norm are swept to structural zero, so supports stay
-finite and degree queries stay meaningful.
+finite and degree queries stay meaningful.  The sweep compares squared
+magnitudes |c|^2 = re^2 + im^2 with the squared cut, so it takes no square
+root, and it refuses a non-finite coefficient with ``ValueError``: a NaN
+would otherwise fail every comparison and vanish, and an infinity would
+sweep every other term away.  Long division keeps the same rule for its
+partial remainders.
 
 ``Mat2`` is a 2x2 matrix whose entries are either all numbers
 (representation matrices, computed at the caller's ambient precision) or
@@ -14,13 +19,30 @@ algebra is entrywise-generic.
 """
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import finf, fnan, fzero, mpf_add, mpf_gt, mpf_mul, mpf_shift
 
 from .errors import InexactDivision
 
 DEFAULT_PREC = 256
 SWEEP_GUARD_BITS = 8
+
+
+def _abs2(c, prec):
+    """|c|^2 of an ``mpc`` as a raw mpmath float, rounded at prec + 4 bits
+    like mpmath's own ``abs``; raises ValueError if c is not finite."""
+    re, im = c._mpc_
+    a2 = mpf_add(mpf_mul(re, re), mpf_mul(im, im), prec + 4)
+    if a2 in (finf, fnan):
+        raise ValueError(f"non-finite Laurent coefficient {c}")
+    return a2
+
+
+def _sweep_cut2(norm2, prec):
+    """The squared sweep cut (2^-(prec-8) * norm)^2, from the squared norm."""
+    return mpf_shift(norm2, -2 * (prec - SWEEP_GUARD_BITS))
 
 
 class LaurentPoly:
@@ -34,6 +56,15 @@ class LaurentPoly:
                 self._sweep()
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_mpc(cls, terms, prec):
+        """Take ownership of a dict of int exponents to ``mpc`` values and
+        sweep it once, without copying the coefficients."""
+        p = cls.__new__(cls)
+        p.terms, p.prec = terms, prec
+        p._sweep()
+        return p
 
     @classmethod
     def zero(cls, prec=DEFAULT_PREC):
@@ -50,14 +81,14 @@ class LaurentPoly:
     # -- structure --------------------------------------------------------
 
     def _sweep(self):
-        if not self.terms:
-            return
-        norm = self.infnorm()
-        if norm == 0:
-            self.terms = {}
-            return
-        cut = mpf(2) ** (-(self.prec - SWEEP_GUARD_BITS)) * norm
-        self.terms = {e: c for e, c in self.terms.items() if abs(c) > cut}
+        abs2 = {e: _abs2(c, self.prec) for e, c in self.terms.items()}
+        norm2 = fzero
+        for a2 in abs2.values():
+            if mpf_gt(a2, norm2):
+                norm2 = a2
+        cut2 = _sweep_cut2(norm2, self.prec)
+        self.terms = {e: c for e, c in self.terms.items()
+                      if mpf_gt(abs2[e], cut2)}
 
     def coeff(self, e):
         return self.terms.get(e, mpc(0))
@@ -101,7 +132,7 @@ class LaurentPoly:
         with mp.workprec(prec):
             for e, c in other.terms.items():
                 out[e] = out[e] + c if e in out else c
-        return LaurentPoly(out, prec)
+        return LaurentPoly.from_mpc(out, prec)
 
     __radd__ = __add__
 
@@ -131,7 +162,7 @@ class LaurentPoly:
                 for e2, c2 in other.terms.items():
                     e = e1 + e2
                     acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly(acc, prec)
+        return LaurentPoly.from_mpc(acc, prec)
 
     __rmul__ = __mul__
 
@@ -154,18 +185,22 @@ def divide_with_remainder(num, den):
 
     Returns (quotient, relative_remainder_norm).  The quotient support is
     contained in [num.min-den.min, num.max-den.max]; anything left after the
-    sweep is the remainder, reported relative to ||num||_inf.
+    sweep is the remainder, reported relative to ||num||_inf.  A partial
+    remainder at or below the sweep cut is dropped; a non-finite coefficient
+    or partial remainder raises ValueError.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
+    if not all(mp.isfinite(c) for p in (num, den) for c in p.terms.values()):
+        raise ValueError("non-finite coefficient in a Laurent division")
     num_norm = num.infnorm()
     if num_norm == 0:
         return LaurentPoly.zero(prec), mpf(0)
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp
     with mp.workprec(prec):
-        cut = mpf(2) ** (-(prec - SWEEP_GUARD_BITS)) * num_norm
+        cut2 = _sweep_cut2((num_norm * num_norm)._mpf_, prec)
         dlead = den.terms[dmax]
         dtail = [(e, c) for e, c in den.terms.items() if e != dmax]
         rem = dict(num.terms)
@@ -179,21 +214,22 @@ def divide_with_remainder(num, den):
             for ee, vv in dtail:
                 k = e - dmax + ee
                 w = rem.get(k, 0) - co * vv
-                if abs(w) > cut:
+                if mpf_gt(_abs2(w, prec), cut2):
                     rem[k] = w
                 elif k in rem:
                     del rem[k]
         rem_norm = max((abs(v) for v in rem.values()), default=mpf(0))
         rel_rem = rem_norm / num_norm
-    return LaurentPoly(quot, prec), rel_rem
+    return LaurentPoly.from_mpc(quot, prec), rel_rem
 
 
 def laurent_divide_exact(num, den):
     """Exact quotient num/den; raises InexactDivision if a remainder above
-    2^-(prec/2) * ||num||_inf is left."""
+    2^-(prec/2) * ||num||_inf is left, or if that remainder is not a
+    number."""
     rel_tol = mpf(2) ** (-(max(num.prec, den.prec) // 2))
     q, rel_rem = divide_with_remainder(num, den)
-    if rel_rem > rel_tol:
+    if not rel_rem <= rel_tol:
         raise InexactDivision(
             f"relative remainder {rel_rem} exceeds tolerance {rel_tol}"
         )
@@ -263,18 +299,28 @@ class Mat2:
 
 
 def poly_mat_det(rows):
-    """Cofactor-expansion determinant of a small square LaurentPoly matrix."""
+    """Determinant of a small square LaurentPoly matrix by cofactor
+    expansion along the top row, with every minor computed once.
+
+    The minors of the bottom k rows, keyed by their sorted column tuple, are
+    expanded along their own top row from the minors of the bottom k-1 rows
+    (a 4x4 takes 28 products, not the 40 of the plain recursion).  The terms
+    are the recursion's, in its order, so the result is the same."""
     n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * poly_mat_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    minors = {(j,): rows[-1][j] for j in range(n)}
+    for i in range(n - 2, -1, -1):
+        row = rows[i]
+        wider = {}
+        for cols in combinations(range(n), n - i):
+            total = None
+            for pos, j in enumerate(cols):
+                term = row[j] * minors[cols[:pos] + cols[pos + 1:]]
+                if pos % 2:
+                    term = -term
+                total = term if total is None else total + term
+            wider[cols] = total
+        minors = wider
+    return minors[tuple(range(n))]
 
 
 @dataclass

@@ -299,13 +299,33 @@ def degeneracy_flags(n, m, s):
         flags.add("s_minus_one")
     if abs(s ** (2 * n + 1) + 1) < DEGENERACY_TOL * (1 + as_ ** (2 * n + 1)):
         flags.add("s_power_minus_one")
-    for name, poly in (("alpha_zero", alpha_polynomial(n)),
-                       ("beta_zero", beta_polynomial(n)),
-                       ("H_zero", h_polynomial(n))):
-        scale = poly.eval_mag(m, s)
-        if scale == 0 or abs(poly.eval(m, s)) < DEGENERACY_TOL * scale:
+    names = ("alpha_zero", "beta_zero", "H_zero")
+    polys = (alpha_polynomial(n), beta_polynomial(n), h_polynomial(n))
+    for name, (value, scale) in zip(names, _values_and_scales(polys, m, s)):
+        if scale == 0 or abs(value) < DEGENERACY_TOL * scale:
             flags.add(name)
     return frozenset(flags)
+
+
+def _values_and_scales(polys, m, s):
+    """``(poly.eval(m, s), poly.eval_mag(m, s))`` for each poly, in one loop
+    per poly over one shared table each of s, m, |s| and |m| powers.  Each
+    power is the same ``**`` call those methods make, so the results are
+    identical to theirs."""
+    am, as_ = abs(m), abs(s)
+    spow, mpow, aspow, ampow = {0: mpc(1)}, {0: mpc(1)}, {0: mpf(1)}, {0: mpf(1)}
+    out = []
+    for poly in polys:
+        total, mag = mpc(0), mpf(0)
+        for (a, b), v in poly.terms.items():
+            if a not in spow:
+                spow[a], aspow[a] = s ** a, as_ ** a
+            if b not in mpow:
+                mpow[b], ampow[b] = m ** b, am ** b
+            total += v * spow[a] * mpow[b]
+            mag += abs(v) * aspow[a] * ampow[b]
+        out.append((total, mag))
+    return out
 
 
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):

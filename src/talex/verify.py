@@ -159,18 +159,27 @@ class SweepEntry:
         }
 
 
+def m_at(m_strings, prec):
+    """m from its (RE, IM) decimal strings, rounded at ``prec`` bits."""
+    with mp.workprec(prec):
+        return mpc(mpf(m_strings[0]), mpf(m_strings[1]))
+
+
 def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, thresholds=None,
                  perturb_s=None):
     """Run the suite over all nondegenerate roots for every (n, m).
 
-    Each point is checked at ``prec`` bits, and retried at doubled
-    precision up to ``MAX_RETRY_PREC``.  ``perturb_s`` offsets every root
-    before checking; it exists as the negative-control hook and is
-    expected to make the suite fail.
+    Each m is given as its (RE, IM) decimal strings.  Each point is checked
+    at ``prec`` bits, and retried at doubled precision up to
+    ``MAX_RETRY_PREC``; every precision parses m afresh from the strings, so
+    a retry solves for the decimal m, not for its ``prec``-bit rounding.
+    ``perturb_s`` offsets every root before checking; it exists as the
+    negative-control hook and is expected to make the suite fail.
     """
     entries = []
     for n in ns:
-        for m in ms:
+        for m_strings in ms:
+            m = m_at(m_strings, prec)
             roots = solve_s_roots(n, m, prec)
             try:
                 default_idx = select_root(roots)
@@ -187,7 +196,8 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, thresholds=None,
                     p2 = prec
                     while not entry.passed and p2 < MAX_RETRY_PREC:
                         p2 *= 2
-                        retried = _check_one(n, m, solve_s_roots(n, m, p2),
+                        m2 = m_at(m_strings, p2)
+                        retried = _check_one(n, m2, solve_s_roots(n, m2, p2),
                                              None, p2,
                                              thorough or idx == default_idx,
                                              thresholds, None,

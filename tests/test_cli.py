@@ -3,9 +3,9 @@
 import json
 
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
-from talex import cli, pretzel
+from talex import cli, pretzel, verify
 from talex.closed_form import genus_fiberedness_report
 from talex.errors import InexactDivision, NonConvergence
 from talex.pretzel import BivarPoly, RootRecord
@@ -224,6 +224,31 @@ def test_verify_negative_control(capsys):
     assert code == cli.EXIT_VERIFY_FAILED
     assert "FAILURES present" in out
     assert "failing:" in out
+
+
+def test_verify_retry_parses_m_at_the_retry_precision(monkeypatch):
+    """A retried point solves for the decimal m parsed at the retry
+    precision, not for its 256-bit rounding."""
+    calls = []
+    solve = verify.solve_s_roots
+
+    def spy(n, m, prec):
+        calls.append((m, prec))
+        return solve(n, m, prec)
+
+    monkeypatch.setattr(verify, "solve_s_roots", spy)
+    # 1e-100 fails at 256 bits (agreement ~1e-70) and passes at 512
+    report = verify.verify_sweep([1], [("1.2", "0.4")], prec=256,
+                                 thresholds={"agreement": mpf("1e-100")})
+    assert report["all_passed"] and report["entries"]
+    assert all(e["retried_at"] == [512] for e in report["entries"])
+    with mp.workprec(512):
+        m512 = mpc(mpf("1.2"), mpf("0.4"))
+    with mp.workprec(256):
+        m256 = mpc(mpf("1.2"), mpf("0.4"))
+    assert m512 != m256
+    assert [m for m, prec in calls if prec == 512] == [m512] * len(report["entries"])
+    assert [m for m, prec in calls if prec == 256] == [m256]
 
 
 def test_verify_json(capsys):

@@ -9,8 +9,8 @@ from talex import (AmbiguousAbelianization, GroupRingElement, Presentation,
                    Relator, fox_derivative, infer_abelianization,
                    phi_map, word_invert, word_multiply)
 from talex.fox import (Representation, abelian_exponent,
-                       fox_derivative_of_relator, gen, reduce_word,
-                       wada_denominator, word_power)
+                       fox_derivative_of_relator, gen, phi_fox_blocks,
+                       reduce_word, wada_denominator, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
 from conftest import cached_contexts, eps
@@ -162,6 +162,26 @@ def test_phi_additive():
              + phi_map(GroupRingElement.from_word(gen(1)), rep, exps) * (-3))
     assert max((direct.entries()[k] - parts.entries()[k]).infnorm()
                for k in range(4)) < eps(200)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_fox_scan_matches_symbolic_phi(n):
+    """The one-pass scan equals Phi of the symbolic Fox derivative, entry by
+    entry, for every relator and every column of both presentations."""
+    ctx = cached_contexts(n, ("1.2", "0.4"))[0]
+    for pres, kind in ((presentation_two_gen(n), "two"),
+                       (presentation_three_gen(n), "three")):
+        rep = build_holonomy_rep(ctx, kind)
+        exps = pres.abelian_exponents
+        cols = list(range(pres.num_generators))
+        tol = mpf(2) ** -(rep.prec - 16)
+        for rel in pres.relators:
+            blocks = phi_fox_blocks(rel, rep, exps, cols)
+            for j, block in zip(cols, blocks):
+                ref = phi_map(fox_derivative_of_relator(rel, j), rep, exps)
+                for got, want in zip(block.entries(), ref.entries()):
+                    assert got.support() == want.support(), (kind, j)
+                    assert (got - want).infnorm() <= tol * want.infnorm(), (kind, j)
 
 
 def test_wada_denominator_meridian_factorization():

@@ -1,0 +1,32 @@
+"""Golden stdout: fixed ``roots`` and ``delta`` commands print exactly the
+text stored in ``tests/golden/``.
+
+The fixtures are the README commands plus a Fox run at n = 5 and a 128-bit
+run; every printed digit of every root and coefficient is part of the
+contract, so a change in the arithmetic's rounding shows up here.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from talex import cli
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "roots_n2_json": "roots --n 2 --m 1.2,0.4 --format json",
+    "delta_n2_all_json": "delta --n 2 --m 1.2,0.4 --method all --format json",
+    "delta_n3_theorem_idx7": "delta --n 3 --m 0.9,-0.2 --method theorem --root-index 7",
+    "delta_n5_fox": "delta --n 5 --m 1.2,0.4 --method fox",
+    "delta_n2_128": "delta --n 2 --m 0.9,-0.2 --precision-bits 128",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout(capsys, monkeypatch, name):
+    monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+    code = cli.main(COMMANDS[name].split())
+    out = capsys.readouterr().out
+    assert code == cli.EXIT_OK
+    assert out == (GOLDEN / f"{name}.out").read_text()

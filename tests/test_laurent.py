@@ -1,11 +1,12 @@
 """Sparse Laurent polynomials, division, 2x2 matrices, normalization."""
 
 import random
+from itertools import permutations
 
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import InexactDivision, LaurentPoly, Mat2, laurent_divide_exact
+from talex import InexactDivision, LaurentPoly, Mat2, laurent, laurent_divide_exact
 from talex.laurent import divide_with_remainder, normalize_delta, poly_mat_det
 from conftest import eps
 
@@ -120,6 +121,66 @@ def test_poly_mat_det_3x3_multiplicative():
     d = poly_mat_det(rows)
     assert d.support() == [0]
     assert abs(d.coeff(0) - 1) < eps(150)
+
+
+def _recursive_det(rows):
+    """The plain cofactor recursion along the top row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    total = None
+    for j in range(len(rows)):
+        term = rows[0][j] * _recursive_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    return total
+
+
+def _leibniz_det(rows):
+    """Sum over permutations of sign(perm) * prod_i rows[i][perm[i]]."""
+    n = len(rows)
+    total = LaurentPoly.zero(PREC)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = LaurentPoly.one(PREC) * (-1) ** inversions
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
+
+
+def test_poly_mat_det_4x4_shared_minors():
+    rng = random.Random(29)
+    rows = [[rand_poly(rng, -1, 2) for _ in range(4)] for _ in range(4)]
+    d = poly_mat_det(rows)
+    leibniz = _leibniz_det(rows)
+    assert d.support() == leibniz.support()
+    assert (d - leibniz).infnorm() < eps(140) * (1 + leibniz.infnorm())
+    # every minor is the recursion's, term by term, so the bits agree too
+    recursive = _recursive_det(rows)
+    assert d.terms == recursive.terms
+
+
+@pytest.mark.parametrize("bad", (mpf("nan"), mpf("inf"), mpc(0, "-inf")))
+def test_non_finite_coefficients_refused(bad):
+    with pytest.raises(ValueError):
+        LaurentPoly({0: 1, 2: bad}, PREC)
+    tainted = LaurentPoly({0: 1, 2: bad}, PREC, sweep=False)
+    finite = LaurentPoly({0: 1, 1: 2}, PREC)
+    with pytest.raises(ValueError):
+        tainted * finite
+    with pytest.raises(ValueError):
+        divide_with_remainder(tainted, finite)
+    with pytest.raises(ValueError):
+        divide_with_remainder(finite * finite, tainted)
+
+
+def test_exact_division_refuses_a_nan_remainder(monkeypatch):
+    num = LaurentPoly({0: 1, 1: 1}, PREC)
+    monkeypatch.setattr(laurent, "divide_with_remainder",
+                        lambda n, d: (n, mpf("nan")))
+    with pytest.raises(InexactDivision):
+        laurent_divide_exact(num, num)
 
 
 def test_normalize_delta_unit_bookkeeping():

@@ -8,7 +8,7 @@ from mpmath import mp, mpf, mpc
 
 from talex import DegenerateContext, build_context, select_root, solve_s_roots
 from talex.errors import NonConvergence
-from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
+from talex.pretzel import (BivarPoly, _values_and_scales, alpha_polynomial, beta_polynomial,
                            build_holonomy_rep, certified_roots,
                            degeneracy_flags, eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
@@ -267,6 +267,20 @@ def test_degeneracy_flags():
         assert "s_minus_one" in degeneracy_flags(2, m, mpc(-1))
         assert "s_zero" in degeneracy_flags(2, m, mpc(0))
         assert "m_zero" in degeneracy_flags(2, mpc(mpf("1e-15")), mpc(2))
+
+
+@pytest.mark.parametrize("prec", (128, 256))
+def test_degeneracy_scales_equal_eval_and_eval_mag(prec):
+    """The shared power tables give the very values of eval and eval_mag,
+    so no flag can move."""
+    m = m_at("0.9", "-0.2", prec=prec)
+    _, roots = cached_roots(3, ("0.9", "-0.2"), prec)
+    polys = (alpha_polynomial(3), beta_polynomial(3), h_polynomial(3))
+    with mp.workprec(prec):
+        for rec in roots:
+            for poly, (value, scale) in zip(polys, _values_and_scales(polys, m, rec.s)):
+                assert value == poly.eval(m, rec.s)
+                assert scale == poly.eval_mag(m, rec.s)
 
 
 def test_build_context_strict():
