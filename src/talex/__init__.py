@@ -13,7 +13,7 @@ precision: ``solve_s_roots`` and ``build_context`` take an explicit ``prec``
 (default ``DEFAULT_PREC`` = 256 bits, at least 64), the functions of a
 context use ``PretzelContext.prec``, the Fox pipeline ``Representation.prec``
 and Laurent arithmetic ``LaurentPoly.prec``.  Helpers that receive only
-values (``BivarPoly.eval``/``eval_mag``/``specialize_m``,
+values (``pretzel.evaluate``, ``BivarPoly.eval``/``specialize_m``,
 ``degeneracy_flags``, ``Mat2`` arithmetic) compute at their caller's
 ambient precision.  Inputs are rounded to the working precision on entry;
 ``verify_sweep`` takes m as decimal strings, so each precision it retries at

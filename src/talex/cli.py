@@ -31,7 +31,7 @@ from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
 from .laurent import DEFAULT_PREC
 from .pretzel import (build_holonomy_rep, context_from_root,
                       presentation_two_gen, select_root, solve_s_roots)
-from .verify import coefficient_deviation, m_at, verify_sweep
+from .verify import m_at, max_pairwise_deviation, verify_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -51,14 +51,23 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _finite_float(text):
+    """float(text); nan and inf are refused like any malformed number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_m(text):
     try:
         re_str, im_str = text.split(",")
-        parts = float(re_str), float(im_str)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
-    if not all(map(math.isfinite, parts)):
-        raise argparse.ArgumentTypeError(f"m must be finite, got {text!r}")
+    _finite_float(re_str), _finite_float(im_str)
     return (re_str.strip(), im_str.strip())
 
 
@@ -107,7 +116,7 @@ def build_parser():
     p_verify.add_argument("--thorough", action="store_true",
                           help="run independence checks on every root, not "
                                "just the default one")
-    p_verify.add_argument("--inject-perturbation", type=float, default=None,
+    p_verify.add_argument("--inject-perturbation", type=_finite_float, default=None,
                           metavar="EPS",
                           help="negative-control hook: offset every root by "
                                "EPS before checking")
@@ -212,17 +221,14 @@ def cmd_delta(args):
     def run(method):
         if method == "fox":
             rep = build_holonomy_rep(ctx, "two")
-            return wada_polynomial(presentation_two_gen(ctx.n), rep,
-                                   remove_k=1, context=ctx)
+            return wada_polynomial(presentation_two_gen(ctx.n), rep, remove_k=1)
         if method == "theorem":
             return delta_theorem(ctx)
         return delta_prop32(ctx)
 
     if args.method == "all":
         results = {name: run(name) for name in ("fox", "theorem", "prop32")}
-        dev = max(coefficient_deviation(results["fox"].poly, results["theorem"].poly),
-                  coefficient_deviation(results["fox"].poly, results["prop32"].poly),
-                  coefficient_deviation(results["theorem"].poly, results["prop32"].poly))
+        dev = max_pairwise_deviation(**results)
         # from the Fox route: delta_theorem is monic of degree 4n+6 by
         # construction, so its report would only restate the claim
         genus = genus_fiberedness_report(results["fox"], ctx.n)

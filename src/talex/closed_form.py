@@ -79,7 +79,7 @@ def delta_theorem(ctx):
             for e in (i + 3, 4 * n - i + 3):
                 terms[e] = terms[e] + lam if e in terms else lam
     poly = LaurentPoly(terms, prec)
-    return DeltaResult(poly, 1, 0, "theorem", ctx)
+    return DeltaResult(poly, 1, 0, "theorem")
 
 
 def delta_prop32(ctx):
@@ -128,8 +128,7 @@ def delta_prop32(ctx):
         scale = s / S
     total = geo1 * (blk1 * scale) + geo2 * (blk2 * scale) + blk3
     poly = total.shifted(6)
-    result = normalize_delta(poly, "prop32", ctx)
-    return result
+    return normalize_delta(poly, "prop32")
 
 
 def denominator_closed_form(ctx):

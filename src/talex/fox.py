@@ -339,7 +339,7 @@ def wada_numerator(pres, rep, remove_k):
     return poly_mat_det(rows)
 
 
-def wada_polynomial(pres, rep, remove_k, context=None):
+def wada_polynomial(pres, rep, remove_k):
     """The full generic pipeline: numerator determinant, exact division by
     det Phi(x_k - 1), and unit normalization."""
     den = wada_denominator(pres, rep, remove_k)
@@ -349,4 +349,4 @@ def wada_polynomial(pres, rep, remove_k, context=None):
         )
     num = wada_numerator(pres, rep, remove_k)
     quot = laurent_divide_exact(num, den)
-    return normalize_delta(quot, "fox", context)
+    return normalize_delta(quot, "fox")

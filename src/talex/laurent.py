@@ -18,7 +18,7 @@ all LaurentPolys (Phi-images); the two flavors share one class since the
 algebra is entrywise-generic.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from mpmath import mp, mpf, mpc
@@ -335,7 +335,6 @@ class DeltaResult:
     sign: int
     shift: int
     method: str
-    context: object = field(default=None, repr=False)
 
     def degree(self):
         return self.poly.max_exp
@@ -344,13 +343,13 @@ class DeltaResult:
         return self.poly.coeff(e)
 
 
-def normalize_delta(poly, method, context=None):
+def normalize_delta(poly, method):
     """Fix Wada's unit ambiguity: shift the minimum exponent to 0 and negate
     if the constant term is closer to -1 than to +1.  Only the unit +-t^k is
     removed; the constant term is never rescaled, so monicity remains a
     genuine check downstream."""
     if poly.is_zero():
-        return DeltaResult(poly, 1, 0, method, context)
+        return DeltaResult(poly, 1, 0, method)
     shift = -poly.min_exp
     p = poly.shifted(shift)
     c0 = p.coeff(0)
@@ -360,4 +359,4 @@ def normalize_delta(poly, method, context=None):
     if flip:
         p = -p
         sign = -1
-    return DeltaResult(p, sign, shift, method, context)
+    return DeltaResult(p, sign, shift, method)

@@ -7,10 +7,13 @@ printed groupings.  Numerical evaluation happens only at the very end, so
 the same objects serve for exact structural checks (m-palindromicity,
 (s -+ 1) divisibility) and for high-precision evaluation.
 
+``evaluate`` is the one numerical evaluator of these polynomials: it gives
+each polynomial's value and its scale (the sum of its term magnitudes) from
+one shared table of powers; ``BivarPoly.eval`` is its one-polynomial case.
 ``solve_s_roots`` and ``build_context`` take the working precision and
 enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
-``BivarPoly`` evaluation and ``degeneracy_flags`` run at their caller's
-ambient precision.
+``evaluate`` and ``degeneracy_flags`` run at their caller's ambient
+precision.
 """
 
 from dataclasses import dataclass
@@ -92,30 +95,8 @@ class BivarPoly:
         return max((b for _, b in self.terms), default=None)
 
     def eval(self, m, s):
-        """Numerical value at (m, s), via cached integer powers."""
-        spow, mpow = {0: mpc(1)}, {0: mpc(1)}
-        total = mpc(0)
-        for (a, b), v in self.terms.items():
-            if a not in spow:
-                spow[a] = s ** a
-            if b not in mpow:
-                mpow[b] = m ** b
-            total += v * spow[a] * mpow[b]
-        return total
-
-    def eval_mag(self, m, s):
-        """Sum of term magnitudes at |m|, |s| -- the natural scale against
-        which residuals and near-zero tests are measured."""
-        am, as_ = abs(m), abs(s)
-        spow, mpow = {0: mpf(1)}, {0: mpf(1)}
-        total = mpf(0)
-        for (a, b), v in self.terms.items():
-            if a not in spow:
-                spow[a] = as_ ** a
-            if b not in mpow:
-                mpow[b] = am ** b
-            total += abs(v) * spow[a] * mpow[b]
-        return total
+        """``(value, scale)`` at (m, s); see ``evaluate``."""
+        return evaluate((self,), m, s)[0]
 
     def specialize_m(self, m):
         """Coefficients of the univariate polynomial in s at a fixed m, as
@@ -161,6 +142,28 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({len(self.terms)} terms, s-deg {self.s_degree()}, m-deg {self.m_degree()})"
+
+
+def evaluate(polys, m, s):
+    """``(value, scale)`` of each poly at (m, s): its numerical value, and the
+    sum of its term magnitudes at |m|, |s| -- the natural scale against which
+    residuals and near-zero tests are measured.  One loop per poly over one
+    shared table each of s, m, |s| and |m| powers, so each power is computed
+    once however many polys use it."""
+    am, as_ = abs(m), abs(s)
+    spow, mpow, aspow, ampow = {0: mpc(1)}, {0: mpc(1)}, {0: mpf(1)}, {0: mpf(1)}
+    out = []
+    for poly in polys:
+        total, mag = mpc(0), mpf(0)
+        for (a, b), v in poly.terms.items():
+            if a not in spow:
+                spow[a], aspow[a] = s ** a, as_ ** a
+            if b not in mpow:
+                mpow[b], ampow[b] = m ** b, am ** b
+            total += v * spow[a] * mpow[b]
+            mag += abs(v) * aspow[a] * ampow[b]
+        out.append((total, mag))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +290,13 @@ class PretzelContext:
 def degeneracy_flags(n, m, s):
     """Near-zero flags for every quantity the representation formulas divide
     by, each measured relative to its natural scale."""
+    polys = alpha_polynomial(n), beta_polynomial(n), h_polynomial(n)
+    return _flags(n, m, s, evaluate(polys, m, s))
+
+
+def _flags(n, m, s, values):
+    """``degeneracy_flags`` given the ``(value, scale)`` pairs of alpha,
+    beta and H at (m, s)."""
     flags = set()
     am, as_ = abs(m), abs(s)
     if am < DEGENERACY_TOL:
@@ -299,33 +309,10 @@ def degeneracy_flags(n, m, s):
         flags.add("s_minus_one")
     if abs(s ** (2 * n + 1) + 1) < DEGENERACY_TOL * (1 + as_ ** (2 * n + 1)):
         flags.add("s_power_minus_one")
-    names = ("alpha_zero", "beta_zero", "H_zero")
-    polys = (alpha_polynomial(n), beta_polynomial(n), h_polynomial(n))
-    for name, (value, scale) in zip(names, _values_and_scales(polys, m, s)):
+    for name, (value, scale) in zip(("alpha_zero", "beta_zero", "H_zero"), values):
         if scale == 0 or abs(value) < DEGENERACY_TOL * scale:
             flags.add(name)
     return frozenset(flags)
-
-
-def _values_and_scales(polys, m, s):
-    """``(poly.eval(m, s), poly.eval_mag(m, s))`` for each poly, in one loop
-    per poly over one shared table each of s, m, |s| and |m| powers.  Each
-    power is the same ``**`` call those methods make, so the results are
-    identical to theirs."""
-    am, as_ = abs(m), abs(s)
-    spow, mpow, aspow, ampow = {0: mpc(1)}, {0: mpc(1)}, {0: mpf(1)}, {0: mpf(1)}
-    out = []
-    for poly in polys:
-        total, mag = mpc(0), mpf(0)
-        for (a, b), v in poly.terms.items():
-            if a not in spow:
-                spow[a], aspow[a] = s ** a, as_ ** a
-            if b not in mpow:
-                mpow[b], ampow[b] = m ** b, am ** b
-            total += v * spow[a] * mpow[b]
-            mag += abs(v) * aspow[a] * ampow[b]
-        out.append((total, mag))
-    return out
 
 
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
@@ -334,16 +321,14 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     _check_prec(prec)
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
-        flags = degeneracy_flags(n, m, s)
+        values = evaluate((alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
+                           eta1_polynomial(n), eta2_polynomial(n)), m, s)
+        flags = _flags(n, m, s, values[:3])
         if strict and flags:
             raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
+        (alpha, _), (beta, _), (H, _), (eta1, _), (eta2, _) = values
         return PretzelContext(
-            n=n, m=m, s=s,
-            alpha=alpha_polynomial(n).eval(m, s),
-            beta=beta_polynomial(n).eval(m, s),
-            H=h_polynomial(n).eval(m, s),
-            eta1=eta1_polynomial(n).eval(m, s),
-            eta2=eta2_polynomial(n).eval(m, s),
+            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H, eta1=eta1, eta2=eta2,
             S=s ** n,
             prec=prec,
             flags=flags,
@@ -352,13 +337,9 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
 
 
 def eval_r1(ctx):
+    """``(value, scale)`` of r1 at the context's (m, s)."""
     with mp.workprec(ctx.prec):
         return r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
-
-
-def r1_scale(ctx):
-    with mp.workprec(ctx.prec):
-        return r1_polynomial(ctx.n).eval_mag(ctx.m, ctx.s)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +470,8 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
         roots, radii = certified_roots(lead_to_low, prec)
         bound = mpf(2) ** (-(prec // 2))
         for s, radius in zip(roots, radii):
-            res = abs(r0.eval(m, s)) / r0.eval_mag(m, s)
+            value, scale = r0.eval(m, s)
+            res = abs(value) / scale
             if not res <= bound:
                 raise NonConvergence(
                     f"root {s} has relative residual {res} above {bound}")

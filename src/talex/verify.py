@@ -68,6 +68,14 @@ def coefficient_deviation(p, q):
     return worst
 
 
+def max_pairwise_deviation(fox, theorem, prop32):
+    """The largest ``coefficient_deviation`` between the three routes'
+    results: fox/theorem, fox/prop32, theorem/prop32."""
+    return max(coefficient_deviation(fox.poly, theorem.poly),
+               coefficient_deviation(fox.poly, prop32.poly),
+               coefficient_deviation(theorem.poly, prop32.poly))
+
+
 def check_context(ctx, thresholds=None, independence=False):
     """All per-point checks, at ``ctx.prec``; returns a list of
     CheckOutcome."""
@@ -81,7 +89,7 @@ def check_context(ctx, thresholds=None, independence=False):
         rels = rep_relation_check(ctx)
         add("relation_two", max(rels.two))
         add("relation_three", max(rels.three))
-        add("r1", abs(eval_r1(ctx)))
+        add("r1", abs(eval_r1(ctx)[0]))
         z1, z2 = zeta_vanishing(ctx)
         add("zeta1", abs(z1))
         add("zeta2", abs(z2))
@@ -92,14 +100,11 @@ def check_context(ctx, thresholds=None, independence=False):
         den = wada_denominator(pres2, rep2, k=1)
         quot, rel_rem = divide_with_remainder(num, den)
         add("division", rel_rem)
-        fox = normalize_delta(quot, "fox", ctx)
+        fox = normalize_delta(quot, "fox")
 
         theorem = delta_theorem(ctx)
         prop32 = delta_prop32(ctx)
-        agreement = max(coefficient_deviation(fox.poly, theorem.poly),
-                        coefficient_deviation(fox.poly, prop32.poly),
-                        coefficient_deviation(theorem.poly, prop32.poly))
-        add("agreement", agreement)
+        add("agreement", max_pairwise_deviation(fox, theorem, prop32))
 
         deg = 4 * ctx.n + 6
         forced = max(abs(fox.poly.coeff(e)) for e in (1, 2, deg - 2, deg - 1))
@@ -114,10 +119,10 @@ def check_context(ctx, thresholds=None, independence=False):
 
         if independence:
             try:
-                alt = wada_polynomial(pres2, rep2, remove_k=0, context=ctx)
+                alt = wada_polynomial(pres2, rep2, remove_k=0)
                 rep3 = build_holonomy_rep(ctx, "three")
                 three = wada_polynomial(presentation_three_gen(ctx.n), rep3,
-                                        remove_k=0, context=ctx)
+                                        remove_k=0)
                 dev = max(coefficient_deviation(fox.poly, alt.poly),
                           coefficient_deviation(fox.poly, three.poly))
             except (InexactDivision, SingularDenominator):

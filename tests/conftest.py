@@ -39,7 +39,7 @@ def three_routes(n, m_pair, prec):
     roots = solve_s_roots(n, m, prec)
     ctx = context_from_root(n, m, roots[select_root(roots)], prec)
     fox = wada_polynomial(presentation_two_gen(n), build_holonomy_rep(ctx),
-                          remove_k=1, context=ctx)
+                          remove_k=1)
     return fox, delta_theorem(ctx), delta_prop32(ctx)
 
 

@@ -33,6 +33,8 @@ def run(capsys, *argv):
     ("roots", "--n", "2", "--m", "0.5,nan"),
     ("delta", "--n", "2", "--m", "1.2,inf"),
     ("verify", "--n-range", "1..1", "--m", "nan,nan"),
+    ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "inf"),
+    ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "nan"),
 ))
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)

@@ -1,9 +1,10 @@
-"""Golden stdout: fixed ``roots`` and ``delta`` commands print exactly the
-text stored in ``tests/golden/``.
+"""Golden stdout: fixed ``roots``, ``delta`` and ``verify`` commands print
+exactly the text stored in ``tests/golden/``.
 
-The fixtures are the README commands plus a Fox run at n = 5 and a 128-bit
-run; every printed digit of every root and coefficient is part of the
-contract, so a change in the arithmetic's rounding shows up here.
+The fixtures are the README commands plus a Fox run at n = 5, a 128-bit
+run and a two-n ``verify`` report; every printed digit of every root,
+coefficient and check value is part of the contract, so a change in the
+arithmetic's rounding shows up here.
 """
 
 from pathlib import Path
@@ -20,6 +21,7 @@ COMMANDS = {
     "delta_n3_theorem_idx7": "delta --n 3 --m 0.9,-0.2 --method theorem --root-index 7",
     "delta_n5_fox": "delta --n 5 --m 1.2,0.4 --method fox",
     "delta_n2_128": "delta --n 2 --m 0.9,-0.2 --precision-bits 128",
+    "verify_n12_json": "verify --n-range 1..2 --format json",
 }
 
 

@@ -8,13 +8,13 @@ from mpmath import mp, mpf, mpc
 
 from talex import DegenerateContext, build_context, select_root, solve_s_roots
 from talex.errors import NonConvergence
-from talex.pretzel import (BivarPoly, _values_and_scales, alpha_polynomial, beta_polynomial,
+from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
                            build_holonomy_rep, certified_roots,
                            degeneracy_flags, eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            holonomy_matrices, presentation_three_gen,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
-                           r1_polynomial, r1_scale, rep_relation_check)
+                           r1_polynomial, rep_relation_check)
 from conftest import STD_M, cached_contexts, cached_roots, eps, m_at
 
 import oracles
@@ -44,7 +44,7 @@ def test_bivar_eval_matches_horner():
     for _ in range(5):
         m, s = rand_ms(rng)
         with mp.workprec(256):
-            got, scale = p.eval(m, s), p.eval_mag(m, s)
+            got, scale = p.eval(m, s)
         with mp.workprec(300):
             direct = 3 - s ** 2 * m + 7 * s ** 5 * m ** 4
             assert abs(got - direct) < eps(200) * scale
@@ -101,7 +101,7 @@ def test_r0_double_transcription():
         for _ in range(20):
             m, s = rand_ms(rng)
             with mp.workprec(256):
-                got, scale = r0.eval(m, s), r0.eval_mag(m, s)
+                got, scale = r0.eval(m, s)
             with mp.workprec(320):
                 ref = oracles.r0_value(n, m, s)
                 assert abs(got - ref) < eps(200) * (1 + scale)
@@ -115,7 +115,7 @@ def test_alpha_beta_double_transcription():
             for poly, oracle in ((alpha_polynomial(n), oracles.alpha_value),
                                  (beta_polynomial(n), oracles.beta_value)):
                 with mp.workprec(256):
-                    got, scale = poly.eval(m, s), poly.eval_mag(m, s)
+                    got, scale = poly.eval(m, s)
                 with mp.workprec(320):
                     d = abs(got - oracle(n, m, s))
                     assert d < eps(200) * (1 + scale)
@@ -134,7 +134,7 @@ def test_derived_constants_double_transcription():
         )
         for poly, oracle in pairs:
             with mp.workprec(256):
-                got, scale = poly.eval(m, s), poly.eval_mag(m, s)
+                got, scale = poly.eval(m, s)
             with mp.workprec(320):
                 d = abs(got - oracle(n, m, s))
                 assert d < eps(200) * (1 + scale)
@@ -145,8 +145,8 @@ def test_alpha_vanishes_at_s_one():
         for m_pair in STD_M:
             m = m_at(*m_pair)
             with mp.workprec(256):
-                v = alpha_polynomial(n).eval(m, 1)
-                assert abs(v) < eps(200) * alpha_polynomial(n).eval_mag(m, 1)
+                v, scale = alpha_polynomial(n).eval(m, 1)
+                assert abs(v) < eps(200) * scale
 
 
 def test_beta_odd_in_m():
@@ -157,7 +157,7 @@ def test_beta_odd_in_m():
 def test_h_vanishes_at_s_one():
     m = m_at("1.2", "0.4")
     with mp.workprec(256):
-        assert abs(h_polynomial(3).eval(m, 1)) < eps(200) * 10
+        assert abs(h_polynomial(3).eval(m, 1)[0]) < eps(200) * 10
 
 
 # -- roots ------------------------------------------------------------------
@@ -178,7 +178,8 @@ def test_solve_roots_residuals_and_flags(n):
         if "s_zero" in rec.flags:
             continue
         with mp.workprec(256):
-            res = abs(r0.eval(m, rec.s)) / r0.eval_mag(m, rec.s)
+            value, scale = r0.eval(m, rec.s)
+            res = abs(value) / scale
         assert res < bound
 
 
@@ -270,17 +271,22 @@ def test_degeneracy_flags():
 
 
 @pytest.mark.parametrize("prec", (128, 256))
-def test_degeneracy_scales_equal_eval_and_eval_mag(prec):
-    """The shared power tables give the very values of eval and eval_mag,
-    so no flag can move."""
-    m = m_at("0.9", "-0.2", prec=prec)
-    _, roots = cached_roots(3, ("0.9", "-0.2"), prec)
-    polys = (alpha_polynomial(3), beta_polynomial(3), h_polynomial(3))
-    with mp.workprec(prec):
-        for rec in roots:
-            for poly, (value, scale) in zip(polys, _values_and_scales(polys, m, rec.s)):
-                assert value == poly.eval(m, rec.s)
-                assert scale == poly.eval_mag(m, rec.s)
+def test_context_values_and_flags_match_their_single_evaluations(prec):
+    """build_context evaluates alpha, beta, H, eta_1 and eta_2 from one
+    shared power table and flags the point from those same values: each
+    value is bit for bit the polynomial's own ``eval``, and the flags are
+    those of ``degeneracy_flags`` and of the solver, at every root."""
+    n = 3
+    m, roots = cached_roots(n, ("0.9", "-0.2"), prec)
+    polys = (alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
+             eta1_polynomial(n), eta2_polynomial(n))
+    for rec in roots:
+        ctx = build_context(n, m, rec.s, prec=prec, strict=False)
+        with mp.workprec(prec):
+            singles = [poly.eval(m, rec.s)[0] for poly in polys]
+            assert ctx.flags == degeneracy_flags(n, m, rec.s)
+        assert [ctx.alpha, ctx.beta, ctx.H, ctx.eta1, ctx.eta2] == singles
+        assert ctx.flags == rec.flags
 
 
 def test_build_context_strict():
@@ -298,7 +304,8 @@ def test_build_context_strict():
 def test_r1_vanishes_at_roots(n):
     for m_pair in STD_M:
         for ctx in cached_contexts(n, m_pair):
-            assert abs(eval_r1(ctx)) < mpf("1e-40") * r1_scale(ctx)
+            value, scale = eval_r1(ctx)
+            assert abs(value) < mpf("1e-40") * scale
 
 
 def test_r1_generically_nonzero_off_roots():
@@ -307,7 +314,8 @@ def test_r1_generically_nonzero_off_roots():
     for _ in range(5):
         m, s = rand_ms(rng)
         ctx = build_context(n, m, s, strict=False)
-        assert abs(eval_r1(ctx)) > mpf("1e-12") * r1_scale(ctx)
+        value, scale = eval_r1(ctx)
+        assert abs(value) > mpf("1e-12") * scale
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))

@@ -1,7 +1,8 @@
-"""Property test over random (n, m): the three routes agree and the Fox
-route reproduces the shape claims, at 256 and at 128 bits.  m is drawn as
-the benchmark draws it: 0.7 <= |m| <= 1.5, 0.15 <= |arg m| <= pi/2 - 0.15,
-as 4-decimal strings."""
+"""Property tests over random (n, m): the three routes agree and the Fox
+route reproduces the shape claims, at 256 and at 128 bits, and they stop
+agreeing once s is moved off the root.  m is drawn as the benchmark draws
+it: 0.7 <= |m| <= 1.5, 0.15 <= |arg m| <= pi/2 - 0.15, as 4-decimal
+strings."""
 
 import math
 
@@ -9,9 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from talex import DegenerateContext, genus_fiberedness_report
-from talex.verify import DEFAULT_THRESHOLDS, coefficient_deviation
-from conftest import three_routes
+from talex import DegenerateContext, build_context, genus_fiberedness_report
+from talex.verify import DEFAULT_THRESHOLDS, check_context, max_pairwise_deviation
+from conftest import cached_contexts, three_routes
 
 GATE = DEFAULT_THRESHOLDS["agreement"]
 
@@ -19,13 +20,6 @@ GATE = DEFAULT_THRESHOLDS["agreement"]
 def draw_m_pair(r, arg, sign):
     arg *= sign
     return f"{r * math.cos(arg):.4f}", f"{r * math.sin(arg):.4f}"
-
-
-def max_deviation(results):
-    fox, theorem, prop32 = (r.poly for r in results)
-    return max(coefficient_deviation(fox, theorem),
-               coefficient_deviation(fox, prop32),
-               coefficient_deviation(theorem, prop32))
 
 
 @settings(derandomize=True, max_examples=10, deadline=None, database=None)
@@ -39,7 +33,7 @@ def test_three_routes_agree_and_fox_route_has_the_claimed_shape(n, r, arg, sign)
         results = three_routes(n, m_pair, 256)
     except DegenerateContext:  # every root of r0 at this m is flagged
         assume(False)
-    assert max_deviation(results) <= GATE
+    assert max_pairwise_deviation(*results) <= GATE
     fox = results[0]
     report = genus_fiberedness_report(fox, n)
     assert report.monic and report.degree == 4 * n + 6
@@ -48,4 +42,23 @@ def test_three_routes_agree_and_fox_route_has_the_claimed_shape(n, r, arg, sign)
         palin = max(abs(fox.poly.coeff(e) - fox.poly.coeff(deg - e))
                     for e in range(deg + 1))
     assert palin <= GATE
-    assert max_deviation(three_routes(n, m_pair, 128)) <= mpf(2) ** -64
+    assert max_pairwise_deviation(*three_routes(n, m_pair, 128)) <= mpf(2) ** -64
+
+
+@settings(derandomize=True, max_examples=5, deadline=None, database=None)
+@given(n=st.integers(1, 3),
+       r=st.floats(0.7, 1.5),
+       arg=st.floats(0.15, math.pi / 2 - 0.15),
+       sign=st.sampled_from((1, -1)))
+def test_perturbed_s_breaks_three_route_agreement(n, r, arg, sign):
+    """Negative control: s moved 1e-3 off a root of r0 is no representation,
+    and the agreement check must see it."""
+    contexts = cached_contexts(n, draw_m_pair(r, arg, sign))
+    assume(contexts)
+    base = contexts[0]
+    with mp.workprec(base.prec):
+        s = base.s + mpf("1e-3")
+    ctx = build_context(n, base.m, s, prec=base.prec)
+    assume(ctx.nondegenerate)
+    agreement = next(c for c in check_context(ctx) if c.name == "agreement")
+    assert agreement.value > GATE
