@@ -9,7 +9,8 @@ Subcommands:
 
 Exit codes are a stable contract: 0 success, 1 verification failure,
 2 no nondegenerate root, 3 numerical non-convergence, 4 degenerate context,
-5 inexact division, 64 usage error.
+5 inexact division, 64 usage error, 74 output closed before it was written
+(as when piped into ``head``).
 
 Coefficients are emitted as decimal strings (never binary floats) with a
 precision-dependent digit count, so output round-trips losslessly and is
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 
 import mpmath
@@ -40,6 +42,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_DEGENERATE = 4
 EXIT_INEXACT = 5
 EXIT_USAGE = 64
+EXIT_IOERR = 74
 
 ENV_PRECISION = "TALEX_PRECISION_BITS"
 
@@ -69,6 +72,18 @@ def _parse_m(text):
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
     _finite_float(re_str), _finite_float(im_str)
     return (re_str.strip(), im_str.strip())
+
+
+def _join_dash_m(argv):
+    """``--m -1,0`` as ``--m=-1,0``: argparse reads a value that starts with
+    a dash and is not a plain negative number as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--m" and re.match(r"-\.?\d", arg):
+            out[-1] = "--m=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_range(text):
@@ -300,21 +315,27 @@ def cmd_verify(args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_m(argv))
     except SystemExit as exc:
         return exc.code
+    commands = {"roots": cmd_roots, "delta": cmd_delta, "verify": cmd_verify}
     try:
         _validate(args)
         # the one working precision of the command; --m is parsed under it
         with mp.workprec(args.precision_bits):
-            if args.command == "roots":
-                return cmd_roots(args)
-            if args.command == "delta":
-                return cmd_delta(args)
-            return cmd_verify(args)
+            code = commands[args.command](args)
+        # a reader that closed early is seen here at the latest
+        sys.stdout.flush()
+        return code
     except SystemExit as exc:
         return exc.code
+    except BrokenPipeError:
+        # nothing can be reported through the closed stream; point stdout at
+        # the null device so the interpreter's final flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IOERR
     except NonConvergence:
         print("error: numerical non-convergence; retry at higher precision",
               file=sys.stderr)

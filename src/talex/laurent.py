@@ -1,16 +1,24 @@
 """Sparse Laurent polynomials and 2x2 matrices over them.
 
 A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
-carries its working precision ``prec``: every operation on it runs under
-``mp.workprec(prec)`` (the larger one for two operands).  After every
-arithmetic operation coefficients with magnitude at most 2^-(prec-8) relative
-to the polynomial's sup-norm are swept to structural zero, so supports stay
-finite and degree queries stay meaningful.  The sweep compares squared
-magnitudes |c|^2 = re^2 + im^2 with the squared cut, so it takes no square
-root, and it refuses a non-finite coefficient with ``ValueError``: a NaN
-would otherwise fail every comparison and vanish, and an infinity would
-sweep every other term away.  Long division keeps the same rule for its
-partial remainders.
+carries its working precision ``prec``: every operation on it computes at
+that precision (the larger one for two operands).  Sums, negation and long
+division run in ``mpc`` arithmetic under ``mp.workprec(prec)``.  Products
+and ``poly_mat_det`` are exact: each operand's coefficients are read as
+Gaussian integers over one power of two (an ``mpc`` part is a mantissa
+times a power of two, so nothing is lost), multiplied and summed as Python
+integers, and each coefficient of the result is rounded once, to nearest.
+
+After every arithmetic operation coefficients with magnitude at most
+2^-(prec-8) relative to the polynomial's sup-norm are swept to structural
+zero, so supports stay finite and degree queries stay meaningful; the
+sweep also bounds the spread of an operand's exponents, so its integers
+stay near 2*prec bits.  The sweep compares squared magnitudes
+|c|^2 = re^2 + im^2 with the squared cut, so it takes no square root, and
+it refuses a non-finite coefficient with ``ValueError``: a NaN would
+otherwise fail every comparison and vanish, and an infinity would sweep
+every other term away.  Long division keeps the same rule for its partial
+remainders.
 
 ``Mat2`` is a 2x2 matrix whose entries are either all numbers
 (representation matrices, computed at the caller's ambient precision) or
@@ -22,7 +30,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import finf, fnan, fzero, mpf_add, mpf_gt, mpf_mul, mpf_shift
+from mpmath.libmp import (finf, fnan, from_man_exp, fzero, mpf_add, mpf_gt,
+                          mpf_mul, mpf_shift, round_nearest)
 
 from .errors import InexactDivision
 
@@ -43,6 +52,48 @@ def _abs2(c, prec):
 def _sweep_cut2(norm2, prec):
     """The squared sweep cut (2^-(prec-8) * norm)^2, from the squared norm."""
     return mpf_shift(norm2, -2 * (prec - SWEEP_GUARD_BITS))
+
+
+def _gaussian(poly):
+    """The coefficients of ``poly`` as exact Gaussian integers over one power
+    of two: returns ({e: (re, im)}, shift) with c_e = (re + i*im) * 2^shift,
+    where shift is the smallest mantissa exponent among the coefficients.
+    Raises ValueError on a non-finite coefficient, which mpmath stores with
+    mantissa 0 and would otherwise read as zero."""
+    parts = [x for c in poly.terms.values() for x in c._mpc_]
+    for x in parts:
+        if not x[1] and x != fzero:
+            raise ValueError(f"non-finite Laurent coefficient {poly}")
+    shift = min((x[2] for x in parts if x[1]), default=0)
+
+    def integer(x):
+        sign, man, exp, _ = x
+        if not man:
+            return 0
+        return -(man << (exp - shift)) if sign else man << (exp - shift)
+
+    return {e: (integer(c._mpc_[0]), integer(c._mpc_[1]))
+            for e, c in poly.terms.items()}, shift
+
+
+def _convolve_into(acc, a, b, sign):
+    """acc += sign * a * b for Gaussian-integer coefficient dicts."""
+    for e1, (r1, i1) in a.items():
+        if sign < 0:
+            r1, i1 = -r1, -i1
+        for e2, (r2, i2) in b.items():
+            e = e1 + e2
+            re, im = acc.get(e, (0, 0))
+            acc[e] = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+
+
+def _rounded(acc, shift, prec):
+    """The LaurentPoly with coefficients (re + i*im) * 2^shift from ``acc``,
+    each part rounded once to nearest at ``prec`` bits, then swept."""
+    terms = {e: mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
+                             from_man_exp(im, shift, prec, round_nearest)))
+             for e, (re, im) in acc.items()}
+    return LaurentPoly.from_mpc(terms, prec)
 
 
 class LaurentPoly:
@@ -155,14 +206,10 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        prec = max(self.prec, other.prec)
-        with mp.workprec(prec):
-            acc = {}
-            for e1, c1 in self.terms.items():
-                for e2, c2 in other.terms.items():
-                    e = e1 + e2
-                    acc[e] = acc.get(e, 0) + c1 * c2
-        return LaurentPoly.from_mpc(acc, prec)
+        (a, sa), (b, sb) = _gaussian(self), _gaussian(other)
+        acc = {}
+        _convolve_into(acc, a, b, 1)
+        return _rounded(acc, sa + sb, max(self.prec, other.prec))
 
     __rmul__ = __mul__
 
@@ -304,23 +351,31 @@ def poly_mat_det(rows):
 
     The minors of the bottom k rows, keyed by their sorted column tuple, are
     expanded along their own top row from the minors of the bottom k-1 rows
-    (a 4x4 takes 28 products, not the 40 of the plain recursion).  The terms
-    are the recursion's, in its order, so the result is the same."""
+    (a 4x4 takes 28 products, not the 40 of the plain recursion).  Every
+    entry is converted once to Gaussian integers over the matrix's smallest
+    power of two, so each product, sign and sum of the expansion is exact;
+    each coefficient of the determinant is rounded once, to nearest at the
+    entries' largest precision, and the result is swept once.  The
+    cancellation inside the expansion therefore costs no precision."""
     n = len(rows)
-    minors = {(j,): rows[-1][j] for j in range(n)}
+    prec = max(p.prec for row in rows for p in row)
+    exact = [[_gaussian(p) for p in row] for row in rows]
+    base = min((s for row in exact for terms, s in row if terms), default=0)
+    ints = [[{e: (re << (s - base), im << (s - base))
+              for e, (re, im) in terms.items()} for terms, s in row]
+            for row in exact]
+    minors = {(j,): ints[-1][j] for j in range(n)}
     for i in range(n - 2, -1, -1):
-        row = rows[i]
+        row = ints[i]
         wider = {}
         for cols in combinations(range(n), n - i):
-            total = None
+            total = {}
             for pos, j in enumerate(cols):
-                term = row[j] * minors[cols[:pos] + cols[pos + 1:]]
-                if pos % 2:
-                    term = -term
-                total = term if total is None else total + term
+                _convolve_into(total, row[j], minors[cols[:pos] + cols[pos + 1:]],
+                               -1 if pos % 2 else 1)
             wider[cols] = total
         minors = wider
-    return minors[tuple(range(n))]
+    return _rounded(minors[tuple(range(n))], n * base, prec)
 
 
 @dataclass

@@ -1,6 +1,10 @@
 """The command-line surface: exit codes, output formats, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpc, mpf
@@ -35,6 +39,7 @@ def run(capsys, *argv):
     ("verify", "--n-range", "1..1", "--m", "nan,nan"),
     ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "inf"),
     ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "nan"),
+    ("roots", "--n", "1", "--m", "-abc,0"),
 ))
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
@@ -263,3 +268,55 @@ def test_verify_json(capsys):
     assert {"n", "m", "root_index", "s", "flags", "residual", "checks",
             "passed"} <= set(entry)
     assert all(c["passed"] for c in entry["checks"])
+
+
+@pytest.mark.parametrize("m", ("1,0", "-1,0"))
+def test_verify_at_the_parabolic_meridian(capsys, m):
+    """m = +-1 gives the holonomy representation, the one the paper's
+    corollary on the Dunfield-Friedl-Jackson conjecture is about."""
+    code, out, _ = run(capsys, "verify", "--n-range", "1..4", "--m", m,
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] is True
+    assert len(report["entries"]) == 24
+    assert not any(e["retried_at"] for e in report["entries"])
+
+
+# -- the argument vector and the output stream ------------------------------
+
+
+@pytest.mark.parametrize("m", ("-1,0", "-0.9,-0.2"))
+def test_dash_leading_m_is_a_value(capsys, m):
+    code, out, _ = run(capsys, "roots", "--n", "1", "--m", m)
+    assert code == 0
+    assert run(capsys, "roots", "--n", "1", f"--m={m}")[:2] == (code, out)
+
+
+def test_closed_reader_exits_74_without_traceback():
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("pipe capacity cannot be set on this platform")
+    read_fd, write_fd = os.pipe()
+    # a one-page pipe fills before the 7 kB report is written, so a write
+    # is still pending when the reader closes after the first line
+    fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, 4096)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "talex.cli", "delta", "--n", "2", "--m", "1.2,0.4",
+         "--method", "all", "--format", "json"],
+        stdout=write_fd, stderr=subprocess.PIPE, env=env)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb", buffering=0) as reader:
+        first = b""
+        while not first.endswith(b"\n"):
+            byte = reader.read(1)
+            if not byte:
+                break
+            first += byte
+    _, err = proc.communicate(timeout=120)
+    assert first == b"{\n"
+    assert proc.returncode == cli.EXIT_IOERR
+    assert err == b""

@@ -1,14 +1,18 @@
 """Sparse Laurent polynomials, division, 2x2 matrices, normalization."""
 
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import InexactDivision, LaurentPoly, Mat2, laurent, laurent_divide_exact
+from talex import (InexactDivision, LaurentPoly, Mat2, build_holonomy_rep,
+                   laurent, laurent_divide_exact, wada_polynomial)
 from talex.laurent import divide_with_remainder, normalize_delta, poly_mat_det
-from conftest import eps
+from talex.pretzel import build_context, presentation_three_gen
+from talex.verify import coefficient_deviation
+from conftest import STD_M, cached_roots, eps
 
 PREC = 192
 
@@ -123,19 +127,6 @@ def test_poly_mat_det_3x3_multiplicative():
     assert abs(d.coeff(0) - 1) < eps(150)
 
 
-def _recursive_det(rows):
-    """The plain cofactor recursion along the top row."""
-    if len(rows) == 1:
-        return rows[0][0]
-    total = None
-    for j in range(len(rows)):
-        term = rows[0][j] * _recursive_det([r[:j] + r[j + 1:] for r in rows[1:]])
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
-
-
 def _leibniz_det(rows):
     """Sum over permutations of sign(perm) * prod_i rows[i][perm[i]]."""
     n = len(rows)
@@ -149,6 +140,90 @@ def _leibniz_det(rows):
     return total
 
 
+def _exact(p):
+    """The coefficients of p as exact (re, im) Fractions."""
+    def frac(x):
+        sign, man, exp, _ = x._mpf_
+        return Fraction(-man if sign else man) * Fraction(2) ** exp
+    return {e: (frac(c.real), frac(c.imag)) for e, c in p.terms.items()}
+
+
+def _exact_mul(a, b):
+    out = {}
+    for e1, (r1, i1) in a.items():
+        for e2, (r2, i2) in b.items():
+            re, im = out.get(e1 + e2, (0, 0))
+            out[e1 + e2] = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+    return out
+
+
+def _rounded(exact, prec):
+    """Each exact dyadic part rounded to nearest at prec bits, then swept."""
+    def to_mpf(x):
+        return mpf((x.numerator, 1 - x.denominator.bit_length()))
+    with mp.workprec(prec):
+        terms = {e: mpc(to_mpf(re), to_mpf(im)) for e, (re, im) in exact.items()}
+    return LaurentPoly(terms, prec)
+
+
+def _bits(p):
+    return {e: c._mpc_ for e, c in p.terms.items()}
+
+
+def _mpc_mul(p, q):
+    """The coefficient loop in mpc arithmetic, every multiply-add rounded."""
+    prec = max(p.prec, q.prec)
+    with mp.workprec(prec):
+        acc = {}
+        for e1, c1 in p.terms.items():
+            for e2, c2 in q.terms.items():
+                acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return LaurentPoly(acc, prec)
+
+
+def _exact_leibniz_det(rows):
+    n = len(rows)
+    total = {}
+    for perm in permutations(range(n)):
+        inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
+        term = {0: (Fraction((-1) ** inversions), Fraction(0))}
+        for i, j in enumerate(perm):
+            term = _exact_mul(term, _exact(rows[i][j]))
+        for e, (re, im) in term.items():
+            r0, i0 = total.get(e, (0, 0))
+            total[e] = (r0 + re, i0 + im)
+    return total
+
+
+def _near_cut_poly(rng, prec):
+    """Random full-precision coefficients: at t^-4..t^-1 within a factor
+    2^+-2 of the sweep cut 2^-(prec-8), at t^0..t^3 of order 1, so the low
+    coefficients of a product of two of them sit near the product's cut."""
+    def part(exp):
+        return mpf((rng.getrandbits(prec) - 2 ** (prec - 1), exp - prec))
+
+    with mp.workprec(prec):
+        terms = {}
+        for e in range(-4, 4):
+            exp = rng.choice((-prec + 6, -prec + 8, -prec + 10) if e < 0
+                             else (-40, -1, 0, 1))
+            terms[e] = mpc(part(exp), part(exp))
+    return LaurentPoly(terms, prec, sweep=False)
+
+
+@pytest.mark.parametrize("prec", (64, 192, 512))
+def test_mul_is_the_correctly_rounded_exact_convolution(prec):
+    rng = random.Random(prec)
+    for _ in range(12):
+        p, q = _near_cut_poly(rng, prec), _near_cut_poly(rng, prec)
+        prod = p * q
+        assert _bits(prod) == _bits(_rounded(_exact_mul(_exact(p), _exact(q)), prec))
+        # the mpc loop rounds every multiply-add; it agrees to a few ulps of
+        # the largest coefficient
+        ref = _mpc_mul(p, q)
+        assert (prod - ref).infnorm() <= eps(prec - 8) * ref.infnorm()
+
+
 def test_poly_mat_det_4x4_shared_minors():
     rng = random.Random(29)
     rows = [[rand_poly(rng, -1, 2) for _ in range(4)] for _ in range(4)]
@@ -156,9 +231,9 @@ def test_poly_mat_det_4x4_shared_minors():
     leibniz = _leibniz_det(rows)
     assert d.support() == leibniz.support()
     assert (d - leibniz).infnorm() < eps(140) * (1 + leibniz.infnorm())
-    # every minor is the recursion's, term by term, so the bits agree too
-    recursive = _recursive_det(rows)
-    assert d.terms == recursive.terms
+    # the expansion is exact and rounds once, so the bits are those of the
+    # correctly rounded exact determinant
+    assert _bits(d) == _bits(_rounded(_exact_leibniz_det(rows), PREC))
 
 
 @pytest.mark.parametrize("bad", (mpf("nan"), mpf("inf"), mpc(0, "-inf")))
@@ -197,3 +272,23 @@ def test_normalize_delta_never_rescales():
     p = LaurentPoly({0: mpc("2.5"), 2: 1}, PREC)
     res = normalize_delta(p, "test")
     assert abs(res.poly.coeff(0) - mpf("2.5")) < eps(150)
+
+
+# The 1024-bit run is the reference.  These roots are the worst of the
+# 24 per m at n = 5: rounding every multiply-add of the determinant, they
+# were 4.4e-68, 2.0e-68 and 3.2e-71 off.
+@pytest.mark.parametrize("m_pair, index", ((STD_M[0], 22), (STD_M[0], 13),
+                                           (STD_M[1], 13)),
+                         ids=("m0-root22", "m0-root13", "m1-root13"))
+def test_three_generator_wada_accuracy_at_256_bits(m_pair, index):
+    polys = []
+    for prec in (256, 1024):
+        m, roots = cached_roots(5, m_pair, prec)
+        rec = roots[index]
+        assert not rec.flags
+        ctx = build_context(5, m, rec.s, prec=prec, strict=False,
+                            residual=rec.residual)
+        polys.append(wada_polynomial(presentation_three_gen(5),
+                                     build_holonomy_rep(ctx, "three"),
+                                     remove_k=0).poly)
+    assert coefficient_deviation(*polys) < mpf("1e-69")
