@@ -9,31 +9,32 @@ reports the genus/fiberedness consequences.
 Precision contract.  Values are plain mpmath numbers (``mpc``/``mpf``);
 nothing carries a precision of its own.  A function that is given a working
 precision enters ``mp.workprec`` with it and computes everything at that
-precision: ``solve_s_roots`` and ``build_context`` take an explicit ``prec``
-(default ``DEFAULT_PREC`` = 256 bits, at least 64), the functions of a
-context use ``PretzelContext.prec``, the Fox pipeline ``Representation.prec``
-and Laurent arithmetic ``LaurentPoly.prec``.  Helpers that receive only
-values (``pretzel.evaluate``, ``BivarPoly.eval``/``specialize_m``,
-``degeneracy_flags``, ``Mat2`` arithmetic) compute at their caller's
-ambient precision.  Inputs are rounded to the working precision on entry;
-``verify_sweep`` takes m as decimal strings, so each precision it retries at
-parses m afresh.
+precision.  Only the entry points have a default precision:
+``solve_s_roots``, ``build_context`` and ``verify_sweep`` take ``prec``,
+default ``DEFAULT_PREC`` = 256 bits, at least ``MIN_PREC`` = 64, both defined
+in ``talex.pretzel``.  Below them the precision is always passed on, never
+assumed: the functions of a context use ``PretzelContext.prec``, and
+``Representation`` and every ``LaurentPoly`` constructor require ``prec``.
+Helpers that receive only values (``pretzel.evaluate``,
+``BivarPoly.eval``/``specialize_m``, ``degeneracy_flags``, ``Mat2``
+arithmetic) compute at their caller's ambient precision.  Inputs are
+rounded to the working precision on entry; ``verify_sweep`` takes m as
+decimal strings, so each precision it retries at parses m afresh.
 """
 
 from .errors import (AmbiguousAbelianization, DegenerateContext,
                      InexactDivision, NonConvergence, SingularDenominator,
                      TalexError)
-from .laurent import (DEFAULT_PREC, DeltaResult, LaurentPoly, Mat2,
-                      laurent_divide_exact, normalize_delta)
+from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
+                      normalize_delta)
 from .fox import (GroupRingElement, Presentation, Relator, Representation,
                   fox_derivative, fox_derivative_of_relator,
                   infer_abelianization, phi_map, wada_polynomial,
                   word_invert, word_multiply)
-from .pretzel import (BivarPoly, PretzelContext, build_context,
-                      build_holonomy_rep, context_from_root, eval_r1,
-                      presentation_three_gen, presentation_two_gen,
-                      r0_polynomial, rep_relation_check, select_root,
-                      solve_s_roots)
+from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
+                      build_holonomy_rep, eval_r1, presentation_three_gen,
+                      presentation_two_gen, r0_polynomial, rep_relation_check,
+                      select_root, solve_s_roots)
 from .closed_form import (delta_prop32, delta_theorem,
                           denominator_closed_form, derivative_expansion_eq2,
                           genus_fiberedness_report, lambda_coefficients,
@@ -47,7 +48,7 @@ __all__ = [
     "DeltaResult", "GroupRingElement", "InexactDivision", "LaurentPoly",
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "SingularDenominator", "TalexError",
-    "build_context", "build_holonomy_rep", "context_from_root",
+    "build_context", "build_holonomy_rep",
     "delta_prop32", "delta_theorem", "denominator_closed_form",
     "derivative_expansion_eq2", "eval_r1", "fox_derivative",
     "fox_derivative_of_relator", "genus_fiberedness_report",

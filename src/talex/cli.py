@@ -30,8 +30,7 @@ from mpmath import mp, mpf
 from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
-from .laurent import DEFAULT_PREC
-from .pretzel import (build_holonomy_rep, context_from_root,
+from .pretzel import (DEFAULT_PREC, MIN_PREC, build_context, build_holonomy_rep,
                       presentation_two_gen, select_root, solve_s_roots)
 from .verify import m_at, max_pairwise_deviation, verify_sweep
 
@@ -106,11 +105,10 @@ def build_parser():
     # a malformed environment value is a usage error
     default_prec = os.environ.get(ENV_PRECISION, str(DEFAULT_PREC))
 
-    def common(p, need_m=True):
+    def common(p):
         p.add_argument("--n", type=int, required=True, help="family index, n >= 1")
-        if need_m:
-            p.add_argument("--m", type=_parse_m, required=True,
-                           help="meridian eigenvalue as RE,IM")
+        p.add_argument("--m", type=_parse_m, required=True,
+                       help="meridian eigenvalue as RE,IM")
         p.add_argument("--precision-bits", type=int, default=default_prec)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
@@ -141,8 +139,8 @@ def build_parser():
 def _validate(args):
     if getattr(args, "n", 1) < 1:
         _usage_error("--n must be >= 1")
-    if not 64 <= args.precision_bits <= 4096:
-        _usage_error("--precision-bits must lie in [64, 4096]")
+    if not MIN_PREC <= args.precision_bits <= 4096:
+        _usage_error(f"--precision-bits must lie in [{MIN_PREC}, 4096]")
     m_opt = getattr(args, "m", None)
     pairs = m_opt if isinstance(m_opt, list) else [m_opt] if m_opt else []
     for re_str, im_str in pairs:
@@ -203,9 +201,9 @@ def cmd_roots(args):
     return EXIT_OK if nondeg else EXIT_NO_ROOT
 
 
-def _delta_payload(result, ctx, args, extra=None):
+def _delta_payload(result, ctx, args):
     prec = ctx.prec
-    payload = {
+    return {
         "n": ctx.n,
         "m": list(args.m),
         "s": _pair(ctx.s, prec),
@@ -218,9 +216,6 @@ def _delta_payload(result, ctx, args, extra=None):
             for e in result.poly.support()
         ],
     }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def cmd_delta(args):
@@ -231,7 +226,7 @@ def cmd_delta(args):
         print("error: no nondegenerate root at this (n, m)", file=sys.stderr)
         return EXIT_NO_ROOT
     idx = select_root(records, args.root_index)
-    ctx = context_from_root(args.n, m, records[idx], prec)
+    ctx = build_context(args.n, m, records[idx].s, prec, strict=True)
 
     def run(method):
         if method == "fox":
@@ -275,7 +270,8 @@ def cmd_delta(args):
         return EXIT_OK
 
     result = run(args.method)
-    payload = _delta_payload(result, ctx, args, extra={"root_index": idx})
+    payload = _delta_payload(result, ctx, args)
+    payload["root_index"] = idx
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":

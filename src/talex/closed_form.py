@@ -25,6 +25,8 @@ from .errors import DegenerateContext
 from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
 from .pretzel import holonomy_matrices
 
+MONIC_TOL = mpf("1e-20")
+
 
 def _require_nondegenerate(ctx):
     if not ctx.nondegenerate:
@@ -210,13 +212,14 @@ class GenusReport:
     fibered_consistent: bool
 
 
-def genus_fiberedness_report(delta, n, tol=mpf("1e-20")):
+def genus_fiberedness_report(delta, n):
     """Degree, monicity and the inferred genus (degree+2)/4 of a normalized
-    polynomial, checked against the expected degree 4n+6 and genus n+2."""
+    polynomial, checked against the expected degree 4n+6 and genus n+2.
+    The end coefficients count as 1 within ``MONIC_TOL``."""
     deg = delta.poly.max_exp or 0
     with mp.workprec(delta.poly.prec):
-        monic = (abs(delta.poly.coeff(0) - 1) <= tol
-                 and abs(delta.poly.coeff(deg) - 1) <= tol)
+        monic = (abs(delta.poly.coeff(0) - 1) <= MONIC_TOL
+                 and abs(delta.poly.coeff(deg) - 1) <= MONIC_TOL)
     genus = (deg + 2) / 4 if (deg + 2) % 4 else (deg + 2) // 4
     expected_degree = 4 * n + 6
     expected_genus = n + 2

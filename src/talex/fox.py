@@ -28,8 +28,8 @@ from fractions import Fraction
 from mpmath import mp, mpf
 
 from .errors import AmbiguousAbelianization, SingularDenominator
-from .laurent import (DEFAULT_PREC, LaurentPoly, Mat2, laurent_divide_exact,
-                      normalize_delta, poly_mat_det)
+from .laurent import (LaurentPoly, Mat2, laurent_divide_exact, normalize_delta,
+                      poly_mat_det)
 
 # ---------------------------------------------------------------------------
 # words
@@ -250,7 +250,7 @@ class Representation:
     """One Mat2 of numbers per generator, with the precision ``prec`` that
     every product of them is computed at."""
 
-    def __init__(self, images, prec=DEFAULT_PREC):
+    def __init__(self, images, prec):
         self.images = tuple(images)
         self.prec = prec
         with mp.workprec(prec):
@@ -287,7 +287,7 @@ def phi_map(elem, rep, exps):
 def wada_denominator(pres, rep, k):
     """det Phi(x_k - 1) as a LaurentPoly."""
     block = rep.images[k].to_laurent(pres.abelian_exponents[k], rep.prec)
-    return (block - Mat2.identity_poly(rep.prec)).det()
+    return (block - Mat2.identity().to_laurent(0, rep.prec)).det()
 
 
 def phi_fox_blocks(rel, rep, exps, cols):

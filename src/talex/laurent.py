@@ -1,8 +1,10 @@
 """Sparse Laurent polynomials and 2x2 matrices over them.
 
 A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
-carries its working precision ``prec``: every operation on it computes at
-that precision (the larger one for two operands).  Sums, negation and long
+carries its working precision ``prec``, which every constructor requires:
+there is no default precision below the entry points of ``talex.pretzel``
+and ``talex.verify``.  Every operation on a polynomial computes at its
+precision (the larger one for two operands).  Sums, negation and long
 division run in ``mpc`` arithmetic under ``mp.workprec(prec)``.  Products
 and ``poly_mat_det`` are exact: each operand's coefficients are read as
 Gaussian integers over one power of two (an ``mpc`` part is a mantissa
@@ -35,7 +37,6 @@ from mpmath.libmp import (finf, fnan, from_man_exp, fzero, mpf_add, mpf_gt,
 
 from .errors import InexactDivision
 
-DEFAULT_PREC = 256
 SWEEP_GUARD_BITS = 8
 
 
@@ -99,10 +100,10 @@ def _rounded(acc, shift, prec):
 class LaurentPoly:
     __slots__ = ("terms", "prec")
 
-    def __init__(self, terms=None, prec=DEFAULT_PREC, sweep=True):
+    def __init__(self, terms, prec, sweep=True):
         self.prec = prec
         with mp.workprec(prec):
-            self.terms = {int(e): mpc(c) for e, c in (terms or {}).items()}
+            self.terms = {int(e): mpc(c) for e, c in terms.items()}
             if sweep:
                 self._sweep()
 
@@ -118,15 +119,15 @@ class LaurentPoly:
         return p
 
     @classmethod
-    def zero(cls, prec=DEFAULT_PREC):
+    def zero(cls, prec):
         return cls({}, prec)
 
     @classmethod
-    def one(cls, prec=DEFAULT_PREC):
+    def one(cls, prec):
         return cls({0: 1}, prec)
 
     @classmethod
-    def term(cls, coeff, exp, prec=DEFAULT_PREC):
+    def term(cls, coeff, exp, prec):
         return cls({exp: coeff}, prec)
 
     # -- structure --------------------------------------------------------
@@ -198,9 +199,6 @@ class LaurentPoly:
         if other is NotImplemented:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -296,11 +294,6 @@ class Mat2:
         one, zero = mpc(1), mpc(0)
         return cls(one, zero, zero, one)
 
-    @classmethod
-    def identity_poly(cls, prec=DEFAULT_PREC):
-        return cls(LaurentPoly.one(prec), LaurentPoly.zero(prec),
-                   LaurentPoly.zero(prec), LaurentPoly.one(prec))
-
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
@@ -390,12 +383,6 @@ class DeltaResult:
     sign: int
     shift: int
     method: str
-
-    def degree(self):
-        return self.poly.max_exp
-
-    def coeff(self, e):
-        return self.poly.coeff(e)
 
 
 def normalize_delta(poly, method):

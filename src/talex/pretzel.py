@@ -13,7 +13,8 @@ one shared table of powers; ``BivarPoly.eval`` is its one-polynomial case.
 ``solve_s_roots`` and ``build_context`` take the working precision and
 enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
 ``evaluate`` and ``degeneracy_flags`` run at their caller's ambient
-precision.
+precision.  The precision policy lives here: ``DEFAULT_PREC`` is the default
+of the entry points and ``MIN_PREC`` the least precision they accept.
 """
 
 from dataclasses import dataclass
@@ -24,8 +25,9 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import DEFAULT_PREC, Mat2
+from .laurent import Mat2
 
+DEFAULT_PREC = 256
 MIN_PREC = 64
 DEGENERACY_TOL = mpf("1e-10")
 
@@ -46,11 +48,6 @@ class BivarPoly:
     @classmethod
     def monomial(cls, coeff=1, s_exp=0, m_exp=0):
         return cls({(s_exp, m_exp): coeff})
-
-    @classmethod
-    def s_poly(cls, coeffs, m_exp=0):
-        """Polynomial in s from a {s_exp: int} dict, times m^m_exp."""
-        return cls({(e, m_exp): c for e, c in coeffs.items()})
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -171,13 +168,17 @@ def evaluate(polys, m, s):
 
 
 def _sp(coeffs):
-    return BivarPoly.s_poly(coeffs)
+    """Polynomial in s alone from a {s_exp: int} dict."""
+    return BivarPoly({(e, 0): c for e, c in coeffs.items()})
 
 
 @lru_cache(maxsize=None)
-def r0_groups(n):
-    """The three distinct m-degree groups of the defining equation: the
-    m^8 = m^0 group, the m^6 = m^2 group, and the m^4 group."""
+def r0_polynomial(n):
+    """The defining polynomial whose roots s parameterize the representations,
+    assembled from its three distinct m-degree groups: the m^8 = m^0 group,
+    the m^6 = m^2 group, and the m^4 group."""
+    if n < 1:
+        raise ValueError("the family is implemented for n >= 1")
     # n-dependent exponents are added as separate polynomials: in a dict
     # literal a collision like {2 * n: 1, 2: -1} at n = 1 would silently
     # keep only the last entry instead of summing the coefficients
@@ -191,15 +192,6 @@ def r0_groups(n):
           + _sp({6: 1, 5: 2, 4: -3, 3: -2, 2: 6, 1: -4, 0: -2}).shift(s_exp=4 * n + 3)
           - _sp({6: 2, 5: 4, 4: -6, 3: 2, 2: 3, 1: -2, 0: -1}).shift(s_exp=2 * n)
           + _sp({2: 1, 0: 1}).shift(s_exp=5))
-    return g8, g6, g4
-
-
-@lru_cache(maxsize=None)
-def r0_polynomial(n):
-    """The defining polynomial whose roots s parameterize the representations."""
-    if n < 1:
-        raise ValueError("the family is implemented for n >= 1")
-    g8, g6, g4 = r0_groups(n)
     return (g8.shift(m_exp=8) - g6.shift(m_exp=6) + g4.shift(m_exp=4)
             - g6.shift(m_exp=2) + g8)
 
@@ -507,11 +499,6 @@ def select_root(records, root_index=None):
     return best
 
 
-def context_from_root(n, m, rec, prec=DEFAULT_PREC, strict=True):
-    return build_context(n, m, rec.s, prec=prec, strict=strict,
-                         residual=rec.residual)
-
-
 # ---------------------------------------------------------------------------
 # presentations
 
@@ -565,9 +552,9 @@ def holonomy_matrices(ctx):
     return A, B, X
 
 
-def build_holonomy_rep(ctx, presentation="two"):
-    """Representation images for either presentation; for the 2-generator
-    one the image of c is rho(x) rho(b)."""
+def build_holonomy_rep(ctx, presentation):
+    """Representation images for the ``"two"`` or ``"three"`` generator
+    presentation; for the 2-generator one the image of c is rho(x) rho(b)."""
     A, B, X = holonomy_matrices(ctx)
     if presentation == "two":
         with mp.workprec(ctx.prec):

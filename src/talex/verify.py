@@ -7,8 +7,9 @@ polynomial (Fox pipeline / final formula / grouped form), the structural
 shape claims (palindromicity, forced zero coefficients, monic degree 4n+6),
 and optionally presentation and column independence.
 
-On any tolerance failure a point is retried at doubled precision, up to
-1024 bits, before being reported as failing.
+On a tolerance failure whose failing values are all tiny, a point is
+retried at doubled precision, up to ``MAX_RETRY_PREC`` = 1024 bits, before
+being reported as failing.
 """
 
 from dataclasses import dataclass, field
@@ -20,10 +21,11 @@ from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
 from .errors import DegenerateContext, InexactDivision, SingularDenominator
 from .fox import wada_denominator, wada_numerator, wada_polynomial
-from .laurent import DEFAULT_PREC, divide_with_remainder, normalize_delta
-from .pretzel import (build_context, eval_r1, presentation_three_gen,
-                      presentation_two_gen, build_holonomy_rep,
-                      rep_relation_check, select_root, solve_s_roots)
+from .laurent import divide_with_remainder, normalize_delta
+from .pretzel import (DEFAULT_PREC, build_context, eval_r1,
+                      presentation_three_gen, presentation_two_gen,
+                      build_holonomy_rep, rep_relation_check, select_root,
+                      solve_s_roots)
 
 MAX_RETRY_PREC = 1024
 
@@ -76,14 +78,14 @@ def max_pairwise_deviation(fox, theorem, prop32):
                coefficient_deviation(theorem.poly, prop32.poly))
 
 
-def check_context(ctx, thresholds=None, independence=False):
-    """All per-point checks, at ``ctx.prec``; returns a list of
-    CheckOutcome."""
-    thr = dict(DEFAULT_THRESHOLDS, **(thresholds or {}))
+def check_context(ctx, independence=False):
+    """All per-point checks against ``DEFAULT_THRESHOLDS``, at ``ctx.prec``;
+    returns a list of CheckOutcome."""
     out = []
 
     def add(name, value):
-        out.append(CheckOutcome(name, value <= thr[name], value, thr[name]))
+        thr = DEFAULT_THRESHOLDS[name]
+        out.append(CheckOutcome(name, value <= thr, value, thr))
 
     with mp.workprec(ctx.prec):
         rels = rep_relation_check(ctx)
@@ -148,9 +150,9 @@ class SweepEntry:
     def passed(self):
         return all(c.passed for c in self.checks)
 
-    def as_dict(self, digits=30):
+    def as_dict(self):
         def pair(z):
-            return [mpmath.nstr(z.real, digits), mpmath.nstr(z.imag, digits)]
+            return [mpmath.nstr(z.real, 30), mpmath.nstr(z.imag, 30)]
         return {
             "n": self.n,
             "m": pair(self.m),
@@ -170,14 +172,15 @@ def m_at(m_strings, prec):
         return mpc(mpf(m_strings[0]), mpf(m_strings[1]))
 
 
-def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, thresholds=None,
-                 perturb_s=None):
+def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     """Run the suite over all nondegenerate roots for every (n, m).
 
     Each m is given as its (RE, IM) decimal strings.  Each point is checked
-    at ``prec`` bits, and retried at doubled precision up to
-    ``MAX_RETRY_PREC``; every precision parses m afresh from the strings, so
-    a retry solves for the decimal m, not for its ``prec``-bit rounding.
+    at ``prec`` bits; a failing point whose failing values are all at most
+    ``RETRY_FLOOR`` is retried at doubled precision, capped at
+    ``MAX_RETRY_PREC`` (1024 bits), on the root nearest to the one that
+    failed.  Every precision parses m afresh from the strings, so a retry
+    solves for the decimal m, not for its ``prec``-bit rounding.
     ``perturb_s`` offsets every root before checking; it exists as the
     negative-control hook and is expected to make the suite fail.
     """
@@ -193,21 +196,20 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, thresholds=None,
             for idx, rec in enumerate(roots):
                 if rec.flags:
                     continue
-                entry = _check_one(n, m, roots, idx, prec,
-                                   thorough or idx == default_idx,
-                                   thresholds, perturb_s)
+                independence = thorough or idx == default_idx
+                entry = _check_one(n, m, idx, rec, prec, independence, perturb_s)
                 if (not entry.passed and perturb_s is None
                         and _retry_worthwhile(entry)):
                     p2 = prec
                     while not entry.passed and p2 < MAX_RETRY_PREC:
-                        p2 *= 2
+                        p2 = min(2 * p2, MAX_RETRY_PREC)
                         m2 = m_at(m_strings, p2)
-                        retried = _check_one(n, m2, solve_s_roots(n, m2, p2),
-                                             None, p2,
-                                             thorough or idx == default_idx,
-                                             thresholds, None,
-                                             near=rec.s)
-                        retried.root_index = idx
+                        roots2 = solve_s_roots(n, m2, p2)
+                        with mp.workprec(p2):
+                            near = min((r for r in roots2 if not r.flags),
+                                       key=lambda r: abs(r.s - rec.s))
+                        retried = _check_one(n, m2, idx, near, p2, independence,
+                                             None)
                         retried.retried_at = entry.retried_at + [p2]
                         entry = retried
                 entries.append(entry)
@@ -225,28 +227,16 @@ def _retry_worthwhile(entry):
     """Doubling precision only helps when the failing values are already
     tiny (precision-limited); an O(1) residual is an identity failure and
     will not move."""
-    for c in entry.checks:
-        if not c.passed:
-            try:
-                if mpf(c.value) > RETRY_FLOOR:
-                    return False
-            except (TypeError, ValueError):
-                return False
-    return True
+    return not any(not c.passed and c.value > RETRY_FLOOR for c in entry.checks)
 
 
-def _check_one(n, m, roots, idx, prec, independence, thresholds, perturb_s,
-               near=None):
-    with mp.workprec(prec):
-        if idx is None:
-            # retry path: find the root nearest to the one that failed
-            idx = min((i for i, r in enumerate(roots) if not r.flags),
-                      key=lambda i: abs(roots[i].s - near))
-        rec = roots[idx]
-        s = rec.s
-        if perturb_s is not None:
+def _check_one(n, m, idx, rec, prec, independence, perturb_s):
+    """The checks of root ``rec`` of r0(m, .), reported as root ``idx``."""
+    s = rec.s
+    if perturb_s is not None:
+        with mp.workprec(prec):
             s = s + perturb_s
-    ctx = build_context(n, m, s, prec=prec, strict=False, residual=rec.residual)
-    checks = check_context(ctx, thresholds, independence=independence)
+    ctx = build_context(n, m, s, prec=prec, strict=False)
+    checks = check_context(ctx, independence=independence)
     return SweepEntry(n=n, m=m, root_index=idx, s=s, flags=rec.flags,
                       residual=rec.residual, checks=checks)

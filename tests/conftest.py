@@ -8,9 +8,9 @@ same (n, m) points, so both are memoized for the session.
 import pytest
 from mpmath import mp, mpc, mpf
 
-from talex import (build_holonomy_rep, context_from_root, delta_prop32,
-                   delta_theorem, presentation_two_gen, select_root,
-                   solve_s_roots, wada_polynomial)
+from talex import (build_holonomy_rep, delta_prop32, delta_theorem,
+                   presentation_two_gen, select_root, solve_s_roots,
+                   wada_polynomial)
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -37,9 +37,9 @@ def three_routes(n, m_pair, prec):
     of (n, m), all at ``prec`` bits."""
     m = m_at(*m_pair, prec=prec)
     roots = solve_s_roots(n, m, prec)
-    ctx = context_from_root(n, m, roots[select_root(roots)], prec)
-    fox = wada_polynomial(presentation_two_gen(n), build_holonomy_rep(ctx),
-                          remove_k=1)
+    ctx = build_context(n, m, roots[select_root(roots)].s, prec, strict=True)
+    fox = wada_polynomial(presentation_two_gen(n),
+                          build_holonomy_rep(ctx, "two"), remove_k=1)
     return fox, delta_theorem(ctx), delta_prop32(ctx)
 
 

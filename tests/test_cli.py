@@ -40,6 +40,8 @@ def run(capsys, *argv):
     ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "inf"),
     ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--inject-perturbation", "nan"),
     ("roots", "--n", "1", "--m", "-abc,0"),
+    ("roots", "--n", "2", "--m", "abc,0"),
+    ("verify", "--n-range", "1-3"),
 ))
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
@@ -245,8 +247,8 @@ def test_verify_retry_parses_m_at_the_retry_precision(monkeypatch):
 
     monkeypatch.setattr(verify, "solve_s_roots", spy)
     # 1e-100 fails at 256 bits (agreement ~1e-70) and passes at 512
-    report = verify.verify_sweep([1], [("1.2", "0.4")], prec=256,
-                                 thresholds={"agreement": mpf("1e-100")})
+    monkeypatch.setitem(verify.DEFAULT_THRESHOLDS, "agreement", mpf("1e-100"))
+    report = verify.verify_sweep([1], [("1.2", "0.4")], prec=256)
     assert report["all_passed"] and report["entries"]
     assert all(e["retried_at"] == [512] for e in report["entries"])
     with mp.workprec(512):
@@ -256,6 +258,16 @@ def test_verify_retry_parses_m_at_the_retry_precision(monkeypatch):
     assert m512 != m256
     assert [m for m, prec in calls if prec == 512] == [m512] * len(report["entries"])
     assert [m for m, prec in calls if prec == 256] == [m256]
+
+
+def test_verify_retry_stops_at_the_ceiling(monkeypatch):
+    """A retry doubles the precision but never passes MAX_RETRY_PREC: a
+    768-bit run retries at 1024 bits, not at 1536."""
+    # 1e-260 fails at 768 bits (agreement ~4e-230) and passes at 1024
+    monkeypatch.setitem(verify.DEFAULT_THRESHOLDS, "agreement", mpf("1e-260"))
+    report = verify.verify_sweep([1], [("1.2", "0.4")], prec=768)
+    assert report["entries"]
+    assert all(e["retried_at"] == [1024] for e in report["entries"])
 
 
 def test_verify_json(capsys):

@@ -2,7 +2,7 @@
 exactly the text stored in ``tests/golden/``.
 
 The fixtures are the README commands plus a Fox run at n = 5, a 128-bit
-run and a two-n ``verify`` report; every printed digit of every root,
+run, the csv form of an all-methods run and a two-n ``verify`` report; every printed digit of every root,
 coefficient and check value is part of the contract, so a change in the
 arithmetic's rounding shows up here.  Before re-capturing a fixture, run
 ``python tests/golden/numdiff.py OLD NEW``: it fails if anything but the
@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 COMMANDS = {
     "roots_n2_json": "roots --n 2 --m 1.2,0.4 --format json",
     "delta_n2_all_json": "delta --n 2 --m 1.2,0.4 --method all --format json",
+    "delta_n2_all_csv": "delta --n 2 --m 1.2,0.4 --method all --format csv",
     "delta_n3_theorem_idx7": "delta --n 3 --m 0.9,-0.2 --method theorem --root-index 7",
     "delta_n5_fox": "delta --n 5 --m 1.2,0.4 --method fox",
     "delta_n2_128": "delta --n 2 --m 0.9,-0.2 --precision-bits 128",
