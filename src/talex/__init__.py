@@ -22,21 +22,18 @@ rounded to the working precision on entry; ``verify_sweep`` takes m as
 decimal strings, so each precision it retries at parses m afresh.
 """
 
-from .errors import (AmbiguousAbelianization, DegenerateContext,
-                     InexactDivision, NonConvergence, SingularDenominator,
-                     TalexError)
+from .errors import (DegenerateContext, InexactDivision, NonConvergence,
+                     SingularDenominator, TalexError)
 from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
                       normalize_delta)
 from .fox import (GroupRingElement, Presentation, Relator, Representation,
-                  fox_derivative, fox_derivative_of_relator,
-                  infer_abelianization, phi_map, wada_polynomial,
-                  word_invert, word_multiply)
+                  fox_derivative, fox_derivative_of_relator, phi_map,
+                  wada_polynomial, word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
                       build_holonomy_rep, eval_r1, presentation_three_gen,
                       presentation_two_gen, r0_polynomial, rep_relation_check,
                       select_root, solve_s_roots)
 from .closed_form import (delta_prop32, delta_theorem,
-                          denominator_closed_form, derivative_expansion_eq2,
                           genus_fiberedness_report, lambda_coefficients,
                           zeta_vanishing)
 from .verify import verify_sweep
@@ -44,15 +41,14 @@ from .verify import verify_sweep
 __version__ = "0.1.0"
 
 __all__ = [
-    "AmbiguousAbelianization", "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
+    "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
     "DeltaResult", "GroupRingElement", "InexactDivision", "LaurentPoly",
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "SingularDenominator", "TalexError",
     "build_context", "build_holonomy_rep",
-    "delta_prop32", "delta_theorem", "denominator_closed_form",
-    "derivative_expansion_eq2", "eval_r1", "fox_derivative",
+    "delta_prop32", "delta_theorem", "eval_r1", "fox_derivative",
     "fox_derivative_of_relator", "genus_fiberedness_report",
-    "infer_abelianization", "laurent_divide_exact", "lambda_coefficients",
+    "laurent_divide_exact", "lambda_coefficients",
     "normalize_delta", "phi_map",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "rep_relation_check", "select_root", "solve_s_roots", "verify_sweep",

@@ -8,11 +8,11 @@ Three independent routes produce the same normalized polynomial:
   s t^2 = 1 never appear,
 * the generic Fox pipeline in :mod:`talex.fox`.
 
-``derivative_expansion_eq2`` evaluates the four-term expansion of the Fox
-derivative of the 2-generator relator directly from representation
-matrices; its entrywise agreement with the generic Fox image certifies the
-whole chain of intermediate bookkeeping identities without transcribing
-them.
+``zeta_vanishing`` gives the two obstruction quantities of the final
+comparison.  The printed formulas the tests check these evaluators and the
+Fox pipeline against (the closed forms of the denominator and of the zeta_2
+cofactor, the four-term derivative expansion) are transcribed in
+``tests/oracles.py``.
 
 Every evaluator runs at the context's precision ``ctx.prec``.
 """
@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext
-from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
-from .pretzel import holonomy_matrices
+from .laurent import DeltaResult, LaurentPoly, normalize_delta
 
 MONIC_TOL = mpf("1e-20")
 
@@ -133,47 +132,6 @@ def delta_prop32(ctx):
     return normalize_delta(poly, "prop32")
 
 
-def denominator_closed_form(ctx):
-    """det Phi(c - 1) as its printed closed form: exponents 0, 2n+1, 4n+2."""
-    _require_nondegenerate(ctx)
-    n, m, s = ctx.n, ctx.m, ctx.s
-    with mp.workprec(ctx.prec):
-        mid = -(m * m + 1) * (s - 1) * ctx.eta2 / (m * ctx.S * ctx.H * ctx.beta)
-    return LaurentPoly({0: 1, 2 * n + 1: mid, 4 * n + 2: 1}, ctx.prec)
-
-
-def derivative_expansion_eq2(ctx):
-    """The four-term expansion of Phi(d/da of the 2-generator relator):
-
-      sum_{i=0}^{n-2} t^(2i) rho(w^i) (I + t^(2n+2) rho(axb))
-        + t^(4n+1) rho(xbxba^-1) + t^(2n-1) rho(xb w^-1)
-        + t^(-3)  rho(xb w^-1 (xb)^-1 a^-1),
-
-    with w = axba(xb)^-1, evaluated directly from the representation
-    matrices.  The last term follows the matrix tables (the displayed
-    expansion misprints w for w^-1 there).
-    """
-    _require_nondegenerate(ctx)
-    n, prec = ctx.n, ctx.prec
-    A, B, X = holonomy_matrices(ctx)
-    zero = LaurentPoly.zero(prec)
-    total = Mat2(zero, zero, zero, zero)
-    with mp.workprec(prec):
-        XB = X * B
-        AXB = A * XB
-        W = AXB * A * XB.inverse()
-        Wi = W.inverse()
-        acc = Mat2.identity()
-        for i in range(n - 1):
-            total = total + acc.to_laurent(2 * i, prec)
-            total = total + (acc * AXB).to_laurent(2 * i + 2 * n + 2, prec)
-            acc = acc * W
-        total = total + (XB * XB * A.inverse()).to_laurent(4 * n + 1, prec)
-        total = total + (XB * Wi).to_laurent(2 * n - 1, prec)
-        total = total + (XB * Wi * XB.inverse() * A.inverse()).to_laurent(-3, prec)
-    return total
-
-
 def zeta_vanishing(ctx):
     """The two obstruction quantities from the final comparison.
 
@@ -191,15 +149,6 @@ def zeta_vanishing(ctx):
                  - (s * s - 1) * (m * m * eta1 + m * m * s ** 3 * eta1
                                   + s * eta2 + m * m * s * eta2))
     return zeta1, zeta2
-
-
-def zeta2_cofactor(ctx):
-    """The printed cofactor with zeta_2 = cofactor * r0, checkable at
-    arbitrary (root or non-root) parameter points."""
-    m, s, S = ctx.m, ctx.s, ctx.S
-    with mp.workprec(ctx.prec):
-        return m * ((m * m * (s * s - s + 1) - s) * (s ** 3 * S * S + 1)
-                    - ctx.H * s * (s - 1))
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,5 @@ class DegenerateContext(TalexError):
     """A parameter point with one of the guarded quantities near zero."""
 
 
-class AmbiguousAbelianization(TalexError):
-    """The abelianized relator matrix does not have a rank-1 kernel."""
-
-
 class NonConvergence(TalexError):
     """The simultaneous root iteration failed to converge."""

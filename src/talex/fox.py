@@ -8,7 +8,9 @@ The Wada twisted Alexander polynomial of a deficiency-one presentation with
 an SL2 representation is det(A_rho_k) / det(Phi(x_k - 1)), where A_rho_k is
 the block matrix of Phi-images of relator derivatives with the k-th
 generator's column removed.  Everything numeric runs at the
-representation's precision ``rep.prec``.
+representation's precision ``rep.prec``.  A ``Presentation`` declares its
+abelianization, the power of t each generator maps to, and checks on
+construction that every relator abelianizes to zero.
 
 ``wada_numerator`` builds A_rho_k without going through the group ring.  By
 the Fox rule, Phi(d w/dx_j) is a signed sum of rho(p) t^alpha(p) over the
@@ -18,16 +20,15 @@ alpha(p), yields every kept column at once in O(L) matrix products for a
 side of length L, and each block entry is collected as a plain coefficient
 dict and turned into a ``LaurentPoly`` once.  ``fox_derivative``,
 ``GroupRingElement`` and ``phi_map``, which multiply each prefix word out
-from the identity (O(L^2)), stay as the symbolic reference the scan is
-tested against.
+from the identity (O(L^2)), are the symbolic reference the scan is tested
+against; nothing else in the package calls them.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from mpmath import mp, mpf
 
-from .errors import AmbiguousAbelianization, SingularDenominator
+from .errors import SingularDenominator
 from .laurent import (LaurentPoly, Mat2, laurent_divide_exact, normalize_delta,
                       poly_mat_det)
 
@@ -160,14 +161,6 @@ class Relator:
     def as_single_word(self):
         return word_multiply(self.lhs, word_invert(self.rhs))
 
-    def exponent_row(self, num_generators):
-        row = [0] * num_generators
-        for g, e in self.lhs:
-            row[g] += e
-        for g, e in self.rhs:
-            row[g] -= e
-        return row
-
 
 def fox_derivative_of_relator(rel, j):
     """d(lhs)/dx_j - d(rhs)/dx_j; valid under Phi because Phi(lhs)=Phi(rhs)
@@ -192,54 +185,6 @@ class Presentation:
     @property
     def num_generators(self):
         return len(self.generators)
-
-
-def infer_abelianization(pres, meridian_index):
-    """Solve for the exponent vector killed by every abelianized relator,
-    normalized so the designated meridian maps to t^1."""
-    rows = [rel.exponent_row(pres.num_generators) for rel in pres.relators]
-    kernel = _integer_kernel(rows, pres.num_generators)
-    if len(kernel) != 1:
-        raise AmbiguousAbelianization(
-            f"abelianized relator matrix has kernel rank {len(kernel)}, expected 1"
-        )
-    vec = kernel[0]
-    if vec[meridian_index] == 0:
-        raise AmbiguousAbelianization("meridian generator dies in the abelianization")
-    scale = Fraction(1, 1) / vec[meridian_index]
-    out = [v * scale for v in vec]
-    if any(v.denominator != 1 for v in out):
-        raise AmbiguousAbelianization("abelianization is not integral on the meridian")
-    return tuple(int(v) for v in out)
-
-
-def _integer_kernel(rows, ncols):
-    """Kernel basis of an integer matrix, over the rationals."""
-    mat = [[Fraction(v) for v in row] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -mat[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -123,10 +123,6 @@ class LaurentPoly:
         return cls({}, prec)
 
     @classmethod
-    def one(cls, prec):
-        return cls({0: 1}, prec)
-
-    @classmethod
     def term(cls, coeff, exp, prec):
         return cls({exp: coeff}, prec)
 
@@ -210,15 +206,6 @@ class LaurentPoly:
         return _rounded(acc, sa + sb, max(self.prec, other.prec))
 
     __rmul__ = __mul__
-
-    def eval_at(self, t):
-        """Value of the polynomial at a number t (t must be nonzero if
-        negative exponents are present)."""
-        with mp.workprec(self.prec):
-            total = mpc(0)
-            for e, c in self.terms.items():
-                total += c * t ** e
-            return total
 
     def __repr__(self):
         parts = [f"({c})*t^{e}" for e, c in sorted(self.terms.items())]

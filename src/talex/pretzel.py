@@ -45,10 +45,6 @@ class BivarPoly:
     def __init__(self, terms=None):
         self.terms = {k: int(v) for k, v in (terms or {}).items() if v != 0}
 
-    @classmethod
-    def monomial(cls, coeff=1, s_exp=0, m_exp=0):
-        return cls({(s_exp, m_exp): coeff})
-
     def __add__(self, other):
         out = dict(self.terms)
         for k, v in other.terms.items():
@@ -79,9 +75,6 @@ class BivarPoly:
     def __eq__(self, other):
         return isinstance(other, BivarPoly) and self.terms == other.terms
 
-    def is_zero(self):
-        return not self.terms
-
     def s_degree(self):
         return max((a for a, _ in self.terms), default=None)
 
@@ -105,10 +98,6 @@ class BivarPoly:
                 mpow[b] = m ** b
             out[a] = out.get(a, mpc(0)) + v * mpow[b]
         return out
-
-    def m_reversed(self, total_m_degree):
-        """m^d * p(1/m, s): the coefficient-reversal in m."""
-        return BivarPoly({(a, total_m_degree - b): v for (a, b), v in self.terms.items()})
 
     def divide_s_linear(self, root):
         """Exact synthetic division by (s - root) for an integer root.
@@ -415,11 +404,11 @@ def certified_roots(coeffs, prec):
 
     Seeds come from 64-bit simultaneous iteration (``mp.polyroots``) and
     are Newton-polished at ``prec``.  The d discs must be pairwise disjoint:
-    each then holds exactly one root.  If they are not, the seeds are
-    computed again at ``prec``; if that fails too, ``NonConvergence`` is
-    raised.
+    each then holds exactly one root.  If they are not, and ``prec`` is
+    above 64, the seeds are computed again at ``prec``; if that fails too,
+    ``NonConvergence`` is raised.
     """
-    for seed_prec in (64, prec):
+    for seed_prec in dict.fromkeys((64, prec)):
         try:
             with mp.workprec(seed_prec):
                 seeds = mp.polyroots(coeffs)

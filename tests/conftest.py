@@ -1,4 +1,5 @@
-"""Shared fixtures: standard parameter sweeps and session-scoped caches.
+"""Shared fixtures and helpers: standard parameter sweeps, session-scoped
+caches, and evaluators of package objects that only the tests need.
 
 Root solving and the per-root check battery are the expensive parts of the
 suite, and several test modules (plus the acceptance criteria) need the
@@ -8,9 +9,9 @@ same (n, m) points, so both are memoized for the session.
 import pytest
 from mpmath import mp, mpc, mpf
 
-from talex import (build_holonomy_rep, delta_prop32, delta_theorem,
-                   presentation_two_gen, select_root, solve_s_roots,
-                   wada_polynomial)
+from talex import (BivarPoly, build_holonomy_rep, delta_prop32,
+                   delta_theorem, presentation_two_gen, select_root,
+                   solve_s_roots, wada_polynomial)
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -24,6 +25,18 @@ _check_cache = {}
 def eps(prec):
     """Unit roundoff at the given binary precision."""
     return mpf(2) ** (-prec)
+
+
+def laurent_value(poly, t):
+    """Value of a LaurentPoly at a nonzero number t, at the polynomial's
+    precision."""
+    with mp.workprec(poly.prec):
+        return sum((c * t ** e for e, c in poly.terms.items()), mpc(0))
+
+
+def m_reversed(poly, degree):
+    """m^degree * p(1/m, s) for a BivarPoly p: its coefficients reversed in m."""
+    return BivarPoly({(a, degree - b): v for (a, b), v in poly.terms.items()})
 
 
 def m_at(re_str, im_str="0", prec=256):

@@ -1,12 +1,24 @@
 """Independent second transcriptions of every closed formula the package
-builds structurally.
+builds structurally, and of the printed formulas it does not build.
 
 The package assembles its polynomials term-by-term as exact integer objects
 (BivarPoly) or as Laurent coefficient tables; the oracles below were keyed
 in separately as straight-line mpmath expressions, so a transcription slip
-on either side shows up as a mismatch.  All functions expect to be called
+on either side shows up as a mismatch.  These functions expect to be called
 inside an ``mp.workprec`` block and take raw mpmath numbers.
+
+Some printed formulas have no counterpart in the package: the closed forms
+of the Wada denominator and of the zeta_2 cofactor, which the tests compare
+with ``fox.wada_denominator`` and ``closed_form.zeta_vanishing``, and the
+four-term expansion of the two-generator relator's Fox derivative
+(``derivative_expansion_eq2``), which the tests compare with the generic Fox
+image.  The expansion takes a context and works at ``ctx.prec``.
 """
+
+from mpmath import mp
+
+from talex import LaurentPoly, Mat2
+from talex.pretzel import holonomy_matrices
 
 
 def r0_value(n, m, s):
@@ -196,3 +208,34 @@ def quotient_table_value(n, m, s, t):
     V[(5, 2)] = -2 * m * (m ** 2 + 1) * (s - 1) * s * e2
     num = sum(c * t ** i * T ** j for (i, j), c in V.items())
     return num / (H * m ** 2 * S * t ** 6 * (s - t ** 2) * (s * t ** 2 - 1) * b)
+
+
+def derivative_expansion_eq2(ctx):
+    """The four-term expansion of Phi(d/da of the 2-generator relator):
+
+      sum_{i=0}^{n-2} t^(2i) rho(w^i) (I + t^(2n+2) rho(axb))
+        + t^(4n+1) rho(xbxba^-1) + t^(2n-1) rho(xb w^-1)
+        + t^(-3)  rho(xb w^-1 (xb)^-1 a^-1),
+
+    with w = axba(xb)^-1, evaluated directly from the representation
+    matrices.  The last term follows the matrix tables (the displayed
+    expansion misprints w for w^-1 there).
+    """
+    n, prec = ctx.n, ctx.prec
+    A, B, X = holonomy_matrices(ctx)
+    zero = LaurentPoly.zero(prec)
+    total = Mat2(zero, zero, zero, zero)
+    with mp.workprec(prec):
+        XB = X * B
+        AXB = A * XB
+        W = AXB * A * XB.inverse()
+        Wi = W.inverse()
+        acc = Mat2.identity()
+        for i in range(n - 1):
+            total = total + acc.to_laurent(2 * i, prec)
+            total = total + (acc * AXB).to_laurent(2 * i + 2 * n + 2, prec)
+            acc = acc * W
+        total = total + (XB * XB * A.inverse()).to_laurent(4 * n + 1, prec)
+        total = total + (XB * Wi).to_laurent(2 * n - 1, prec)
+        total = total + (XB * Wi * XB.inverse() * A.inverse()).to_laurent(-3, prec)
+    return total

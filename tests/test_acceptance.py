@@ -17,7 +17,7 @@ from talex.fox import wada_denominator, wada_numerator
 from talex.laurent import divide_with_remainder
 from talex.closed_form import zeta_vanishing
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen)
-from conftest import STD_M, cached_checks, cached_contexts, m_at
+from conftest import STD_M, cached_checks, cached_contexts, m_at, m_reversed
 
 NS = (1, 2, 3, 4, 5)
 
@@ -118,7 +118,7 @@ def test_criterion_7_exact_integer_properties():
     ok = True
     for n in range(1, 9):
         r0 = r0_polynomial(n)
-        if r0.m_reversed(8) != r0:
+        if m_reversed(r0, 8) != r0:
             ok = False
         q1, rem1 = r0.divide_s_linear(1)
         q2, rem2 = q1.divide_s_linear(-1)

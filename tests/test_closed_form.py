@@ -1,6 +1,7 @@
 """The closed-form evaluators: coefficient formulas, the grouped
-intermediate form, the derivative expansion, the vanishing quantities, and
-the genus/fiberedness report."""
+intermediate form, the vanishing quantities, and the genus/fiberedness
+report; and the printed denominator and derivative expansion against the
+Fox route."""
 
 import random
 
@@ -8,16 +9,14 @@ import pytest
 from mpmath import mp, mpf, mpc
 
 from talex import (LaurentPoly, build_context, delta_prop32,
-                   delta_theorem, denominator_closed_form,
-                   derivative_expansion_eq2, fox_derivative_of_relator,
+                   delta_theorem, fox_derivative_of_relator,
                    genus_fiberedness_report, lambda_coefficients, phi_map,
                    wada_polynomial, zeta_vanishing)
-from talex.closed_form import zeta2_cofactor
 from talex.errors import DegenerateContext
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
                            r0_polynomial)
-from conftest import STD_M, cached_contexts, eps, m_at
+from conftest import STD_M, cached_contexts, eps, laurent_value, m_at
 
 import oracles
 
@@ -100,7 +99,7 @@ def test_grouped_form_oracle_at_random_t():
             t = rand_t(rng)
             with mp.workprec(320):
                 ref = oracles.grouped_form_value(n, ctx.m, ctx.s, t)
-                got = poly.eval_at(t) / t ** 6
+                got = laurent_value(poly, t) / t ** 6
                 assert abs(got - ref) < mpf("1e-50") * (1 + abs(ref))
 
 
@@ -116,7 +115,7 @@ def test_quotient_table_oracle_at_random_t():
             t = rand_t(rng)
             with mp.workprec(320):
                 ref = oracles.quotient_table_value(n, ctx.m, ctx.s, t)
-                got = poly.eval_at(t) / t ** 6
+                got = laurent_value(poly, t) / t ** 6
                 assert abs(got - ref) < mpf("1e-50") * (1 + abs(ref))
 
 
@@ -129,15 +128,14 @@ def test_theorem_oracle_at_random_t():
             t = rand_t(rng)
             with mp.workprec(320):
                 ref = oracles.theorem_value(n, ctx.m, ctx.s, t)
-                got = poly.eval_at(t)
+                got = laurent_value(poly, t)
                 assert abs(got - ref) < mpf("1e-50") * (1 + abs(ref))
 
 
 def test_closed_form_requires_nondegenerate():
     m = m_at("1.2", "0.4")
     ctx = build_context(2, m, 1, strict=False)
-    for fn in (delta_theorem, delta_prop32, denominator_closed_form,
-               lambda_coefficients):
+    for fn in (delta_theorem, delta_prop32, lambda_coefficients):
         with pytest.raises(DegenerateContext):
             fn(ctx)
 
@@ -145,26 +143,38 @@ def test_closed_form_requires_nondegenerate():
 # -- the denominator and the derivative expansion ---------------------------
 
 
+def two_gen_denominator(ctx):
+    """det Phi(c - 1) of the 2-generator presentation, by the Fox route."""
+    pres = presentation_two_gen(ctx.n)
+    return wada_denominator(pres, build_holonomy_rep(ctx, "two"), k=1)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_denominator_closed_form_matches_fox_block(n):
+    """The printed closed form is 1 + mid t^(2n+1) + t^(4n+2).  The Fox
+    block has that support and those end coefficients, and its value at
+    t = 1 pins mid."""
     ctx = cached_contexts(n, STD_M[0])[0]
-    rep = build_holonomy_rep(ctx, "two")
-    pres = presentation_two_gen(n)
-    direct = wada_denominator(pres, rep, k=1)
-    closed = denominator_closed_form(ctx)
-    assert (direct - closed).infnorm() < TIGHT * (1 + closed.infnorm())
+    direct = two_gen_denominator(ctx)
+    assert direct.support() == [0, 2 * n + 1, 4 * n + 2]
+    with mp.workprec(ctx.prec):
+        for e in (0, 4 * n + 2):
+            assert abs(direct.coeff(e) - 1) < TIGHT
+        ref = oracles.denominator_value(n, ctx.m, ctx.s, mpc(1))
+        assert abs(laurent_value(direct, mpc(1)) - ref) < TIGHT * (1 + abs(ref))
 
 
 def test_denominator_oracle_at_random_t():
     rng = random.Random(55)
     for n in (1, 3):
         ctx = cached_contexts(n, STD_M[1])[0]
-        closed = denominator_closed_form(ctx)
+        direct = two_gen_denominator(ctx)
         for _ in range(4):
             t = rand_t(rng)
             with mp.workprec(320):
                 ref = oracles.denominator_value(n, ctx.m, ctx.s, t)
-                assert abs(closed.eval_at(t) - ref) < mpf("1e-50") * (1 + abs(ref))
+                got = laurent_value(direct, t)
+                assert abs(got - ref) < mpf("1e-50") * (1 + abs(ref))
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -177,7 +187,7 @@ def test_derivative_expansion_matches_generic_fox(n):
     pres = presentation_two_gen(n)
     generic = phi_map(fox_derivative_of_relator(pres.relators[0], 0), rep,
                       pres.abelian_exponents)
-    expansion = derivative_expansion_eq2(ctx)
+    expansion = oracles.derivative_expansion_eq2(ctx)
     scale = 1 + max(e.infnorm() for e in generic.entries())
     for g, x in zip(generic.entries(), expansion.entries()):
         assert (g - x).infnorm() < TIGHT * scale
@@ -214,7 +224,8 @@ def test_zeta2_vanishes_at_roots_only(n):
 
 
 def test_zeta2_factors_through_defining_polynomial():
-    """zeta_2 = cofactor * r0 at arbitrary points, not just roots."""
+    """zeta_2 = cofactor * r0 at arbitrary points, not just roots, with the
+    printed cofactor."""
     rng = random.Random(999)
     for n in (1, 2, 3):
         r0 = r0_polynomial(n)
@@ -225,12 +236,9 @@ def test_zeta2_factors_through_defining_polynomial():
             _, z2 = zeta_vanishing(ctx)
             with mp.workprec(ctx.prec):
                 r0_value, r0_scale = r0.eval(m, s)
-                prod = zeta2_cofactor(ctx) * r0_value
-                scale = 1 + abs(zeta2_cofactor(ctx)) * r0_scale
-                assert abs(z2 - prod) < TIGHT * scale
-            with mp.workprec(320):
-                ref = oracles.zeta2_cofactor_value(n, m, s)
-                assert abs(zeta2_cofactor(ctx) - ref) < mpf("1e-50") * (1 + abs(ref))
+                cofactor = oracles.zeta2_cofactor_value(n, m, s)
+                scale = 1 + abs(cofactor) * r0_scale
+                assert abs(z2 - cofactor * r0_value) < TIGHT * scale
 
 
 def test_zeta_oracles_at_random_points():

@@ -5,8 +5,7 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from talex import (AmbiguousAbelianization, GroupRingElement, Presentation,
-                   Relator, fox_derivative, infer_abelianization,
+from talex import (GroupRingElement, Presentation, Relator, fox_derivative,
                    phi_map, word_invert, word_multiply)
 from talex.fox import (Representation, abelian_exponent,
                        fox_derivative_of_relator, gen, phi_fox_blocks,
@@ -112,16 +111,28 @@ def test_presentation_validation():
         Presentation(("a", "b"), (Relator(gen(0), gen(1)),), (1, 2))
 
 
-def test_infer_abelianization_pretzel():
+def exponent_row(rel, num_generators):
+    """The abelianized relator: the exponent sum of each generator."""
+    w = rel.as_single_word()
+    return [abelian_exponent(w, [int(g == j) for g in range(num_generators)])
+            for j in range(num_generators)]
+
+
+def test_declared_abelianization_spans_the_relator_kernel():
+    """The declared exponents are, up to scale, the only ones every relator
+    abelianizes to zero under (``Presentation`` checks that they do): the
+    exponent rows have rank one less than the number of generators."""
     for n in (1, 2, 3, 5):
-        assert infer_abelianization(presentation_two_gen(n), 0) == (1, 2 * n + 1)
-        assert infer_abelianization(presentation_three_gen(n), 0) == (1, 1, 2 * n)
-
-
-def test_infer_abelianization_degenerate():
-    pres = Presentation(("a", "b"), (Relator((), ()),), (1, 1))
-    with pytest.raises(AmbiguousAbelianization):
-        infer_abelianization(pres, 0)
+        two = presentation_two_gen(n)
+        assert two.abelian_exponents == (1, 2 * n + 1)
+        assert any(exponent_row(two.relators[0], 2))
+        three = presentation_three_gen(n)
+        assert three.abelian_exponents == (1, 1, 2 * n)
+        u, v = (exponent_row(rel, 3) for rel in three.relators)
+        cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2],
+                 u[0] * v[1] - u[1] * v[0]]
+        assert cross[0] != 0
+        assert cross == [cross[0] * e for e in (1, 1, 2 * n)]
 
 
 def test_relator_single_word_and_derivative():

@@ -2,11 +2,14 @@
 exactly the text stored in ``tests/golden/``.
 
 The fixtures are the README commands plus a Fox run at n = 5, a 128-bit
-run, the csv form of an all-methods run and a two-n ``verify`` report; every printed digit of every root,
-coefficient and check value is part of the contract, so a change in the
-arithmetic's rounding shows up here.  Before re-capturing a fixture, run
-``python tests/golden/numdiff.py OLD NEW``: it fails if anything but the
-numbers moved and reports the largest relative change.
+run, the csv form of an all-methods run, a two-n ``verify`` report, a
+``--thorough`` one (independence values at every root) and the perturbed
+negative control, which must exit 1.  Every printed digit of every root,
+coefficient and check value is part of the contract, and so is the exit
+code, so a change in the arithmetic's rounding shows up here.  Before
+re-capturing a fixture, run ``python tests/golden/numdiff.py OLD NEW``: it
+fails if anything but the numbers moved and reports the largest relative
+change.
 """
 
 from decimal import Decimal
@@ -19,23 +22,33 @@ from talex import cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# fixture name -> (command, exit code)
 COMMANDS = {
-    "roots_n2_json": "roots --n 2 --m 1.2,0.4 --format json",
-    "delta_n2_all_json": "delta --n 2 --m 1.2,0.4 --method all --format json",
-    "delta_n2_all_csv": "delta --n 2 --m 1.2,0.4 --method all --format csv",
-    "delta_n3_theorem_idx7": "delta --n 3 --m 0.9,-0.2 --method theorem --root-index 7",
-    "delta_n5_fox": "delta --n 5 --m 1.2,0.4 --method fox",
-    "delta_n2_128": "delta --n 2 --m 0.9,-0.2 --precision-bits 128",
-    "verify_n12_json": "verify --n-range 1..2 --format json",
+    "roots_n2_json": ("roots --n 2 --m 1.2,0.4 --format json", cli.EXIT_OK),
+    "delta_n2_all_json": ("delta --n 2 --m 1.2,0.4 --method all --format json",
+                          cli.EXIT_OK),
+    "delta_n2_all_csv": ("delta --n 2 --m 1.2,0.4 --method all --format csv",
+                         cli.EXIT_OK),
+    "delta_n3_theorem_idx7": (
+        "delta --n 3 --m 0.9,-0.2 --method theorem --root-index 7", cli.EXIT_OK),
+    "delta_n5_fox": ("delta --n 5 --m 1.2,0.4 --method fox", cli.EXIT_OK),
+    "delta_n2_128": ("delta --n 2 --m 0.9,-0.2 --precision-bits 128", cli.EXIT_OK),
+    "verify_n12_json": ("verify --n-range 1..2 --format json", cli.EXIT_OK),
+    "verify_n2_thorough_json": (
+        "verify --n-range 2..2 --m 1.2,0.4 --thorough --format json", cli.EXIT_OK),
+    "verify_n1_perturbed_json": (
+        "verify --n-range 1..1 --m 1.2,0.4 --inject-perturbation 1e-3 --format json",
+        cli.EXIT_VERIFY_FAILED),
 }
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_golden_stdout(capsys, monkeypatch, name):
     monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
-    code = cli.main(COMMANDS[name].split())
+    command, expected_code = COMMANDS[name]
+    code = cli.main(command.split())
     out = capsys.readouterr().out
-    assert code == cli.EXIT_OK
+    assert code == expected_code
     assert out == (GOLDEN / f"{name}.out").read_text()
 
 

@@ -15,7 +15,8 @@ from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
                            holonomy_matrices, presentation_three_gen,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
                            r1_polynomial, rep_relation_check)
-from conftest import STD_M, cached_contexts, cached_roots, eps, m_at
+from conftest import (STD_M, cached_contexts, cached_roots, eps, m_at,
+                      m_reversed)
 
 import oracles
 
@@ -34,7 +35,7 @@ def test_bivar_arithmetic_exact():
     q = BivarPoly({(2, 1): 2})
     assert (p + q - q) == p
     assert (p * q).terms == {(2, 1): 2, (3, 3): -6}
-    assert (p * 0).is_zero()
+    assert (p * 0).terms == {}
     assert p.shift(s_exp=1, m_exp=1).terms == {(1, 1): 1, (2, 3): -3}
 
 
@@ -66,7 +67,7 @@ def test_divide_s_linear():
 @pytest.mark.parametrize("n", range(1, 9))
 def test_r0_m_palindromic_exact(n):
     r0 = r0_polynomial(n)
-    assert r0.m_reversed(8) == r0
+    assert m_reversed(r0, 8) == r0
     assert r0.m_degree() <= 8
     assert all(b % 2 == 0 for (_, b) in r0.terms)
 
@@ -78,7 +79,7 @@ def test_r0_s_pm1_roots_exact(n):
     r0 = r0_polynomial(n)
     val, q = r0_cofactor(n)
     assert val == r0.s_valuation()
-    factor = BivarPoly.monomial(1, s_exp=val)
+    factor = BivarPoly({(val, 0): 1})
     for root in (1, 1, -1, -1, -1):
         factor = factor * BivarPoly({(1, 0): 1, (0, 0): -root})
     assert q * factor == r0
@@ -206,6 +207,23 @@ def test_certifier_refuses_a_double_root():
         coeffs = [mpc(1), mpc(0), mpc(-3), mpc(2)]  # (s - 1)^2 (s + 2)
     with pytest.raises(NonConvergence):
         certified_roots(coeffs, 256)
+
+
+@pytest.mark.parametrize("prec, seeded_at", ((64, [64]), (256, [64, 256])),
+                         ids=("64bit", "256bit"))
+def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
+    """When seeding fails, each distinct precision of 64 bits and ``prec``
+    is tried once before ``NonConvergence``."""
+    seen = []
+
+    def failing_polyroots(coeffs, **kwargs):
+        seen.append(mp.prec)
+        raise mp.NoConvergence
+
+    monkeypatch.setattr(mp, "polyroots", failing_polyroots)
+    with pytest.raises(NonConvergence):
+        certified_roots([mpc(1), mpc(0), mpc(-2)], prec)
+    assert seen == seeded_at
 
 
 def test_solve_roots_match_undeflated_polyroots():

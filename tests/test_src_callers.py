@@ -1,0 +1,91 @@
+"""Every function in ``src/talex`` has a caller in ``src/talex``.
+
+Code that only tests call belongs next to the tests.  This walks the
+package's syntax trees and lists each function or method that no
+``src/talex`` code names outside its own definition; ``__init__`` is not
+read, since its re-exports call nothing.  A method counts as used when some
+code names it as an attribute (``p.is_zero()``), any other function when
+some code names it bare or as an attribute (``fox.phi_map``).  Names are
+matched without their class, so a method shares its uses with every method
+of the same name.  Dunder methods are called by the language and are exempt.
+"""
+
+import ast
+from pathlib import Path
+
+import talex
+
+SRC = Path(talex.__file__).parent
+
+_FOX_REFERENCE = ("the symbolic Fox reference test_fox checks the scan against; "
+                  "it moves to tests/ once the benchmark stops tracing fox.phi_map")
+
+# Qualified name (or a class, for all its methods) -> why it may stay.
+ALLOWED = {
+    "fox.GroupRingElement": _FOX_REFERENCE,
+    "fox.fox_derivative": _FOX_REFERENCE,
+    "fox.fox_derivative_of_relator": _FOX_REFERENCE,
+    "fox.phi_map": _FOX_REFERENCE,
+    "pretzel.RelationReport.max_residual": "acceptance criteria 8 and 9 read it",
+    "cli._Parser.error": "argparse calls it on a malformed command line",
+}
+
+
+class _Walker(ast.NodeVisitor):
+    """Collects a module's function definitions and the names it uses."""
+
+    def __init__(self, module):
+        self.scope = [(None, module)]   # (node type, name) of enclosing defs
+        self.defined = {}               # qualified name -> (name, is_method)
+        self.bare, self.attrs = set(), set()
+
+    def _own(self, name):
+        return any(kind is ast.FunctionDef and n == name for kind, n in self.scope)
+
+    def visit_ClassDef(self, node):
+        self.scope.append((ast.ClassDef, node.name))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_FunctionDef(self, node):
+        if not (node.name.startswith("__") and node.name.endswith("__")):
+            qual = ".".join(n for _, n in self.scope + [(None, node.name)])
+            self.defined[qual] = (node.name, self.scope[-1][0] is ast.ClassDef)
+        self.scope.append((ast.FunctionDef, node.name))
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Name(self, node):
+        if not self._own(node.id):
+            self.bare.add(node.id)
+
+    def visit_Attribute(self, node):
+        if not self._own(node.attr):
+            self.attrs.add(node.attr)
+        self.generic_visit(node)
+
+
+def _walk_src():
+    defined, bare, attrs = {}, set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name != "__init__.py":
+            walker = _Walker(path.stem)
+            walker.visit(ast.parse(path.read_text()))
+            defined.update(walker.defined)
+            bare |= walker.bare
+            attrs |= walker.attrs
+    return defined, bare, attrs
+
+
+def _covers(key, qual):
+    return qual == key or qual.startswith(key + ".")
+
+
+def test_every_src_function_has_a_src_caller():
+    defined, bare, attrs = _walk_src()
+    uncalled = [qual for qual, (name, is_method) in sorted(defined.items())
+                if name not in attrs and (is_method or name not in bare)]
+    orphans = [q for q in uncalled if not any(_covers(k, q) for k in ALLOWED)]
+    assert not orphans, "no caller in src/talex: " + ", ".join(orphans)
+    # an entry for a function that is gone would outlive its reason
+    assert [k for k in ALLOWED if not any(_covers(k, q) for q in defined)] == []
