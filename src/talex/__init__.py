@@ -6,20 +6,21 @@ independent routes -- a generic Fox-calculus pipeline, a closed coefficient
 formula, and an intermediate grouped form -- cross-validates them, and
 reports the genus/fiberedness consequences.
 
-Precision contract.  Values are plain mpmath numbers (``mpc``/``mpf``);
-nothing carries a precision of its own.  A function that is given a working
-precision enters ``mp.workprec`` with it and computes everything at that
-precision.  Only the entry points have a default precision:
+Precision contract.  Numbers are plain mpmath values (``mpc``/``mpf``) with
+no precision of their own; a ``PretzelContext``, a ``Representation`` and a
+``LaurentPoly`` record the ``prec`` they were built at.  A function given a
+working precision enters ``mp.workprec`` with it and computes everything at
+that precision.  Only the entry points have a default precision:
 ``solve_s_roots``, ``build_context`` and ``verify_sweep`` take ``prec``,
 default ``DEFAULT_PREC`` = 256 bits, at least ``MIN_PREC`` = 64, both defined
 in ``talex.pretzel``.  Below them the precision is always passed on, never
-assumed: the functions of a context use ``PretzelContext.prec``, and
-``Representation`` and every ``LaurentPoly`` constructor require ``prec``.
+assumed: the functions of a context use ``PretzelContext.prec``, and the
+``Representation`` and ``LaurentPoly`` constructors require ``prec``.
 Helpers that receive only values (``pretzel.evaluate``,
 ``BivarPoly.eval``/``specialize_m``, ``degeneracy_flags``, ``Mat2``
-arithmetic) compute at their caller's ambient precision.  Inputs are
-rounded to the working precision on entry; ``verify_sweep`` takes m as
-decimal strings, so each precision it retries at parses m afresh.
+arithmetic) compute at their caller's ambient precision.  Inputs are rounded
+to the working precision on entry; ``verify_sweep`` takes m as decimal
+strings, so each precision it retries at parses m afresh.
 """
 
 from .errors import (DegenerateContext, InexactDivision, NonConvergence,

@@ -7,9 +7,8 @@ polynomial (Fox pipeline / final formula / grouped form), the structural
 shape claims (palindromicity, forced zero coefficients, monic degree 4n+6),
 and optionally presentation and column independence.
 
-On a tolerance failure whose failing values are all tiny, a point is
-retried at doubled precision, up to ``MAX_RETRY_PREC`` = 1024 bits, before
-being reported as failing.
+A failing point is retried at doubled precision, up to
+``MAX_RETRY_PREC`` = 1024 bits, before being reported as failing.
 """
 
 from dataclasses import dataclass, field
@@ -176,13 +175,13 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     """Run the suite over all nondegenerate roots for every (n, m).
 
     Each m is given as its (RE, IM) decimal strings.  Each point is checked
-    at ``prec`` bits; a failing point whose failing values are all at most
-    ``RETRY_FLOOR`` is retried at doubled precision, capped at
-    ``MAX_RETRY_PREC`` (1024 bits), on the root nearest to the one that
-    failed.  Every precision parses m afresh from the strings, so a retry
-    solves for the decimal m, not for its ``prec``-bit rounding.
+    at ``prec`` bits; a failing point is retried at doubled precision,
+    capped at ``MAX_RETRY_PREC`` (1024 bits), on the root nearest to the one
+    that failed.  Every precision parses m afresh from the strings, so a
+    retry solves for the decimal m, not for its ``prec``-bit rounding.
     ``perturb_s`` offsets every root before checking; it exists as the
-    negative-control hook and is expected to make the suite fail.
+    negative-control hook, is expected to make the suite fail, and is never
+    retried.
     """
     entries = []
     for n in ns:
@@ -198,36 +197,25 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                     continue
                 independence = thorough or idx == default_idx
                 entry = _check_one(n, m, idx, rec, prec, independence, perturb_s)
-                if (not entry.passed and perturb_s is None
-                        and _retry_worthwhile(entry)):
-                    p2 = prec
-                    while not entry.passed and p2 < MAX_RETRY_PREC:
-                        p2 = min(2 * p2, MAX_RETRY_PREC)
-                        m2 = m_at(m_strings, p2)
-                        roots2 = solve_s_roots(n, m2, p2)
-                        with mp.workprec(p2):
-                            near = min((r for r in roots2 if not r.flags),
-                                       key=lambda r: abs(r.s - rec.s))
-                        retried = _check_one(n, m2, idx, near, p2, independence,
-                                             None)
-                        retried.retried_at = entry.retried_at + [p2]
-                        entry = retried
+                p2 = prec
+                while (not entry.passed and perturb_s is None
+                       and p2 < MAX_RETRY_PREC):
+                    p2 = min(2 * p2, MAX_RETRY_PREC)
+                    m2 = m_at(m_strings, p2)
+                    roots2 = solve_s_roots(n, m2, p2)
+                    with mp.workprec(p2):
+                        near = min((r for r in roots2 if not r.flags),
+                                   key=lambda r: abs(r.s - rec.s))
+                    retried = _check_one(n, m2, idx, near, p2, independence,
+                                         None)
+                    retried.retried_at = entry.retried_at + [p2]
+                    entry = retried
                 entries.append(entry)
     return {
         "precision_bits": prec,
         "entries": [e.as_dict() for e in entries],
         "all_passed": all(e.passed for e in entries),
     }
-
-
-RETRY_FLOOR = mpf("1e-10")
-
-
-def _retry_worthwhile(entry):
-    """Doubling precision only helps when the failing values are already
-    tiny (precision-limited); an O(1) residual is an identity failure and
-    will not move."""
-    return not any(not c.passed and c.value > RETRY_FLOOR for c in entry.checks)
 
 
 def _check_one(n, m, idx, rec, prec, independence, perturb_s):

@@ -270,6 +270,38 @@ def test_verify_retry_stops_at_the_ceiling(monkeypatch):
     assert all(e["retried_at"] == [1024] for e in report["entries"])
 
 
+@pytest.mark.parametrize("n, m, root", (
+    # r1, zeta1 and zeta2 grow like |s|^degree (s ~ 98+20i) past their
+    # absolute gates at 256 bits
+    (3, "10,1", 21),
+    # the three-generator division loses more bits than its 256-bit
+    # tolerance allows, so independence reads +inf
+    (5, "0.0494,0.0075", 20),
+))
+def test_verify_far_from_the_unit_circle_passes_after_one_retry(capsys, n, m, root):
+    """A correct point whose checks fail at 256 bits only for want of
+    precision passes at 512, and no other root is retried."""
+    code, out, _ = run(capsys, "verify", "--n-range", f"{n}..{n}", "--m", m,
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["all_passed"] is True
+    assert [(e["root_index"], e["retried_at"]) for e in report["entries"]
+            if e["retried_at"]] == [(root, [512])]
+
+
+def test_verify_wrong_identity_fails_at_every_precision(monkeypatch):
+    """An O(1) identity residual does not shrink with precision: it is
+    retried up to MAX_RETRY_PREC and still reported as failing."""
+    monkeypatch.setattr(verify, "zeta_vanishing", lambda ctx: (1, 1))
+    report = verify.verify_sweep([1], [("1.2", "0.4")])
+    assert report["entries"] and not report["all_passed"]
+    for e in report["entries"]:
+        assert not e["passed"]
+        assert e["retried_at"] == [512, 1024]
+        assert {c["name"] for c in e["checks"] if not c["passed"]} == {"zeta1", "zeta2"}
+
+
 def test_verify_json(capsys):
     code, out, _ = run(capsys, "verify", "--n-range", "1..1",
                        "--m", "0.9,-0.2", "--format", "json")

@@ -2,7 +2,8 @@
 route reproduces the shape claims, at 256 and at 128 bits, and they stop
 agreeing once s is moved off the root.  m is drawn as the benchmark draws
 it: 0.7 <= |m| <= 1.5, 0.15 <= |arg m| <= pi/2 - 0.15, as 4-decimal
-strings."""
+strings.  The last test draws |m| log-uniformly from [0.05, 10] and runs
+the whole ``verify_sweep`` there."""
 
 import math
 
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from talex import DegenerateContext, build_context, genus_fiberedness_report
-from talex.verify import DEFAULT_THRESHOLDS, check_context, max_pairwise_deviation
+from talex.verify import (DEFAULT_THRESHOLDS, check_context,
+                          max_pairwise_deviation, verify_sweep)
 from conftest import cached_contexts, three_routes
 
 GATE = DEFAULT_THRESHOLDS["agreement"]
@@ -62,3 +64,16 @@ def test_perturbed_s_breaks_three_route_agreement(n, r, arg, sign):
     assume(ctx.nondegenerate)
     agreement = next(c for c in check_context(ctx) if c.name == "agreement")
     assert agreement.value > GATE
+
+
+@settings(derandomize=True, max_examples=8, deadline=None, database=None)
+@given(n=st.integers(1, 6),
+       log_r=st.floats(math.log(0.05), math.log(10)),
+       arg=st.floats(0.15, math.pi / 2 - 0.15),
+       sign=st.sampled_from((1, -1)))
+def test_verify_passes_far_from_the_unit_circle(n, log_r, arg, sign):
+    """Every nondegenerate root passes the whole battery for |m| from 0.05
+    to 10, where identity residuals grow with |s| and a point may need a
+    retry at 512 or 1024 bits."""
+    report = verify_sweep([n], [draw_m_pair(math.exp(log_r), arg, sign)])
+    assert report["all_passed"]
