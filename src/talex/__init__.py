@@ -16,11 +16,11 @@ default ``DEFAULT_PREC`` = 256 bits, at least ``MIN_PREC`` = 64, both defined
 in ``talex.pretzel``.  Below them the precision is always passed on, never
 assumed: the functions of a context use ``PretzelContext.prec``, and the
 ``Representation`` and ``LaurentPoly`` constructors require ``prec``.
-Helpers that receive only values (``pretzel.evaluate``,
-``BivarPoly.eval``/``specialize_m``, ``degeneracy_flags``, ``Mat2``
-arithmetic) compute at their caller's ambient precision.  Inputs are rounded
-to the working precision on entry; ``verify_sweep`` takes m as decimal
-strings, so each precision it retries at parses m afresh.
+Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
+in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
+at their caller's ambient precision.  Inputs are rounded to the working
+precision on entry; ``verify_sweep`` takes m as decimal strings, so each
+precision it retries at parses m afresh.
 """
 
 from .errors import (DegenerateContext, InexactDivision, NonConvergence,

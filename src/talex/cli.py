@@ -332,9 +332,8 @@ def main(argv=None):
         # the null device so the interpreter's final flush cannot fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_IOERR
-    except NonConvergence:
-        print("error: numerical non-convergence; retry at higher precision",
-              file=sys.stderr)
+    except NonConvergence as exc:
+        print(f"error: numerical non-convergence: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE
     except DegenerateContext as exc:
         print(f"error: degenerate context: {exc}", file=sys.stderr)

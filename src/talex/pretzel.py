@@ -7,12 +7,16 @@ printed groupings.  Numerical evaluation happens only at the very end, so
 the same objects serve for exact structural checks (m-palindromicity,
 (s -+ 1) divisibility) and for high-precision evaluation.
 
-``evaluate`` is the one numerical evaluator of these polynomials: it gives
-each polynomial's value and its scale (the sum of its term magnitudes) from
-one shared table of powers; ``BivarPoly.eval`` is its one-polynomial case.
-``solve_s_roots`` and ``build_context`` take the working precision and
+``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
+rows per (m, precision), Horner per root.  Each polynomial is specialised
+at m once per (m, precision) into a coefficient row and a magnitude row in
+s; at each root both rows are evaluated by Horner, giving the value and its
+scale (the sum of the term magnitudes).  Every per-root evaluation at one m
+-- the solver's residuals and flags, the context values, r1 -- shares that
+specialisation, and the solver takes the cofactor's coefficient row from
+it.  ``solve_s_roots`` and ``build_context`` take the working precision and
 enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
-``evaluate`` and ``degeneracy_flags`` run at their caller's ambient
+``BivarPoly.eval`` and ``degeneracy_flags`` run at their caller's ambient
 precision.  The precision policy lives here: ``DEFAULT_PREC`` is the default
 of the entry points and ``MIN_PREC`` the least precision they accept.
 """
@@ -40,10 +44,11 @@ def _check_prec(prec):
 class BivarPoly:
     """Integer polynomial in (s, m), stored sparsely as (s_exp, m_exp) -> int."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_rows")
 
     def __init__(self, terms=None):
         self.terms = {k: int(v) for k, v in (terms or {}).items() if v != 0}
+        self._rows = None
 
     def __add__(self, other):
         out = dict(self.terms)
@@ -84,20 +89,37 @@ class BivarPoly:
     def m_degree(self):
         return max((b for _, b in self.terms), default=None)
 
-    def eval(self, m, s):
-        """``(value, scale)`` at (m, s); see ``evaluate``."""
-        return evaluate((self,), m, s)[0]
+    def s_rows(self, m):
+        """``(coefficients, magnitudes, valuation)`` at m: the polynomial in
+        s is s^valuation times the coefficient row, listed leading first,
+        whose entries are sum_b v_ab m^b; the magnitude row holds sum_b
+        |v_ab| |m|^b.  The rows of the last (m, ambient precision) are kept,
+        so every root at one m shares them."""
+        m = mpc(m)
+        key = (m, mp.prec)
+        if self._rows is None or self._rows[0] != key:
+            lo, hi = self.s_valuation() or 0, self.s_degree() or 0
+            coeffs, mags = [mpc(0)] * (hi - lo + 1), [mpf(0)] * (hi - lo + 1)
+            am = abs(m)
+            mpow, ampow = {0: mpc(1)}, {0: mpf(1)}
+            for (a, b), v in self.terms.items():
+                if b not in mpow:
+                    mpow[b], ampow[b] = m ** b, am ** b
+                coeffs[hi - a] += v * mpow[b]
+                mags[hi - a] += abs(v) * ampow[b]
+            self._rows = key, (coeffs, mags, lo)
+        return self._rows[1]
 
-    def specialize_m(self, m):
-        """Coefficients of the univariate polynomial in s at a fixed m, as
-        {s_exp: mpc}."""
-        mpow = {0: mpc(1)}
-        out = {}
-        for (a, b), v in self.terms.items():
-            if b not in mpow:
-                mpow[b] = m ** b
-            out[a] = out.get(a, mpc(0)) + v * mpow[b]
-        return out
+    def eval(self, m, s):
+        """``(value, scale)`` at (m, s): rows per (m, precision), Horner per
+        root.  The scale is the sum of the term magnitudes at |m|, |s|, the
+        natural scale against which residuals and near-zero tests are
+        measured."""
+        coeffs, mags, val = self.s_rows(m)
+        value, scale = mp.polyval(coeffs, s), mp.polyval(mags, abs(s))
+        if val:
+            value, scale = value * s ** val, scale * abs(s) ** val
+        return value, scale
 
     def divide_s_linear(self, root):
         """Exact synthetic division by (s - root) for an integer root.
@@ -128,28 +150,6 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({len(self.terms)} terms, s-deg {self.s_degree()}, m-deg {self.m_degree()})"
-
-
-def evaluate(polys, m, s):
-    """``(value, scale)`` of each poly at (m, s): its numerical value, and the
-    sum of its term magnitudes at |m|, |s| -- the natural scale against which
-    residuals and near-zero tests are measured.  One loop per poly over one
-    shared table each of s, m, |s| and |m| powers, so each power is computed
-    once however many polys use it."""
-    am, as_ = abs(m), abs(s)
-    spow, mpow, aspow, ampow = {0: mpc(1)}, {0: mpc(1)}, {0: mpf(1)}, {0: mpf(1)}
-    out = []
-    for poly in polys:
-        total, mag = mpc(0), mpf(0)
-        for (a, b), v in poly.terms.items():
-            if a not in spow:
-                spow[a], aspow[a] = s ** a, as_ ** a
-            if b not in mpow:
-                mpow[b], ampow[b] = m ** b, am ** b
-            total += v * spow[a] * mpow[b]
-            mag += abs(v) * aspow[a] * ampow[b]
-        out.append((total, mag))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +272,7 @@ def degeneracy_flags(n, m, s):
     """Near-zero flags for every quantity the representation formulas divide
     by, each measured relative to its natural scale."""
     polys = alpha_polynomial(n), beta_polynomial(n), h_polynomial(n)
-    return _flags(n, m, s, evaluate(polys, m, s))
+    return _flags(n, m, s, [poly.eval(m, s) for poly in polys])
 
 
 def _flags(n, m, s, values):
@@ -302,8 +302,9 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     _check_prec(prec)
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
-        values = evaluate((alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
-                           eta1_polynomial(n), eta2_polynomial(n)), m, s)
+        values = [poly.eval(m, s) for poly in (
+            alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
+            eta1_polynomial(n), eta2_polynomial(n))]
         flags = _flags(n, m, s, values[:3])
         if strict and flags:
             raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
@@ -356,22 +357,13 @@ class RootRecord:
     radius: object = mpf(0)
 
 
-def _horner(coeffs, z):
-    """p(z) and p'(z) for coefficients listed leading first."""
-    p, dp = coeffs[0], 0
-    for c in coeffs[1:]:
-        dp = dp * z + p
-        p = p * z + c
-    return p, dp
-
-
 def _newton(coeffs, z, prec):
     """Polish an approximate simple root at the ambient precision ``prec``;
     quadratic convergence takes a 64-bit seed to ``prec`` bits in about
     log2(prec / 64) steps."""
     tol = mpf(2) ** (-(3 * prec // 4))
     for _ in range(prec.bit_length() + 4):
-        p, dp = _horner(coeffs, z)
+        p, dp = mp.polyval(coeffs, z, derivative=True)
         if not dp:
             break
         step = p / dp
@@ -386,8 +378,8 @@ def _inclusion_radius(coeffs, z, prec):
     their Horner evaluation: a disc of this radius about z holds a root of p
     (Henrici, Applied and Computational Complex Analysis I)."""
     d = len(coeffs) - 1
-    p, dp = _horner(coeffs, z)
-    mag, dmag = _horner([abs(c) for c in coeffs], abs(z))
+    p, dp = mp.polyval(coeffs, z, derivative=True)
+    mag, dmag = mp.polyval([abs(c) for c in coeffs], abs(z), derivative=True)
     err = 8 * (d + 1) * mpf(2) ** -prec
     den = abs(dp) - err * dmag
     return d * (abs(p) + err * mag) / den if den > 0 else mpf("inf")
@@ -446,9 +438,8 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
         for root, mult in ((0, val), (1, 2), (-1, 3)):
             s = mpc(root)
             records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
-        coeffs = q.specialize_m(m)
-        lead_to_low = [coeffs.get(e, mpc(0)) for e in range(q.s_degree(), -1, -1)]
-        roots, radii = certified_roots(lead_to_low, prec)
+        # q(m, 0) != 0, so its coefficient row is all of q
+        roots, radii = certified_roots(q.s_rows(m)[0], prec)
         bound = mpf(2) ** (-(prec // 2))
         for s, radius in zip(roots, radii):
             value, scale = r0.eval(m, s)

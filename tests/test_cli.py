@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,26 @@ def test_uncertifiable_roots_exit(capsys, monkeypatch):
     code, _, err = run(capsys, "roots", "--n", "2", "--m", "1.2,0.4")
     assert code == cli.EXIT_NONCONVERGENCE
     assert "non-convergence" in err
+
+
+@pytest.mark.parametrize("argv", (
+    ("--n", "2", "--m", "0,1"),
+    ("--n", "2", "--m", "0,-1"),
+    ("--n", "1", "--m", "0,1"),
+    ("--n", "2", "--m", "0,1", "--precision-bits", "1024"),
+))
+def test_repeated_roots_at_m_i_exit_without_promising_a_retry(capsys, argv):
+    """At m = +-i the cofactor has a squared factor
+    (``test_cofactor_has_a_repeated_factor_at_m_i``), so its roots cannot be
+    isolated at any precision: the refusal gives the solver's reason and
+    does not suggest more bits."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roots", *argv)
+    assert time.perf_counter() - start < 5
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert out == ""
+    assert "non-convergence" in err and "disjoint discs" in err
+    assert "retry" not in err and "higher precision" not in err
 
 
 def test_inexact_division_exit(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 representation construction, and the certification identities."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -51,6 +52,75 @@ def test_bivar_eval_matches_horner():
             assert abs(got - direct) < eps(200) * scale
 
 
+def test_eval_rows_are_keyed_by_m_and_precision():
+    """``eval`` keeps the rows of the last (m, precision) it saw.  A new m
+    at the same precision, or the same m at a new precision, must rebuild
+    them: every result is bit for bit that of a fresh polynomial with no
+    rows yet."""
+    terms = alpha_polynomial(3).terms
+    alpha = BivarPoly(terms)
+    with mp.workprec(256):
+        m1, m2, s = mpc("1.2", "0.4"), mpc("0.9", "-0.2"), mpc("0.7", "0.5")
+    for m, prec in ((m1, 256), (m2, 256), (m1, 512), (m1, 256)):
+        with mp.workprec(prec):
+            assert alpha.eval(m, s) == BivarPoly(terms).eval(m, s)
+
+
+def _gauss_mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _exact_value(poly, m, s, bits):
+    """poly(m, s) for m = M / 2^bits and s = S / 2^bits, M and S Gaussian
+    integers given as (re, im) pairs, as (re, im) Fractions."""
+    A, B = poly.s_degree(), poly.m_degree()
+    mpow, spow = [(1, 0)], [(1, 0)]
+    for _ in range(B):
+        mpow.append(_gauss_mul(mpow[-1], m))
+    for _ in range(A):
+        spow.append(_gauss_mul(spow[-1], s))
+    re = im = 0
+    for (a, b), v in poly.terms.items():
+        x = _gauss_mul(spow[a], mpow[b])
+        shift = bits * (A - a + B - b)
+        re += v * x[0] << shift
+        im += v * x[1] << shift
+    den = 1 << bits * (A + B)
+    return Fraction(re, den), Fraction(im, den)
+
+
+def test_eval_accuracy_against_exact_arithmetic():
+    """At binary-rational (m, s), exact at every precision used, the value
+    lies within 8 (d + 1) 2^-prec of the scale from the exact value (Gaussian
+    rationals), and the scale is the sum of the term magnitudes at |m|, |s|
+    to relative 2^-(prec - 10) (that sum taken at 2 prec + 64 bits)."""
+    rng = random.Random(11)
+    bits = 20
+    builders = (r0_polynomial, alpha_polynomial, beta_polynomial,
+                h_polynomial, eta1_polynomial, eta2_polynomial, r1_polynomial)
+    for n in range(1, 6):
+        for prec in (128, 256, 512):
+            M = (rng.randint(2 ** 19, 3 * 2 ** 19), rng.randint(-2 ** 19, 2 ** 19))
+            S = (rng.randint(-3 * 2 ** 19, 3 * 2 ** 19),
+                 rng.randint(-3 * 2 ** 19, 3 * 2 ** 19))
+            with mp.workprec(prec):
+                m = mpc(*M) / 2 ** bits
+                s = mpc(*S) / 2 ** bits
+            for build in builders:
+                poly = build(n)
+                with mp.workprec(prec):
+                    value, scale = poly.eval(m, s)
+                re, im = _exact_value(poly, M, S, bits)
+                with mp.workprec(2 * prec + 64):
+                    exact = mpc(mpf(re.numerator) / re.denominator,
+                                mpf(im.numerator) / im.denominator)
+                    exact_scale = sum(abs(v) * abs(m) ** b * abs(s) ** a
+                                      for (a, b), v in poly.terms.items())
+                    d = poly.s_degree()
+                    assert abs(value - exact) <= 8 * (d + 1) * eps(prec) * scale
+                    assert abs(scale - exact_scale) <= eps(prec - 10) * exact_scale
+
+
 def test_divide_s_linear():
     # (s - 1)(s^2 m + 2) expanded, then divided back
     p = BivarPoly({(3, 1): 1, (2, 1): -1, (1, 0): 2, (0, 0): -2})
@@ -64,12 +134,38 @@ def test_divide_s_linear():
 # -- exact structural identities of the defining polynomial -----------------
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_r0_m_palindromic_exact(n):
+    """r0 is even and palindromic in m; its cofactor q is palindromic in s:
+    the coefficient of s^a m^b equals that of s^(d - a) m^b."""
     r0 = r0_polynomial(n)
     assert m_reversed(r0, 8) == r0
     assert r0.m_degree() <= 8
     assert all(b % 2 == 0 for (_, b) in r0.terms)
+    _, q = r0_cofactor(n)
+    d = q.s_degree()
+    assert BivarPoly({(d - a, b): v for (a, b), v in q.terms.items()}) == q
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_cofactor_has_a_repeated_factor_at_m_i(n):
+    """At m = +-i the cofactor is divisible by P^2, P = 1 + s + ... + s^2n,
+    in integers (q is even in m, so m^b = (-1)^(b/2) there).  Its roots are
+    then double, and no precision isolates them in disjoint discs."""
+    _, q = r0_cofactor(n)
+    coeffs = [0] * (q.s_degree() + 1)
+    for (a, b), v in q.terms.items():
+        assert b % 2 == 0
+        coeffs[a] += v * (-1) ** (b // 2)
+    for _ in range(2):
+        # long division by the monic P, leading coefficient first
+        rest = coeffs[::-1]
+        for i in range(len(rest) - 2 * n):
+            c = rest[i]
+            for j in range(i, i + 2 * n + 1):
+                rest[j] -= c
+        assert rest[-2 * n:] == [0] * (2 * n)
+        coeffs = rest[:-2 * n][::-1]
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -233,11 +329,8 @@ def test_solve_roots_match_undeflated_polyroots():
     m, roots = cached_roots(n, STD_M[0])
     r0 = r0_polynomial(n)
     with mp.workprec(prec):
-        coeffs = r0.specialize_m(m)
-        val = min(coeffs)
-        full = mp.polyroots([coeffs.get(e, 0)
-                             for e in range(max(coeffs), val - 1, -1)],
-                            maxsteps=500, extraprec=prec)
+        coeffs, _, val = r0.s_rows(m)
+        full = mp.polyroots(coeffs, maxsteps=500, extraprec=prec)
         ref = sorted([mpc(0)] * val + full, key=lambda s: (s.real, s.imag))
         assert ([degeneracy_flags(n, m, s) for s in ref]
                 == [rec.flags for rec in roots])
