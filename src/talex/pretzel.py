@@ -5,20 +5,24 @@ eta_1, eta_2 and the certifying combination r1 are all kept as *exact*
 integer bivariate polynomials in (s, m), assembled term-by-term from their
 printed groupings.  Numerical evaluation happens only at the very end, so
 the same objects serve for exact structural checks (m-palindromicity,
-(s -+ 1) divisibility) and for high-precision evaluation.
+(s -+ 1) divisibility) and for high-precision evaluation.  Their one exact
+division is ``BivarPoly.divmod_s``, long division in s by a divisor monic
+in s; it deflates r0 to the solver's cofactor (``r0_cofactor``).
 
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
 rows per (m, precision), Horner per root.  Each polynomial is specialised
 at m once per (m, precision) into a coefficient row and a magnitude row in
-s; at each root both rows are evaluated by Horner, giving the value and its
-scale (the sum of the term magnitudes).  Every per-root evaluation at one m
--- the solver's residuals and flags, the context values, r1 -- shares that
-specialisation, and the solver takes the cofactor's coefficient row from
-it.  ``solve_s_roots`` and ``build_context`` take the working precision and
-enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
-``BivarPoly.eval`` and ``degeneracy_flags`` run at their caller's ambient
-precision.  The precision policy lives here: ``DEFAULT_PREC`` is the default
-of the entry points and ``MIN_PREC`` the least precision they accept.
+s, each entry summed over its terms in a fixed order, so every evaluated
+bit depends only on the terms; at each root both rows are evaluated by
+Horner, giving the value and its scale (the sum of the term magnitudes).
+Every per-root evaluation at one m -- the solver's residuals and flags, the
+context values, r1 -- shares that specialisation, and the solver takes the
+cofactor's coefficient row from it.  ``solve_s_roots`` and
+``build_context`` take the working precision and enter it; the functions of
+a ``PretzelContext`` run at ``ctx.prec``; ``BivarPoly.eval`` and
+``degeneracy_flags`` run at their caller's ambient precision.  The
+precision policy lives here: ``DEFAULT_PREC`` is the default of the entry
+points and ``MIN_PREC`` the least precision they accept.
 """
 
 from dataclasses import dataclass
@@ -93,8 +97,10 @@ class BivarPoly:
         """``(coefficients, magnitudes, valuation)`` at m: the polynomial in
         s is s^valuation times the coefficient row, listed leading first,
         whose entries are sum_b v_ab m^b; the magnitude row holds sum_b
-        |v_ab| |m|^b.  The rows of the last (m, ambient precision) are kept,
-        so every root at one m shares them."""
+        |v_ab| |m|^b.  Each entry sums its terms in one fixed order, leading
+        first (descending b), so the rows depend only on the terms, not on
+        the order in which they were built.  The rows of the last (m,
+        ambient precision) are kept, so every root at one m shares them."""
         m = mpc(m)
         key = (m, mp.prec)
         if self._rows is None or self._rows[0] != key:
@@ -102,7 +108,7 @@ class BivarPoly:
             coeffs, mags = [mpc(0)] * (hi - lo + 1), [mpf(0)] * (hi - lo + 1)
             am = abs(m)
             mpow, ampow = {0: mpc(1)}, {0: mpf(1)}
-            for (a, b), v in self.terms.items():
+            for (a, b), v in sorted(self.terms.items(), reverse=True):
                 if b not in mpow:
                     mpow[b], ampow[b] = m ** b, am ** b
                 coeffs[hi - a] += v * mpow[b]
@@ -121,32 +127,26 @@ class BivarPoly:
             value, scale = value * s ** val, scale * abs(s) ** val
         return value, scale
 
-    def divide_s_linear(self, root):
-        """Exact synthetic division by (s - root) for an integer root.
-
-        Returns (quotient, remainder) where the remainder is a polynomial in
-        m alone, represented as a {m_exp: int} dict.
-        """
+    def divmod_s(self, divisor):
+        """``(quotient, remainder)`` of the exact long division in s by a
+        divisor whose leading s-coefficient is 1: self = quotient * divisor
+        + remainder, the remainder of lower s-degree than the divisor."""
+        d = divisor.s_degree()
+        if {b: v for (a, b), v in divisor.terms.items() if a == d} != {0: 1}:
+            raise ValueError("the divisor's leading s-coefficient must be 1")
+        lower = [(a, b, v) for (a, b), v in divisor.terms.items() if a < d]
         cols = {}
         for (a, b), v in self.terms.items():
             cols.setdefault(a, {})[b] = v
-        if not cols:
-            return BivarPoly(), {}
-        deg = max(cols)
-        carry = {}
         quot = {}
-        for a in range(deg, -1, -1):
-            cur = dict(cols.get(a, {}))
-            for b, v in carry.items():
-                cur[b] = cur.get(b, 0) + root * v
-            cur = {b: v for b, v in cur.items() if v != 0}
-            if a > 0:
-                for b, v in cur.items():
-                    quot[(a - 1, b)] = v
-                carry = cur
-            else:
-                rem = cur
-        return BivarPoly(quot), rem
+        for a in range(max(cols, default=d - 1), d - 1, -1):
+            for b, v in cols.pop(a, {}).items():
+                quot[(a - d, b)] = v
+                for c, e, w in lower:
+                    col = cols.setdefault(a - d + c, {})
+                    col[b + e] = col.get(b + e, 0) - v * w
+        rem = {(a, b): v for a, col in cols.items() for b, v in col.items()}
+        return BivarPoly(quot), BivarPoly(rem)
 
     def __repr__(self):
         return f"BivarPoly({len(self.terms)} terms, s-deg {self.s_degree()}, m-deg {self.m_degree()})"
@@ -331,17 +331,20 @@ def eval_r1(ctx):
 @lru_cache(maxsize=None)
 def r0_cofactor(n):
     """(val, q) with r0 = s^val (s - 1)^2 (s + 1)^3 q exactly, in integer
-    arithmetic.  These factors are present for every n; what remains has
-    simple roots at a generic m, so it is the polynomial the solver works on.
+    arithmetic: one long division of r0 by that monic factor, whose
+    remainder must be 0.  These factors are present for every n; what
+    remains has simple roots at a generic m, so it is the polynomial the
+    solver works on.
     """
     r0 = r0_polynomial(n)
     val = r0.s_valuation()
-    q = r0.shift(s_exp=-val)
+    factor = BivarPoly({(val, 0): 1})
     for root in (1, 1, -1, -1, -1):
-        q, rem = q.divide_s_linear(root)
-        if rem:
-            raise ArithmeticError(
-                f"r0 at n={n} is not divisible by (s - 1)^2 (s + 1)^3")
+        factor = factor * _sp({1: 1, 0: -root})
+    q, rem = r0.divmod_s(factor)
+    if rem.terms:
+        raise ArithmeticError(
+            f"r0 at n={n} is not divisible by (s - 1)^2 (s + 1)^3")
     return val, q
 
 
@@ -545,22 +548,12 @@ def build_holonomy_rep(ctx, presentation):
     raise ValueError(f"unknown presentation {presentation!r}")
 
 
-@dataclass(frozen=True)
-class RelationReport:
-    """Infinity-norm residuals rho(lhs) - rho(rhs) per relator."""
-
-    two: tuple
-    three: tuple
-
-    @property
-    def max_residual(self):
-        return max(self.two + self.three)
-
-
 def rep_relation_check(ctx):
+    """``(two, three)``: the infinity-norm residuals rho(lhs) - rho(rhs) of
+    each relator of the two- and the three-generator presentation."""
     out = {}
     for name in ("two", "three"):
         pres = presentation_two_gen(ctx.n) if name == "two" else presentation_three_gen(ctx.n)
         rep = build_holonomy_rep(ctx, name)
         out[name] = tuple(rep.relation_residual(rel) for rel in pres.relators)
-    return RelationReport(two=out["two"], three=out["three"])
+    return out["two"], out["three"]

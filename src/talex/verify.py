@@ -87,9 +87,9 @@ def check_context(ctx, independence=False):
         out.append(CheckOutcome(name, value <= thr, value, thr))
 
     with mp.workprec(ctx.prec):
-        rels = rep_relation_check(ctx)
-        add("relation_two", max(rels.two))
-        add("relation_three", max(rels.three))
+        two, three = rep_relation_check(ctx)
+        add("relation_two", max(two))
+        add("relation_three", max(three))
         add("r1", abs(eval_r1(ctx)[0]))
         z1, z2 = zeta_vanishing(ctx)
         add("zeta1", abs(z1))

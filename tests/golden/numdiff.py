@@ -44,6 +44,11 @@ def compare(old, new):
     return changed, worst
 
 
+def summary(changed, worst):
+    """The one-line report of ``compare``'s result."""
+    return f"{changed} numbers changed; largest relative change {float(worst):.2e}"
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
@@ -54,7 +59,7 @@ def main(argv):
     except ValueError as exc:
         print(exc)
         return 1
-    print(f"{changed} numbers changed; largest relative change {float(worst):.2e}")
+    print(summary(changed, worst))
     return 0
 
 

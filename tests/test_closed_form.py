@@ -6,12 +6,12 @@ Fox route."""
 import random
 
 import pytest
-from mpmath import mp, mpf, mpc
+from mpmath import cos, mp, mpf, mpc, pi
 
 from talex import (LaurentPoly, build_context, delta_prop32,
                    delta_theorem, fox_derivative_of_relator,
                    genus_fiberedness_report, lambda_coefficients, phi_map,
-                   wada_polynomial, zeta_vanishing)
+                   solve_s_roots, wada_polynomial, zeta_vanishing)
 from talex.errors import DegenerateContext
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
@@ -268,6 +268,55 @@ def test_fox_pipeline_matches_theorem(n):
         for remove_k in range(pres.num_generators):
             fox = wada_polynomial(pres, rep, remove_k)
             assert (fox.poly - th).infnorm() < mpf("1e-50") * (1 + th.infnorm())
+
+
+def _convolve(x, y):
+    out = [0] * (len(x) + len(y) - 1)
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            out[i + j] += a * b
+    return out
+
+
+@pytest.mark.parametrize("n, family", ((1, {1, 3}), (2, {1, 2, 3, 4})),
+                         ids=("n1", "n2"))
+def test_torus_knots_match_kitano_morifuji(n, family):
+    """K_1 and K_2 are the torus knots T(3, 4) and T(3, 5), whose twisted
+    Alexander polynomials are known from outside the paper (Kitano and
+    Morifuji, Ann. Sc. Norm. Super. Pisa, 2012): with q = n + 3, each
+    irreducible representation has a k in 1..q-1 such that
+      Delta (1 + e t^q + t^2q)(1 - c t^3 + t^6) = 1 - 2 e t^3q + t^6q,
+    e = (-1)^k and c = 2 cos(pi k / q).  Every route must match exactly one
+    k at every nondegenerate root; together the roots must reach ``family``
+    (at n = 1 no root has k = 2).  The product is taken by convolution, so
+    the oracle divides nothing."""
+    q, prec = n + 3, 256
+    matched = set()
+    for m_pair in (("1.2", "0.4"), ("0.3", "-2.1"), ("-5", "0.01")):
+        m = m_at(*m_pair, prec=prec)
+        for rec in solve_s_roots(n, m, prec):
+            if rec.flags:
+                continue
+            ctx = build_context(n, m, rec.s, prec)
+            fox = wada_polynomial(presentation_two_gen(n),
+                                  build_holonomy_rep(ctx, "two"), remove_k=1)
+            for res in (fox, delta_theorem(ctx), delta_prop32(ctx)):
+                with mp.workprec(prec):
+                    delta = [res.poly.coeff(e) for e in range(4 * n + 7)]
+                    ks = []
+                    for k in range(1, q):
+                        e, c = (-1) ** k, 2 * cos(pi * k / q)
+                        torus = [0] * (2 * q + 1)
+                        torus[0], torus[q], torus[2 * q] = 1, e, 1
+                        lhs = _convolve(_convolve(delta, torus),
+                                        [1, 0, 0, -c, 0, 0, 1])
+                        rhs = [0] * (6 * q + 1)
+                        rhs[0], rhs[3 * q], rhs[6 * q] = 1, -2 * e, 1
+                        if max(abs(a - b) for a, b in zip(lhs, rhs)) < TIGHT:
+                            ks.append(k)
+                assert len(ks) == 1, (m_pair, rec.s, res.method, ks)
+                matched.add(ks[0])
+    assert matched == family
 
 
 # -- genus / fiberedness ----------------------------------------------------

@@ -6,10 +6,11 @@ run, the csv form of an all-methods run, a two-n ``verify`` report, a
 ``--thorough`` one (independence values at every root) and the perturbed
 negative control, which must exit 1.  Every printed digit of every root,
 coefficient and check value is part of the contract, and so is the exit
-code, so a change in the arithmetic's rounding shows up here.  Before
-re-capturing a fixture, run ``python tests/golden/numdiff.py OLD NEW``: it
-fails if anything but the numbers moved and reports the largest relative
-change.
+code, so a change in the arithmetic's rounding shows up here.  To
+re-capture, run ``python tests/golden/capture.py DIR``: it writes every
+command's new stdout to DIR and compares each with its fixture through
+``tests/golden/numdiff.py``, which fails if anything but the numbers moved
+and reports the largest relative change.
 """
 
 from decimal import Decimal

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import DegenerateContext, build_context, select_root, solve_s_roots
+from talex import (DegenerateContext, build_context, delta_theorem,
+                   select_root, solve_s_roots)
 from talex.errors import NonConvergence
 from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
                            build_holonomy_rep, certified_roots,
@@ -56,7 +57,7 @@ def test_eval_rows_are_keyed_by_m_and_precision():
     """``eval`` keeps the rows of the last (m, precision) it saw.  A new m
     at the same precision, or the same m at a new precision, must rebuild
     them: every result is bit for bit that of a fresh polynomial with no
-    rows yet."""
+    rows yet, and of a copy that holds the same terms in reversed order."""
     terms = alpha_polynomial(3).terms
     alpha = BivarPoly(terms)
     with mp.workprec(256):
@@ -64,6 +65,8 @@ def test_eval_rows_are_keyed_by_m_and_precision():
     for m, prec in ((m1, 256), (m2, 256), (m1, 512), (m1, 256)):
         with mp.workprec(prec):
             assert alpha.eval(m, s) == BivarPoly(terms).eval(m, s)
+            reversed_copy = BivarPoly(dict(reversed(terms.items())))
+            assert reversed_copy.eval(m, s) == alpha.eval(m, s)
 
 
 def _gauss_mul(x, y):
@@ -121,14 +124,28 @@ def test_eval_accuracy_against_exact_arithmetic():
                     assert abs(scale - exact_scale) <= eps(prec - 10) * exact_scale
 
 
-def test_divide_s_linear():
+def s_minus(root):
+    return BivarPoly({(1, 0): 1, (0, 0): -root})
+
+
+def test_divmod_s():
     # (s - 1)(s^2 m + 2) expanded, then divided back
     p = BivarPoly({(3, 1): 1, (2, 1): -1, (1, 0): 2, (0, 0): -2})
-    q, rem = p.divide_s_linear(1)
-    assert rem == {}
+    q, rem = p.divmod_s(s_minus(1))
+    assert rem == BivarPoly()
     assert q.terms == {(2, 1): 1, (0, 0): 2}
-    _, rem2 = p.divide_s_linear(2)
-    assert rem2 != {}
+    _, rem2 = p.divmod_s(s_minus(2))
+    assert rem2 != BivarPoly()
+    # a divisor with m in its lower coefficients, and a nonzero remainder
+    divisor = BivarPoly({(2, 0): 1, (1, 1): -3, (0, -1): 2})
+    q, rem = p.divmod_s(divisor)
+    assert q * divisor + rem == p
+    assert rem.s_degree() < divisor.s_degree()
+    assert q.terms == {(1, 1): 1, (0, 2): 3, (0, 1): -1}
+    for not_monic in (BivarPoly(), 2 * s_minus(1), s_minus(1).shift(m_exp=1),
+                      s_minus(1) + BivarPoly({(1, 2): 1})):
+        with pytest.raises(ValueError):
+            p.divmod_s(not_monic)
 
 
 # -- exact structural identities of the defining polynomial -----------------
@@ -153,19 +170,15 @@ def test_cofactor_has_a_repeated_factor_at_m_i(n):
     in integers (q is even in m, so m^b = (-1)^(b/2) there).  Its roots are
     then double, and no precision isolates them in disjoint discs."""
     _, q = r0_cofactor(n)
-    coeffs = [0] * (q.s_degree() + 1)
+    coeffs = {}
     for (a, b), v in q.terms.items():
         assert b % 2 == 0
-        coeffs[a] += v * (-1) ** (b // 2)
+        coeffs[a] = coeffs.get(a, 0) + v * (-1) ** (b // 2)
+    at_i = BivarPoly({(a, 0): v for a, v in coeffs.items()})
+    P = BivarPoly({(k, 0): 1 for k in range(2 * n + 1)})
     for _ in range(2):
-        # long division by the monic P, leading coefficient first
-        rest = coeffs[::-1]
-        for i in range(len(rest) - 2 * n):
-            c = rest[i]
-            for j in range(i, i + 2 * n + 1):
-                rest[j] -= c
-        assert rest[-2 * n:] == [0] * (2 * n)
-        coeffs = rest[:-2 * n][::-1]
+        at_i, rem = at_i.divmod_s(P)
+        assert rem == BivarPoly()
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -177,13 +190,24 @@ def test_r0_s_pm1_roots_exact(n):
     assert val == r0.s_valuation()
     factor = BivarPoly({(val, 0): 1})
     for root in (1, 1, -1, -1, -1):
-        factor = factor * BivarPoly({(1, 0): 1, (0, 0): -root})
+        factor = factor * s_minus(root)
     assert q * factor == r0
     assert q.s_valuation() == 0
     for root in (1, -1):
-        _, rem = q.divide_s_linear(root)
-        assert rem != {}, f"s={root} has a higher multiplicity at n={n}"
+        _, rem = q.divmod_s(s_minus(root))
+        assert rem != BivarPoly(), f"s={root} has a higher multiplicity at n={n}"
     assert q.s_degree() == {1: 6, 2: 8}.get(n, 6 * n - 6)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_r1_is_a_multiple_of_r0_exact(n):
+    """r1 = Q r0 in Z[m^+-1][s]: r0's leading s-coefficient is exactly m^4,
+    so r0 m^-4 is monic in s and r1 divided by it leaves no remainder."""
+    r0 = r0_polynomial(n)
+    d = r0.s_degree()
+    assert {b: v for (a, b), v in r0.terms.items() if a == d} == {4: 1}
+    _, rem = r1_polynomial(n).divmod_s(r0.shift(m_exp=-4))
+    assert rem == BivarPoly()
 
 
 def test_r0_rejects_bad_n():
@@ -383,8 +407,8 @@ def test_degeneracy_flags():
 
 @pytest.mark.parametrize("prec", (128, 256))
 def test_context_values_and_flags_match_their_single_evaluations(prec):
-    """build_context evaluates alpha, beta, H, eta_1 and eta_2 from one
-    shared power table and flags the point from those same values: each
+    """build_context evaluates alpha, beta, H, eta_1 and eta_2 through each
+    polynomial's ``eval`` and flags the point from those same values: each
     value is bit for bit the polynomial's own ``eval``, and the flags are
     those of ``degeneracy_flags`` and of the solver, at every root."""
     n = 3
@@ -429,12 +453,42 @@ def test_r1_generically_nonzero_off_roots():
         assert abs(value) > mpf("1e-12") * scale
 
 
+@pytest.mark.parametrize("m_pair", STD_M, ids=("m0", "m1"))
+def test_reciprocal_roots_carry_one_representation(m_pair):
+    """The cofactor is palindromic in s, so at n = 3 the 12 nondegenerate
+    roots pair up as s, 1/s; both roots of a pair give the same
+    representation up to conjugacy (equal traces of A, B, X and their
+    products) and the same twisted Alexander polynomial."""
+    n = 3
+    ctxs = cached_contexts(n, m_pair)
+    assert len(ctxs) == 12
+    pairs = set()
+    for i, ctx in enumerate(ctxs):
+        with mp.workprec(ctx.prec):
+            near = [j for j, c in enumerate(ctxs)
+                    if abs(c.s - 1 / ctx.s) < mpf(2) ** -100]
+        assert len(near) == 1
+        pairs.add(frozenset((i, near[0])))
+    assert len(pairs) == 6 and all(len(p) == 2 for p in pairs)
+    for i, j in pairs:
+        words = []
+        for ctx in (ctxs[i], ctxs[j]):
+            A, B, X = holonomy_matrices(ctx)
+            with mp.workprec(ctx.prec):
+                words.append([M.a11 + M.a22 for M in (
+                    A, B, X, A * B, A * X, B * X, A * B * X)])
+        assert max(abs(a - b) for a, b in zip(*words)) < mpf("1e-60")
+        p, q = (delta_theorem(ctxs[k]).poly for k in (i, j))
+        assert max(abs(p.coeff(e) - q.coeff(e))
+                   for e in range(4 * n + 7)) < mpf("1e-60")
+
+
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_relation_residuals_both_presentations(n):
     for m_pair in STD_M:
         for ctx in cached_contexts(n, m_pair):
-            report = rep_relation_check(ctx)
-            assert report.max_residual < mpf("1e-60")
+            two, three = rep_relation_check(ctx)
+            assert max(two + three) < mpf("1e-60")
 
 
 def test_holonomy_matrix_structure():
@@ -487,5 +541,5 @@ def test_smallest_member_degenerate_group_still_works():
     for m_pair in STD_M:
         ctxs = cached_contexts(1, m_pair)
         assert ctxs
-        report = rep_relation_check(ctxs[0])
-        assert report.max_residual < mpf("1e-60")
+        two, three = rep_relation_check(ctxs[0])
+        assert max(two + three) < mpf("1e-60")
