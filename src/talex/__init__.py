@@ -15,7 +15,8 @@ that precision.  Only the entry points have a default precision:
 default ``DEFAULT_PREC`` = 256 bits, at least ``MIN_PREC`` = 64, both defined
 in ``talex.pretzel``.  Below them the precision is always passed on, never
 assumed: the functions of a context use ``PretzelContext.prec``, and the
-``Representation`` and ``LaurentPoly`` constructors require ``prec``.
+constructors ``Representation(pres, images, prec)``, which walks every
+relator of ``pres`` at ``prec`` once, and ``LaurentPoly`` require it.
 Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
 in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
 at their caller's ambient precision.  Inputs are rounded to the working
@@ -24,7 +25,7 @@ precision it retries at parses m afresh.
 """
 
 from .errors import (DegenerateContext, InexactDivision, NonConvergence,
-                     SingularDenominator, TalexError)
+                     TalexError)
 from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
                       normalize_delta)
 from .fox import (GroupRingElement, Presentation, Relator, Representation,
@@ -32,8 +33,8 @@ from .fox import (GroupRingElement, Presentation, Relator, Representation,
                   wada_polynomial, word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
                       build_holonomy_rep, eval_r1, presentation_three_gen,
-                      presentation_two_gen, r0_polynomial, rep_relation_check,
-                      select_root, solve_s_roots)
+                      presentation_two_gen, r0_polynomial, select_root,
+                      solve_s_roots)
 from .closed_form import (delta_prop32, delta_theorem,
                           genus_fiberedness_report, lambda_coefficients,
                           zeta_vanishing)
@@ -45,13 +46,13 @@ __all__ = [
     "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
     "DeltaResult", "GroupRingElement", "InexactDivision", "LaurentPoly",
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
-    "Representation", "SingularDenominator", "TalexError",
+    "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
     "delta_prop32", "delta_theorem", "eval_r1", "fox_derivative",
     "fox_derivative_of_relator", "genus_fiberedness_report",
     "laurent_divide_exact", "lambda_coefficients",
     "normalize_delta", "phi_map",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
-    "rep_relation_check", "select_root", "solve_s_roots", "verify_sweep",
+    "select_root", "solve_s_roots", "verify_sweep",
     "wada_polynomial", "word_invert", "word_multiply", "zeta_vanishing",
 ]

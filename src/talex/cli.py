@@ -31,7 +31,7 @@ from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
 from .pretzel import (DEFAULT_PREC, MIN_PREC, build_context, build_holonomy_rep,
-                      presentation_two_gen, select_root, solve_s_roots)
+                      select_root, solve_s_roots)
 from .verify import m_at, max_pairwise_deviation, verify_sweep
 
 EXIT_OK = 0
@@ -231,7 +231,7 @@ def cmd_delta(args):
     def run(method):
         if method == "fox":
             rep = build_holonomy_rep(ctx, "two")
-            return wada_polynomial(presentation_two_gen(ctx.n), rep, remove_k=1)
+            return wada_polynomial(rep.pres, rep, remove_k=1)
         if method == "theorem":
             return delta_theorem(ctx)
         return delta_prop32(ctx)

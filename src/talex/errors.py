@@ -14,10 +14,6 @@ class InexactDivision(TalexError):
     """
 
 
-class SingularDenominator(TalexError):
-    """det Phi(x_k - 1) is numerically zero; choose another column k."""
-
-
 class DegenerateContext(TalexError):
     """A parameter point with one of the guarded quantities near zero."""
 

@@ -9,26 +9,27 @@ an SL2 representation is det(A_rho_k) / det(Phi(x_k - 1)), where A_rho_k is
 the block matrix of Phi-images of relator derivatives with the k-th
 generator's column removed.  Everything numeric runs at the
 representation's precision ``rep.prec``.  A ``Presentation`` declares its
-abelianization, the power of t each generator maps to, and checks on
-construction that every relator abelianizes to zero.
+abelianization, the nonzero power of t each generator maps to, and checks
+on construction that every relator abelianizes to zero.
 
-``wada_numerator`` builds A_rho_k without going through the group ring.  By
-the Fox rule, Phi(d w/dx_j) is a signed sum of rho(p) t^alpha(p) over the
-prefixes p of w at the letters x_j^(+-1), so one left-to-right scan of each
-relator side, carrying the prefix matrix rho(p) and its t-exponent
-alpha(p), yields every kept column at once in O(L) matrix products for a
-side of length L, and each block entry is collected as a plain coefficient
-dict and turned into a ``LaurentPoly`` once.  ``fox_derivative``,
-``GroupRingElement`` and ``phi_map``, which multiply each prefix word out
-from the identity (O(L^2)), are the symbolic reference the scan is tested
-against; nothing else in the package calls them.
+A ``Representation`` is built for one presentation and walks each relator
+once, at construction.  By the Fox rule, Phi(d w/dx_j) is a signed sum of
+rho(p) t^alpha(p) over the prefixes p of w at the letters x_j^(+-1), so one
+left-to-right scan of each relator side, carrying the prefix matrix rho(p)
+and its t-exponent alpha(p), yields every column's block in O(L) matrix
+products for a side of length L, and its last prefix is rho(side), which
+gives the relation residual.  ``wada_numerator`` assembles A_rho_k from
+those blocks; it and ``wada_denominator`` raise ``ValueError`` for a
+representation of another presentation.  ``fox_derivative``, ``GroupRingElement`` and ``phi_map``,
+which multiply each prefix word out from the identity (O(L^2)), are the
+symbolic reference the walk is tested against; nothing else in the package
+calls them.
 """
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mp
 
-from .errors import SingularDenominator
 from .laurent import (LaurentPoly, Mat2, laurent_divide_exact, normalize_delta,
                       poly_mat_det)
 
@@ -181,10 +182,8 @@ class Presentation:
         for rel in self.relators:
             if abelian_exponent(rel.as_single_word(), self.abelian_exponents) != 0:
                 raise ValueError(f"relator {rel} does not abelianize to zero")
-
-    @property
-    def num_generators(self):
-        return len(self.generators)
+        if 0 in self.abelian_exponents:
+            raise ValueError("every generator needs a nonzero abelian exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -192,95 +191,89 @@ class Presentation:
 
 
 class Representation:
-    """One Mat2 of numbers per generator, with the precision ``prec`` that
-    every product of them is computed at."""
+    """rho on the generators of ``pres``: one Mat2 of numbers per generator,
+    with the precision ``prec`` that every product of them is computed at.
 
-    def __init__(self, images, prec):
+    Construction walks each relator once and keeps, per relator,
+    ``blocks``: Phi(d rel/dx_j) for every generator j, as LaurentPoly Mat2
+    blocks, and ``residuals``: the infinity-norm of rho(lhs) - rho(rhs)."""
+
+    def __init__(self, pres, images, prec):
+        self.pres = pres
         self.images = tuple(images)
         self.prec = prec
         with mp.workprec(prec):
             self._inverses = tuple(M.inverse() for M in self.images)
+            walks = [self._walk(rel) for rel in pres.relators]
+        self.blocks = tuple(blocks for blocks, _ in walks)
+        self.residuals = tuple(res for _, res in walks)
 
-    def image_of_word(self, w):
-        with mp.workprec(self.prec):
-            M = Mat2.identity()
-            for g, e in w:
-                M = M * (self.images[g] if e == 1 else self._inverses[g])
-            return M
+    def _walk(self, rel):
+        """One scan of each side of ``rel``: (its Fox blocks, its residual).
 
-    def relation_residual(self, rel):
-        """Infinity-norm of rho(lhs) - rho(rhs)."""
-        with mp.workprec(self.prec):
-            return (self.image_of_word(rel.lhs)
-                    - self.image_of_word(rel.rhs)).infnorm()
+        A letter x_j adds +rho(p) t^alpha(p) to block j with p the prefix
+        before it; a letter x_j^-1 adds -rho(p) t^alpha(p) with p the prefix
+        through it.  The rhs enters with the opposite sign, as in
+        ``fox_derivative_of_relator``.  Prefix matrices are multiplied out
+        from the identity, so the last prefix of a side is rho(side)."""
+        exps = self.pres.abelian_exponents
+        acc = [({}, {}, {}, {}) for _ in self.images]
+        ends = []
+        for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
+            P, k = Mat2.identity(), 0
+            for g, e in side:
+                if e == -1:
+                    P, k = P * self._inverses[g], k - exps[g]
+                for d, v in zip(acc[g], P.entries()):
+                    if sign != e:
+                        v = -v
+                    d[k] = d[k] + v if k in d else v
+                if e == 1:
+                    P, k = P * self.images[g], k + exps[g]
+            ends.append(P)
+        blocks = tuple(Mat2(*(LaurentPoly.from_mpc(d, self.prec) for d in a))
+                       for a in acc)
+        return blocks, (ends[0] - ends[1]).infnorm()
 
 
 def phi_map(elem, rep, exps):
     """The ring map Phi: each word w goes to rho(w) * t^alpha(w), extended
-    additively over integer combinations.  Returns a LaurentPoly matrix."""
+    additively over integer combinations.  Returns a LaurentPoly matrix.
+    Each word is multiplied out letter by letter, independently of the
+    relator walk in ``Representation``."""
     prec = rep.prec
     total = Mat2(LaurentPoly.zero(prec), LaurentPoly.zero(prec),
                  LaurentPoly.zero(prec), LaurentPoly.zero(prec))
     with mp.workprec(prec):
         for w, c in elem.terms.items():
-            block = rep.image_of_word(w).scaled(c).to_laurent(
-                abelian_exponent(w, exps), prec)
-            total = total + block
+            M = Mat2.identity()
+            for g, e in w:
+                M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
+            total = total + M.scaled(c).to_laurent(abelian_exponent(w, exps), prec)
     return total
 
 
 def wada_denominator(pres, rep, k):
     """det Phi(x_k - 1) as a LaurentPoly."""
+    if rep.pres != pres:
+        raise ValueError("the representation is not one of this presentation")
     block = rep.images[k].to_laurent(pres.abelian_exponents[k], rep.prec)
     return (block - Mat2.identity().to_laurent(0, rep.prec)).det()
-
-
-def phi_fox_blocks(rel, rep, exps, cols):
-    """Phi(d rel/dx_j) for every j in ``cols``, as LaurentPoly Mat2 blocks in
-    the order of ``cols``, from one scan of each side of the relator.
-
-    A letter x_j adds +rho(p) t^alpha(p) to block j with p the prefix before
-    it; a letter x_j^-1 adds -rho(p) t^alpha(p) with p the prefix through
-    it.  The rhs enters with the opposite sign, as in
-    ``fox_derivative_of_relator``.  Prefix matrices are multiplied out from
-    the identity in the same order as ``Representation.image_of_word``."""
-    prec = rep.prec
-    acc = {j: ({}, {}, {}, {}) for j in cols}
-
-    def add(j, P, k, sign):
-        for d, v in zip(acc[j], P.entries()):
-            if sign < 0:
-                v = -v
-            d[k] = d[k] + v if k in d else v
-
-    with mp.workprec(prec):
-        for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
-            P, k = Mat2.identity(), 0
-            for g, e in reduce_word(side):
-                if e == 1:
-                    if g in acc:
-                        add(g, P, k, sign)
-                    P, k = P * rep.images[g], k + exps[g]
-                else:
-                    P, k = P * rep._inverses[g], k - exps[g]
-                    if g in acc:
-                        add(g, P, k, -sign)
-    return [Mat2(*(LaurentPoly.from_mpc(d, prec) for d in acc[j])) for j in cols]
 
 
 def wada_numerator(pres, rep, remove_k):
     """det of the 2(n-1) x 2(n-1) matrix of Phi-images of relator
     derivatives with the remove_k column of blocks deleted."""
-    cols = [j for j in range(pres.num_generators) if j != remove_k]
+    if rep.pres != pres:
+        raise ValueError("the representation is not one of this presentation")
     rows = []
-    for rel in pres.relators:
-        blocks = phi_fox_blocks(rel, rep, pres.abelian_exponents, cols)
+    for blocks in rep.blocks:
         top, bottom = [], []
-        for b in blocks:
-            top += [b.a11, b.a12]
-            bottom += [b.a21, b.a22]
-        rows.append(top)
-        rows.append(bottom)
+        for j, b in enumerate(blocks):
+            if j != remove_k:
+                top += [b.a11, b.a12]
+                bottom += [b.a21, b.a22]
+        rows += [top, bottom]
     return poly_mat_det(rows)
 
 
@@ -288,10 +281,6 @@ def wada_polynomial(pres, rep, remove_k):
     """The full generic pipeline: numerator determinant, exact division by
     det Phi(x_k - 1), and unit normalization."""
     den = wada_denominator(pres, rep, remove_k)
-    if den.infnorm() <= mpf(2) ** (-(rep.prec // 2)):
-        raise SingularDenominator(
-            f"det Phi(x_{remove_k} - 1) is numerically zero; remove another column"
-        )
     num = wada_numerator(pres, rep, remove_k)
     quot = laurent_divide_exact(num, den)
     return normalize_delta(quot, "fox")

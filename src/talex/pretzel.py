@@ -536,24 +536,14 @@ def holonomy_matrices(ctx):
 
 
 def build_holonomy_rep(ctx, presentation):
-    """Representation images for the ``"two"`` or ``"three"`` generator
-    presentation; for the 2-generator one the image of c is rho(x) rho(b)."""
+    """The representation of the ``"two"`` or ``"three"`` generator
+    presentation of K_n; for the 2-generator one the image of c is
+    rho(x) rho(b)."""
     A, B, X = holonomy_matrices(ctx)
     if presentation == "two":
         with mp.workprec(ctx.prec):
             XB = X * B
-        return Representation((A, XB), prec=ctx.prec)
+        return Representation(presentation_two_gen(ctx.n), (A, XB), prec=ctx.prec)
     if presentation == "three":
-        return Representation((A, B, X), prec=ctx.prec)
+        return Representation(presentation_three_gen(ctx.n), (A, B, X), prec=ctx.prec)
     raise ValueError(f"unknown presentation {presentation!r}")
-
-
-def rep_relation_check(ctx):
-    """``(two, three)``: the infinity-norm residuals rho(lhs) - rho(rhs) of
-    each relator of the two- and the three-generator presentation."""
-    out = {}
-    for name in ("two", "three"):
-        pres = presentation_two_gen(ctx.n) if name == "two" else presentation_three_gen(ctx.n)
-        rep = build_holonomy_rep(ctx, name)
-        out[name] = tuple(rep.relation_residual(rel) for rel in pres.relators)
-    return out["two"], out["three"]

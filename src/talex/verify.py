@@ -18,13 +18,11 @@ from mpmath import mp, mpc, mpf
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
-from .errors import DegenerateContext, InexactDivision, SingularDenominator
+from .errors import DegenerateContext, InexactDivision
 from .fox import wada_denominator, wada_numerator, wada_polynomial
 from .laurent import divide_with_remainder, normalize_delta
-from .pretzel import (DEFAULT_PREC, build_context, eval_r1,
-                      presentation_three_gen, presentation_two_gen,
-                      build_holonomy_rep, rep_relation_check, select_root,
-                      solve_s_roots)
+from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, eval_r1,
+                      select_root, solve_s_roots)
 
 MAX_RETRY_PREC = 1024
 
@@ -87,18 +85,17 @@ def check_context(ctx, independence=False):
         out.append(CheckOutcome(name, value <= thr, value, thr))
 
     with mp.workprec(ctx.prec):
-        two, three = rep_relation_check(ctx)
-        add("relation_two", max(two))
-        add("relation_three", max(three))
+        rep2 = build_holonomy_rep(ctx, "two")
+        rep3 = build_holonomy_rep(ctx, "three")
+        add("relation_two", max(rep2.residuals))
+        add("relation_three", max(rep3.residuals))
         add("r1", abs(eval_r1(ctx)[0]))
         z1, z2 = zeta_vanishing(ctx)
         add("zeta1", abs(z1))
         add("zeta2", abs(z2))
 
-        pres2 = presentation_two_gen(ctx.n)
-        rep2 = build_holonomy_rep(ctx, "two")
-        num = wada_numerator(pres2, rep2, remove_k=1)
-        den = wada_denominator(pres2, rep2, k=1)
+        num = wada_numerator(rep2.pres, rep2, remove_k=1)
+        den = wada_denominator(rep2.pres, rep2, k=1)
         quot, rel_rem = divide_with_remainder(num, den)
         add("division", rel_rem)
         fox = normalize_delta(quot, "fox")
@@ -120,13 +117,11 @@ def check_context(ctx, independence=False):
 
         if independence:
             try:
-                alt = wada_polynomial(pres2, rep2, remove_k=0)
-                rep3 = build_holonomy_rep(ctx, "three")
-                three = wada_polynomial(presentation_three_gen(ctx.n), rep3,
-                                        remove_k=0)
+                alt = wada_polynomial(rep2.pres, rep2, remove_k=0)
+                three = wada_polynomial(rep3.pres, rep3, remove_k=0)
                 dev = max(coefficient_deviation(fox.poly, alt.poly),
                           coefficient_deviation(fox.poly, three.poly))
-            except (InexactDivision, SingularDenominator):
+            except InexactDivision:
                 # the alternative pipelines refuse to divide at an invalid
                 # point; report that as a failed check, not a crash
                 dev = mpf("inf")

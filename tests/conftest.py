@@ -9,7 +9,7 @@ same (n, m) points, so both are memoized for the session.
 import pytest
 from mpmath import mp, mpc, mpf
 
-from talex import (BivarPoly, build_holonomy_rep, delta_prop32,
+from talex import (BivarPoly, Mat2, build_holonomy_rep, delta_prop32,
                    delta_theorem, presentation_two_gen, select_root,
                    solve_s_roots, wada_polynomial)
 from talex.pretzel import build_context
@@ -32,6 +32,17 @@ def laurent_value(poly, t):
     precision."""
     with mp.workprec(poly.prec):
         return sum((c * t ** e for e, c in poly.terms.items()), mpc(0))
+
+
+def rho_of_word(rep, w):
+    """rho(w) multiplied out letter by letter from the identity, at
+    ``rep.prec``, the product order ``Representation`` walks a relator side
+    in."""
+    with mp.workprec(rep.prec):
+        M = Mat2.identity()
+        for g, e in w:
+            M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
+        return M
 
 
 def m_reversed(poly, degree):

@@ -12,7 +12,7 @@ import mpmath
 from mpmath import mp, mpf, mpc
 
 from talex.pretzel import (BivarPoly, build_context, r0_polynomial,
-                           rep_relation_check, solve_s_roots)
+                           solve_s_roots)
 from talex.fox import wada_denominator, wada_numerator
 from talex.laurent import divide_with_remainder
 from talex.closed_form import zeta_vanishing
@@ -145,7 +145,8 @@ def test_criterion_8_precision_scaling():
             if rec.flags:
                 continue
             ctx = build_context(n, m, rec.s, prec=prec)
-            two, three = rep_relation_check(ctx)
+            two, three = (build_holonomy_rep(ctx, name).residuals
+                          for name in ("two", "three"))
             res = max(res, mpf(max(two + three)))
         residuals[prec] = res
     with mp.workprec(64):
@@ -167,7 +168,8 @@ def test_criterion_9_negative_controls():
         with mp.workprec(base.prec):
             s = base.s + shift
         ctx = build_context(n, base.m, s, strict=False)
-        two, three = rep_relation_check(ctx)
+        two, three = (build_holonomy_rep(ctx, name).residuals
+                      for name in ("two", "three"))
         residual = max(two + three)
         if not residual > mpf("1e-6"):
             ok = False

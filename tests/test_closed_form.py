@@ -265,7 +265,7 @@ def test_fox_pipeline_matches_theorem(n):
     th = delta_theorem(ctx).poly
     for pres_name, pres in (("two", presentation_two_gen(n)),):
         rep = build_holonomy_rep(ctx, pres_name)
-        for remove_k in range(pres.num_generators):
+        for remove_k in range(len(pres.generators)):
             fox = wada_polynomial(pres, rep, remove_k)
             assert (fox.poly - th).infnorm() < mpf("1e-50") * (1 + th.infnorm())
 

@@ -7,12 +7,12 @@ from mpmath import mp, mpf
 
 from talex import (GroupRingElement, Presentation, Relator, fox_derivative,
                    phi_map, word_invert, word_multiply)
-from talex.fox import (Representation, abelian_exponent,
-                       fox_derivative_of_relator, gen, phi_fox_blocks,
-                       reduce_word, wada_denominator, word_power)
+from talex.fox import (abelian_exponent, fox_derivative_of_relator, gen,
+                       reduce_word, wada_denominator, wada_numerator,
+                       wada_polynomial, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import cached_contexts, eps
+from conftest import cached_contexts, eps, rho_of_word
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -109,6 +109,9 @@ def test_presentation_validation():
     with pytest.raises(ValueError):
         # relator does not abelianize to zero under the claimed exponents
         Presentation(("a", "b"), (Relator(gen(0), gen(1)),), (1, 2))
+    with pytest.raises(ValueError):
+        # a generator with abelian exponent zero
+        Presentation(("a", "b"), (Relator(gen(0), gen(0)),), (1, 0))
 
 
 def exponent_row(rel, num_generators):
@@ -184,11 +187,9 @@ def test_fox_scan_matches_symbolic_phi(n):
                        (presentation_three_gen(n), "three")):
         rep = build_holonomy_rep(ctx, kind)
         exps = pres.abelian_exponents
-        cols = list(range(pres.num_generators))
         tol = mpf(2) ** -(rep.prec - 16)
-        for rel in pres.relators:
-            blocks = phi_fox_blocks(rel, rep, exps, cols)
-            for j, block in zip(cols, blocks):
+        for rel, blocks in zip(pres.relators, rep.blocks):
+            for j, block in enumerate(blocks):
                 ref = phi_map(fox_derivative_of_relator(rel, j), rep, exps)
                 for got, want in zip(block.entries(), ref.entries()):
                     assert got.support() == want.support(), (kind, j)
@@ -214,9 +215,21 @@ def test_representation_inverses():
     ctx = cached_contexts(2, ("1.2", "0.4"))[0]
     rep = build_holonomy_rep(ctx, "three")
     w = word_multiply(gen(0), gen(2, -1), gen(1), gen(0, -1))
-    M = rep.image_of_word(w)
-    Minv = rep.image_of_word(word_invert(w))
+    M = rho_of_word(rep, w)
+    Minv = rho_of_word(rep, word_invert(w))
     with mp.workprec(rep.prec):
         prod = M * Minv
         assert abs(prod.a11 - 1) < mpf("1e-60")
         assert abs(prod.a21) < mpf("1e-60")
+
+
+def test_wada_refuses_a_representation_of_another_presentation():
+    """A representation is bound to its presentation: pairing it with the
+    other presentation of the same knot is an error, not a polynomial."""
+    ctx = cached_contexts(2, ("1.2", "0.4"))[0]
+    rep2, rep3 = (build_holonomy_rep(ctx, kind) for kind in ("two", "three"))
+    for pres, rep in ((presentation_two_gen(2), rep3),
+                      (presentation_three_gen(2), rep2)):
+        for fn in (wada_numerator, wada_denominator, wada_polynomial):
+            with pytest.raises(ValueError):
+                fn(pres, rep, 1)
