@@ -28,9 +28,9 @@ from .errors import (DegenerateContext, InexactDivision, NonConvergence,
                      TalexError)
 from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
                       normalize_delta)
-from .fox import (GroupRingElement, Presentation, Relator, Representation,
-                  fox_derivative, fox_derivative_of_relator, phi_map,
-                  wada_polynomial, word_invert, word_multiply)
+from .fox import (Presentation, Relator, Representation, fox_derivative,
+                  fox_derivative_of_relator, phi_map, wada_polynomial,
+                  word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
                       build_holonomy_rep, eval_r1, presentation_three_gen,
                       presentation_two_gen, r0_polynomial, select_root,
@@ -44,7 +44,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
-    "DeltaResult", "GroupRingElement", "InexactDivision", "LaurentPoly",
+    "DeltaResult", "InexactDivision", "LaurentPoly",
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",

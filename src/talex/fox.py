@@ -19,11 +19,17 @@ left-to-right scan of each relator side, carrying the prefix matrix rho(p)
 and its t-exponent alpha(p), yields every column's block in O(L) matrix
 products for a side of length L, and its last prefix is rho(side), which
 gives the relation residual.  ``wada_numerator`` assembles A_rho_k from
-those blocks; it and ``wada_denominator`` raise ``ValueError`` for a
-representation of another presentation.  ``fox_derivative``, ``GroupRingElement`` and ``phi_map``,
-which multiply each prefix word out from the identity (O(L^2)), are the
-symbolic reference the walk is tested against; nothing else in the package
-calls them.
+those blocks; ``wada_denominator`` writes det(rho(x_k) t^e - I) out as
+1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both raise ``ValueError`` for a
+representation of another presentation.
+
+An element of the integral group ring is a plain {word: int} dict without
+zero coefficients.  ``fox_derivative`` and ``fox_derivative_of_relator``
+return one, and ``phi_map(elem, rep)``, which multiplies each word out from
+the identity (O(L^2) for a relator of length L) and reads alpha from
+``rep.pres.abelian_exponents``, sends it to a LaurentPoly matrix.  These
+three are the symbolic reference the walk is tested against; nothing else
+in the package calls them.
 """
 
 from dataclasses import dataclass
@@ -76,64 +82,12 @@ def abelian_exponent(w, exps):
 
 
 # ---------------------------------------------------------------------------
-# group ring
-
-
-class GroupRingElement:
-    """Finite integer combination of reduced words."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {w: c for w, c in (terms or {}).items() if c != 0}
-
-    @classmethod
-    def from_word(cls, w, coeff=1):
-        return cls({tuple(w): coeff})
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            out[w] = out.get(w, 0) + c
-        return GroupRingElement(out)
-
-    def __neg__(self):
-        return GroupRingElement({w: -c for w, c in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement({w: c * other for w, c in self.terms.items()})
-        out = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                w = word_multiply(u, v)
-                out[w] = out.get(w, 0) + cu * cv
-        return GroupRingElement(out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return isinstance(other, GroupRingElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return f"GroupRingElement({self.terms})"
+# Fox derivatives
 
 
 def fox_derivative(w, j):
-    """Fox derivative d(w)/dx_j as a single left-to-right prefix scan."""
+    """Fox derivative d(w)/dx_j as a single left-to-right prefix scan, as a
+    {word: coefficient} dict without zero coefficients."""
     terms = {}
     prefix = ()
     for g, e in w:
@@ -145,7 +99,7 @@ def fox_derivative(w, j):
             prefix = word_multiply(prefix, ((g, -1),))
             if g == j:
                 terms[prefix] = terms.get(prefix, 0) - 1
-    return GroupRingElement(terms)
+    return {w: c for w, c in terms.items() if c}
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +120,10 @@ class Relator:
 def fox_derivative_of_relator(rel, j):
     """d(lhs)/dx_j - d(rhs)/dx_j; valid under Phi because Phi(lhs)=Phi(rhs)
     whenever the relator holds in the represented group."""
-    return fox_derivative(rel.lhs, j) - fox_derivative(rel.rhs, j)
+    terms = fox_derivative(rel.lhs, j)
+    for w, c in fox_derivative(rel.rhs, j).items():
+        terms[w] = terms.get(w, 0) - c
+    return {w: c for w, c in terms.items() if c}
 
 
 @dataclass(frozen=True)
@@ -236,29 +193,32 @@ class Representation:
         return blocks, (ends[0] - ends[1]).infnorm()
 
 
-def phi_map(elem, rep, exps):
+def phi_map(elem, rep):
     """The ring map Phi: each word w goes to rho(w) * t^alpha(w), extended
-    additively over integer combinations.  Returns a LaurentPoly matrix.
+    additively over a {word: int} dict.  Returns a LaurentPoly matrix.
     Each word is multiplied out letter by letter, independently of the
     relator walk in ``Representation``."""
     prec = rep.prec
-    total = Mat2(LaurentPoly.zero(prec), LaurentPoly.zero(prec),
-                 LaurentPoly.zero(prec), LaurentPoly.zero(prec))
+    total = Mat2(*[LaurentPoly.zero(prec)] * 4)
     with mp.workprec(prec):
-        for w, c in elem.terms.items():
+        for w, c in elem.items():
             M = Mat2.identity()
             for g, e in w:
                 M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
-            total = total + M.scaled(c).to_laurent(abelian_exponent(w, exps), prec)
+            exp = abelian_exponent(w, rep.pres.abelian_exponents)
+            total = total + M.scaled(c).to_laurent(exp, prec)
     return total
 
 
 def wada_denominator(pres, rep, k):
-    """det Phi(x_k - 1) as a LaurentPoly."""
+    """det Phi(x_k - 1) = det(rho(x_k) t^e - I) as a LaurentPoly, with e the
+    abelian exponent of x_k: 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, each
+    coefficient rounded once at ``rep.prec``."""
     if rep.pres != pres:
         raise ValueError("the representation is not one of this presentation")
-    block = rep.images[k].to_laurent(pres.abelian_exponents[k], rep.prec)
-    return (block - Mat2.identity().to_laurent(0, rep.prec)).det()
+    M, e = rep.images[k], pres.abelian_exponents[k]
+    with mp.workprec(rep.prec):
+        return LaurentPoly({0: 1, e: -(M.a11 + M.a22), 2 * e: M.det()}, rep.prec)
 
 
 def wada_numerator(pres, rep, remove_k):

@@ -45,6 +45,11 @@ def _check_prec(prec):
         raise ValueError(f"precision_bits must be >= {MIN_PREC}, got {prec}")
 
 
+def _check_n(n):
+    if n < 1:
+        raise ValueError("the family is implemented for n >= 1")
+
+
 class BivarPoly:
     """Integer polynomial in (s, m), stored sparsely as (s_exp, m_exp) -> int."""
 
@@ -161,16 +166,24 @@ def _sp(coeffs):
     return BivarPoly({(e, 0): c for e, c in coeffs.items()})
 
 
+def _sum(*monomials):
+    """The BivarPoly sum of ``(s_exp, m_exp, coeff)`` monomials.  Exponents
+    that depend on n must be added, not written as keys of one dict
+    literal: two keys that coincide at some n, like {2 * n: 1, 2: -1} at
+    n = 1, would keep only the last coefficient."""
+    terms = {}
+    for a, b, v in monomials:
+        terms[(a, b)] = terms.get((a, b), 0) + v
+    return BivarPoly(terms)
+
+
 @lru_cache(maxsize=None)
 def r0_polynomial(n):
     """The defining polynomial whose roots s parameterize the representations,
     assembled from its three distinct m-degree groups: the m^8 = m^0 group,
-    the m^6 = m^2 group, and the m^4 group."""
-    if n < 1:
-        raise ValueError("the family is implemented for n >= 1")
-    # n-dependent exponents are added as separate polynomials: in a dict
-    # literal a collision like {2 * n: 1, 2: -1} at n = 1 would silently
-    # keep only the last entry instead of summing the coefficients
+    the m^6 = m^2 group, and the m^4 group.  Like every builder here it
+    adds n-dependent monomials as separate polynomials (see ``_sum``)."""
+    _check_n(n)
     g8 = (_sp({1: 1, 0: -1}) * _sp({2: 1, 1: 2, 0: 1})
           * (_sp({2 * n: 1}) - _sp({2: 1}))).shift(s_exp=2 * n + 2)
     g6 = (_sp({6 * n + 3: 1})
@@ -187,7 +200,7 @@ def r0_polynomial(n):
 
 @lru_cache(maxsize=None)
 def alpha_polynomial(n):
-    inner = (-(_sp({1: 1, 0: -1}) * _sp({2 * n + 1: 1, 0: 1})).shift(s_exp=2, m_exp=6)
+    inner = (-(_sp({1: 1, 0: -1}) * (_sp({2 * n + 1: 1}) + _sp({0: 1}))).shift(s_exp=2, m_exp=6)
              + (_sp({4: 1, 2: -2, 1: 3, 0: -1}).shift(s_exp=2 * n + 2)
                 + _sp({4: 1, 3: -3, 2: 2, 0: -1})).shift(m_exp=4)
              - (_sp({3: 2, 2: -1, 0: 1}).shift(s_exp=2 * n)
@@ -203,29 +216,29 @@ def beta_polynomial(n):
           + (_sp({1: 1, 0: -1}) * _sp({3: 1, 1: 1, 0: 1})
              * _sp({3: 1, 2: 1, 0: 1})).shift(s_exp=2 * n - 2)
           - _sp({3: 1, 1: -1, 0: 1})).shift(s_exp=3, m_exp=5)
-    t3 = (_sp({3: 1, 0: 1}) * _sp({2 * n: 1, 0: -1})
+    t3 = (_sp({3: 1, 0: 1}) * (_sp({2 * n: 1}) - _sp({0: 1}))
           * (_sp({2 * n: 1}) + _sp({2: 1}))).shift(s_exp=2, m_exp=3)
     t1 = ((_sp({2 * n: 1}) - _sp({2: 1}))
-          * _sp({2 * n: 1, 1: 1})).shift(s_exp=3, m_exp=1)
+          * (_sp({2 * n: 1}) + _sp({1: 1}))).shift(s_exp=3, m_exp=1)
     return t7 - t5 + t3 - t1
 
 
 @lru_cache(maxsize=None)
 def h_polynomial(n):
-    return BivarPoly({(0, 0): 1, (1, 2): -1, (2 * n + 1, 2): 1, (2 * n + 2, 0): -1})
+    return _sum((0, 0, 1), (1, 2, -1), (2 * n + 1, 2, 1), (2 * n + 2, 0, -1))
 
 
 @lru_cache(maxsize=None)
 def eta1_polynomial(n):
-    a_fac = BivarPoly({(0, 1): 1, (2 * n + 1, 1): -1})
-    b_fac = BivarPoly({(2 * n, 0): 1, (2 * n, 2): 1})
+    a_fac = _sum((0, 1, 1), (2 * n + 1, 1, -1))
+    b_fac = _sum((2 * n, 0, 1), (2 * n, 2, 1))
     return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
 
 
 @lru_cache(maxsize=None)
 def eta2_polynomial(n):
-    a_fac = BivarPoly({(1, 1): -1, (2 * n + 1, 1): 1})
-    b_fac = BivarPoly({(2 * n, 0): -1, (2 * n + 1, 0): -1})
+    a_fac = _sum((1, 1, -1), (2 * n + 1, 1, 1))
+    b_fac = _sum((2 * n, 0, -1), (2 * n + 1, 0, -1))
     return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
 
 
@@ -233,11 +246,10 @@ def eta2_polynomial(n):
 def r1_polynomial(n):
     """The combination whose vanishing modulo r0 certifies the representation."""
     alpha, beta = alpha_polynomial(n), beta_polynomial(n)
-    t_aa = BivarPoly({(2 * n + 3, 3): 1, (1, 3): -1, (2 * n + 2, 1): -1, (2, 1): 1})
+    t_aa = _sum((2 * n + 3, 3, 1), (1, 3, -1), (2 * n + 2, 1, -1), (2, 1, 1))
     t_ab = (BivarPoly({(0, 2): 1, (0, 0): -1}) * BivarPoly({(0, 2): 1, (0, 0): 1})
-            * _sp({2 * n + 2: 1, 2 * n + 1: 1}))
-    t_bb = BivarPoly({(4 * n + 1, 3): 1, (2 * n + 1, 3): -1,
-                      (4 * n + 2, 1): -1, (2 * n, 1): 1})
+            * _sum((2 * n + 2, 0, 1), (2 * n + 1, 0, 1)))
+    t_bb = _sum((4 * n + 1, 3, 1), (2 * n + 1, 3, -1), (4 * n + 2, 1, -1), (2 * n, 1, 1))
     return -(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb
 
 
@@ -299,6 +311,7 @@ def _flags(n, m, s, values):
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     """The context at (n, m, s), with m and s rounded to ``prec`` bits and
     every derived quantity computed at ``prec``."""
+    _check_n(n)
     _check_prec(prec)
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
@@ -488,8 +501,7 @@ def select_root(records, root_index=None):
 
 def presentation_two_gen(n):
     """<a, c | (acac^-1)^(n-1) = c (acac^-1)^-1 (ac)^-1 c>."""
-    if n < 1:
-        raise ValueError("the family is implemented for n >= 1")
+    _check_n(n)
     a, c = gen(0), gen(1)
     w = word_multiply(a, c, a, word_invert(c))
     lhs = word_power(w, n - 1)
@@ -500,8 +512,7 @@ def presentation_two_gen(n):
 def presentation_three_gen(n):
     """<a, b, x | w^-1 x = x b w^-1 (a x b)^-1 x b,  x = w^n>  with
     w = a x b a (x b)^-1, from the surgery description."""
-    if n < 1:
-        raise ValueError("the family is implemented for n >= 1")
+    _check_n(n)
     a, b, x = gen(0), gen(1), gen(2)
     xb = word_multiply(x, b)
     w = word_multiply(a, x, b, a, word_invert(xb))

@@ -185,8 +185,7 @@ def test_derivative_expansion_matches_generic_fox(n):
     ctx = cached_contexts(n, STD_M[0])[0]
     rep = build_holonomy_rep(ctx, "two")
     pres = presentation_two_gen(n)
-    generic = phi_map(fox_derivative_of_relator(pres.relators[0], 0), rep,
-                      pres.abelian_exponents)
+    generic = phi_map(fox_derivative_of_relator(pres.relators[0], 0), rep)
     expansion = oracles.derivative_expansion_eq2(ctx)
     scale = 1 + max(e.infnorm() for e in generic.entries())
     for g, x in zip(generic.entries(), expansion.entries()):

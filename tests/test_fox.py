@@ -1,23 +1,50 @@
-"""Free-group words, Fox derivatives, abelianization, and the Phi map."""
+"""Free-group words, Fox derivatives, abelianization, and the Phi map.
+
+Group-ring elements are {word: int} dicts without zero coefficients, as
+``fox_derivative`` returns them; ``ring_add`` and ``ring_mul`` are the ring
+arithmetic the Fox-calculus identities below are stated in."""
 
 import random
 
 import pytest
 from mpmath import mp, mpf
 
-from talex import (GroupRingElement, Presentation, Relator, fox_derivative,
-                   phi_map, word_invert, word_multiply)
+from talex import (Mat2, Presentation, Relator, fox_derivative, phi_map,
+                   word_invert, word_multiply)
 from talex.fox import (abelian_exponent, fox_derivative_of_relator, gen,
                        reduce_word, wada_denominator, wada_numerator,
                        wada_polynomial, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import cached_contexts, eps, rho_of_word
+from conftest import STD_M, cached_contexts, eps, rho_of_word
 
 
 def rand_word(rng, num_gens=2, length=8):
     return reduce_word([(rng.randrange(num_gens), rng.choice((1, -1)))
                         for _ in range(length)])
+
+
+def ring_add(x, y, c=1):
+    """x + c*y in the group ring."""
+    out = dict(x)
+    for w, cy in y.items():
+        out[w] = out.get(w, 0) + c * cy
+    return {w: cw for w, cw in out.items() if cw}
+
+
+def ring_mul(x, y):
+    """x * y in the group ring: words multiply, coefficients convolve."""
+    out = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            out = ring_add(out, {word_multiply(u, v): cu * cv})
+    return out
+
+
+def max_entry_gap(P, Q):
+    """The largest infinity-norm of an entry of P - Q, for LaurentPoly
+    matrices."""
+    return max((p - q).infnorm() for p, q in zip(P.entries(), Q.entries()))
 
 
 # -- words ------------------------------------------------------------------
@@ -56,11 +83,10 @@ def test_abelian_exponent():
 
 
 def test_fox_derivative_generators():
-    assert fox_derivative(gen(0), 0) == GroupRingElement.from_word(())
-    assert fox_derivative(gen(0), 1) == GroupRingElement.zero()
+    assert fox_derivative(gen(0), 0) == {(): 1}
+    assert fox_derivative(gen(0), 1) == {}
     # d(x^-1)/dx = -x^-1
-    assert fox_derivative(gen(0, -1), 0) == GroupRingElement.from_word(
-        gen(0, -1), -1)
+    assert fox_derivative(gen(0, -1), 0) == {gen(0, -1): -1}
 
 
 def test_fox_derivative_worked_example():
@@ -69,10 +95,8 @@ def test_fox_derivative_worked_example():
     w = word_multiply(a, c, a, word_invert(c))
     da = fox_derivative(w, 0)
     dc = fox_derivative(w, 1)
-    assert da == (GroupRingElement.from_word(())
-                  + GroupRingElement.from_word(word_multiply(a, c)))
-    assert dc == (GroupRingElement.from_word(a)
-                  - GroupRingElement.from_word(w))
+    assert da == {(): 1, word_multiply(a, c): 1}
+    assert dc == {a: 1, w: -1}
 
 
 def test_fox_product_rule():
@@ -82,22 +106,22 @@ def test_fox_product_rule():
         uv = word_multiply(u, v)
         for j in range(2):
             lhs = fox_derivative(uv, j)
-            rhs = (fox_derivative(u, j)
-                   + GroupRingElement.from_word(u) * fox_derivative(v, j))
+            rhs = ring_add(fox_derivative(u, j),
+                           ring_mul({u: 1}, fox_derivative(v, j)))
             assert lhs == rhs, (u, v, j)
 
 
 def test_fox_fundamental_identity():
     """sum_j dw/dx_j (x_j - 1) = w - 1, exactly in the group ring."""
     rng = random.Random(271828)
-    one = GroupRingElement.from_word(())
+    one = {(): 1}
     for _ in range(25):
         w = rand_word(rng, num_gens=3, length=10)
-        total = GroupRingElement.zero()
+        total = {}
         for j in range(3):
-            xj = GroupRingElement.from_word(gen(j)) - one
-            total = total + fox_derivative(w, j) * xj
-        assert total == GroupRingElement.from_word(w) - one
+            xj = ring_add({gen(j): 1}, one, -1)
+            total = ring_add(total, ring_mul(fox_derivative(w, j), xj))
+        assert total == ring_add({w: 1}, one, -1)
 
 
 # -- presentations ----------------------------------------------------------
@@ -143,7 +167,7 @@ def test_relator_single_word_and_derivative():
     w = rel.as_single_word()
     assert abelian_exponent(w, (1, 1)) == 0
     d = fox_derivative_of_relator(rel, 0)
-    assert d == fox_derivative(rel.lhs, 0) - fox_derivative(rel.rhs, 0)
+    assert d == ring_add(fox_derivative(rel.lhs, 0), fox_derivative(rel.rhs, 0), -1)
 
 
 # -- Phi --------------------------------------------------------------------
@@ -152,30 +176,21 @@ def test_relator_single_word_and_derivative():
 def test_phi_is_ring_map_on_samples():
     ctx = cached_contexts(2, ("1.2", "0.4"))[0]
     rep = build_holonomy_rep(ctx, "two")
-    exps = (1, 5)
     rng = random.Random(99)
     for _ in range(6):
         u, v = rand_word(rng), rand_word(rng)
-        eu = GroupRingElement.from_word(u)
-        ev = GroupRingElement.from_word(v)
-        lhs = phi_map(eu * ev, rep, exps)
-        rhs = phi_map(eu, rep, exps) * phi_map(ev, rep, exps)
-        diff = max((lhs.entries()[k] - rhs.entries()[k]).infnorm()
-                   for k in range(4))
-        assert diff < eps(200) * (1 + rhs.infnorm())
+        lhs = phi_map(ring_mul({u: 1}, {v: 1}), rep)
+        rhs = phi_map({u: 1}, rep) * phi_map({v: 1}, rep)
+        assert max_entry_gap(lhs, rhs) < eps(200) * (1 + rhs.infnorm())
 
 
 def test_phi_additive():
     ctx = cached_contexts(2, ("1.2", "0.4"))[0]
     rep = build_holonomy_rep(ctx, "two")
-    exps = (1, 5)
     u = word_multiply(gen(0), gen(1))
-    e = GroupRingElement.from_word(u, 2) - GroupRingElement.from_word(gen(1), 3)
-    direct = phi_map(e, rep, exps)
-    parts = (phi_map(GroupRingElement.from_word(u), rep, exps) * 2
-             + phi_map(GroupRingElement.from_word(gen(1)), rep, exps) * (-3))
-    assert max((direct.entries()[k] - parts.entries()[k]).infnorm()
-               for k in range(4)) < eps(200)
+    direct = phi_map({u: 2, gen(1): -3}, rep)
+    parts = phi_map({u: 1}, rep) * 2 + phi_map({gen(1): 1}, rep) * (-3)
+    assert max_entry_gap(direct, parts) < eps(200)
 
 
 @pytest.mark.parametrize("n", (1, 2, 5))
@@ -186,11 +201,10 @@ def test_fox_scan_matches_symbolic_phi(n):
     for pres, kind in ((presentation_two_gen(n), "two"),
                        (presentation_three_gen(n), "three")):
         rep = build_holonomy_rep(ctx, kind)
-        exps = pres.abelian_exponents
         tol = mpf(2) ** -(rep.prec - 16)
         for rel, blocks in zip(pres.relators, rep.blocks):
             for j, block in enumerate(blocks):
-                ref = phi_map(fox_derivative_of_relator(rel, j), rep, exps)
+                ref = phi_map(fox_derivative_of_relator(rel, j), rep)
                 for got, want in zip(block.entries(), ref.entries()):
                     assert got.support() == want.support(), (kind, j)
                     assert (got - want).infnorm() <= tol * want.infnorm(), (kind, j)
@@ -209,6 +223,23 @@ def test_wada_denominator_meridian_factorization():
         assert abs(den.coeff(0) - 1) < eps(200)
         assert abs(den.coeff(2) - 1) < eps(200)
         assert abs(den.coeff(1) + (m + 1 / m)) < eps(200)
+
+
+@pytest.mark.parametrize("m_pair", STD_M)
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_wada_denominator_is_the_laurent_determinant(n, m_pair):
+    """The three written-out coefficients of ``wada_denominator`` are, bit
+    for bit, those of det(rho(x_k) t^e - I) built through Laurent-matrix
+    arithmetic, for every generator of both presentations at every
+    nondegenerate root."""
+    for ctx in cached_contexts(n, m_pair):
+        for kind in ("two", "three"):
+            rep = build_holonomy_rep(ctx, kind)
+            for k, e in enumerate(rep.pres.abelian_exponents):
+                block = rep.images[k].to_laurent(e, rep.prec)
+                ref = (block - Mat2.identity().to_laurent(0, rep.prec)).det()
+                den = wada_denominator(rep.pres, rep, k)
+                assert (den.prec, den.terms) == (ref.prec, ref.terms), (kind, k)
 
 
 def test_representation_inverses():

@@ -202,17 +202,40 @@ def test_r0_s_pm1_roots_exact(n):
 @pytest.mark.parametrize("n", range(1, 9))
 def test_r1_is_a_multiple_of_r0_exact(n):
     """r1 = Q r0 in Z[m^+-1][s]: r0's leading s-coefficient is exactly m^4,
-    so r0 m^-4 is monic in s and r1 divided by it leaves no remainder."""
+    so r0 m^-4 is monic in s and r1 divided by it leaves no remainder.  The
+    same holds for zeta_2, written out as ``zeta_vanishing`` computes it
+    from the exact H, eta_1, eta_2, alpha and beta, and zeta_1 is exactly
+    zero."""
     r0 = r0_polynomial(n)
     d = r0.s_degree()
     assert {b: v for (a, b), v in r0.terms.items() if a == d} == {4: 1}
-    _, rem = r1_polynomial(n).divmod_s(r0.shift(m_exp=-4))
+    monic = r0.shift(m_exp=-4)
+    _, rem = r1_polynomial(n).divmod_s(monic)
+    assert rem == BivarPoly()
+
+    def mono(s_exp, m_exp=0):
+        return BivarPoly({(s_exp, m_exp): 1})
+
+    one, s, m, S2 = mono(0), mono(1), mono(0, 1), mono(2 * n)
+    H, eta1, eta2 = h_polynomial(n), eta1_polynomial(n), eta2_polynomial(n)
+    alpha, beta = alpha_polynomial(n), beta_polynomial(n)
+    zeta1 = m * (m * m + one) * s * (s + one) * (
+        H * S2 * beta - s * (S2 - one) * eta1 - (s * S2 - one) * eta2)
+    zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
+             - (s * s - one) * (m * m * eta1 + m * m * s * s * s * eta1
+                                + s * eta2 + m * m * s * eta2))
+    assert zeta1 == BivarPoly()
+    assert zeta2 != BivarPoly()
+    _, rem = zeta2.divmod_s(monic)
     assert rem == BivarPoly()
 
 
 def test_r0_rejects_bad_n():
     with pytest.raises(ValueError):
         r0_polynomial(0)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            build_context(n, mpc(1.2, 0.4), mpc(0.3, 0.8))
 
 
 def test_r0_double_transcription():
@@ -259,6 +282,28 @@ def test_derived_constants_double_transcription():
             with mp.workprec(320):
                 d = abs(got - oracle(n, m, s))
                 assert d < eps(200) * (1 + scale)
+
+
+def test_builders_add_coinciding_monomials():
+    """At n <= 0 some n-dependent exponents meet fixed ones (H's s^(2n+2)
+    meets its constant 1 at n = -1, its m^2 s^(2n+1) meets m^2 s at n = 0):
+    each builder must add such monomials, not keep one of them, so it still
+    matches its oracle there.  r0 refuses n < 1 and is not built."""
+    rng = random.Random(45)
+    for n in (-3, -2, -1, 0):
+        for _ in range(3):
+            m, s = rand_ms(rng)
+            for poly, oracle in ((alpha_polynomial(n), oracles.alpha_value),
+                                 (beta_polynomial(n), oracles.beta_value),
+                                 (h_polynomial(n), oracles.h_value),
+                                 (eta1_polynomial(n), oracles.eta1_value),
+                                 (eta2_polynomial(n), oracles.eta2_value),
+                                 (r1_polynomial(n), oracles.r1_value)):
+                with mp.workprec(256):
+                    got, scale = poly.eval(m, s)
+                with mp.workprec(320):
+                    d = abs(got - oracle(n, m, s))
+                    assert d < eps(200) * (1 + scale), (n, oracle.__name__)
 
 
 def test_alpha_vanishes_at_s_one():

@@ -22,7 +22,6 @@ _FOX_REFERENCE = ("the symbolic Fox reference test_fox checks the scan against; 
 
 # Qualified name (or a class, for all its methods) -> why it may stay.
 ALLOWED = {
-    "fox.GroupRingElement": _FOX_REFERENCE,
     "fox.fox_derivative": _FOX_REFERENCE,
     "fox.fox_derivative_of_relator": _FOX_REFERENCE,
     "fox.phi_map": _FOX_REFERENCE,
