@@ -12,11 +12,12 @@ no precision of their own; a ``PretzelContext``, a ``Representation`` and a
 working precision enters ``mp.workprec`` with it and computes everything at
 that precision.  Only the entry points have a default precision:
 ``solve_s_roots``, ``build_context`` and ``verify_sweep`` take ``prec``,
-default ``DEFAULT_PREC`` = 256 bits, at least ``MIN_PREC`` = 64, both defined
-in ``talex.pretzel``.  Below them the precision is always passed on, never
-assumed: the functions of a context use ``PretzelContext.prec``, and the
-constructors ``Representation(pres, images, prec)``, which walks every
-relator of ``pres`` at ``prec`` once, and ``LaurentPoly`` require it.
+default ``DEFAULT_PREC`` = 256 bits, from ``MIN_PREC`` = 64 to ``MAX_PREC``
+= 4096, all defined in ``talex.pretzel``.  Below them the precision is
+always passed on, never assumed: the functions of a context use
+``PretzelContext.prec``, and the constructors ``Representation(pres,
+images, prec)``, which walks every relator of ``pres`` at ``prec`` once,
+and ``LaurentPoly`` require it.
 Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
 in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
 at their caller's ambient precision.  Inputs are rounded to the working
@@ -28,8 +29,7 @@ from .errors import (DegenerateContext, InexactDivision, NonConvergence,
                      TalexError)
 from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
                       normalize_delta)
-from .fox import (Presentation, Relator, Representation, fox_derivative,
-                  fox_derivative_of_relator, phi_map, wada_polynomial,
+from .fox import (Presentation, Relator, Representation, wada_polynomial,
                   word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
                       build_holonomy_rep, eval_r1, presentation_three_gen,
@@ -48,10 +48,8 @@ __all__ = [
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
-    "delta_prop32", "delta_theorem", "eval_r1", "fox_derivative",
-    "fox_derivative_of_relator", "genus_fiberedness_report",
-    "laurent_divide_exact", "lambda_coefficients",
-    "normalize_delta", "phi_map",
+    "delta_prop32", "delta_theorem", "eval_r1", "genus_fiberedness_report",
+    "laurent_divide_exact", "lambda_coefficients", "normalize_delta",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "select_root", "solve_s_roots", "verify_sweep",
     "wada_polynomial", "word_invert", "word_multiply", "zeta_vanishing",

@@ -30,8 +30,8 @@ from mpmath import mp, mpf
 from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
-from .pretzel import (DEFAULT_PREC, MIN_PREC, build_context, build_holonomy_rep,
-                      select_root, solve_s_roots)
+from .pretzel import (DEFAULT_PREC, MAX_N, _check_n, _check_prec, build_context,
+                      build_holonomy_rep, select_root, solve_s_roots)
 from .verify import m_at, max_pairwise_deviation, verify_sweep
 
 EXIT_OK = 0
@@ -42,8 +42,6 @@ EXIT_DEGENERATE = 4
 EXIT_INEXACT = 5
 EXIT_USAGE = 64
 EXIT_IOERR = 74
-
-ENV_PRECISION = "TALEX_PRECISION_BITS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,8 +67,24 @@ def _parse_m(text):
         re_str, im_str = text.split(",")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected RE,IM, got {text!r}")
-    _finite_float(re_str), _finite_float(im_str)
+    if (_finite_float(re_str), _finite_float(im_str)) == (0, 0):
+        raise argparse.ArgumentTypeError("m must be nonzero")
     return (re_str.strip(), im_str.strip())
+
+
+def _checked(check):
+    """An argparse type: int(text), refused unless ``check`` accepts it."""
+    def parse(text):
+        try:
+            value = int(text)
+            check(value)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return value
+    return parse
+
+
+_parse_n, _parse_prec = _checked(_check_n), _checked(_check_prec)
 
 
 def _join_dash_m(argv):
@@ -88,10 +102,10 @@ def _join_dash_m(argv):
 def _parse_range(text):
     try:
         lo, hi = text.split("..")
-        lo, hi = int(lo), int(hi)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A..B, got {text!r}")
-    if lo < 1 or hi < lo:
+    lo, hi = _parse_n(lo), _parse_n(hi)
+    if hi < lo:
         raise argparse.ArgumentTypeError(f"bad range {text!r}")
     return range(lo, hi + 1)
 
@@ -101,15 +115,14 @@ def build_parser():
                      description="Twisted Alexander polynomials of the "
                                  "(-2,3,2n+1)-pretzel knots")
     sub = parser.add_subparsers(dest="command", required=True)
-    # a string default goes through type=int like a command-line value, so
-    # a malformed environment value is a usage error
-    default_prec = os.environ.get(ENV_PRECISION, str(DEFAULT_PREC))
 
     def common(p):
-        p.add_argument("--n", type=int, required=True, help="family index, n >= 1")
+        p.add_argument("--n", type=_parse_n, required=True,
+                       help=f"family index, 1 <= n <= {MAX_N}")
         p.add_argument("--m", type=_parse_m, required=True,
                        help="meridian eigenvalue as RE,IM")
-        p.add_argument("--precision-bits", type=int, default=default_prec)
+        p.add_argument("--precision-bits", type=_parse_prec,
+                       default=DEFAULT_PREC)
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     p_roots = sub.add_parser("roots", help="enumerate roots of the defining polynomial")
@@ -124,7 +137,8 @@ def build_parser():
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--n-range", type=_parse_range, default=range(1, 6))
     p_verify.add_argument("--m", type=_parse_m, action="append", default=None)
-    p_verify.add_argument("--precision-bits", type=int, default=default_prec)
+    p_verify.add_argument("--precision-bits", type=_parse_prec,
+                          default=DEFAULT_PREC)
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.add_argument("--thorough", action="store_true",
                           help="run independence checks on every root, not "
@@ -134,23 +148,6 @@ def build_parser():
                           help="negative-control hook: offset every root by "
                                "EPS before checking")
     return parser
-
-
-def _validate(args):
-    if getattr(args, "n", 1) < 1:
-        _usage_error("--n must be >= 1")
-    if not MIN_PREC <= args.precision_bits <= 4096:
-        _usage_error(f"--precision-bits must lie in [{MIN_PREC}, 4096]")
-    m_opt = getattr(args, "m", None)
-    pairs = m_opt if isinstance(m_opt, list) else [m_opt] if m_opt else []
-    for re_str, im_str in pairs:
-        if float(re_str) == 0 and float(im_str) == 0:
-            _usage_error("m must be nonzero")
-
-
-def _usage_error(message):
-    print(f"error: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
 
 
 def _digits(prec):
@@ -318,15 +315,12 @@ def main(argv=None):
         return exc.code
     commands = {"roots": cmd_roots, "delta": cmd_delta, "verify": cmd_verify}
     try:
-        _validate(args)
         # the one working precision of the command; --m is parsed under it
         with mp.workprec(args.precision_bits):
             code = commands[args.command](args)
         # a reader that closed early is seen here at the latest
         sys.stdout.flush()
         return code
-    except SystemExit as exc:
-        return exc.code
     except BrokenPipeError:
         # nothing can be reported through the closed stream; point stdout at
         # the null device so the interpreter's final flush cannot fail again

@@ -23,13 +23,8 @@ those blocks; ``wada_denominator`` writes det(rho(x_k) t^e - I) out as
 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both raise ``ValueError`` for a
 representation of another presentation.
 
-An element of the integral group ring is a plain {word: int} dict without
-zero coefficients.  ``fox_derivative`` and ``fox_derivative_of_relator``
-return one, and ``phi_map(elem, rep)``, which multiplies each word out from
-the identity (O(L^2) for a relator of length L) and reads alpha from
-``rep.pres.abelian_exponents``, sends it to a LaurentPoly matrix.  These
-three are the symbolic reference the walk is tested against; nothing else
-in the package calls them.
+The symbolic Fox derivative in the group ring and the ring map Phi, which
+the walk is tested against, live with the tests (``tests/conftest.py``).
 """
 
 from dataclasses import dataclass
@@ -82,27 +77,6 @@ def abelian_exponent(w, exps):
 
 
 # ---------------------------------------------------------------------------
-# Fox derivatives
-
-
-def fox_derivative(w, j):
-    """Fox derivative d(w)/dx_j as a single left-to-right prefix scan, as a
-    {word: coefficient} dict without zero coefficients."""
-    terms = {}
-    prefix = ()
-    for g, e in w:
-        if e == 1:
-            if g == j:
-                terms[prefix] = terms.get(prefix, 0) + 1
-            prefix = word_multiply(prefix, ((g, 1),))
-        else:
-            prefix = word_multiply(prefix, ((g, -1),))
-            if g == j:
-                terms[prefix] = terms.get(prefix, 0) - 1
-    return {w: c for w, c in terms.items() if c}
-
-
-# ---------------------------------------------------------------------------
 # presentations
 
 
@@ -115,15 +89,6 @@ class Relator:
 
     def as_single_word(self):
         return word_multiply(self.lhs, word_invert(self.rhs))
-
-
-def fox_derivative_of_relator(rel, j):
-    """d(lhs)/dx_j - d(rhs)/dx_j; valid under Phi because Phi(lhs)=Phi(rhs)
-    whenever the relator holds in the represented group."""
-    terms = fox_derivative(rel.lhs, j)
-    for w, c in fox_derivative(rel.rhs, j).items():
-        terms[w] = terms.get(w, 0) - c
-    return {w: c for w, c in terms.items() if c}
 
 
 @dataclass(frozen=True)
@@ -170,9 +135,10 @@ class Representation:
 
         A letter x_j adds +rho(p) t^alpha(p) to block j with p the prefix
         before it; a letter x_j^-1 adds -rho(p) t^alpha(p) with p the prefix
-        through it.  The rhs enters with the opposite sign, as in
-        ``fox_derivative_of_relator``.  Prefix matrices are multiplied out
-        from the identity, so the last prefix of a side is rho(side)."""
+        through it.  The rhs enters with the opposite sign: d lhs - d rhs is
+        the relator's derivative wherever Phi(lhs) = Phi(rhs).  Prefix
+        matrices are multiplied out from the identity, so the last prefix of
+        a side is rho(side)."""
         exps = self.pres.abelian_exponents
         acc = [({}, {}, {}, {}) for _ in self.images]
         ends = []
@@ -191,23 +157,6 @@ class Representation:
         blocks = tuple(Mat2(*(LaurentPoly.from_mpc(d, self.prec) for d in a))
                        for a in acc)
         return blocks, (ends[0] - ends[1]).infnorm()
-
-
-def phi_map(elem, rep):
-    """The ring map Phi: each word w goes to rho(w) * t^alpha(w), extended
-    additively over a {word: int} dict.  Returns a LaurentPoly matrix.
-    Each word is multiplied out letter by letter, independently of the
-    relator walk in ``Representation``."""
-    prec = rep.prec
-    total = Mat2(*[LaurentPoly.zero(prec)] * 4)
-    with mp.workprec(prec):
-        for w, c in elem.items():
-            M = Mat2.identity()
-            for g, e in w:
-                M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
-            exp = abelian_exponent(w, rep.pres.abelian_exponents)
-            total = total + M.scaled(c).to_laurent(exp, prec)
-    return total
 
 
 def wada_denominator(pres, rep, k):

@@ -122,10 +122,6 @@ class LaurentPoly:
     def zero(cls, prec):
         return cls({}, prec)
 
-    @classmethod
-    def term(cls, coeff, exp, prec):
-        return cls({exp: coeff}, prec)
-
     # -- structure --------------------------------------------------------
 
     def _sweep(self):
@@ -312,11 +308,6 @@ class Mat2:
         """Inverse of a number-flavored matrix (adjugate over determinant)."""
         d = self.det()
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
-
-    def to_laurent(self, t_exp, prec):
-        """Embed a number matrix as a one-term LaurentPoly matrix M * t^k
-        at ``prec`` bits."""
-        return Mat2(*(LaurentPoly.term(e, t_exp, prec) for e in self.entries()))
 
     def infnorm(self):
         vals = []

@@ -21,8 +21,8 @@ from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
 from .errors import DegenerateContext, InexactDivision
 from .fox import wada_denominator, wada_numerator, wada_polynomial
 from .laurent import divide_with_remainder, normalize_delta
-from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, eval_r1,
-                      select_root, solve_s_roots)
+from .pretzel import (DEFAULT_PREC, _check_n, build_context, build_holonomy_rep,
+                      eval_r1, select_root, solve_s_roots)
 
 MAX_RETRY_PREC = 1024
 
@@ -176,8 +176,11 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     retry solves for the decimal m, not for its ``prec``-bit rounding.
     ``perturb_s`` offsets every root before checking; it exists as the
     negative-control hook, is expected to make the suite fail, and is never
-    retried.
+    retried.  Every n is checked before the first root is solved.
     """
+    ns = list(ns)
+    for n in ns:
+        _check_n(n)
     entries = []
     for n in ns:
         for m_strings in ms:

@@ -1,5 +1,12 @@
 """Shared fixtures and helpers: standard parameter sweeps, session-scoped
-caches, and evaluators of package objects that only the tests need.
+caches, evaluators of package objects that only the tests need, and the
+symbolic Fox reference.
+
+The reference works in the integral group ring, whose elements are plain
+{word: int} dicts without zero coefficients: ``fox_derivative`` and
+``fox_derivative_of_relator`` return one, and ``phi_map`` sends one to a
+LaurentPoly matrix word by word, independently of the relator walk in
+``talex.fox.Representation`` that the package computes the same images by.
 
 Root solving and the per-root check battery are the expensive parts of the
 suite, and several test modules (plus the acceptance criteria) need the
@@ -9,9 +16,10 @@ same (n, m) points, so both are memoized for the session.
 import pytest
 from mpmath import mp, mpc, mpf
 
-from talex import (BivarPoly, Mat2, build_holonomy_rep, delta_prop32,
-                   delta_theorem, presentation_two_gen, select_root,
-                   solve_s_roots, wada_polynomial)
+from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
+                   delta_prop32, delta_theorem, presentation_two_gen,
+                   select_root, solve_s_roots, wada_polynomial, word_multiply)
+from talex.fox import abelian_exponent
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -43,6 +51,65 @@ def rho_of_word(rep, w):
         for g, e in w:
             M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
         return M
+
+
+def to_laurent(M, t_exp, prec):
+    """A number matrix as the one-term LaurentPoly matrix M t^t_exp at
+    ``prec`` bits."""
+    return Mat2(*(LaurentPoly({t_exp: e}, prec) for e in M.entries()))
+
+
+def ring_add(x, y, c=1):
+    """x + c*y in the group ring."""
+    out = dict(x)
+    for w, cy in y.items():
+        out[w] = out.get(w, 0) + c * cy
+    return {w: cw for w, cw in out.items() if cw}
+
+
+def ring_mul(x, y):
+    """x * y in the group ring: words multiply, coefficients convolve."""
+    out = {}
+    for u, cu in x.items():
+        for v, cv in y.items():
+            out = ring_add(out, {word_multiply(u, v): cu * cv})
+    return out
+
+
+def fox_derivative(w, j):
+    """Fox derivative d(w)/dx_j as a single left-to-right prefix scan, as a
+    group-ring element."""
+    terms = {}
+    prefix = ()
+    for g, e in w:
+        if e == 1:
+            if g == j:
+                terms[prefix] = terms.get(prefix, 0) + 1
+            prefix = word_multiply(prefix, ((g, 1),))
+        else:
+            prefix = word_multiply(prefix, ((g, -1),))
+            if g == j:
+                terms[prefix] = terms.get(prefix, 0) - 1
+    return {w: c for w, c in terms.items() if c}
+
+
+def fox_derivative_of_relator(rel, j):
+    """d lhs/dx_j - d rhs/dx_j: the derivative of lhs rhs^-1 under Phi,
+    where Phi(lhs) = Phi(rhs)."""
+    return ring_add(fox_derivative(rel.lhs, j), fox_derivative(rel.rhs, j), -1)
+
+
+def phi_map(elem, rep):
+    """The ring map Phi on a group-ring element: each word w goes to
+    rho(w) t^alpha(w), summed with its coefficient, as a LaurentPoly
+    matrix at ``rep.prec``."""
+    prec = rep.prec
+    total = Mat2(*[LaurentPoly.zero(prec)] * 4)
+    with mp.workprec(prec):
+        for w, c in elem.items():
+            exp = abelian_exponent(w, rep.pres.abelian_exponents)
+            total = total + to_laurent(rho_of_word(rep, w).scaled(c), exp, prec)
+    return total
 
 
 def m_reversed(poly, degree):

@@ -4,16 +4,14 @@ replaces the fixtures.
     python tests/golden/capture.py DIR
 
 Each command of ``test_golden.COMMANDS`` runs in-process, as the test runs
-it, with ``TALEX_PRECISION_BITS`` cleared.  Its stdout is written to
-``DIR/<name>.out`` and one line per fixture gives ``numdiff``'s comparison
-with the committed one.  The exit code is 1 if any command's exit code
+it.  Its stdout is written to ``DIR/<name>.out`` and one line per fixture
+gives ``numdiff``'s comparison with the committed one.  The exit code is 1 if any command's exit code
 changed or any text other than numbers moved, and 0 otherwise; only then
 may the new files be copied over ``tests/golden/``.
 """
 
 import contextlib
 import io
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +29,6 @@ def main(argv):
         return 2
     out_dir = Path(argv[0])
     out_dir.mkdir(parents=True, exist_ok=True)
-    os.environ.pop(cli.ENV_PRECISION, None)
     ok = True
     for name, (command, expected_code) in sorted(COMMANDS.items()):
         stdout = io.StringIO()

@@ -19,6 +19,7 @@ from mpmath import mp
 
 from talex import LaurentPoly, Mat2
 from talex.pretzel import holonomy_matrices
+from conftest import to_laurent
 
 
 def r0_value(n, m, s):
@@ -232,10 +233,10 @@ def derivative_expansion_eq2(ctx):
         Wi = W.inverse()
         acc = Mat2.identity()
         for i in range(n - 1):
-            total = total + acc.to_laurent(2 * i, prec)
-            total = total + (acc * AXB).to_laurent(2 * i + 2 * n + 2, prec)
+            total = total + to_laurent(acc, 2 * i, prec)
+            total = total + to_laurent(acc * AXB, 2 * i + 2 * n + 2, prec)
             acc = acc * W
-        total = total + (XB * XB * A.inverse()).to_laurent(4 * n + 1, prec)
-        total = total + (XB * Wi).to_laurent(2 * n - 1, prec)
-        total = total + (XB * Wi * XB.inverse() * A.inverse()).to_laurent(-3, prec)
+        total = total + to_laurent(XB * XB * A.inverse(), 4 * n + 1, prec)
+        total = total + to_laurent(XB * Wi, 2 * n - 1, prec)
+        total = total + to_laurent(XB * Wi * XB.inverse() * A.inverse(), -3, prec)
     return total

@@ -43,10 +43,39 @@ def run(capsys, *argv):
     ("roots", "--n", "1", "--m", "-abc,0"),
     ("roots", "--n", "2", "--m", "abc,0"),
     ("verify", "--n-range", "1-3"),
+    ("roots", "--n", "100000000000", "--m", "1.2,0.4"),
+    ("delta", "--n", "17", "--m", "1.2,0.4"),
+    ("verify", "--n-range", "1..17"),
+    ("roots", "--n", "2", "--m", "1.2,0.4", "--precision-bits", "4097"),
 ))
 def test_usage_errors(capsys, argv):
     code, _, _ = run(capsys, *argv)
     assert code == cli.EXIT_USAGE
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("reached past the command-line checks")
+
+
+def test_n_range_refused_before_the_sweep(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_sweep", _must_not_run)
+    code, _, err = run(capsys, "verify", "--n-range", "1..17")
+    assert code == cli.EXIT_USAGE
+    assert f"n <= {pretzel.MAX_N}" in err
+
+
+def test_precision_refused_before_m_is_parsed(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "m_at", _must_not_run)
+    code, _, err = run(capsys, "roots", "--n", "1", "--m", "1.2,0.4",
+                       "--precision-bits", "1000000000000")
+    assert code == cli.EXIT_USAGE
+    assert "precision_bits" in err
+
+
+def test_verify_sweep_checks_every_n_first(monkeypatch):
+    monkeypatch.setattr(verify, "solve_s_roots", _must_not_run)
+    with pytest.raises(ValueError, match="n <= "):
+        verify.verify_sweep([1, pretzel.MAX_N + 1], [("1.2", "0.4")])
 
 
 def test_root_index_out_of_range(capsys):
@@ -137,20 +166,6 @@ def test_delta_degenerate_root_index(capsys):
                        "--root-index", str(flagged))
     assert code == cli.EXIT_DEGENERATE
     assert "degenerate" in err
-
-
-def test_precision_env_var(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_PRECISION, "128")
-    parser = cli.build_parser()
-    args = parser.parse_args(["delta", "--n", "2", "--m", "1.2,0.4"])
-    assert args.precision_bits == 128
-
-
-@pytest.mark.parametrize("value", ("abc", "16"))
-def test_bad_precision_env_var(capsys, monkeypatch, value):
-    monkeypatch.setenv(cli.ENV_PRECISION, value)
-    code, _, _ = run(capsys, "roots", "--n", "1", "--m", "1.2,0.4")
-    assert code == cli.EXIT_USAGE
 
 
 @pytest.mark.parametrize("method", ("fox", "all"))

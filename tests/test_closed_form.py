@@ -8,15 +8,15 @@ import random
 import pytest
 from mpmath import cos, mp, mpf, mpc, pi
 
-from talex import (LaurentPoly, build_context, delta_prop32,
-                   delta_theorem, fox_derivative_of_relator,
-                   genus_fiberedness_report, lambda_coefficients, phi_map,
+from talex import (LaurentPoly, build_context, delta_prop32, delta_theorem,
+                   genus_fiberedness_report, lambda_coefficients,
                    solve_s_roots, wada_polynomial, zeta_vanishing)
 from talex.errors import DegenerateContext
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
                            r0_polynomial)
-from conftest import STD_M, cached_contexts, eps, laurent_value, m_at
+from conftest import (STD_M, cached_contexts, eps, fox_derivative_of_relator,
+                      laurent_value, m_at, phi_map)
 
 import oracles
 

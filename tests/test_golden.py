@@ -44,8 +44,7 @@ COMMANDS = {
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_stdout(capsys, monkeypatch, name):
-    monkeypatch.delenv(cli.ENV_PRECISION, raising=False)
+def test_golden_stdout(capsys, name):
     command, expected_code = COMMANDS[name]
     code = cli.main(command.split())
     out = capsys.readouterr().out

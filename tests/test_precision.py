@@ -7,7 +7,7 @@ from mpmath import mp, mpc, mpf
 
 from talex import build_context, cli, solve_s_roots
 from talex.errors import NonConvergence
-from talex.pretzel import alpha_polynomial
+from talex.pretzel import MAX_PREC, alpha_polynomial
 from talex.verify import coefficient_deviation
 from conftest import STD_M, m_at, three_routes
 
@@ -34,10 +34,11 @@ def test_context_computes_at_its_own_precision():
 
 def test_precision_below_minimum_rejected():
     m = m_at("1.2", "0.4")
-    with pytest.raises(ValueError):
-        solve_s_roots(2, m, 32)
-    with pytest.raises(ValueError):
-        build_context(2, m, m_at("0.7", "0.5"), prec=32)
+    for prec in (32, MAX_PREC + 1):
+        with pytest.raises(ValueError):
+            solve_s_roots(2, m, prec)
+        with pytest.raises(ValueError):
+            build_context(2, m, m_at("0.7", "0.5"), prec=prec)
 
 
 def test_cli_parses_m_at_working_precision(capsys, monkeypatch):

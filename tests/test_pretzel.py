@@ -10,7 +10,7 @@ from mpmath import mp, mpf, mpc
 from talex import (DegenerateContext, build_context, delta_theorem,
                    select_root, solve_s_roots)
 from talex.errors import NonConvergence
-from talex.pretzel import (BivarPoly, alpha_polynomial, beta_polynomial,
+from talex.pretzel import (MAX_N, BivarPoly, alpha_polynomial, beta_polynomial,
                            build_holonomy_rep, certified_roots,
                            degeneracy_flags, eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
@@ -231,9 +231,10 @@ def test_r1_is_a_multiple_of_r0_exact(n):
 
 
 def test_r0_rejects_bad_n():
-    with pytest.raises(ValueError):
-        r0_polynomial(0)
-    for n in (0, -2):
+    for n in (0, MAX_N + 1):
+        with pytest.raises(ValueError):
+            r0_polynomial(n)
+    for n in (0, -2, MAX_N + 1):
         with pytest.raises(ValueError):
             build_context(n, mpc(1.2, 0.4), mpc(0.3, 0.8))
 

@@ -5,9 +5,9 @@ package's syntax trees and lists each function or method that no
 ``src/talex`` code names outside its own definition; ``__init__`` is not
 read, since its re-exports call nothing.  A method counts as used when some
 code names it as an attribute (``p.is_zero()``), any other function when
-some code names it bare or as an attribute (``fox.phi_map``).  Names are
-matched without their class, so a method shares its uses with every method
-of the same name.  Dunder methods are called by the language and are exempt.
+some code names it bare or as an attribute (``fox.wada_numerator``).
+Names are matched without their class, so a method shares its uses with
+every method of the same name.  Dunder methods are called by the language and are exempt.
 """
 
 import ast
@@ -17,14 +17,8 @@ import talex
 
 SRC = Path(talex.__file__).parent
 
-_FOX_REFERENCE = ("the symbolic Fox reference test_fox checks the scan against; "
-                  "it moves to tests/ once the benchmark stops tracing fox.phi_map")
-
 # Qualified name (or a class, for all its methods) -> why it may stay.
 ALLOWED = {
-    "fox.fox_derivative": _FOX_REFERENCE,
-    "fox.fox_derivative_of_relator": _FOX_REFERENCE,
-    "fox.phi_map": _FOX_REFERENCE,
     "cli._Parser.error": "argparse calls it on a malformed command line",
 }
 
