@@ -87,13 +87,14 @@ def _checked(check):
 _parse_n, _parse_prec = _checked(_check_n), _checked(_check_prec)
 
 
-def _join_dash_m(argv):
-    """``--m -1,0`` as ``--m=-1,0``: argparse reads a value that starts with
-    a dash and is not a plain negative number as an option."""
+def _join_dash_values(argv):
+    """``--m -1,0`` as ``--m=-1,0``, and so for ``--inject-perturbation``:
+    argparse takes a dash-led value other than a plain negative number for
+    an option."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--m" and re.match(r"-\.?\d", arg):
-            out[-1] = "--m=" + arg
+        if out and out[-1] in ("--m", "--inject-perturbation") and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
         else:
             out.append(arg)
     return out
@@ -310,7 +311,7 @@ def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(_join_dash_m(argv))
+        args = parser.parse_args(_join_dash_values(argv))
     except SystemExit as exc:
         return exc.code
     commands = {"roots": cmd_roots, "delta": cmd_delta, "verify": cmd_verify}

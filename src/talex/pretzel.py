@@ -1,30 +1,25 @@
 """Everything specific to the (-2,3,2n+1)-pretzel family K_n.
 
 The defining polynomial r0(m, s), the auxiliary quantities alpha, beta, H,
-eta_1, eta_2 and the certifying combination r1 are all kept as *exact*
-integer bivariate polynomials in (s, m), assembled term-by-term from their
-printed groupings.  Numerical evaluation happens only at the very end, so
-the same objects serve for exact structural checks (m-palindromicity,
-(s -+ 1) divisibility) and for high-precision evaluation.  Their one exact
-division is ``BivarPoly.divmod_s``, long division in s by a divisor monic
-in s; it deflates r0 to the solver's cofactor (``r0_cofactor``).
+eta_1, eta_2 and the certifying combination r1 are *exact* integer
+polynomials in (s, m).  Their printed groupings are written once, as forms
+in s, U = s^n and m (``FORMS``), and each builder substitutes U = s^n, so
+an identity between forms holds at every n: the tests prove r1 = Q r0,
+zeta_1 = 0, r0 | zeta_2 and both palindromies of r0 this way.  The one
+exact division, ``BivarPoly.divmod_s``, deflates r0 to the solver's
+cofactor (``r0_cofactor``).
 
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
-rows per (m, precision), Horner per root.  Each polynomial is specialised
-at m once per (m, precision) into a coefficient row and a magnitude row in
-s, each entry summed over its terms in a fixed order, so every evaluated
-bit depends only on the terms; at each root both rows are evaluated by
-Horner, giving the value and its scale (the sum of the term magnitudes).
-Every per-root evaluation at one m -- the solver's residuals and flags, the
-context values, r1 -- shares that specialisation, and the solver takes the
-cofactor's coefficient row from it.  ``solve_s_roots`` and
-``build_context`` take the working precision and enter it; the functions of
-a ``PretzelContext`` run at ``ctx.prec``; ``BivarPoly.eval`` and
-``degeneracy_flags`` run at their caller's ambient precision.  The
-precision policy lives here: ``DEFAULT_PREC`` is the default of the entry
-points, which accept precisions from ``MIN_PREC`` to ``MAX_PREC``.  The
-family index runs from 1 to ``MAX_N``, the largest n whose roots the
-solver certified at every m probed (at n = 17 it fails at m = 1.2+0.4i).
+rows per (m, precision), Horner per root, so every per-root evaluation at
+one m (the solver's residuals and flags, the context values, r1) shares one
+specialisation, and the solver takes the cofactor's row from it.
+``solve_s_roots`` and ``build_context`` take the working precision and
+enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
+``BivarPoly.eval`` and ``degeneracy_flags`` run at their caller's ambient
+precision.  ``DEFAULT_PREC`` is the default of the entry points, which
+accept precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
+from 1 to ``MAX_N``, the largest n whose roots the solver certified at
+every m probed (at n = 17 it fails at m = 1.2+0.4i).
 """
 
 from dataclasses import dataclass
@@ -100,9 +95,6 @@ class BivarPoly:
     def s_valuation(self):
         return min((a for a, _ in self.terms), default=None)
 
-    def m_degree(self):
-        return max((b for _, b in self.terms), default=None)
-
     def s_rows(self, m):
         """``(coefficients, magnitudes, valuation)`` at m: the polynomial in
         s is s^valuation times the coefficient row, listed leading first,
@@ -151,19 +143,20 @@ class BivarPoly:
         quot = {}
         for a in range(max(cols, default=d - 1), d - 1, -1):
             for b, v in cols.pop(a, {}).items():
-                quot[(a - d, b)] = v
-                for c, e, w in lower:
-                    col = cols.setdefault(a - d + c, {})
-                    col[b + e] = col.get(b + e, 0) - v * w
+                if v:  # a coefficient that cancelled leaves no quotient term
+                    quot[(a - d, b)] = v
+                    for c, e, w in lower:
+                        col = cols.setdefault(a - d + c, {})
+                        col[b + e] = col.get(b + e, 0) - v * w
         rem = {(a, b): v for a, col in cols.items() for b, v in col.items()}
         return BivarPoly(quot), BivarPoly(rem)
 
     def __repr__(self):
-        return f"BivarPoly({len(self.terms)} terms, s-deg {self.s_degree()}, m-deg {self.m_degree()})"
+        return f"BivarPoly({len(self.terms)} terms, s-deg {self.s_degree()})"
 
 
 # ---------------------------------------------------------------------------
-# the printed polynomials
+# the printed polynomials, for every n at once
 
 
 def _sp(coeffs):
@@ -171,79 +164,90 @@ def _sp(coeffs):
     return BivarPoly({(e, 0): c for e, c in coeffs.items()})
 
 
-def _sum(*monomials):
-    """The BivarPoly sum of ``(s_exp, m_exp, coeff)`` monomials.  Exponents
-    that depend on n must be added, not written as keys of one dict
-    literal: two keys that coincide at some n, like {2 * n: 1, 2: -1} at
-    n = 1, would keep only the last coefficient."""
+# The forms: the printed groupings of r0, alpha, beta, H and of the factors
+# of eta_1, eta_2 and r1 that carry n, as polynomials in s, U = s^n and m.
+# U is stored as s^_N (a Kronecker substitution): the exponent a + k n is
+# written a + k _N, and ``_at`` reads it back as (k, a), since |a| << _N.
+_N = 1000
+FORMS = {
+    "r0": ((_sp({1: 1, 0: -1}) * _sp({2: 1, 1: 2, 0: 1}) * _sp({2 * _N: 1, 2: -1})
+            * BivarPoly({(2 * _N + 2, 8): 1, (2 * _N + 2, 0): 1}))
+           - (_sp({6 * _N + 3: 1, 6: 1})
+              + _sp({6: 2, 5: 1, 4: -4, 3: 1, 2: 1, 1: -1, 0: -1}).shift(s_exp=4 * _N + 1)
+              - _sp({6: 1, 5: 1, 4: -1, 3: -1, 2: 4, 1: -1, 0: -2}).shift(s_exp=2 * _N + 2)
+              ) * BivarPoly({(0, 6): 1, (0, 2): 1})
+           + (_sp({2: 1, 0: 1}) * _sp({6 * _N + 2: 1, 5: 1})
+              + _sp({6: 1, 5: 2, 4: -3, 3: -2, 2: 6, 1: -4, 0: -2}).shift(s_exp=4 * _N + 3)
+              - _sp({6: 2, 5: 4, 4: -6, 3: 2, 2: 3, 1: -2, 0: -1}).shift(s_exp=2 * _N)
+              ).shift(m_exp=4)),
+    "alpha": (_sp({2: 1, 0: -1}) * (
+        -(_sp({1: 1, 0: -1}) * _sp({2 * _N + 1: 1, 0: 1})).shift(s_exp=2, m_exp=6)
+        + (_sp({4: 1, 2: -2, 1: 3, 0: -1}).shift(s_exp=2 * _N + 2)
+           + _sp({4: 1, 3: -3, 2: 2, 0: -1})).shift(m_exp=4)
+        - (_sp({3: 2, 2: -1, 0: 1}).shift(s_exp=2 * _N)
+           - _sp({3: 1, 1: -1, 0: 2}).shift(s_exp=1)).shift(s_exp=1, m_exp=2)
+        + _sp({2 * _N: 1, 2: -1}).shift(s_exp=2))).shift(s_exp=2 * _N),
+    "beta": ((_sp({2: 1, 0: -1}) * _sp({3: 1, 0: 1})).shift(s_exp=2 * _N + 2, m_exp=7)
+             - (_sp({3: 1, 2: -1, 0: 1}).shift(s_exp=4 * _N)
+                + (_sp({1: 1, 0: -1}) * _sp({3: 1, 1: 1, 0: 1})
+                   * _sp({3: 1, 2: 1, 0: 1})).shift(s_exp=2 * _N - 2)
+                - _sp({3: 1, 1: -1, 0: 1})).shift(s_exp=3, m_exp=5)
+             + (_sp({3: 1, 0: 1}) * _sp({2 * _N: 1, 0: -1})
+                * _sp({2 * _N: 1, 2: 1})).shift(s_exp=2, m_exp=3)
+             - (_sp({2 * _N: 1, 2: -1}) * _sp({2 * _N: 1, 1: 1})).shift(s_exp=3, m_exp=1)),
+    "H": BivarPoly({(0, 0): 1, (1, 2): -1, (2 * _N + 1, 2): 1, (2 * _N + 2, 0): -1}),
+    "eta1": (BivarPoly({(0, 1): 1, (2 * _N + 1, 1): -1}),
+             BivarPoly({(2 * _N, 0): 1, (2 * _N, 2): 1})),
+    "eta2": (BivarPoly({(1, 1): -1, (2 * _N + 1, 1): 1}),
+             BivarPoly({(2 * _N, 0): -1, (2 * _N + 1, 0): -1})),
+    "r1": (BivarPoly({(2 * _N + 3, 3): 1, (1, 3): -1, (2 * _N + 2, 1): -1, (2, 1): 1}),
+           BivarPoly({(0, 4): 1, (0, 0): -1}) * _sp({2 * _N + 2: 1, 2 * _N + 1: 1}),
+           BivarPoly({(4 * _N + 1, 3): 1, (2 * _N + 1, 3): -1,
+                      (4 * _N + 2, 1): -1, (2 * _N, 1): 1})),
+}
+
+
+def _at(form, n):
+    """The form at n: U = s^n, adding the monomials that coincide there."""
     terms = {}
-    for a, b, v in monomials:
-        terms[(a, b)] = terms.get((a, b), 0) + v
+    for (e, b), v in form.terms.items():
+        k = (e + _N // 2) // _N
+        key = (e + k * (n - _N), b)
+        terms[key] = terms.get(key, 0) + v
     return BivarPoly(terms)
 
 
 @lru_cache(maxsize=None)
 def r0_polynomial(n):
-    """The defining polynomial whose roots s parameterize the representations,
-    assembled from its three distinct m-degree groups: the m^8 = m^0 group,
-    the m^6 = m^2 group, and the m^4 group.  Like every builder here it
-    adds n-dependent monomials as separate polynomials (see ``_sum``)."""
+    """The defining polynomial whose roots s parameterize the representations."""
     _check_n(n)
-    g8 = (_sp({1: 1, 0: -1}) * _sp({2: 1, 1: 2, 0: 1})
-          * (_sp({2 * n: 1}) - _sp({2: 1}))).shift(s_exp=2 * n + 2)
-    g6 = (_sp({6 * n + 3: 1})
-          + _sp({6: 2, 5: 1, 4: -4, 3: 1, 2: 1, 1: -1, 0: -1}).shift(s_exp=4 * n + 1)
-          - _sp({6: 1, 5: 1, 4: -1, 3: -1, 2: 4, 1: -1, 0: -2}).shift(s_exp=2 * n + 2)
-          + _sp({6: 1}))
-    g4 = (_sp({2: 1, 0: 1}).shift(s_exp=6 * n + 2)
-          + _sp({6: 1, 5: 2, 4: -3, 3: -2, 2: 6, 1: -4, 0: -2}).shift(s_exp=4 * n + 3)
-          - _sp({6: 2, 5: 4, 4: -6, 3: 2, 2: 3, 1: -2, 0: -1}).shift(s_exp=2 * n)
-          + _sp({2: 1, 0: 1}).shift(s_exp=5))
-    return (g8.shift(m_exp=8) - g6.shift(m_exp=6) + g4.shift(m_exp=4)
-            - g6.shift(m_exp=2) + g8)
+    return _at(FORMS["r0"], n)
 
 
 @lru_cache(maxsize=None)
 def alpha_polynomial(n):
-    inner = (-(_sp({1: 1, 0: -1}) * (_sp({2 * n + 1: 1}) + _sp({0: 1}))).shift(s_exp=2, m_exp=6)
-             + (_sp({4: 1, 2: -2, 1: 3, 0: -1}).shift(s_exp=2 * n + 2)
-                + _sp({4: 1, 3: -3, 2: 2, 0: -1})).shift(m_exp=4)
-             - (_sp({3: 2, 2: -1, 0: 1}).shift(s_exp=2 * n)
-                - _sp({3: 1, 1: -1, 0: 2}).shift(s_exp=1)).shift(s_exp=1, m_exp=2)
-             + (_sp({2 * n: 1}) - _sp({2: 1})).shift(s_exp=2))
-    return (_sp({2: 1, 0: -1}) * inner).shift(s_exp=2 * n)
+    return _at(FORMS["alpha"], n)
 
 
 @lru_cache(maxsize=None)
 def beta_polynomial(n):
-    t7 = (_sp({2: 1, 0: -1}) * _sp({3: 1, 0: 1})).shift(s_exp=2 * n + 2, m_exp=7)
-    t5 = (_sp({3: 1, 2: -1, 0: 1}).shift(s_exp=4 * n)
-          + (_sp({1: 1, 0: -1}) * _sp({3: 1, 1: 1, 0: 1})
-             * _sp({3: 1, 2: 1, 0: 1})).shift(s_exp=2 * n - 2)
-          - _sp({3: 1, 1: -1, 0: 1})).shift(s_exp=3, m_exp=5)
-    t3 = (_sp({3: 1, 0: 1}) * (_sp({2 * n: 1}) - _sp({0: 1}))
-          * (_sp({2 * n: 1}) + _sp({2: 1}))).shift(s_exp=2, m_exp=3)
-    t1 = ((_sp({2 * n: 1}) - _sp({2: 1}))
-          * (_sp({2 * n: 1}) + _sp({1: 1}))).shift(s_exp=3, m_exp=1)
-    return t7 - t5 + t3 - t1
+    return _at(FORMS["beta"], n)
 
 
 @lru_cache(maxsize=None)
 def h_polynomial(n):
-    return _sum((0, 0, 1), (1, 2, -1), (2 * n + 1, 2, 1), (2 * n + 2, 0, -1))
+    return _at(FORMS["H"], n)
 
 
 @lru_cache(maxsize=None)
 def eta1_polynomial(n):
-    a_fac = _sum((0, 1, 1), (2 * n + 1, 1, -1))
-    b_fac = _sum((2 * n, 0, 1), (2 * n, 2, 1))
+    a_fac, b_fac = (_at(f, n) for f in FORMS["eta1"])
     return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
 
 
 @lru_cache(maxsize=None)
 def eta2_polynomial(n):
-    a_fac = _sum((1, 1, -1), (2 * n + 1, 1, 1))
-    b_fac = _sum((2 * n, 0, -1), (2 * n + 1, 0, -1))
+    a_fac, b_fac = (_at(f, n) for f in FORMS["eta2"])
     return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
 
 
@@ -251,10 +255,7 @@ def eta2_polynomial(n):
 def r1_polynomial(n):
     """The combination whose vanishing modulo r0 certifies the representation."""
     alpha, beta = alpha_polynomial(n), beta_polynomial(n)
-    t_aa = _sum((2 * n + 3, 3, 1), (1, 3, -1), (2 * n + 2, 1, -1), (2, 1, 1))
-    t_ab = (BivarPoly({(0, 2): 1, (0, 0): -1}) * BivarPoly({(0, 2): 1, (0, 0): 1})
-            * _sum((2 * n + 2, 0, 1), (2 * n + 1, 0, 1)))
-    t_bb = _sum((4 * n + 1, 3, 1), (2 * n + 1, 3, -1), (4 * n + 2, 1, -1), (2 * n, 1, 1))
+    t_aa, t_ab, t_bb = (_at(f, n) for f in FORMS["r1"])
     return -(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb
 
 
@@ -349,17 +350,14 @@ def eval_r1(ctx):
 @lru_cache(maxsize=None)
 def r0_cofactor(n):
     """(val, q) with r0 = s^val (s - 1)^2 (s + 1)^3 q exactly, in integer
-    arithmetic: one long division of r0 by that monic factor, whose
-    remainder must be 0.  These factors are present for every n; what
-    remains has simple roots at a generic m, so it is the polynomial the
-    solver works on.
+    arithmetic: one long division of r0 by that monic factor, s^val (s^5 +
+    s^4 - 2 s^3 - 2 s^2 + s + 1), whose remainder must be 0.  These factors
+    are present for every n; what remains has simple roots at a generic m,
+    so it is the polynomial the solver works on.
     """
     r0 = r0_polynomial(n)
     val = r0.s_valuation()
-    factor = BivarPoly({(val, 0): 1})
-    for root in (1, 1, -1, -1, -1):
-        factor = factor * _sp({1: 1, 0: -root})
-    q, rem = r0.divmod_s(factor)
+    q, rem = r0.divmod_s(_sp({5: 1, 4: 1, 3: -2, 2: -2, 1: 1, 0: 1}).shift(s_exp=val))
     if rem.terms:
         raise ArithmeticError(
             f"r0 at n={n} is not divisible by (s - 1)^2 (s + 1)^3")

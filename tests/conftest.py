@@ -112,6 +112,11 @@ def phi_map(elem, rep):
     return total
 
 
+def m_degree(poly):
+    """The largest m-exponent of a BivarPoly."""
+    return max(b for _, b in poly.terms)
+
+
 def m_reversed(poly, degree):
     """m^degree * p(1/m, s) for a BivarPoly p: its coefficients reversed in m."""
     return BivarPoly({(a, degree - b): v for (a, b), v in poly.terms.items()})

@@ -240,3 +240,32 @@ def derivative_expansion_eq2(ctx):
         total = total + to_laurent(XB * Wi, 2 * n - 1, prec)
         total = total + to_laurent(XB * Wi * XB.inverse() * A.inverse(), -3, prec)
     return total
+
+
+# The cofactors of r1 m^4 = Q r0 and zeta_2 m^4 = C r0 as identities in
+# Z[s^+-1, U, m^+-1] with U = s^n, each found once by exact long division
+# of the forms (see ``pretzel.FORMS``).  They are kept here, not divided
+# out in the test, because a long division by r0 that is not exact does not
+# stop early: its quotient fills every power of s between the degrees.
+# Written {(U-degree, m-degree): {s-degree: coefficient}}.
+R1_COFACTOR = {
+    (2, 5): {6: -1},
+    (2, 7): {7: 2, 5: -1, 4: 2},
+    (2, 9): {8: -1, 5: -2, 4: 1, 2: -1},
+    (2, 11): {7: 1, 5: -2, 4: 2, 3: 1, 2: -2, 1: 1},
+    (4, 5): {7: -1, 4: 1},
+    (4, 7): {8: 1, 6: -2, 5: 2, 3: -1},
+    (4, 9): {9: -1, 8: 4, 6: -6, 5: 6, 3: -4, 2: 1},
+    (4, 11): {9: -1, 7: -1, 6: -1, 5: 1, 4: 1, 2: 1},
+    (4, 13): {8: 1, 6: -1, 5: 1, 3: -1},
+    (6, 5): {5: 1},
+    (6, 7): {7: -2, 6: 1, 4: -2},
+    (6, 9): {9: 1, 7: -1, 6: 2, 3: 1},
+    (6, 11): {10: -1, 9: 2, 8: -1, 7: -2, 6: 2, 4: -1},
+}
+ZETA2_COFACTOR = {
+    (0, 5): {2: -1},
+    (0, 7): {3: 1, 1: -1, 0: 1},
+    (2, 5): {3: -1},
+    (2, 7): {5: 1, 4: -1, 2: 1},
+}

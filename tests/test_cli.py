@@ -373,6 +373,14 @@ def test_dash_leading_m_is_a_value(capsys, m):
     assert run(capsys, "roots", "--n", "1", f"--m={m}")[:2] == (code, out)
 
 
+def test_dash_leading_perturbation_is_a_value(capsys):
+    """An exponent-form negative EPS is a value too, not an option."""
+    argv = ("verify", "--n-range", "1..1", "--m", "1.2,0.4", "--format", "json")
+    code, out, _ = run(capsys, *argv, "--inject-perturbation", "-1e-3")
+    assert code == 1
+    assert run(capsys, *argv, "--inject-perturbation=-1e-3")[:2] == (code, out)
+
+
 def test_closed_reader_exits_74_without_traceback():
     fcntl = pytest.importorskip("fcntl")
     if not hasattr(fcntl, "F_SETPIPE_SZ"):

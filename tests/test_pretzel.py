@@ -3,6 +3,7 @@ representation construction, and the certification identities."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -10,15 +11,15 @@ from mpmath import mp, mpf, mpc
 from talex import (DegenerateContext, build_context, delta_theorem,
                    select_root, solve_s_roots)
 from talex.errors import NonConvergence
-from talex.pretzel import (MAX_N, BivarPoly, alpha_polynomial, beta_polynomial,
-                           build_holonomy_rep, certified_roots,
+from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
+                           beta_polynomial, build_holonomy_rep, certified_roots,
                            degeneracy_flags, eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            holonomy_matrices, presentation_three_gen,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
                            r1_polynomial)
 from conftest import (STD_M, cached_contexts, cached_roots, eps, m_at,
-                      m_reversed, rho_of_word)
+                      m_degree, m_reversed, rho_of_word)
 
 import oracles
 
@@ -76,7 +77,7 @@ def _gauss_mul(x, y):
 def _exact_value(poly, m, s, bits):
     """poly(m, s) for m = M / 2^bits and s = S / 2^bits, M and S Gaussian
     integers given as (re, im) pairs, as (re, im) Fractions."""
-    A, B = poly.s_degree(), poly.m_degree()
+    A, B = poly.s_degree(), m_degree(poly)
     mpow, spow = [(1, 0)], [(1, 0)]
     for _ in range(B):
         mpow.append(_gauss_mul(mpow[-1], m))
@@ -157,7 +158,7 @@ def test_r0_m_palindromic_exact(n):
     the coefficient of s^a m^b equals that of s^(d - a) m^b."""
     r0 = r0_polynomial(n)
     assert m_reversed(r0, 8) == r0
-    assert r0.m_degree() <= 8
+    assert m_degree(r0) <= 8
     assert all(b % 2 == 0 for (_, b) in r0.terms)
     _, q = r0_cofactor(n)
     d = q.s_degree()
@@ -199,6 +200,22 @@ def test_r0_s_pm1_roots_exact(n):
     assert q.s_degree() == {1: 6, 2: 8}.get(n, 6 * n - 6)
 
 
+def mono(s_exp, m_exp=0):
+    return BivarPoly({(s_exp, m_exp): 1})
+
+
+def zetas(H, eta1, eta2, alpha, beta, S2):
+    """zeta_1 and zeta_2 as ``zeta_vanishing`` writes them, over BivarPolys;
+    S2 stands for s^(2n)."""
+    one, s, m = mono(0), mono(1), mono(0, 1)
+    zeta1 = m * (m * m + one) * s * (s + one) * (
+        H * S2 * beta - s * (S2 - one) * eta1 - (s * S2 - one) * eta2)
+    zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
+             - (s * s - one) * (m * m * eta1 + m * m * s * s * s * eta1
+                                + s * eta2 + m * m * s * eta2))
+    return zeta1, zeta2
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_r1_is_a_multiple_of_r0_exact(n):
     """r1 = Q r0 in Z[m^+-1][s]: r0's leading s-coefficient is exactly m^4,
@@ -213,21 +230,100 @@ def test_r1_is_a_multiple_of_r0_exact(n):
     _, rem = r1_polynomial(n).divmod_s(monic)
     assert rem == BivarPoly()
 
-    def mono(s_exp, m_exp=0):
-        return BivarPoly({(s_exp, m_exp): 1})
-
-    one, s, m, S2 = mono(0), mono(1), mono(0, 1), mono(2 * n)
-    H, eta1, eta2 = h_polynomial(n), eta1_polynomial(n), eta2_polynomial(n)
-    alpha, beta = alpha_polynomial(n), beta_polynomial(n)
-    zeta1 = m * (m * m + one) * s * (s + one) * (
-        H * S2 * beta - s * (S2 - one) * eta1 - (s * S2 - one) * eta2)
-    zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
-             - (s * s - one) * (m * m * eta1 + m * m * s * s * s * eta1
-                                + s * eta2 + m * m * s * eta2))
+    zeta1, zeta2 = zetas(h_polynomial(n), eta1_polynomial(n), eta2_polynomial(n),
+                         alpha_polynomial(n), beta_polynomial(n), mono(2 * n))
     assert zeta1 == BivarPoly()
     assert zeta2 != BivarPoly()
     _, rem = zeta2.divmod_s(monic)
     assert rem == BivarPoly()
+
+
+# -- the same identities for every n at once, on the forms ------------------
+#
+# A form is a polynomial in s, U = s^n and m, stored with U = s^_N (see
+# ``pretzel.FORMS``).  An identity between forms holds at every integer n,
+# since the builders substitute U = s^n, a ring homomorphism.
+
+
+def u_split(form):
+    """{(k, a, b): v} for the terms v U^k s^a m^b of a form, each s-offset a
+    within _N/16.  A product's offsets are sums of its factors' offsets, so
+    the products below (whose factors' offsets add up to a few dozen at
+    most) keep theirs inside (-_N/2, _N/2), where equal BivarPolys are equal
+    forms."""
+    terms = {}
+    for (e, b), v in form.terms.items():
+        k = round(e / _N)
+        assert abs(e - k * _N) < _N // 16, f"s-offset of s^{e} too close to _N/2"
+        terms[(k, e - k * _N, b)] = v
+    return terms
+
+
+@lru_cache(maxsize=None)
+def forms():
+    """The forms of r0, alpha, beta, H, eta_1, eta_2 and r1, the last three
+    from the factors that ``FORMS`` keeps, each checked by ``u_split``."""
+    r0, alpha, beta, H = (FORMS[k] for k in ("r0", "alpha", "beta", "H"))
+    (a1, b1), (a2, b2) = FORMS["eta1"], FORMS["eta2"]
+    t_aa, t_ab, t_bb = FORMS["r1"]
+    out = dict(r0=r0, alpha=alpha, beta=beta, H=H,
+               eta1=a1 * alpha + b1 * beta, eta2=a2 * alpha + b2 * beta,
+               r1=-(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb)
+    for form in out.values():
+        u_split(form)
+    return out
+
+
+@pytest.mark.parametrize("n", range(-3, MAX_N + 1))
+def test_builders_are_the_forms_at_n(n):
+    """Each builder is its form at U = s^n, also where the monomials of a
+    form coincide (n <= 0); r0 refuses n < 1."""
+    builders = dict(r0=r0_polynomial, alpha=alpha_polynomial, beta=beta_polynomial,
+                    H=h_polynomial, eta1=eta1_polynomial, eta2=eta2_polynomial,
+                    r1=r1_polynomial)
+    for name, form in forms().items():
+        if n >= 1 or name != "r0":
+            assert builders[name](n) == _at(form, n), name
+
+
+def packed(groups):
+    """The form of {(U-degree, m-degree): {s-degree: coefficient}}."""
+    return BivarPoly({(k * _N + a, b): v
+                      for (k, b), row in groups.items() for a, v in row.items()})
+
+
+def test_r1_is_q_times_r0_for_every_n():
+    """r1 m^4 = Q r0 in Z[s^+-1, U, m^+-1]: r1 = 0 mod r0 at every n."""
+    Q = packed(oracles.R1_COFACTOR)
+    assert len(u_split(Q)) == 50
+    assert Q * forms()["r0"] == forms()["r1"].shift(m_exp=4)
+
+
+def test_zeta1_vanishes_for_every_n():
+    f = forms()
+    zeta1, _ = zetas(f["H"], f["eta1"], f["eta2"], f["alpha"], f["beta"], mono(2 * _N))
+    assert zeta1 == BivarPoly()
+
+
+def test_r0_divides_zeta2_for_every_n():
+    """zeta_2 m^4 = C r0 in Z[s^+-1, U, m^+-1]."""
+    f = forms()
+    _, zeta2 = zetas(f["H"], f["eta1"], f["eta2"], f["alpha"], f["beta"], mono(2 * _N))
+    C = packed(oracles.ZETA2_COFACTOR)
+    assert len(u_split(C)) == 8
+    assert C * f["r0"] == zeta2.shift(m_exp=4)
+
+
+def test_r0_m_palindromic_for_every_n():
+    """r0 = m^8 r0(1/m)."""
+    assert m_reversed(forms()["r0"], 8) == forms()["r0"]
+
+
+def test_r0_s_palindromic_for_every_n():
+    """r0 = s^9 U^6 r0(1/s, 1/U): at each n, r0 is palindromic in s of
+    degree 6n + 9, and so is its cofactor, as (s - 1)^2 (s + 1)^3 is."""
+    r0 = forms()["r0"]
+    assert BivarPoly({(9 + 6 * _N - e, b): v for (e, b), v in r0.terms.items()}) == r0
 
 
 def test_r0_rejects_bad_n():
@@ -254,8 +350,8 @@ def test_r0_double_transcription():
 
 def test_alpha_beta_double_transcription():
     rng = random.Random(43)
-    for n in (1, 2, 3):
-        for _ in range(10):
+    for n in range(1, MAX_N + 1):
+        for _ in range(3):
             m, s = rand_ms(rng)
             for poly, oracle in ((alpha_polynomial(n), oracles.alpha_value),
                                  (beta_polynomial(n), oracles.beta_value)):
@@ -268,21 +364,21 @@ def test_alpha_beta_double_transcription():
 
 def test_derived_constants_double_transcription():
     rng = random.Random(44)
-    n = 2
-    for _ in range(10):
-        m, s = rand_ms(rng)
-        pairs = (
-            (h_polynomial(n), oracles.h_value),
-            (eta1_polynomial(n), oracles.eta1_value),
-            (eta2_polynomial(n), oracles.eta2_value),
-            (r1_polynomial(n), oracles.r1_value),
-        )
-        for poly, oracle in pairs:
-            with mp.workprec(256):
-                got, scale = poly.eval(m, s)
-            with mp.workprec(320):
-                d = abs(got - oracle(n, m, s))
-                assert d < eps(200) * (1 + scale)
+    for n in range(1, MAX_N + 1):
+        for _ in range(2):
+            m, s = rand_ms(rng)
+            pairs = (
+                (h_polynomial(n), oracles.h_value),
+                (eta1_polynomial(n), oracles.eta1_value),
+                (eta2_polynomial(n), oracles.eta2_value),
+                (r1_polynomial(n), oracles.r1_value),
+            )
+            for poly, oracle in pairs:
+                with mp.workprec(256):
+                    got, scale = poly.eval(m, s)
+                with mp.workprec(320):
+                    d = abs(got - oracle(n, m, s))
+                    assert d < eps(200) * (1 + scale), (n, oracle.__name__)
 
 
 def test_builders_add_coinciding_monomials():
@@ -590,7 +686,7 @@ def test_smallest_member_degenerate_group_still_works():
     The roots of the correctly collapsed polynomial do carry
     representations, like every other member of the family."""
     r0 = r0_polynomial(1)
-    assert r0.m_degree() == 6  # the m^8 group is identically zero here
+    assert m_degree(r0) == 6  # the m^8 group is identically zero here
     assert r0.s_degree() == 13
     for m_pair in STD_M:
         ctxs = cached_contexts(1, m_pair)
