@@ -17,7 +17,10 @@ default ``DEFAULT_PREC`` = 256 bits, from ``MIN_PREC`` = 64 to ``MAX_PREC``
 always passed on, never assumed: the functions of a context use
 ``PretzelContext.prec``, and the constructors ``Representation(pres,
 images, prec)``, which walks every relator of ``pres`` at ``prec`` once,
-and ``LaurentPoly`` require it.
+and ``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` keeps an
+``mpc`` coefficient as it was computed and converts any other number at
+``prec``; it sweeps every polynomial it builds, so none holds a non-finite
+coefficient.
 Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
 in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
 at their caller's ambient precision.  Inputs are rounded to the working

@@ -336,10 +336,7 @@ def main(argv=None):
     except InexactDivision as exc:
         print(f"error: inexact division: {exc}", file=sys.stderr)
         return EXIT_INEXACT
-    except IndexError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as exc:
+    except (IndexError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

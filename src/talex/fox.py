@@ -154,7 +154,7 @@ class Representation:
                 if e == 1:
                     P, k = P * self.images[g], k + exps[g]
             ends.append(P)
-        blocks = tuple(Mat2(*(LaurentPoly.from_mpc(d, self.prec) for d in a))
+        blocks = tuple(Mat2(*(LaurentPoly(d, self.prec) for d in a))
                        for a in acc)
         return blocks, (ends[0] - ends[1]).infnorm()
 

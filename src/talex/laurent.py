@@ -1,7 +1,7 @@
 """Sparse Laurent polynomials and 2x2 matrices over them.
 
 A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
-carries its working precision ``prec``, which every constructor requires:
+carries its working precision ``prec``, which its one constructor requires:
 there is no default precision below the entry points of ``talex.pretzel``
 and ``talex.verify``.  Every operation on a polynomial computes at its
 precision (the larger one for two operands).  Sums, negation and long
@@ -11,16 +11,18 @@ Gaussian integers over one power of two (an ``mpc`` part is a mantissa
 times a power of two, so nothing is lost), multiplied and summed as Python
 integers, and each coefficient of the result is rounded once, to nearest.
 
-After every arithmetic operation coefficients with magnitude at most
-2^-(prec-8) relative to the polynomial's sup-norm are swept to structural
-zero, so supports stay finite and degree queries stay meaningful; the
-sweep also bounds the spread of an operand's exponents, so its integers
-stay near 2*prec bits.  The sweep compares squared magnitudes
-|c|^2 = re^2 + im^2 with the squared cut, so it takes no square root, and
-it refuses a non-finite coefficient with ``ValueError``: a NaN would
-otherwise fail every comparison and vanish, and an infinity would sweep
-every other term away.  Long division keeps the same rule for its partial
-remainders.
+Every polynomial is swept when it is built, whatever built it: a
+coefficient with magnitude at most 2^-(prec-8) relative to the sup-norm is
+dropped to structural zero, so supports stay finite and degree queries stay
+meaningful, and the spread of exponents stays bounded, so the exact
+products' integers stay near 2*prec bits.  The sweep compares squared
+magnitudes |c|^2 = re^2 + im^2 with the squared cut, so it takes no square
+root, and it is the one place that refuses a non-finite coefficient, with
+``ValueError``: a NaN would otherwise fail every comparison and vanish, and
+an infinity would sweep every other term away.  So no polynomial holds a
+non-finite coefficient, and the kernels (the exact products, long division)
+do not check for one again.  Long division drops its partial remainders by
+the same cut.
 
 ``Mat2`` is a 2x2 matrix whose entries are either all numbers
 (representation matrices, computed at the caller's ambient precision) or
@@ -58,13 +60,8 @@ def _sweep_cut2(norm2, prec):
 def _gaussian(poly):
     """The coefficients of ``poly`` as exact Gaussian integers over one power
     of two: returns ({e: (re, im)}, shift) with c_e = (re + i*im) * 2^shift,
-    where shift is the smallest mantissa exponent among the coefficients.
-    Raises ValueError on a non-finite coefficient, which mpmath stores with
-    mantissa 0 and would otherwise read as zero."""
+    where shift is the smallest mantissa exponent among the coefficients."""
     parts = [x for c in poly.terms.values() for x in c._mpc_]
-    for x in parts:
-        if not x[1] and x != fzero:
-            raise ValueError(f"non-finite Laurent coefficient {poly}")
     shift = min((x[2] for x in parts if x[1]), default=0)
 
     def integer(x):
@@ -94,45 +91,31 @@ def _rounded(acc, shift, prec):
     terms = {e: mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
                              from_man_exp(im, shift, prec, round_nearest)))
              for e, (re, im) in acc.items()}
-    return LaurentPoly.from_mpc(terms, prec)
+    return LaurentPoly(terms, prec)
 
 
 class LaurentPoly:
+    """A swept Laurent polynomial at precision ``prec``, built from a dict of
+    int exponents to numbers.  ``mpc`` coefficients are kept as they are,
+    without a copy or a rounding; any other number is converted to ``mpc``
+    at ``prec`` bits.  The dict is then swept into a new one, so the caller's
+    dict is never held, and a non-finite coefficient raises ValueError."""
+
     __slots__ = ("terms", "prec")
 
-    def __init__(self, terms, prec, sweep=True):
-        self.prec = prec
-        with mp.workprec(prec):
-            self.terms = {int(e): mpc(c) for e, c in terms.items()}
-            if sweep:
-                self._sweep()
-
-    # -- constructors -----------------------------------------------------
-
-    @classmethod
-    def from_mpc(cls, terms, prec):
-        """Take ownership of a dict of int exponents to ``mpc`` values and
-        sweep it once, without copying the coefficients."""
-        p = cls.__new__(cls)
-        p.terms, p.prec = terms, prec
-        p._sweep()
-        return p
-
-    @classmethod
-    def zero(cls, prec):
-        return cls({}, prec)
-
-    # -- structure --------------------------------------------------------
-
-    def _sweep(self):
-        abs2 = {e: _abs2(c, self.prec) for e, c in self.terms.items()}
+    def __init__(self, terms, prec):
+        if not all(isinstance(c, mpc) for c in terms.values()):
+            with mp.workprec(prec):
+                terms = {e: c if isinstance(c, mpc) else mpc(c)
+                         for e, c in terms.items()}
+        abs2 = {e: _abs2(c, prec) for e, c in terms.items()}
         norm2 = fzero
         for a2 in abs2.values():
             if mpf_gt(a2, norm2):
                 norm2 = a2
-        cut2 = _sweep_cut2(norm2, self.prec)
-        self.terms = {e: c for e, c in self.terms.items()
-                      if mpf_gt(abs2[e], cut2)}
+        cut2 = _sweep_cut2(norm2, prec)
+        self.terms = {e: c for e, c in terms.items() if mpf_gt(abs2[e], cut2)}
+        self.prec = prec
 
     def coeff(self, e):
         return self.terms.get(e, mpc(0))
@@ -156,27 +139,23 @@ class LaurentPoly:
             return max((abs(c) for c in self.terms.values()), default=mpf(0))
 
     def shifted(self, k):
-        return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec, sweep=False)
+        return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec)
 
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
             return other
-        if isinstance(other, (int, float, complex, mpf, mpc)):
-            return LaurentPoly({0: other}, self.prec, sweep=False)
-        return NotImplemented
+        return LaurentPoly({0: other}, self.prec)
 
     def __add__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         prec = max(self.prec, other.prec)
         out = dict(self.terms)
         with mp.workprec(prec):
             for e, c in other.terms.items():
                 out[e] = out[e] + c if e in out else c
-        return LaurentPoly.from_mpc(out, prec)
+        return LaurentPoly(out, prec)
 
     __radd__ = __add__
 
@@ -184,18 +163,14 @@ class LaurentPoly:
         # mpmath rounds even unary minus to the ambient precision
         with mp.workprec(self.prec):
             terms = {e: -c for e, c in self.terms.items()}
-        return LaurentPoly(terms, self.prec, sweep=False)
+        return LaurentPoly(terms, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         (a, sa), (b, sb) = _gaussian(self), _gaussian(other)
         acc = {}
         _convolve_into(acc, a, b, 1)
@@ -214,17 +189,14 @@ def divide_with_remainder(num, den):
     Returns (quotient, relative_remainder_norm).  The quotient support is
     contained in [num.min-den.min, num.max-den.max]; anything left after the
     sweep is the remainder, reported relative to ||num||_inf.  A partial
-    remainder at or below the sweep cut is dropped; a non-finite coefficient
-    or partial remainder raises ValueError.
+    remainder at or below the sweep cut is dropped.
     """
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
-    if not all(mp.isfinite(c) for p in (num, den) for c in p.terms.values()):
-        raise ValueError("non-finite coefficient in a Laurent division")
     num_norm = num.infnorm()
     if num_norm == 0:
-        return LaurentPoly.zero(prec), mpf(0)
+        return LaurentPoly({}, prec), mpf(0)
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp
     with mp.workprec(prec):
@@ -237,8 +209,9 @@ def divide_with_remainder(num, den):
             e = max(rem)
             if e - dmax < qmin:
                 break
-            co = rem.pop(e) / dlead
-            quot[e - dmax] = quot.get(e - dmax, 0) + co
+            # every step lowers the top exponent, so each quotient
+            # exponent is set once
+            co = quot[e - dmax] = rem.pop(e) / dlead
             for ee, vv in dtail:
                 k = e - dmax + ee
                 w = rem.get(k, 0) - co * vv
@@ -248,7 +221,7 @@ def divide_with_remainder(num, den):
                     del rem[k]
         rem_norm = max((abs(v) for v in rem.values()), default=mpf(0))
         rel_rem = rem_norm / num_norm
-    return LaurentPoly.from_mpc(quot, prec), rel_rem
+    return LaurentPoly(quot, prec), rel_rem
 
 
 def laurent_divide_exact(num, den):

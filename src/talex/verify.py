@@ -11,7 +11,7 @@ A failing point is retried at doubled precision, up to
 ``MAX_RETRY_PREC`` = 1024 bits, before being reported as failing.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
@@ -129,37 +129,6 @@ def check_context(ctx, independence=False):
     return out
 
 
-@dataclass
-class SweepEntry:
-    n: int
-    m: mpc
-    root_index: int
-    s: mpc
-    flags: frozenset
-    residual: object
-    checks: list = field(default_factory=list)
-    retried_at: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return all(c.passed for c in self.checks)
-
-    def as_dict(self):
-        def pair(z):
-            return [mpmath.nstr(z.real, 30), mpmath.nstr(z.imag, 30)]
-        return {
-            "n": self.n,
-            "m": pair(self.m),
-            "root_index": self.root_index,
-            "s": pair(self.s),
-            "flags": sorted(self.flags),
-            "residual": mpmath.nstr(mpf(self.residual), 6),
-            "checks": [c.as_dict() for c in self.checks],
-            "passed": self.passed,
-            "retried_at": self.retried_at,
-        }
-
-
 def m_at(m_strings, prec):
     """m from its (RE, IM) decimal strings, rounded at ``prec`` bits."""
     with mp.workprec(prec):
@@ -196,7 +165,7 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                 independence = thorough or idx == default_idx
                 entry = _check_one(n, m, idx, rec, prec, independence, perturb_s)
                 p2 = prec
-                while (not entry.passed and perturb_s is None
+                while (not entry["passed"] and perturb_s is None
                        and p2 < MAX_RETRY_PREC):
                     p2 = min(2 * p2, MAX_RETRY_PREC)
                     m2 = m_at(m_strings, p2)
@@ -206,23 +175,36 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                                    key=lambda r: abs(r.s - rec.s))
                     retried = _check_one(n, m2, idx, near, p2, independence,
                                          None)
-                    retried.retried_at = entry.retried_at + [p2]
+                    retried["retried_at"] += entry["retried_at"] + [p2]
                     entry = retried
                 entries.append(entry)
     return {
         "precision_bits": prec,
-        "entries": [e.as_dict() for e in entries],
-        "all_passed": all(e.passed for e in entries),
+        "entries": entries,
+        "all_passed": all(e["passed"] for e in entries),
     }
 
 
 def _check_one(n, m, idx, rec, prec, independence, perturb_s):
-    """The checks of root ``rec`` of r0(m, .), reported as root ``idx``."""
+    """The report entry of root ``rec`` of r0(m, .), reported as root
+    ``idx``: its checks, whether all passed, and no retries yet."""
     s = rec.s
     if perturb_s is not None:
         with mp.workprec(prec):
             s = s + perturb_s
     ctx = build_context(n, m, s, prec=prec, strict=False)
     checks = check_context(ctx, independence=independence)
-    return SweepEntry(n=n, m=m, root_index=idx, s=s, flags=rec.flags,
-                      residual=rec.residual, checks=checks)
+
+    def pair(z):
+        return [mpmath.nstr(z.real, 30), mpmath.nstr(z.imag, 30)]
+    return {
+        "n": n,
+        "m": pair(m),
+        "root_index": idx,
+        "s": pair(s),
+        "flags": sorted(rec.flags),
+        "residual": mpmath.nstr(mpf(rec.residual), 6),
+        "checks": [c.as_dict() for c in checks],
+        "passed": all(c.passed for c in checks),
+        "retried_at": [],
+    }

@@ -104,7 +104,7 @@ def phi_map(elem, rep):
     rho(w) t^alpha(w), summed with its coefficient, as a LaurentPoly
     matrix at ``rep.prec``."""
     prec = rep.prec
-    total = Mat2(*[LaurentPoly.zero(prec)] * 4)
+    total = Mat2(*[LaurentPoly({}, prec)] * 4)
     with mp.workprec(prec):
         for w, c in elem.items():
             exp = abelian_exponent(w, rep.pres.abelian_exponents)

@@ -224,7 +224,7 @@ def derivative_expansion_eq2(ctx):
     """
     n, prec = ctx.n, ctx.prec
     A, B, X = holonomy_matrices(ctx)
-    zero = LaurentPoly.zero(prec)
+    zero = LaurentPoly({}, prec)
     total = Mat2(zero, zero, zero, zero)
     with mp.workprec(prec):
         XB = X * B

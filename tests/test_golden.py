@@ -3,14 +3,17 @@ exactly the text stored in ``tests/golden/``.
 
 The fixtures are the README commands plus a Fox run at n = 5, a 128-bit
 run, the csv form of an all-methods run, a two-n ``verify`` report, a
-``--thorough`` one (independence values at every root) and the perturbed
-negative control, which must exit 1.  Every printed digit of every root,
+``--thorough`` one (independence values at every root), the perturbed
+negative control, which must exit 1, and the renderings the others leave
+out: ``roots`` as text and csv, ``delta`` as Fox-only json and as
+prop32-only csv, and ``verify`` as text.  Every printed digit of every root,
 coefficient and check value is part of the contract, and so is the exit
 code, so a change in the arithmetic's rounding shows up here.  To
 re-capture, run ``python tests/golden/capture.py DIR``: it writes every
 command's new stdout to DIR and compares each with its fixture through
 ``tests/golden/numdiff.py``, which fails if anything but the numbers moved
-and reports the largest relative change.
+and reports the largest relative change.  ``python tests/golden/outside.py``
+runs the same commands as ``python -m talex.cli`` from outside the checkout.
 """
 
 from decimal import Decimal
@@ -40,6 +43,14 @@ COMMANDS = {
     "verify_n1_perturbed_json": (
         "verify --n-range 1..1 --m 1.2,0.4 --inject-perturbation 1e-3 --format json",
         cli.EXIT_VERIFY_FAILED),
+    "roots_n3_csv": ("roots --n 3 --m 0.9,-0.2 --format csv", cli.EXIT_OK),
+    "roots_n1": ("roots --n 1 --m 1.2,0.4", cli.EXIT_OK),
+    "delta_n2_fox_json": ("delta --n 2 --m 1.2,0.4 --method fox --format json",
+                          cli.EXIT_OK),
+    "delta_n3_prop32_idx7_csv": (
+        "delta --n 3 --m 0.9,-0.2 --method prop32 --root-index 7 --format csv",
+        cli.EXIT_OK),
+    "verify_n1": ("verify --n-range 1..1 --m 1.2,0.4", cli.EXIT_OK),
 }
 
 

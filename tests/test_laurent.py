@@ -9,7 +9,8 @@ from mpmath import mp, mpf, mpc
 
 from talex import (InexactDivision, LaurentPoly, Mat2, build_holonomy_rep,
                    laurent, laurent_divide_exact, wada_polynomial)
-from talex.laurent import divide_with_remainder, normalize_delta, poly_mat_det
+from talex.laurent import (SWEEP_GUARD_BITS, divide_with_remainder, normalize_delta,
+                           poly_mat_det)
 from talex.pretzel import build_context, presentation_three_gen
 from talex.verify import coefficient_deviation
 from conftest import STD_M, cached_roots, eps, laurent_value
@@ -86,7 +87,7 @@ def test_division_detects_remainder():
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        divide_with_remainder(LaurentPoly({0: 1}, PREC), LaurentPoly.zero(PREC))
+        divide_with_remainder(LaurentPoly({0: 1}, PREC), LaurentPoly({}, PREC))
 
 
 def test_laurent_negative_exponents_division():
@@ -120,7 +121,7 @@ def test_mat2_poly_det_and_cofactor():
 
 def test_poly_mat_det_3x3_multiplicative():
     # det of a block-diagonal-ish product sanity: det(I) = 1
-    one, zero = LaurentPoly({0: 1}, PREC), LaurentPoly.zero(PREC)
+    one, zero = LaurentPoly({0: 1}, PREC), LaurentPoly({}, PREC)
     rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
     d = poly_mat_det(rows)
     assert d.support() == [0]
@@ -130,7 +131,7 @@ def test_poly_mat_det_3x3_multiplicative():
 def _leibniz_det(rows):
     """Sum over permutations of sign(perm) * prod_i rows[i][perm[i]]."""
     n = len(rows)
-    total = LaurentPoly.zero(PREC)
+    total = LaurentPoly({}, PREC)
     for perm in permutations(range(n)):
         inversions = sum(perm[a] > perm[b] for a in range(n) for b in range(a + 1, n))
         term = LaurentPoly({0: 1}, PREC) * (-1) ** inversions
@@ -196,32 +197,53 @@ def _exact_leibniz_det(rows):
 
 
 def _near_cut_poly(rng, prec):
-    """Random full-precision coefficients: at t^-4..t^-1 within a factor
-    2^+-2 of the sweep cut 2^-(prec-8), at t^0..t^3 of order 1, so the low
-    coefficients of a product of two of them sit near the product's cut."""
+    """Random full-precision coefficients: at t^1..t^3 of order 1, at t^0
+    smaller, at t^-4..t^-1 between 2 and 2^5 times the polynomial's own
+    sweep cut 2^-(prec-8) * ||p||, so the polynomial keeps them.  A product
+    of two of them then has low coefficients on both sides of its own cut:
+    at t^-4 (low times t^0) mostly below, at t^-3..t^-1 above."""
     def part(exp):
-        return mpf((rng.getrandbits(prec) - 2 ** (prec - 1), exp - prec))
+        # a prec-bit mantissa with its top bit set: |part| in [2^(exp-1), 2^exp)
+        man = 2 ** (prec - 1) + rng.getrandbits(prec - 1)
+        return mpf((rng.choice((-1, 1)) * man, exp - prec))
 
     with mp.workprec(prec):
-        terms = {}
-        for e in range(-4, 4):
-            exp = rng.choice((-prec + 6, -prec + 8, -prec + 10) if e < 0
-                             else (-40, -1, 0, 1))
-            terms[e] = mpc(part(exp), part(exp))
-    return LaurentPoly(terms, prec, sweep=False)
+        exps = {e: rng.choice((-1, 0, 1)) for e in (1, 2, 3)}
+        exps[0] = rng.choice((-40, -5, -3))
+        top = max(exps.values()) - prec + SWEEP_GUARD_BITS
+        exps.update({e: top + rng.choice((2, 3, 4)) for e in range(-4, 0)})
+        p = LaurentPoly({e: mpc(part(x), part(x)) for e, x in exps.items()}, prec)
+    assert p.support() == list(range(-4, 4))
+    return p
+
+
+def _cut_sides(exact, prec):
+    """How many of the exact coefficients lie within a factor 2^4 below the
+    sweep cut, and how many within 2^4 above it: (below, above)."""
+    abs2 = [re * re + im * im for re, im in exact.values()]
+    cut2 = max(abs2) / Fraction(4) ** (prec - SWEEP_GUARD_BITS)
+    below = sum(cut2 / 256 < a2 <= cut2 for a2 in abs2)
+    above = sum(cut2 < a2 <= cut2 * 256 for a2 in abs2)
+    return below, above
 
 
 @pytest.mark.parametrize("prec", (64, 192, 512))
 def test_mul_is_the_correctly_rounded_exact_convolution(prec):
     rng = random.Random(prec)
+    below = above = 0
     for _ in range(12):
         p, q = _near_cut_poly(rng, prec), _near_cut_poly(rng, prec)
         prod = p * q
-        assert _bits(prod) == _bits(_rounded(_exact_mul(_exact(p), _exact(q)), prec))
+        exact = _exact_mul(_exact(p), _exact(q))
+        assert _bits(prod) == _bits(_rounded(exact, prec))
+        b, a = _cut_sides(exact, prec)
+        below, above = below + b, above + a
         # the mpc loop rounds every multiply-add; it agrees to a few ulps of
         # the largest coefficient
         ref = _mpc_mul(p, q)
         assert (prod - ref).infnorm() <= eps(prec - 8) * ref.infnorm()
+    # the sweep decided near its cut, both ways
+    assert below and above
 
 
 def test_poly_mat_det_4x4_shared_minors():
@@ -238,16 +260,20 @@ def test_poly_mat_det_4x4_shared_minors():
 
 @pytest.mark.parametrize("bad", (mpf("nan"), mpf("inf"), mpc(0, "-inf")))
 def test_non_finite_coefficients_refused(bad):
-    with pytest.raises(ValueError):
-        LaurentPoly({0: 1, 2: bad}, PREC)
-    tainted = LaurentPoly({0: 1, 2: bad}, PREC, sweep=False)
-    finite = LaurentPoly({0: 1, 1: 2}, PREC)
-    with pytest.raises(ValueError):
-        tainted * finite
-    with pytest.raises(ValueError):
-        divide_with_remainder(tainted, finite)
-    with pytest.raises(ValueError):
-        divide_with_remainder(finite * finite, tainted)
+    """No polynomial holds a non-finite coefficient: building one raises
+    ValueError, whether directly or by lifting a scalar, and what shifts
+    and products return is finite."""
+    p = LaurentPoly({0: 1, 1: 2}, PREC)
+    for build in (lambda: LaurentPoly({0: 1, 2: bad}, PREC),
+                  lambda: p * bad, lambda: bad * p,
+                  lambda: p + bad, lambda: p - bad):
+        with pytest.raises(ValueError):
+            build()
+    # a product whose coefficients outgrow any float exponent stays finite
+    huge = LaurentPoly({0: mpf(2) ** 10 ** 6, 1: 1}, PREC) * p
+    assert huge.support() == [0, 1]
+    for q in (huge, huge.shifted(-5), -huge):
+        assert all(mp.isfinite(c) for c in q.terms.values())
 
 
 def test_exact_division_refuses_a_nan_remainder(monkeypatch):
