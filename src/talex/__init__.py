@@ -16,8 +16,9 @@ default ``DEFAULT_PREC`` = 256 bits, from ``MIN_PREC`` = 64 to ``MAX_PREC``
 = 4096, all defined in ``talex.pretzel``.  Below them the precision is
 always passed on, never assumed: the functions of a context use
 ``PretzelContext.prec``, and the constructors ``Representation(pres,
-images, prec)``, which walks every relator of ``pres`` at ``prec`` once,
-and ``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` keeps an
+images, prec)``, which walks every relator of ``pres`` once on Gaussian
+integers (each prefix product rounded to prec + 64 bits), and
+``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` keeps an
 ``mpc`` coefficient as it was computed and converts any other number at
 ``prec``; it sweeps every polynomial it builds, so none holds a non-finite
 coefficient.

@@ -18,6 +18,7 @@ byte-identical across runs for a fixed configuration.
 """
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -111,7 +112,10 @@ def _parse_range(text):
     return range(lo, hi + 1)
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built on the first call and then reused by
+    every ``main`` call of the process."""
     parser = _Parser(prog="talex",
                      description="Twisted Alexander polynomials of the "
                                  "(-2,3,2n+1)-pretzel knots")

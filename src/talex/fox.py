@@ -18,10 +18,18 @@ rho(p) t^alpha(p) over the prefixes p of w at the letters x_j^(+-1), so one
 left-to-right scan of each relator side, carrying the prefix matrix rho(p)
 and its t-exponent alpha(p), yields every column's block in O(L) matrix
 products for a side of length L, and its last prefix is rho(side), which
-gives the relation residual.  ``wada_numerator`` assembles A_rho_k from
-those blocks; ``wada_denominator`` writes det(rho(x_k) t^e - I) out as
-1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both raise ``ValueError`` for a
-representation of another presentation.
+gives the relation residual.
+
+The walk runs on Gaussian integers.  rho(x_j) and its inverse (computed in
+``mpc`` at ``rep.prec``) are read once, exactly, as integers over one power
+of two; each prefix product is an exact integer product rounded to
+prec + 64 bits; each block entry is the exact sum of its prefix entries,
+swept by the ``LaurentPoly`` cut; and the residual is taken from the exact
+end prefixes.  ``wada_numerator`` hands the blocks to ``poly_mat_det`` as
+they are, so nothing between the images and the determinant's coefficients
+is rounded at ``rep.prec``.  ``wada_denominator`` writes
+det(rho(x_k) t^e - I) out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both
+raise ``ValueError`` for a representation of another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
 the walk is tested against, live with the tests (``tests/conftest.py``).
@@ -30,9 +38,10 @@ the walk is tested against, live with the tests (``tests/conftest.py``).
 from dataclasses import dataclass
 
 from mpmath import mp
+from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
 
-from .laurent import (LaurentPoly, Mat2, laurent_divide_exact, normalize_delta,
-                      poly_mat_det)
+from .laurent import (LaurentPoly, _gaussian, laurent_divide_exact,
+                      normalize_delta, poly_mat_det, swept_gaussian)
 
 # ---------------------------------------------------------------------------
 # words
@@ -112,51 +121,103 @@ class Presentation:
 # representations and Phi
 
 
+PREFIX_GUARD_BITS = 64
+
+_IDENTITY = ((1, 0, 0, 0, 0, 0, 1, 0), 0)
+
+
+def _product(P, Q, bits):
+    """P Q of two Gaussian-integer matrices, each given as (parts, shift):
+    the re and im parts of a11, a12, a21, a22 over the one power of two
+    2^shift.  The product is exact, then rounded to nearest on one power
+    of two, so that its largest part has at most ``bits`` bits."""
+    (a, b, c, d, e, f, g, h), sp = P
+    (A, B, C, D, E, F, G, H), sq = Q
+    parts = (a * A - b * B + c * E - d * F, a * B + b * A + c * F + d * E,
+             a * C - b * D + c * G - d * H, a * D + b * C + c * H + d * G,
+             e * A - f * B + g * E - h * F, e * B + f * A + g * F + h * E,
+             e * C - f * D + g * G - h * H, e * D + f * C + g * H + h * G)
+    excess = max(map(abs, parts)).bit_length() - bits
+    if excess <= 0:
+        return parts, sp + sq
+    half = 1 << (excess - 1)
+    return tuple((x + half) >> excess for x in parts), sp + sq + excess
+
+
+def _residual(P, Q, prec):
+    """The largest entry magnitude of P - Q for Gaussian-integer matrices,
+    from the exact squared magnitudes, correctly rounded at ``prec``."""
+    (p, sp), (q, sq) = P, Q
+    base = min(sp, sq)
+    diff = [(x << (sp - base)) - (y << (sq - base)) for x, y in zip(p, q)]
+    d2 = max(re * re + im * im for re, im in zip(diff[0::2], diff[1::2]))
+    return mp.make_mpf(mpf_sqrt(from_man_exp(d2, 2 * base), prec, round_nearest))
+
+
 class Representation:
     """rho on the generators of ``pres``: one Mat2 of numbers per generator,
-    with the precision ``prec`` that every product of them is computed at.
+    with the precision ``prec`` that the walk and the Wada pipeline run at.
 
     Construction walks each relator once and keeps, per relator,
-    ``blocks``: Phi(d rel/dx_j) for every generator j, as LaurentPoly Mat2
-    blocks, and ``residuals``: the infinity-norm of rho(lhs) - rho(rhs)."""
+    ``blocks``: Phi(d rel/dx_j) for every generator j, as the four entry
+    polynomials (a11, a12, a21, a22) of the block, each an exact swept
+    Gaussian-integer dict {e: (re, im)} over the one power of two
+    2^``shift`` that all blocks share; and ``residuals``: the largest entry
+    magnitude of rho(lhs) - rho(rhs)."""
 
     def __init__(self, pres, images, prec):
         self.pres = pres
         self.images = tuple(images)
         self.prec = prec
         with mp.workprec(prec):
-            self._inverses = tuple(M.inverse() for M in self.images)
-            walks = [self._walk(rel) for rel in pres.relators]
-        self.blocks = tuple(blocks for blocks, _ in walks)
-        self.residuals = tuple(res for _, res in walks)
+            inverses = [M.inverse() for M in self.images]
+        self._exact = [_gaussian(M.entries()) for M in self.images]
+        self._exact_inverses = [_gaussian(M.entries()) for M in inverses]
+        walks = [self._walk(rel) for rel in pres.relators]
+        self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
+                         default=0)
+        self.blocks = tuple(self._blocks(terms) for terms, _ in walks)
+        self.residuals = tuple(_residual(*ends, prec) for _, ends in walks)
 
     def _walk(self, rel):
-        """One scan of each side of ``rel``: (its Fox blocks, its residual).
+        """One scan of each side of ``rel``: its Fox terms and the two end
+        prefixes rho(lhs), rho(rhs).
 
         A letter x_j adds +rho(p) t^alpha(p) to block j with p the prefix
         before it; a letter x_j^-1 adds -rho(p) t^alpha(p) with p the prefix
         through it.  The rhs enters with the opposite sign: d lhs - d rhs is
-        the relator's derivative wherever Phi(lhs) = Phi(rhs).  Prefix
-        matrices are multiplied out from the identity, so the last prefix of
-        a side is rho(side)."""
+        the relator's derivative wherever Phi(lhs) = Phi(rhs).  Each term is
+        (j, alpha(p), sign, rho(p)).  Prefix matrices are multiplied out
+        from the identity in Gaussian integers, each product rounded to
+        prec + 64 bits, so the last prefix of a side is rho(side)."""
         exps = self.pres.abelian_exponents
-        acc = [({}, {}, {}, {}) for _ in self.images]
-        ends = []
+        bits = self.prec + PREFIX_GUARD_BITS
+        terms, ends = [], []
         for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
-            P, k = Mat2.identity(), 0
+            P, k = _IDENTITY, 0
             for g, e in side:
                 if e == -1:
-                    P, k = P * self._inverses[g], k - exps[g]
-                for d, v in zip(acc[g], P.entries()):
-                    if sign != e:
-                        v = -v
-                    d[k] = d[k] + v if k in d else v
+                    P, k = _product(P, self._exact_inverses[g], bits), k - exps[g]
+                terms.append((g, k, sign * e, P))
                 if e == 1:
-                    P, k = P * self.images[g], k + exps[g]
+                    P, k = _product(P, self._exact[g], bits), k + exps[g]
             ends.append(P)
-        blocks = tuple(Mat2(*(LaurentPoly(d, self.prec) for d in a))
-                       for a in acc)
-        return blocks, (ends[0] - ends[1]).infnorm()
+        return terms, ends
+
+    def _blocks(self, terms):
+        """The Fox blocks of one relator from its walk's terms: each entry
+        the exact sum over 2^shift, then swept."""
+        acc = [({}, {}, {}, {}) for _ in self.images]
+        for g, k, sign, (parts, shift) in terms:
+            up = shift - self.shift
+            for d, re, im in zip(acc[g], parts[0::2], parts[1::2]):
+                re, im = sign * re << up, sign * im << up
+                if k in d:
+                    re0, im0 = d[k]
+                    re, im = re0 + re, im0 + im
+                d[k] = (re, im)
+        return tuple(tuple(swept_gaussian(d, self.prec) for d in block)
+                     for block in acc)
 
 
 def wada_denominator(pres, rep, k):
@@ -178,12 +239,12 @@ def wada_numerator(pres, rep, remove_k):
     rows = []
     for blocks in rep.blocks:
         top, bottom = [], []
-        for j, b in enumerate(blocks):
+        for j, (a11, a12, a21, a22) in enumerate(blocks):
             if j != remove_k:
-                top += [b.a11, b.a12]
-                bottom += [b.a21, b.a22]
+                top += [a11, a12]
+                bottom += [a21, a22]
         rows += [top, bottom]
-    return poly_mat_det(rows)
+    return poly_mat_det(rows, rep.shift, rep.prec)
 
 
 def wada_polynomial(pres, rep, remove_k):

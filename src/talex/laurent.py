@@ -1,4 +1,5 @@
-"""Sparse Laurent polynomials and 2x2 matrices over them.
+"""Sparse Laurent polynomials, their exact Gaussian-integer form, and 2x2
+number matrices.
 
 A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
 carries its working precision ``prec``, which its one constructor requires:
@@ -6,28 +7,32 @@ there is no default precision below the entry points of ``talex.pretzel``
 and ``talex.verify``.  Every operation on a polynomial computes at its
 precision (the larger one for two operands).  Sums, negation and long
 division run in ``mpc`` arithmetic under ``mp.workprec(prec)``.  Products
-and ``poly_mat_det`` are exact: each operand's coefficients are read as
-Gaussian integers over one power of two (an ``mpc`` part is a mantissa
-times a power of two, so nothing is lost), multiplied and summed as Python
-integers, and each coefficient of the result is rounded once, to nearest.
+are exact: each operand's coefficients are read as Gaussian integers over
+one power of two (an ``mpc`` part is a mantissa times a power of two, so
+nothing is lost), multiplied and summed as Python integers, and each
+coefficient of the result is rounded once, to nearest.
+
+``poly_mat_det`` takes its entries in that exact form, as {e: (re, im)}
+dicts over one power of two, and rounds only the determinant's
+coefficients: the Fox blocks of ``talex.fox`` reach it as the exact sums
+the relator walk made, never as ``mpc``.
 
 Every polynomial is swept when it is built, whatever built it: a
 coefficient with magnitude at most 2^-(prec-8) relative to the sup-norm is
 dropped to structural zero, so supports stay finite and degree queries stay
 meaningful, and the spread of exponents stays bounded, so the exact
-products' integers stay near 2*prec bits.  The sweep compares squared
-magnitudes |c|^2 = re^2 + im^2 with the squared cut, so it takes no square
-root, and it is the one place that refuses a non-finite coefficient, with
-``ValueError``: a NaN would otherwise fail every comparison and vanish, and
-an infinity would sweep every other term away.  So no polynomial holds a
-non-finite coefficient, and the kernels (the exact products, long division)
-do not check for one again.  Long division drops its partial remainders by
-the same cut.
+products' integers stay near 2*prec bits.  ``swept_gaussian`` is the same
+cut on exact coefficients.  The sweep compares squared magnitudes |c|^2 =
+re^2 + im^2 with the squared cut, so it takes no square root, and it is the
+one place that refuses a non-finite coefficient, with ``ValueError``: a NaN
+would otherwise fail every comparison and vanish, and an infinity would
+sweep every other term away.  So no polynomial holds a non-finite
+coefficient, and the kernels (the exact products, long division) do not
+check for one again.  Long division drops its partial remainders by the
+same cut.  Norms (``max_abs``, ``infnorm``, the division's remainder)
+compare squared magnitudes too and take one square root per value.
 
-``Mat2`` is a 2x2 matrix whose entries are either all numbers
-(representation matrices, computed at the caller's ambient precision) or
-all LaurentPolys (Phi-images); the two flavors share one class since the
-algebra is entrywise-generic.
+``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
 
 from dataclasses import dataclass
@@ -35,21 +40,39 @@ from itertools import combinations
 
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import (finf, fnan, from_man_exp, fzero, mpf_add, mpf_gt,
-                          mpf_mul, mpf_shift, round_nearest)
+                          mpf_mul, mpf_shift, mpf_sqrt, round_nearest)
 
 from .errors import InexactDivision
 
 SWEEP_GUARD_BITS = 8
 
 
-def _abs2(c, prec):
-    """|c|^2 of an ``mpc`` as a raw mpmath float, rounded at prec + 4 bits
-    like mpmath's own ``abs``; raises ValueError if c is not finite."""
-    re, im = c._mpc_
+def _abs2(z, prec):
+    """|z|^2 of a raw ``mpc`` pair z = (re, im) as a raw mpmath float,
+    rounded at prec + 4 bits like mpmath's own ``abs``; raises ValueError if
+    z is not finite."""
+    re, im = z
     a2 = mpf_add(mpf_mul(re, re), mpf_mul(im, im), prec + 4)
     if a2 in (finf, fnan):
-        raise ValueError(f"non-finite Laurent coefficient {c}")
+        raise ValueError(f"non-finite Laurent coefficient {mp.make_mpc(z)}")
     return a2
+
+
+def _largest(raw):
+    """The largest of some nonnegative raw mpmath floats (zero for none)."""
+    top = fzero
+    for x in raw:
+        if mpf_gt(x, top):
+            top = x
+    return top
+
+
+def max_abs(values, prec):
+    """max |c| over the ``mpc`` values at ``prec`` bits (0 for none),
+    correctly rounded: squared magnitudes are compared and one square root
+    is taken."""
+    norm2 = _largest(_abs2(c._mpc_, prec) for c in values)
+    return mp.make_mpf(mpf_sqrt(norm2, prec, round_nearest))
 
 
 def _sweep_cut2(norm2, prec):
@@ -57,11 +80,12 @@ def _sweep_cut2(norm2, prec):
     return mpf_shift(norm2, -2 * (prec - SWEEP_GUARD_BITS))
 
 
-def _gaussian(poly):
-    """The coefficients of ``poly`` as exact Gaussian integers over one power
-    of two: returns ({e: (re, im)}, shift) with c_e = (re + i*im) * 2^shift,
-    where shift is the smallest mantissa exponent among the coefficients."""
-    parts = [x for c in poly.terms.values() for x in c._mpc_]
+def _gaussian(values):
+    """Numbers as exact Gaussian integers over one power of two: returns
+    (parts, shift) with parts the flat list re0, im0, re1, im1, ... and
+    value k = (parts[2k] + i*parts[2k+1]) * 2^shift, where shift is the
+    smallest mantissa exponent among the parts."""
+    parts = [x for c in values for x in c._mpc_]
     shift = min((x[2] for x in parts if x[1]), default=0)
 
     def integer(x):
@@ -70,8 +94,24 @@ def _gaussian(poly):
             return 0
         return -(man << (exp - shift)) if sign else man << (exp - shift)
 
-    return {e: (integer(c._mpc_[0]), integer(c._mpc_[1]))
-            for e, c in poly.terms.items()}, shift
+    return [integer(x) for x in parts], shift
+
+
+def _gaussian_terms(poly):
+    """The coefficients of ``poly`` as ({e: (re, im)}, shift), read as
+    ``_gaussian`` reads them."""
+    parts, shift = _gaussian(poly.terms.values())
+    return dict(zip(poly.terms, zip(parts[0::2], parts[1::2]))), shift
+
+
+def swept_gaussian(terms, prec):
+    """Gaussian-integer coefficients {e: (re, im)} without those at or
+    below the sweep cut 2^-(prec-8) times the largest magnitude, the
+    ``LaurentPoly`` sweep on exact squared magnitudes."""
+    abs2 = {e: re * re + im * im for e, (re, im) in terms.items()}
+    norm2 = max(abs2.values(), default=0)
+    bits = 2 * (prec - SWEEP_GUARD_BITS)
+    return {e: c for e, c in terms.items() if abs2[e] << bits > norm2}
 
 
 def _convolve_into(acc, a, b, sign):
@@ -108,12 +148,8 @@ class LaurentPoly:
             with mp.workprec(prec):
                 terms = {e: c if isinstance(c, mpc) else mpc(c)
                          for e, c in terms.items()}
-        abs2 = {e: _abs2(c, prec) for e, c in terms.items()}
-        norm2 = fzero
-        for a2 in abs2.values():
-            if mpf_gt(a2, norm2):
-                norm2 = a2
-        cut2 = _sweep_cut2(norm2, prec)
+        abs2 = {e: _abs2(c._mpc_, prec) for e, c in terms.items()}
+        cut2 = _sweep_cut2(_largest(abs2.values()), prec)
         self.terms = {e: c for e, c in terms.items() if mpf_gt(abs2[e], cut2)}
         self.prec = prec
 
@@ -135,8 +171,7 @@ class LaurentPoly:
         return not self.terms
 
     def infnorm(self):
-        with mp.workprec(self.prec):
-            return max((abs(c) for c in self.terms.values()), default=mpf(0))
+        return max_abs(self.terms.values(), self.prec)
 
     def shifted(self, k):
         return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec)
@@ -171,7 +206,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        (a, sa), (b, sb) = _gaussian(self), _gaussian(other)
+        (a, sa), (b, sb) = _gaussian_terms(self), _gaussian_terms(other)
         acc = {}
         _convolve_into(acc, a, b, 1)
         return _rounded(acc, sa + sb, max(self.prec, other.prec))
@@ -215,12 +250,11 @@ def divide_with_remainder(num, den):
             for ee, vv in dtail:
                 k = e - dmax + ee
                 w = rem.get(k, 0) - co * vv
-                if mpf_gt(_abs2(w, prec), cut2):
+                if mpf_gt(_abs2(w._mpc_, prec), cut2):
                     rem[k] = w
                 elif k in rem:
                     del rem[k]
-        rem_norm = max((abs(v) for v in rem.values()), default=mpf(0))
-        rel_rem = rem_norm / num_norm
+        rel_rem = max_abs(rem.values(), prec) / num_norm
     return LaurentPoly(quot, prec), rel_rem
 
 
@@ -238,38 +272,24 @@ def laurent_divide_exact(num, den):
 
 
 class Mat2:
-    """2x2 matrix with number or LaurentPoly entries."""
+    """2x2 matrix of numbers (a representation matrix), computed at the
+    caller's ambient precision."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
 
     def __init__(self, a11, a12, a21, a22):
         self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
 
-    @classmethod
-    def identity(cls):
-        one, zero = mpc(1), mpc(0)
-        return cls(one, zero, zero, one)
-
     def entries(self):
         return (self.a11, self.a12, self.a21, self.a22)
 
-    def __add__(self, other):
-        return Mat2(self.a11 + other.a11, self.a12 + other.a12,
-                    self.a21 + other.a21, self.a22 + other.a22)
-
-    def __sub__(self, other):
-        return Mat2(self.a11 - other.a11, self.a12 - other.a12,
-                    self.a21 - other.a21, self.a22 - other.a22)
-
     def __mul__(self, other):
-        if isinstance(other, Mat2):
-            return Mat2(
-                self.a11 * other.a11 + self.a12 * other.a21,
-                self.a11 * other.a12 + self.a12 * other.a22,
-                self.a21 * other.a11 + self.a22 * other.a21,
-                self.a21 * other.a12 + self.a22 * other.a22,
-            )
-        return self.scaled(other)
+        return Mat2(
+            self.a11 * other.a11 + self.a12 * other.a21,
+            self.a11 * other.a12 + self.a12 * other.a22,
+            self.a21 * other.a11 + self.a22 * other.a21,
+            self.a21 * other.a12 + self.a22 * other.a22,
+        )
 
     def scaled(self, c):
         return Mat2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
@@ -278,39 +298,28 @@ class Mat2:
         return self.a11 * self.a22 - self.a12 * self.a21
 
     def inverse(self):
-        """Inverse of a number-flavored matrix (adjugate over determinant)."""
+        """Inverse (adjugate over determinant)."""
         d = self.det()
         return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
-    def infnorm(self):
-        vals = []
-        for e in self.entries():
-            vals.append(e.infnorm() if isinstance(e, LaurentPoly) else abs(e))
-        return max(vals)
 
+def poly_mat_det(rows, shift, prec):
+    """Determinant of a small square matrix of Laurent polynomials given as
+    exact Gaussian integers, by cofactor expansion along the top row, with
+    every minor computed once.
 
-def poly_mat_det(rows):
-    """Determinant of a small square LaurentPoly matrix by cofactor
-    expansion along the top row, with every minor computed once.
-
-    The minors of the bottom k rows, keyed by their sorted column tuple, are
-    expanded along their own top row from the minors of the bottom k-1 rows
-    (a 4x4 takes 28 products, not the 40 of the plain recursion).  Every
-    entry is converted once to Gaussian integers over the matrix's smallest
-    power of two, so each product, sign and sum of the expansion is exact;
-    each coefficient of the determinant is rounded once, to nearest at the
-    entries' largest precision, and the result is swept once.  The
+    Every entry is a dict {e: (re, im)} of coefficients (re + i*im) *
+    2^shift, one ``shift`` for the whole matrix.  The minors of the bottom
+    k rows, keyed by their sorted column tuple, are expanded along their own
+    top row from the minors of the bottom k-1 rows (a 4x4 takes 28 products,
+    not the 40 of the plain recursion).  Each product, sign and sum of the
+    expansion is exact; each coefficient of the determinant is rounded
+    once, to nearest at ``prec``, and the result is swept once.  The
     cancellation inside the expansion therefore costs no precision."""
     n = len(rows)
-    prec = max(p.prec for row in rows for p in row)
-    exact = [[_gaussian(p) for p in row] for row in rows]
-    base = min((s for row in exact for terms, s in row if terms), default=0)
-    ints = [[{e: (re << (s - base), im << (s - base))
-              for e, (re, im) in terms.items()} for terms, s in row]
-            for row in exact]
-    minors = {(j,): ints[-1][j] for j in range(n)}
+    minors = {(j,): rows[-1][j] for j in range(n)}
     for i in range(n - 2, -1, -1):
-        row = ints[i]
+        row = rows[i]
         wider = {}
         for cols in combinations(range(n), n - i):
             total = {}
@@ -319,7 +328,7 @@ def poly_mat_det(rows):
                                -1 if pos % 2 else 1)
             wider[cols] = total
         minors = wider
-    return _rounded(minors[tuple(range(n))], n * base, prec)
+    return _rounded(minors[tuple(range(n))], n * shift, prec)
 
 
 @dataclass

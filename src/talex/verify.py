@@ -15,12 +15,15 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import (fone, fzero, mpf_div, mpf_gt, mpf_mul, mpf_sqrt,
+                          mpf_sub, round_nearest)
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
 from .errors import DegenerateContext, InexactDivision
 from .fox import wada_denominator, wada_numerator, wada_polynomial
-from .laurent import divide_with_remainder, normalize_delta
+from .laurent import (_abs2, _largest, divide_with_remainder, max_abs,
+                      normalize_delta)
 from .pretzel import (DEFAULT_PREC, _check_n, build_context, build_holonomy_rep,
                       eval_r1, select_root, solve_s_roots)
 
@@ -57,14 +60,25 @@ class CheckOutcome:
 
 
 def coefficient_deviation(p, q):
-    """Max per-coefficient deviation relative to the coefficient scale."""
-    worst = mpf(0)
-    with mp.workprec(max(p.prec, q.prec)):
-        for e in set(p.terms) | set(q.terms):
-            a, b = p.coeff(e), q.coeff(e)
-            dev = abs(a - b) / max(mpf(1), abs(a), abs(b))
-            worst = max(worst, dev)
-    return worst
+    """Max per-coefficient deviation relative to the coefficient scale:
+    max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
+    precision.
+
+    Each difference is taken exactly, and the ratios are compared as
+    squared magnitudes (|d|^2 / max(1, |p_e|^2, |q_e|^2), cross-multiplied
+    exactly), so the call takes one division and one square root."""
+    prec = max(p.prec, q.prec)
+    zero = (fzero, fzero)
+    worst_d2, worst_s2 = fzero, fone
+    for e in p.terms.keys() | q.terms.keys():
+        a = p.terms[e]._mpc_ if e in p.terms else zero
+        b = q.terms[e]._mpc_ if e in q.terms else zero
+        d2 = _abs2((mpf_sub(a[0], b[0]), mpf_sub(a[1], b[1])), prec)
+        s2 = _largest((fone, _abs2(a, prec), _abs2(b, prec)))
+        if mpf_gt(mpf_mul(d2, worst_s2), mpf_mul(worst_d2, s2)):
+            worst_d2, worst_s2 = d2, s2
+    return mp.make_mpf(mpf_sqrt(mpf_div(worst_d2, worst_s2, prec + 4), prec,
+                                round_nearest))
 
 
 def max_pairwise_deviation(fox, theorem, prop32):
@@ -105,11 +119,11 @@ def check_context(ctx, independence=False):
         add("agreement", max_pairwise_deviation(fox, theorem, prop32))
 
         deg = 4 * ctx.n + 6
-        forced = max(abs(fox.poly.coeff(e)) for e in (1, 2, deg - 2, deg - 1))
-        add("structural_zeros", forced)
-        palin = max((abs(fox.poly.coeff(e) - fox.poly.coeff(deg - e))
-                     for e in range(deg + 1)), default=mpf(0))
-        add("palindromic", palin)
+        c = fox.poly.coeff
+        add("structural_zeros",
+            max_abs((c(e) for e in (1, 2, deg - 2, deg - 1)), ctx.prec))
+        add("palindromic",
+            max_abs((c(e) - c(deg - e) for e in range(deg + 1)), ctx.prec))
 
         report = genus_fiberedness_report(fox, ctx.n)
         out.append(CheckOutcome("monic_degree", report.fibered_consistent,

@@ -13,13 +13,18 @@ suite, and several test modules (plus the acceptance criteria) need the
 same (n, m) points, so both are memoized for the session.
 """
 
+import math
+from fractions import Fraction
+
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp
 
 from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
                    delta_prop32, delta_theorem, presentation_two_gen,
                    select_root, solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
+from talex.laurent import _rounded
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -42,21 +47,142 @@ def laurent_value(poly, t):
         return sum((c * t ** e for e, c in poly.terms.items()), mpc(0))
 
 
+def identity():
+    """The 2x2 identity matrix of numbers."""
+    return Mat2(mpc(1), mpc(0), mpc(0), mpc(1))
+
+
+def mat_add(P, Q):
+    """P + Q entrywise, for matrices of numbers or of LaurentPolys."""
+    return Mat2(*(p + q for p, q in zip(P.entries(), Q.entries())))
+
+
+def mat_sub(P, Q):
+    """P - Q entrywise, for matrices of numbers or of LaurentPolys."""
+    return Mat2(*(p - q for p, q in zip(P.entries(), Q.entries())))
+
+
+def mat_infnorm(M):
+    """The largest infinity-norm of an entry of a LaurentPoly matrix."""
+    return max(e.infnorm() for e in M.entries())
+
+
 def rho_of_word(rep, w):
-    """rho(w) multiplied out letter by letter from the identity, at
-    ``rep.prec``, the product order ``Representation`` walks a relator side
-    in."""
+    """rho(w) multiplied out letter by letter from the identity in ``mpc``
+    at ``rep.prec``."""
     with mp.workprec(rep.prec):
-        M = Mat2.identity()
+        M = identity()
         for g, e in w:
             M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
         return M
+
+
+def _fraction(x):
+    """A raw mpmath float as an exact Fraction."""
+    sign, man, exp, _ = x
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def exact_matrix(M):
+    """A number matrix as its 8 exact parts: re, im of a11, a12, a21, a22."""
+    return [_fraction(x) for c in M.entries() for x in c._mpc_]
+
+
+def exact_product(P, Q):
+    """The exact product of two matrices given by their 8 parts."""
+    def cmul(i, j):
+        return (P[i] * Q[j] - P[i + 1] * Q[j + 1],
+                P[i] * Q[j + 1] + P[i + 1] * Q[j])
+
+    out = []
+    for i, j, k, l in ((0, 0, 2, 4), (0, 2, 2, 6), (4, 0, 6, 4), (4, 2, 6, 6)):
+        (r1, i1), (r2, i2) = cmul(i, j), cmul(k, l)
+        out += [r1 + r2, i1 + i2]
+    return out
+
+
+def round_to_bits(parts, bits):
+    """Every part rounded to nearest (ties upward) on the one power of two
+    2^(t - bits), where 2^(t-1) <= max |part| < 2^t."""
+    top = max(map(abs, parts))
+    if not top:
+        return parts
+    t = top.numerator.bit_length() - top.denominator.bit_length()
+    while Fraction(2) ** t <= top:
+        t += 1
+    while Fraction(2) ** (t - 1) > top:
+        t -= 1
+    grid = Fraction(2) ** (t - bits)
+    return [math.floor(x / grid + Fraction(1, 2)) * grid for x in parts]
+
+
+def walked_rho_of_word(rep, w):
+    """rho(w) as the relator walk of ``talex.fox.Representation`` defines
+    it, computed here in exact Fractions: from the identity, letter by
+    letter, each exact product with rho(x_j) or with its ``mpc`` inverse at
+    ``rep.prec`` rounded to rep.prec + 64 bits.  Returns the 8 exact parts."""
+    with mp.workprec(rep.prec):
+        inverses = [M.inverse() for M in rep.images]
+    P = [Fraction(x) for x in (1, 0, 0, 0, 0, 0, 1, 0)]
+    for g, e in w:
+        M = rep.images[g] if e == 1 else inverses[g]
+        P = round_to_bits(exact_product(P, exact_matrix(M)), rep.prec + 64)
+    return P
+
+
+def walked_residual(rep, rel):
+    """The residual the walk defines for relator ``rel``: the largest entry
+    magnitude of rho(lhs) - rho(rhs) of ``walked_rho_of_word``, correctly
+    rounded at ``rep.prec``."""
+    lhs, rhs = (walked_rho_of_word(rep, side) for side in (rel.lhs, rel.rhs))
+    d = [x - y for x, y in zip(lhs, rhs)]
+    d2 = max(d[i] * d[i] + d[i + 1] * d[i + 1] for i in (0, 2, 4, 6))
+    den = d2.denominator
+    assert den & (den - 1) == 0   # dyadic
+    exact = mp.make_mpf(from_man_exp(d2.numerator, 1 - den.bit_length()))
+    with mp.workprec(rep.prec):
+        return mp.sqrt(exact)
+
+
+def mpc_walk_blocks(rep, rel, prec):
+    """The Fox blocks of relator ``rel`` by a relator walk in ``mpc`` at
+    ``prec`` bits: prefix matrices multiplied letter by letter, each block
+    coefficient summed term by term, every operation rounded at ``prec``.
+    The images are ``rep.images`` and their inverses are computed at
+    ``rep.prec``, as ``Representation`` computes them, so at ``prec`` =
+    ``rep.prec`` this is the walk in ``mpc`` that the Gaussian-integer walk
+    replaced, bit for bit, and at a high ``prec`` it is a reference walk of
+    the same rounded images."""
+    with mp.workprec(rep.prec):
+        inverses = [M.inverse() for M in rep.images]
+    exps = rep.pres.abelian_exponents
+    acc = [({}, {}, {}, {}) for _ in rep.images]
+    with mp.workprec(prec):
+        for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
+            P, k = identity(), 0
+            for g, e in side:
+                if e == -1:
+                    P, k = P * inverses[g], k - exps[g]
+                for d, v in zip(acc[g], P.entries()):
+                    v = v if sign == e else -v
+                    d[k] = d[k] + v if k in d else v
+                if e == 1:
+                    P, k = P * rep.images[g], k + exps[g]
+    return [Mat2(*(LaurentPoly(d, prec) for d in a)) for a in acc]
 
 
 def to_laurent(M, t_exp, prec):
     """A number matrix as the one-term LaurentPoly matrix M t^t_exp at
     ``prec`` bits."""
     return Mat2(*(LaurentPoly({t_exp: e}, prec) for e in M.entries()))
+
+
+def block_matrices(rep, i, prec=None):
+    """The Fox blocks of relator ``i`` of ``rep`` as LaurentPoly matrices,
+    each exact coefficient rounded once at ``prec`` bits (default
+    ``rep.prec``)."""
+    return [Mat2(*(_rounded(d, rep.shift, prec or rep.prec) for d in block))
+            for block in rep.blocks[i]]
 
 
 def ring_add(x, y, c=1):
@@ -108,7 +234,8 @@ def phi_map(elem, rep):
     with mp.workprec(prec):
         for w, c in elem.items():
             exp = abelian_exponent(w, rep.pres.abelian_exponents)
-            total = total + to_laurent(rho_of_word(rep, w).scaled(c), exp, prec)
+            total = mat_add(total, to_laurent(rho_of_word(rep, w).scaled(c),
+                                              exp, prec))
     return total
 
 

@@ -19,7 +19,7 @@ from mpmath import mp
 
 from talex import LaurentPoly, Mat2
 from talex.pretzel import holonomy_matrices
-from conftest import to_laurent
+from conftest import identity, mat_add, to_laurent
 
 
 def r0_value(n, m, s):
@@ -226,19 +226,20 @@ def derivative_expansion_eq2(ctx):
     A, B, X = holonomy_matrices(ctx)
     zero = LaurentPoly({}, prec)
     total = Mat2(zero, zero, zero, zero)
+    terms = []
     with mp.workprec(prec):
         XB = X * B
         AXB = A * XB
         W = AXB * A * XB.inverse()
         Wi = W.inverse()
-        acc = Mat2.identity()
+        acc = identity()
         for i in range(n - 1):
-            total = total + to_laurent(acc, 2 * i, prec)
-            total = total + to_laurent(acc * AXB, 2 * i + 2 * n + 2, prec)
+            terms += [(acc, 2 * i), (acc * AXB, 2 * i + 2 * n + 2)]
             acc = acc * W
-        total = total + to_laurent(XB * XB * A.inverse(), 4 * n + 1, prec)
-        total = total + to_laurent(XB * Wi, 2 * n - 1, prec)
-        total = total + to_laurent(XB * Wi * XB.inverse() * A.inverse(), -3, prec)
+        terms += [(XB * XB * A.inverse(), 4 * n + 1), (XB * Wi, 2 * n - 1),
+                  (XB * Wi * XB.inverse() * A.inverse(), -3)]
+        for M, e in terms:
+            total = mat_add(total, to_laurent(M, e, prec))
     return total
 
 

@@ -8,14 +8,15 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from talex import Mat2, Presentation, Relator, word_invert, word_multiply
+from talex import Presentation, Relator, word_invert, word_multiply
 from talex.fox import (abelian_exponent, gen, reduce_word, wada_denominator,
                        wada_numerator, wada_polynomial, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import (STD_M, cached_contexts, eps, fox_derivative,
-                      fox_derivative_of_relator, phi_map, rho_of_word,
-                      ring_add, ring_mul, to_laurent)
+from conftest import (STD_M, block_matrices, cached_contexts, eps,
+                      fox_derivative, fox_derivative_of_relator, identity,
+                      mat_add, mat_infnorm, mat_sub, mpc_walk_blocks, phi_map,
+                      rho_of_word, ring_add, ring_mul, to_laurent)
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -163,7 +164,7 @@ def test_phi_is_ring_map_on_samples():
         u, v = rand_word(rng), rand_word(rng)
         lhs = phi_map(ring_mul({u: 1}, {v: 1}), rep)
         rhs = phi_map({u: 1}, rep) * phi_map({v: 1}, rep)
-        assert max_entry_gap(lhs, rhs) < eps(200) * (1 + rhs.infnorm())
+        assert max_entry_gap(lhs, rhs) < eps(200) * (1 + mat_infnorm(rhs))
 
 
 def test_phi_additive():
@@ -171,7 +172,8 @@ def test_phi_additive():
     rep = build_holonomy_rep(ctx, "two")
     u = word_multiply(gen(0), gen(1))
     direct = phi_map({u: 2, gen(1): -3}, rep)
-    parts = phi_map({u: 1}, rep) * 2 + phi_map({gen(1): 1}, rep) * (-3)
+    parts = mat_add(phi_map({u: 1}, rep).scaled(2),
+                    phi_map({gen(1): 1}, rep).scaled(-3))
     assert max_entry_gap(direct, parts) < eps(200)
 
 
@@ -184,8 +186,8 @@ def test_fox_scan_matches_symbolic_phi(n):
                        (presentation_three_gen(n), "three")):
         rep = build_holonomy_rep(ctx, kind)
         tol = mpf(2) ** -(rep.prec - 16)
-        for rel, blocks in zip(pres.relators, rep.blocks):
-            for j, block in enumerate(blocks):
+        for i, rel in enumerate(pres.relators):
+            for j, block in enumerate(block_matrices(rep, i)):
                 ref = phi_map(fox_derivative_of_relator(rel, j), rep)
                 for got, want in zip(block.entries(), ref.entries()):
                     assert got.support() == want.support(), (kind, j)
@@ -219,7 +221,7 @@ def test_wada_denominator_is_the_laurent_determinant(n, m_pair):
             rep = build_holonomy_rep(ctx, kind)
             for k, e in enumerate(rep.pres.abelian_exponents):
                 block = to_laurent(rep.images[k], e, rep.prec)
-                ref = (block - to_laurent(Mat2.identity(), 0, rep.prec)).det()
+                ref = mat_sub(block, to_laurent(identity(), 0, rep.prec)).det()
                 den = wada_denominator(rep.pres, rep, k)
                 assert (den.prec, den.terms) == (ref.prec, ref.terms), (kind, k)
 
@@ -246,3 +248,52 @@ def test_wada_refuses_a_representation_of_another_presentation():
         for fn in (wada_numerator, wada_denominator, wada_polynomial):
             with pytest.raises(ValueError):
                 fn(pres, rep, 1)
+
+
+# The m that the benchmark's check_battery workload draws at its seed 0.
+BATTERY_M = ("0.6872", "-1.0699")
+
+
+def walk_error(blocks, ref, prec):
+    """The largest error of a kept block coefficient against the reference,
+    relative to its entry: max over blocks, entries and the entry's support
+    of |got_e - want_e| / ||want||_inf.  What the block swept to zero must
+    lie at the sweep cut 2^-(prec-8) ||want||_inf of the walk's precision
+    ``prec`` (within a factor 2)."""
+    worst = mpf(0)
+    for got, want in zip(blocks, ref):
+        for p, q in zip(got.entries(), want.entries()):
+            if q.is_zero():
+                assert p.is_zero()
+                continue
+            norm = q.infnorm()
+            with mp.workprec(q.prec):
+                kept = max((abs(c - q.coeff(e)) for e, c in p.terms.items()),
+                           default=0)
+                dropped = max((abs(c) for e, c in q.terms.items()
+                               if e not in p.terms), default=0)
+                worst = max(worst, kept / norm)
+            assert dropped <= 2 * eps(prec - 8) * norm
+    return worst
+
+
+@pytest.mark.parametrize("n, m_pair", [(n, m) for n in (3, 5, 8) for m in STD_M]
+                         + [(5, BATTERY_M)],
+                         ids=["n3-m0", "n3-m1", "n5-m0", "n5-m1", "n8-m0", "n8-m1",
+                              "n5-battery"])
+def test_gaussian_walk_is_no_less_accurate_than_the_mpc_walk(n, m_pair):
+    """At every nondegenerate root, in both presentations, the exact
+    Gaussian-integer blocks are no farther from a 1024-bit walk of the same
+    rounded images than the blocks of the letter-by-letter ``mpc`` walk at
+    the representation's precision (measured about 1e-15 times as far)."""
+    for ctx in cached_contexts(n, m_pair):
+        for kind in ("two", "three"):
+            rep = build_holonomy_rep(ctx, kind)
+            new = old = mpf(0)
+            for i, rel in enumerate(rep.pres.relators):
+                ref = mpc_walk_blocks(rep, rel, 1024)
+                gaussian = block_matrices(rep, i, 1024)
+                walked = mpc_walk_blocks(rep, rel, rep.prec)
+                new = max(new, walk_error(gaussian, ref, rep.prec))
+                old = max(old, walk_error(walked, ref, rep.prec))
+            assert new <= old, (kind, new, old)

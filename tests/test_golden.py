@@ -70,3 +70,20 @@ def test_numdiff_measures_numbers_and_refuses_other_text():
     assert numdiff.compare(old, old) == (0, 0)
     with pytest.raises(ValueError, match="line 1"):
         numdiff.compare(old, old.replace("true", "false"))
+
+
+def test_one_parser_serves_every_command_of_a_process(capsys):
+    """``main`` builds the parser once per process: two different commands
+    in one process, with a refused one between them, reuse it, and each
+    prints its golden stdout."""
+    cli.build_parser.cache_clear()
+    for name in ("roots_n1", None, "delta_n3_prop32_idx7_csv"):
+        if name is None:
+            assert cli.main(["delta", "--n", "0", "--m", "1.2,0.4"]) == cli.EXIT_USAGE
+            capsys.readouterr()
+            continue
+        command, expected_code = COMMANDS[name]
+        assert cli.main(command.split()) == expected_code
+        assert capsys.readouterr().out == (GOLDEN / f"{name}.out").read_text()
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 2)

@@ -9,8 +9,8 @@ from mpmath import mp, mpf, mpc
 
 from talex import (InexactDivision, LaurentPoly, Mat2, build_holonomy_rep,
                    laurent, laurent_divide_exact, wada_polynomial)
-from talex.laurent import (SWEEP_GUARD_BITS, divide_with_remainder, normalize_delta,
-                           poly_mat_det)
+from talex.laurent import (SWEEP_GUARD_BITS, _gaussian_terms, divide_with_remainder,
+                           normalize_delta, poly_mat_det, swept_gaussian)
 from talex.pretzel import build_context, presentation_three_gen
 from talex.verify import coefficient_deviation
 from conftest import STD_M, cached_roots, eps, laurent_value
@@ -43,6 +43,22 @@ def test_zero_and_sweep():
     assert p.support() == [0]
     q = LaurentPoly({2: 1}, PREC) - LaurentPoly({2: 1}, PREC)
     assert q.is_zero()
+
+
+def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():
+    """``swept_gaussian`` drops exact coefficients at or below 2^-(prec-8)
+    times the largest magnitude and keeps those above, as the LaurentPoly
+    sweep does with the same values."""
+    top = 3 << 300
+    cut = top >> (PREC - SWEEP_GUARD_BITS)   # exactly top * 2^-(prec-8)
+    terms = {0: (top, 0), 1: (0, -cut), 2: (cut, 1 << 60), 3: (-cut - 1, 0),
+             4: (0, 0), 5: (cut // 2, cut // 2)}
+    kept = swept_gaussian(terms, PREC)
+    assert sorted(kept) == [0, 2, 3]
+    assert kept == {e: terms[e] for e in kept}
+    poly = laurent._rounded(terms, -50, PREC)
+    assert poly.support() == sorted(kept)
+    assert swept_gaussian({}, PREC) == {}
 
 
 def test_mul_matches_eval():
@@ -109,6 +125,17 @@ def test_mat2_scalar_algebra():
         assert abs(a.det() - 6) < eps(150)
 
 
+def _det(rows):
+    """``poly_mat_det`` of a matrix of LaurentPolys, each coefficient read
+    as an exact Gaussian integer over the matrix's smallest power of two."""
+    exact = [[_gaussian_terms(p) for p in row] for row in rows]
+    base = min((s for row in exact for terms, s in row if terms), default=0)
+    ints = [[{e: (re << (s - base), im << (s - base))
+              for e, (re, im) in terms.items()} for terms, s in row]
+            for row in exact]
+    return poly_mat_det(ints, base, max(p.prec for row in rows for p in row))
+
+
 def test_mat2_poly_det_and_cofactor():
     rng = random.Random(23)
     entries = [rand_poly(rng, 0, 3) for _ in range(4)]
@@ -116,14 +143,14 @@ def test_mat2_poly_det_and_cofactor():
     direct = entries[0] * entries[3] - entries[1] * entries[2]
     assert (M.det() - direct).infnorm() < eps(140) * (1 + direct.infnorm())
     rows = [[entries[0], entries[1]], [entries[2], entries[3]]]
-    assert (poly_mat_det(rows) - direct).infnorm() < eps(140) * (1 + direct.infnorm())
+    assert (_det(rows) - direct).infnorm() < eps(140) * (1 + direct.infnorm())
 
 
 def test_poly_mat_det_3x3_multiplicative():
     # det of a block-diagonal-ish product sanity: det(I) = 1
     one, zero = LaurentPoly({0: 1}, PREC), LaurentPoly({}, PREC)
     rows = [[one, zero, zero], [zero, one, zero], [zero, zero, one]]
-    d = poly_mat_det(rows)
+    d = _det(rows)
     assert d.support() == [0]
     assert abs(d.coeff(0) - 1) < eps(150)
 
@@ -249,7 +276,7 @@ def test_mul_is_the_correctly_rounded_exact_convolution(prec):
 def test_poly_mat_det_4x4_shared_minors():
     rng = random.Random(29)
     rows = [[rand_poly(rng, -1, 2) for _ in range(4)] for _ in range(4)]
-    d = poly_mat_det(rows)
+    d = _det(rows)
     leibniz = _leibniz_det(rows)
     assert d.support() == leibniz.support()
     assert (d - leibniz).infnorm() < eps(140) * (1 + leibniz.infnorm())
@@ -318,3 +345,70 @@ def test_three_generator_wada_accuracy_at_256_bits(m_pair, index):
                                      build_holonomy_rep(ctx, "three"),
                                      remove_k=0).poly)
     assert coefficient_deviation(*polys) < mpf("1e-69")
+
+
+def _deviation_formula(p, q, prec):
+    """max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), term by term in
+    ``mpc`` at ``prec`` bits."""
+    worst = mpf(0)
+    with mp.workprec(prec):
+        for e in set(p.terms) | set(q.terms):
+            a, b = p.coeff(e), q.coeff(e)
+            worst = max(worst, abs(a - b) / max(mpf(1), abs(a), abs(b)))
+    return worst
+
+
+def _deviation_cases(rng, prec):
+    """Pairs of polynomials: near-equal ones with coefficients on both sides
+    of |c| = 1, unrelated ones, disjoint supports, the zero polynomial, and
+    coefficients of magnitude exactly 1 with partners just above and below."""
+    def scaled(p, lo, hi):
+        with mp.workprec(prec):
+            return LaurentPoly({e: c * mpf(2) ** rng.randint(lo, hi)
+                                for e, c in p.terms.items()}, prec)
+
+    def nudged(p, size):
+        with mp.workprec(prec):
+            return LaurentPoly({e: c * (1 + size * mpc(rng.uniform(-1, 1),
+                                                       rng.uniform(-1, 1)))
+                                for e, c in p.terms.items()}, prec)
+
+    zero = LaurentPoly({}, prec)
+    for _ in range(6):
+        p = scaled(rand_poly(rng, prec=prec), -4, 4)
+        yield p, nudged(p, mpf(2) ** -(prec // 2))
+        yield p, scaled(rand_poly(rng, prec=prec), -4, 4)
+        yield p, zero
+        yield zero, p
+    yield zero, zero
+    yield (LaurentPoly({0: 1, 2: 3}, prec), LaurentPoly({1: 1, 3: mpf("0.25")}, prec))
+    with mp.workprec(prec):
+        tiny = mpf(2) ** -(prec - 2)
+        for c in (mpc(1), mpc(0, -1), mpc(-1)):
+            for d in (c * (1 + tiny), c * (1 - tiny), c + 1j * tiny):
+                yield LaurentPoly({0: c, 1: 1}, prec), LaurentPoly({0: d, 1: 1}, prec)
+
+
+@pytest.mark.parametrize("prec", (64, 256))
+def test_coefficient_deviation_is_the_formula_within_one_ulp(prec):
+    """``coefficient_deviation`` (squared magnitudes, one square root) is
+    within one unit in the last place, at the larger operand precision, of
+    the per-coefficient formula evaluated at twice that precision."""
+    rng = random.Random(prec + 1)
+    for p, q in _deviation_cases(rng, prec):
+        for a, b in ((p, q), (q, p)):
+            got = coefficient_deviation(a, b)
+            want = _deviation_formula(a, b, 2 * prec)
+            if not want:
+                assert got == 0
+                continue
+            _, man, exp, bc = want._mpf_
+            assert abs(got - want) <= mpf(2) ** (exp + bc - prec), (a, b)
+    # mixed precisions compare at the larger one
+    p = rand_poly(rng, prec=prec)
+    q = LaurentPoly(p.terms, 2 * prec)
+    with mp.workprec(2 * prec):
+        q = q + LaurentPoly({0: mpf(2) ** -(prec + 20)}, 2 * prec)
+    got, want = coefficient_deviation(p, q), _deviation_formula(p, q, 4 * prec)
+    _, man, exp, bc = want._mpf_
+    assert abs(got - want) <= mpf(2) ** (exp + bc - 2 * prec)

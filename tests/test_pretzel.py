@@ -19,7 +19,7 @@ from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
                            r1_polynomial)
 from conftest import (STD_M, cached_contexts, cached_roots, eps, m_at,
-                      m_degree, m_reversed, rho_of_word)
+                      m_degree, m_reversed, walked_residual)
 
 import oracles
 
@@ -628,15 +628,16 @@ def test_reciprocal_roots_carry_one_representation(m_pair):
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_relation_residuals_both_presentations(n):
     """Each relator holds under both representations, and the residuals the
-    walk keeps equal, bit for bit, the letter-by-letter products."""
+    walk keeps equal, bit for bit, those of the walk's definition carried
+    out letter by letter in exact Fractions (``walked_residual``): each
+    prefix product exact, then rounded to prec + 64 bits, the largest entry
+    of the difference correctly rounded at prec."""
     for m_pair in STD_M:
         for ctx in cached_contexts(n, m_pair):
             for name in ("two", "three"):
                 rep = build_holonomy_rep(ctx, name)
-                with mp.workprec(rep.prec):
-                    want = tuple((rho_of_word(rep, rel.lhs)
-                                  - rho_of_word(rep, rel.rhs)).infnorm()
-                                 for rel in rep.pres.relators)
+                want = tuple(walked_residual(rep, rel)
+                             for rel in rep.pres.relators)
                 assert rep.residuals == want
                 assert max(rep.residuals) < mpf("1e-60")
 
