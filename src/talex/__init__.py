@@ -27,12 +27,14 @@ in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
 at their caller's ambient precision.  Inputs are rounded to the working
 precision on entry; ``verify_sweep`` takes m as decimal strings, so each
 precision it retries at parses m afresh.
+The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division
+remainder in the ``DeltaResult`` and never raises for it: the CLI refuses
+an inexact one (``InexactDivision``), ``verify`` reports it as a check.
 """
 
 from .errors import (DegenerateContext, InexactDivision, NonConvergence,
                      TalexError)
-from .laurent import (DeltaResult, LaurentPoly, Mat2, laurent_divide_exact,
-                      normalize_delta)
+from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
 from .fox import (Presentation, Relator, Representation, wada_polynomial,
                   word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
@@ -53,7 +55,7 @@ __all__ = [
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
     "delta_prop32", "delta_theorem", "eval_r1", "genus_fiberedness_report",
-    "laurent_divide_exact", "lambda_coefficients", "normalize_delta",
+    "lambda_coefficients", "normalize_delta",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "select_root", "solve_s_roots", "verify_sweep",
     "wada_polynomial", "word_invert", "word_multiply", "zeta_vanishing",

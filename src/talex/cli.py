@@ -31,9 +31,10 @@ from mpmath import mp, mpf
 from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
-from .pretzel import (DEFAULT_PREC, MAX_N, _check_n, _check_prec, build_context,
-                      build_holonomy_rep, select_root, solve_s_roots)
-from .verify import m_at, max_pairwise_deviation, verify_sweep
+from .laurent import half_prec_tol, max_pairwise_deviation
+from .pretzel import (DEFAULT_PREC, MAX_N, build_context, build_holonomy_rep,
+                      check_n, check_prec, select_root, solve_s_roots)
+from .verify import m_at, verify_sweep
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -85,7 +86,7 @@ def _checked(check):
     return parse
 
 
-_parse_n, _parse_prec = _checked(_check_n), _checked(_check_prec)
+_parse_n, _parse_prec = _checked(check_n), _checked(check_prec)
 
 
 def _join_dash_values(argv):
@@ -232,8 +233,12 @@ def cmd_delta(args):
 
     def run(method):
         if method == "fox":
-            rep = build_holonomy_rep(ctx, "two")
-            return wada_polynomial(rep.pres, rep, remove_k=1)
+            fox = wada_polynomial(build_holonomy_rep(ctx, "two"), 1)
+            if not fox.exact:
+                raise InexactDivision(
+                    f"relative remainder {fox.remainder} exceeds tolerance "
+                    f"{half_prec_tol(prec)}")
+            return fox
         if method == "theorem":
             return delta_theorem(ctx)
         return delta_prop32(ctx)

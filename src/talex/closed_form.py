@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext
-from .laurent import DeltaResult, LaurentPoly, normalize_delta
+from .laurent import DeltaResult, LaurentPoly, half_prec_tol, normalize_delta
 
 MONIC_TOL = mpf("1e-20")
 
@@ -80,7 +80,7 @@ def delta_theorem(ctx):
             for e in (i + 3, 4 * n - i + 3):
                 terms[e] = terms[e] + lam if e in terms else lam
     poly = LaurentPoly(terms, prec)
-    return DeltaResult(poly, 1, 0, "theorem")
+    return DeltaResult(poly, 1, 0, "theorem", mpf(0))
 
 
 def delta_prop32(ctx):
@@ -129,7 +129,7 @@ def delta_prop32(ctx):
         scale = s / S
     total = geo1 * (blk1 * scale) + geo2 * (blk2 * scale) + blk3
     poly = total.shifted(6)
-    return normalize_delta(poly, "prop32")
+    return normalize_delta(poly, "prop32", mpf(0))
 
 
 def zeta_vanishing(ctx):
@@ -164,11 +164,13 @@ class GenusReport:
 def genus_fiberedness_report(delta, n):
     """Degree, monicity and the inferred genus (degree+2)/4 of a normalized
     polynomial, checked against the expected degree 4n+6 and genus n+2.
-    The end coefficients count as 1 within ``MONIC_TOL``."""
+    The end coefficients count as 1 within ``MONIC_TOL``, or within the
+    coarser ``half_prec_tol`` of the polynomial's precision below 134 bits."""
     deg = delta.poly.max_exp or 0
+    tol = max(MONIC_TOL, half_prec_tol(delta.poly.prec))
     with mp.workprec(delta.poly.prec):
-        monic = (abs(delta.poly.coeff(0) - 1) <= MONIC_TOL
-                 and abs(delta.poly.coeff(deg) - 1) <= MONIC_TOL)
+        monic = (abs(delta.poly.coeff(0) - 1) <= tol
+                 and abs(delta.poly.coeff(deg) - 1) <= tol)
     genus = (deg + 2) / 4 if (deg + 2) % 4 else (deg + 2) // 4
     expected_degree = 4 * n + 6
     expected_genus = n + 2

@@ -6,7 +6,7 @@ class TalexError(Exception):
 
 
 class InexactDivision(TalexError):
-    """Laurent long division left a remainder above tolerance.
+    """The Fox route's division left a remainder above ``half_prec_tol``.
 
     For a genuine nonabelian SL2 representation the division defining the
     twisted Alexander polynomial is exact, so this signals either a

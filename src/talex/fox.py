@@ -7,10 +7,14 @@ with d(x_j)/dx_j = 1 and, as a consequence, d(x_j^-1)/dx_j = -x_j^-1.
 The Wada twisted Alexander polynomial of a deficiency-one presentation with
 an SL2 representation is det(A_rho_k) / det(Phi(x_k - 1)), where A_rho_k is
 the block matrix of Phi-images of relator derivatives with the k-th
-generator's column removed.  Everything numeric runs at the
-representation's precision ``rep.prec``.  A ``Presentation`` declares its
-abelianization, the nonzero power of t each generator maps to, and checks
-on construction that every relator abelianizes to zero.
+generator's column removed.  ``wada_polynomial(rep, k)`` is the one place
+that forms this quotient: it returns the normalized polynomial together
+with the relative remainder of its long division (``DeltaResult.remainder``
+and ``.exact``), and leaves to its caller whether a remainder is a
+failure.  Everything numeric runs at the representation's precision
+``rep.prec``.  A ``Presentation`` declares its abelianization, the nonzero
+power of t each generator maps to, and checks on construction that every
+relator abelianizes to zero.
 
 A ``Representation`` is built for one presentation and walks each relator
 once, at construction.  By the Fox rule, Phi(d w/dx_j) is a signed sum of
@@ -25,11 +29,12 @@ The walk runs on Gaussian integers.  rho(x_j) and its inverse (computed in
 of two; each prefix product is an exact integer product rounded to
 prec + 64 bits; each block entry is the exact sum of its prefix entries,
 swept by the ``LaurentPoly`` cut; and the residual is taken from the exact
-end prefixes.  ``wada_numerator`` hands the blocks to ``poly_mat_det`` as
+end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
 they are, so nothing between the images and the determinant's coefficients
 is rounded at ``rep.prec``.  ``wada_denominator`` writes
 det(rho(x_k) t^e - I) out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both
-raise ``ValueError`` for a representation of another presentation.
+read the presentation from ``rep.pres``, so a representation cannot be
+paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
 the walk is tested against, live with the tests (``tests/conftest.py``).
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
 
-from .laurent import (LaurentPoly, _gaussian, laurent_divide_exact,
+from .laurent import (LaurentPoly, divide_with_remainder, gaussian,
                       normalize_delta, poly_mat_det, swept_gaussian)
 
 # ---------------------------------------------------------------------------
@@ -171,8 +176,8 @@ class Representation:
         self.prec = prec
         with mp.workprec(prec):
             inverses = [M.inverse() for M in self.images]
-        self._exact = [_gaussian(M.entries()) for M in self.images]
-        self._exact_inverses = [_gaussian(M.entries()) for M in inverses]
+        self._exact = [gaussian(M.entries()) for M in self.images]
+        self._exact_inverses = [gaussian(M.entries()) for M in inverses]
         walks = [self._walk(rel) for rel in pres.relators]
         self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
                          default=0)
@@ -220,22 +225,21 @@ class Representation:
                      for block in acc)
 
 
-def wada_denominator(pres, rep, k):
+def wada_denominator(rep, k):
     """det Phi(x_k - 1) = det(rho(x_k) t^e - I) as a LaurentPoly, with e the
     abelian exponent of x_k: 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, each
     coefficient rounded once at ``rep.prec``."""
-    if rep.pres != pres:
-        raise ValueError("the representation is not one of this presentation")
-    M, e = rep.images[k], pres.abelian_exponents[k]
+    M, e = rep.images[k], rep.pres.abelian_exponents[k]
     with mp.workprec(rep.prec):
         return LaurentPoly({0: 1, e: -(M.a11 + M.a22), 2 * e: M.det()}, rep.prec)
 
 
-def wada_numerator(pres, rep, remove_k):
-    """det of the 2(n-1) x 2(n-1) matrix of Phi-images of relator
-    derivatives with the remove_k column of blocks deleted."""
-    if rep.pres != pres:
-        raise ValueError("the representation is not one of this presentation")
+def wada_polynomial(rep, remove_k):
+    """Wada's quotient for ``rep`` with the remove_k column of blocks
+    deleted: the determinant of the 2(n-1) x 2(n-1) matrix of Fox blocks,
+    long-divided by det Phi(x_k - 1) and unit-normalized.  The division's
+    relative remainder is the result's ``remainder``; nothing is raised for
+    a division that is not exact."""
     rows = []
     for blocks in rep.blocks:
         top, bottom = [], []
@@ -244,13 +248,6 @@ def wada_numerator(pres, rep, remove_k):
                 top += [a11, a12]
                 bottom += [a21, a22]
         rows += [top, bottom]
-    return poly_mat_det(rows, rep.shift, rep.prec)
-
-
-def wada_polynomial(pres, rep, remove_k):
-    """The full generic pipeline: numerator determinant, exact division by
-    det Phi(x_k - 1), and unit normalization."""
-    den = wada_denominator(pres, rep, remove_k)
-    num = wada_numerator(pres, rep, remove_k)
-    quot = laurent_divide_exact(num, den)
-    return normalize_delta(quot, "fox")
+    num = poly_mat_det(rows, rep.shift, rep.prec)
+    quot, remainder = divide_with_remainder(num, wada_denominator(rep, remove_k))
+    return normalize_delta(quot, "fox", remainder)

@@ -29,8 +29,11 @@ would otherwise fail every comparison and vanish, and an infinity would
 sweep every other term away.  So no polynomial holds a non-finite
 coefficient, and the kernels (the exact products, long division) do not
 check for one again.  Long division drops its partial remainders by the
-same cut.  Norms (``max_abs``, ``infnorm``, the division's remainder)
-compare squared magnitudes too and take one square root per value.
+same cut.  Norms (``max_abs``, ``infnorm``, the division's remainder,
+``coefficient_deviation``) compare squared magnitudes and take one square
+root per value.  ``half_prec_tol(prec)`` = 2^-(prec/2) is what a
+``prec``-bit result must resolve: a division's remainder
+(``DeltaResult.exact``), a root's residual, and the monicity tolerance.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
@@ -39,12 +42,16 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (finf, fnan, from_man_exp, fzero, mpf_add, mpf_gt,
-                          mpf_mul, mpf_shift, mpf_sqrt, round_nearest)
-
-from .errors import InexactDivision
+from mpmath.libmp import (finf, fnan, fone, from_man_exp, fzero, mpf_add,
+                          mpf_div, mpf_gt, mpf_mul, mpf_shift, mpf_sqrt,
+                          mpf_sub, round_nearest)
 
 SWEEP_GUARD_BITS = 8
+
+
+def half_prec_tol(prec):
+    """2^-(prec/2), the relative size a ``prec``-bit result counts as 0."""
+    return mpf(2) ** (-(prec // 2))
 
 
 def _abs2(z, prec):
@@ -75,12 +82,42 @@ def max_abs(values, prec):
     return mp.make_mpf(mpf_sqrt(norm2, prec, round_nearest))
 
 
+def coefficient_deviation(p, q):
+    """Max per-coefficient deviation relative to the coefficient scale:
+    max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
+    precision.
+
+    Each difference is taken exactly, and the ratios are compared as
+    squared magnitudes (|d|^2 / max(1, |p_e|^2, |q_e|^2), cross-multiplied
+    exactly), so the call takes one division and one square root."""
+    prec = max(p.prec, q.prec)
+    zero = (fzero, fzero)
+    worst_d2, worst_s2 = fzero, fone
+    for e in p.terms.keys() | q.terms.keys():
+        a = p.terms[e]._mpc_ if e in p.terms else zero
+        b = q.terms[e]._mpc_ if e in q.terms else zero
+        d2 = _abs2((mpf_sub(a[0], b[0]), mpf_sub(a[1], b[1])), prec)
+        s2 = _largest((fone, _abs2(a, prec), _abs2(b, prec)))
+        if mpf_gt(mpf_mul(d2, worst_s2), mpf_mul(worst_d2, s2)):
+            worst_d2, worst_s2 = d2, s2
+    return mp.make_mpf(mpf_sqrt(mpf_div(worst_d2, worst_s2, prec + 4), prec,
+                                round_nearest))
+
+
+def max_pairwise_deviation(fox, theorem, prop32):
+    """The largest ``coefficient_deviation`` between the three routes'
+    results: fox/theorem, fox/prop32, theorem/prop32."""
+    return max(coefficient_deviation(fox.poly, theorem.poly),
+               coefficient_deviation(fox.poly, prop32.poly),
+               coefficient_deviation(theorem.poly, prop32.poly))
+
+
 def _sweep_cut2(norm2, prec):
     """The squared sweep cut (2^-(prec-8) * norm)^2, from the squared norm."""
     return mpf_shift(norm2, -2 * (prec - SWEEP_GUARD_BITS))
 
 
-def _gaussian(values):
+def gaussian(values):
     """Numbers as exact Gaussian integers over one power of two: returns
     (parts, shift) with parts the flat list re0, im0, re1, im1, ... and
     value k = (parts[2k] + i*parts[2k+1]) * 2^shift, where shift is the
@@ -99,8 +136,8 @@ def _gaussian(values):
 
 def _gaussian_terms(poly):
     """The coefficients of ``poly`` as ({e: (re, im)}, shift), read as
-    ``_gaussian`` reads them."""
-    parts, shift = _gaussian(poly.terms.values())
+    ``gaussian`` reads them."""
+    parts, shift = gaussian(poly.terms.values())
     return dict(zip(poly.terms, zip(parts[0::2], parts[1::2]))), shift
 
 
@@ -258,19 +295,6 @@ def divide_with_remainder(num, den):
     return LaurentPoly(quot, prec), rel_rem
 
 
-def laurent_divide_exact(num, den):
-    """Exact quotient num/den; raises InexactDivision if a remainder above
-    2^-(prec/2) * ||num||_inf is left, or if that remainder is not a
-    number."""
-    rel_tol = mpf(2) ** (-(max(num.prec, den.prec) // 2))
-    q, rel_rem = divide_with_remainder(num, den)
-    if not rel_rem <= rel_tol:
-        raise InexactDivision(
-            f"relative remainder {rel_rem} exceeds tolerance {rel_tol}"
-        )
-    return q
-
-
 class Mat2:
     """2x2 matrix of numbers (a representation matrix), computed at the
     caller's ambient precision."""
@@ -336,22 +360,29 @@ class DeltaResult:
     """A normalized twisted Alexander polynomial plus its provenance.
 
     ``sign`` and ``shift`` record the unit +-t^k that was divided out:
-    raw = sign * t^(-shift) * poly.
+    raw = sign * t^(-shift) * poly.  ``remainder`` is the relative
+    remainder of the division that produced it (0 for the closed forms).
     """
 
     poly: LaurentPoly
     sign: int
     shift: int
     method: str
+    remainder: object
+
+    @property
+    def exact(self):
+        """remainder <= half_prec_tol(prec); False for a NaN remainder."""
+        return self.remainder <= half_prec_tol(self.poly.prec)
 
 
-def normalize_delta(poly, method):
+def normalize_delta(poly, method, remainder):
     """Fix Wada's unit ambiguity: shift the minimum exponent to 0 and negate
     if the constant term is closer to -1 than to +1.  Only the unit +-t^k is
     removed; the constant term is never rescaled, so monicity remains a
-    genuine check downstream."""
+    genuine check downstream.  ``remainder`` is kept as it is."""
     if poly.is_zero():
-        return DeltaResult(poly, 1, 0, method)
+        return DeltaResult(poly, 1, 0, method, remainder)
     shift = -poly.min_exp
     p = poly.shifted(shift)
     c0 = p.coeff(0)
@@ -361,4 +392,4 @@ def normalize_delta(poly, method):
     if flip:
         p = -p
         sign = -1
-    return DeltaResult(p, sign, shift, method)
+    return DeltaResult(p, sign, shift, method, remainder)

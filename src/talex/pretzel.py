@@ -30,7 +30,7 @@ from mpmath import mp, mpc, mpf
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import Mat2
+from .laurent import Mat2, half_prec_tol
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -39,13 +39,13 @@ MAX_N = 16
 DEGENERACY_TOL = mpf("1e-10")
 
 
-def _check_prec(prec):
+def check_prec(prec):
     if not MIN_PREC <= prec <= MAX_PREC:
         raise ValueError(f"precision_bits must lie in [{MIN_PREC}, {MAX_PREC}], "
                          f"got {prec}")
 
 
-def _check_n(n):
+def check_n(n):
     if not 1 <= n <= MAX_N:
         raise ValueError(f"the family is implemented for 1 <= n <= {MAX_N}, got {n}")
 
@@ -220,7 +220,7 @@ def _at(form, n):
 @lru_cache(maxsize=None)
 def r0_polynomial(n):
     """The defining polynomial whose roots s parameterize the representations."""
-    _check_n(n)
+    check_n(n)
     return _at(FORMS["r0"], n)
 
 
@@ -317,8 +317,8 @@ def _flags(n, m, s, values):
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     """The context at (n, m, s), with m and s rounded to ``prec`` bits and
     every derived quantity computed at ``prec``."""
-    _check_n(n)
-    _check_prec(prec)
+    check_n(n)
+    check_prec(prec)
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
         values = [poly.eval(m, s) for poly in (
@@ -446,7 +446,7 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
     ``certified_roots`` at ``prec`` bits and checked against r0 by their
     relative residual.  Records are sorted by Re s, then Im s.
     """
-    _check_prec(prec)
+    check_prec(prec)
     with mp.workprec(prec):
         m = mpc(m)
         if m == 0:
@@ -459,7 +459,7 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
             records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
         # q(m, 0) != 0, so its coefficient row is all of q
         roots, radii = certified_roots(q.s_rows(m)[0], prec)
-        bound = mpf(2) ** (-(prec // 2))
+        bound = half_prec_tol(prec)
         for s, radius in zip(roots, radii):
             value, scale = r0.eval(m, s)
             res = abs(value) / scale
@@ -504,7 +504,7 @@ def select_root(records, root_index=None):
 
 def presentation_two_gen(n):
     """<a, c | (acac^-1)^(n-1) = c (acac^-1)^-1 (ac)^-1 c>."""
-    _check_n(n)
+    check_n(n)
     a, c = gen(0), gen(1)
     w = word_multiply(a, c, a, word_invert(c))
     lhs = word_power(w, n - 1)
@@ -515,7 +515,7 @@ def presentation_two_gen(n):
 def presentation_three_gen(n):
     """<a, b, x | w^-1 x = x b w^-1 (a x b)^-1 x b,  x = w^n>  with
     w = a x b a (x b)^-1, from the surgery description."""
-    _check_n(n)
+    check_n(n)
     a, b, x = gen(0), gen(1), gen(2)
     xb = word_multiply(x, b)
     w = word_multiply(a, x, b, a, word_invert(xb))

@@ -15,16 +15,13 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (fone, fzero, mpf_div, mpf_gt, mpf_mul, mpf_sqrt,
-                          mpf_sub, round_nearest)
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
-from .errors import DegenerateContext, InexactDivision
-from .fox import wada_denominator, wada_numerator, wada_polynomial
-from .laurent import (_abs2, _largest, divide_with_remainder, max_abs,
-                      normalize_delta)
-from .pretzel import (DEFAULT_PREC, _check_n, build_context, build_holonomy_rep,
+from .errors import DegenerateContext
+from .fox import wada_polynomial
+from .laurent import coefficient_deviation, max_abs, max_pairwise_deviation
+from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, check_n,
                       eval_r1, select_root, solve_s_roots)
 
 MAX_RETRY_PREC = 1024
@@ -59,36 +56,6 @@ class CheckOutcome:
         }
 
 
-def coefficient_deviation(p, q):
-    """Max per-coefficient deviation relative to the coefficient scale:
-    max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
-    precision.
-
-    Each difference is taken exactly, and the ratios are compared as
-    squared magnitudes (|d|^2 / max(1, |p_e|^2, |q_e|^2), cross-multiplied
-    exactly), so the call takes one division and one square root."""
-    prec = max(p.prec, q.prec)
-    zero = (fzero, fzero)
-    worst_d2, worst_s2 = fzero, fone
-    for e in p.terms.keys() | q.terms.keys():
-        a = p.terms[e]._mpc_ if e in p.terms else zero
-        b = q.terms[e]._mpc_ if e in q.terms else zero
-        d2 = _abs2((mpf_sub(a[0], b[0]), mpf_sub(a[1], b[1])), prec)
-        s2 = _largest((fone, _abs2(a, prec), _abs2(b, prec)))
-        if mpf_gt(mpf_mul(d2, worst_s2), mpf_mul(worst_d2, s2)):
-            worst_d2, worst_s2 = d2, s2
-    return mp.make_mpf(mpf_sqrt(mpf_div(worst_d2, worst_s2, prec + 4), prec,
-                                round_nearest))
-
-
-def max_pairwise_deviation(fox, theorem, prop32):
-    """The largest ``coefficient_deviation`` between the three routes'
-    results: fox/theorem, fox/prop32, theorem/prop32."""
-    return max(coefficient_deviation(fox.poly, theorem.poly),
-               coefficient_deviation(fox.poly, prop32.poly),
-               coefficient_deviation(theorem.poly, prop32.poly))
-
-
 def check_context(ctx, independence=False):
     """All per-point checks against ``DEFAULT_THRESHOLDS``, at ``ctx.prec``;
     returns a list of CheckOutcome."""
@@ -108,11 +75,8 @@ def check_context(ctx, independence=False):
         add("zeta1", abs(z1))
         add("zeta2", abs(z2))
 
-        num = wada_numerator(rep2.pres, rep2, remove_k=1)
-        den = wada_denominator(rep2.pres, rep2, k=1)
-        quot, rel_rem = divide_with_remainder(num, den)
-        add("division", rel_rem)
-        fox = normalize_delta(quot, "fox")
+        fox = wada_polynomial(rep2, 1)
+        add("division", fox.remainder)
 
         theorem = delta_theorem(ctx)
         prop32 = delta_prop32(ctx)
@@ -130,15 +94,12 @@ def check_context(ctx, independence=False):
                                 mpf(report.degree), mpf(report.expected_degree)))
 
         if independence:
-            try:
-                alt = wada_polynomial(rep2.pres, rep2, remove_k=0)
-                three = wada_polynomial(rep3.pres, rep3, remove_k=0)
-                dev = max(coefficient_deviation(fox.poly, alt.poly),
-                          coefficient_deviation(fox.poly, three.poly))
-            except InexactDivision:
-                # the alternative pipelines refuse to divide at an invalid
-                # point; report that as a failed check, not a crash
-                dev = mpf("inf")
+            alt = wada_polynomial(rep2, 0)
+            three = wada_polynomial(rep3, 0)
+            # a quotient with a remainder is no polynomial to compare
+            dev = (max(coefficient_deviation(fox.poly, alt.poly),
+                       coefficient_deviation(fox.poly, three.poly))
+                   if alt.exact and three.exact else mpf("inf"))
             add("independence", dev)
     return out
 
@@ -163,7 +124,7 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     """
     ns = list(ns)
     for n in ns:
-        _check_n(n)
+        check_n(n)
     entries = []
     for n in ns:
         for m_strings in ms:

@@ -21,8 +21,8 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
 from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
-                   delta_prop32, delta_theorem, presentation_two_gen,
-                   select_root, solve_s_roots, wada_polynomial, word_multiply)
+                   delta_prop32, delta_theorem, select_root,
+                   solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
 from talex.laurent import _rounded
 from talex.pretzel import build_context
@@ -261,8 +261,7 @@ def three_routes(n, m_pair, prec):
     m = m_at(*m_pair, prec=prec)
     roots = solve_s_roots(n, m, prec)
     ctx = build_context(n, m, roots[select_root(roots)].s, prec, strict=True)
-    fox = wada_polynomial(presentation_two_gen(n),
-                          build_holonomy_rep(ctx, "two"), remove_k=1)
+    fox = wada_polynomial(build_holonomy_rep(ctx, "two"), 1)
     return fox, delta_theorem(ctx), delta_prop32(ctx)
 
 

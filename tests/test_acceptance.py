@@ -13,10 +13,9 @@ from mpmath import mp, mpf, mpc
 
 from talex.pretzel import (BivarPoly, build_context, r0_polynomial,
                            solve_s_roots)
-from talex.fox import wada_denominator, wada_numerator
-from talex.laurent import divide_with_remainder
+from talex.fox import wada_polynomial
 from talex.closed_form import zeta_vanishing
-from talex.pretzel import (build_holonomy_rep, presentation_two_gen)
+from talex.pretzel import build_holonomy_rep
 from conftest import STD_M, cached_checks, cached_contexts, m_at, m_reversed
 
 NS = (1, 2, 3, 4, 5)
@@ -173,11 +172,7 @@ def test_criterion_9_negative_controls():
         residual = max(two + three)
         if not residual > mpf("1e-6"):
             ok = False
-        pres = presentation_two_gen(n)
-        rep = build_holonomy_rep(ctx, "two")
-        num = wada_numerator(pres, rep, remove_k=1)
-        den = wada_denominator(pres, rep, k=1)
-        _, rel_rem = divide_with_remainder(num, den)
+        rel_rem = wada_polynomial(build_holonomy_rep(ctx, "two"), 1).remainder
         if not rel_rem > mpf("1e-25"):
             ok = False
         details.append(f"n={n}: residual {mpmath.nstr(mpf(residual), 3)},"

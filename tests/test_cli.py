@@ -1,5 +1,6 @@
 """The command-line surface: exit codes, output formats, determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from mpmath import mp, mpc, mpf
 
 from talex import cli, pretzel, verify
 from talex.closed_form import genus_fiberedness_report
-from talex.errors import InexactDivision, NonConvergence
+from talex.errors import NonConvergence
 from talex.pretzel import BivarPoly, RootRecord
 
 
@@ -172,7 +173,8 @@ def test_delta_degenerate_root_index(capsys):
 @pytest.mark.parametrize("prec", (64, 96, 128))
 def test_low_precision_fox_division(capsys, prec, method):
     """The Fox division tolerance is 2^-(prec/2) of the precision asked
-    for, and the division meets it at every precision the CLI accepts."""
+    for, and the division meets it at every precision the CLI accepts; the
+    Fox route's genus report reads fibered there."""
     code, out, err = run(capsys, "delta", "--n", "2", "--m", "0.9,-0.2",
                          "--method", method, "--precision-bits", str(prec),
                          "--format", "json")
@@ -180,6 +182,19 @@ def test_low_precision_fox_division(capsys, prec, method):
     if method == "all":
         dev = mpf(json.loads(out)["max_pairwise_deviation"])
         assert dev <= mpf(2) ** -(prec // 2)
+        assert json.loads(out)["fibered_consistent"] is True
+
+
+@pytest.mark.parametrize("prec", (64, 72))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_low_precision_delta_is_fibered_consistent(capsys, n, prec):
+    """At 64 and 72 bits the Fox route's end coefficients miss 1 by more
+    than ``MONIC_TOL`` = 1e-20 (about 4e-18 at 64 bits) but within the
+    2^-(prec/2) the precision resolves, so the report reads monic."""
+    code, out, err = run(capsys, "delta", "--n", str(n), "--m", "1.2,0.4",
+                         "--precision-bits", str(prec), "--format", "json")
+    assert code == 0, err
+    assert json.loads(out)["fibered_consistent"] is True
 
 
 def test_delta_csv(capsys):
@@ -243,13 +258,20 @@ def test_repeated_roots_at_m_i_exit_without_promising_a_retry(capsys, argv):
 
 
 def test_inexact_division_exit(capsys, monkeypatch):
-    def explode(*a, **kw):
-        raise InexactDivision("remainder too large")
-    monkeypatch.setattr(cli, "wada_polynomial", explode)
-    code, _, err = run(capsys, "delta", "--n", "2", "--m", "1.2,0.4",
-                       "--method", "fox")
-    assert code == cli.EXIT_INEXACT
-    assert "inexact division" in err
+    """A Fox result whose remainder is above 2^-(prec/2) is refused with
+    exit 5, by every method that prints it."""
+    wada = cli.wada_polynomial
+
+    def inexact(rep, k):
+        return dataclasses.replace(wada(rep, k), remainder=mpf("1e-3"))
+    monkeypatch.setattr(cli, "wada_polynomial", inexact)
+    for method in ("fox", "all"):
+        code, out, err = run(capsys, "delta", "--n", "2", "--m", "1.2,0.4",
+                             "--method", method)
+        assert code == cli.EXIT_INEXACT
+        assert out == ""
+        assert "inexact division: relative remainder" in err
+        assert "exceeds tolerance" in err
 
 
 # -- verify -----------------------------------------------------------------

@@ -12,11 +12,12 @@ from talex import (LaurentPoly, build_context, delta_prop32, delta_theorem,
                    genus_fiberedness_report, lambda_coefficients,
                    solve_s_roots, wada_polynomial, zeta_vanishing)
 from talex.errors import DegenerateContext
+from talex.laurent import DeltaResult
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
                            r0_polynomial)
 from conftest import (STD_M, cached_contexts, eps, fox_derivative_of_relator,
-                      laurent_value, m_at, phi_map)
+                      laurent_value, m_at, phi_map, three_routes)
 
 import oracles
 
@@ -145,8 +146,7 @@ def test_closed_form_requires_nondegenerate():
 
 def two_gen_denominator(ctx):
     """det Phi(c - 1) of the 2-generator presentation, by the Fox route."""
-    pres = presentation_two_gen(ctx.n)
-    return wada_denominator(pres, build_holonomy_rep(ctx, "two"), k=1)
+    return wada_denominator(build_holonomy_rep(ctx, "two"), 1)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -262,11 +262,11 @@ def test_zeta_oracles_at_random_points():
 def test_fox_pipeline_matches_theorem(n):
     ctx = cached_contexts(n, STD_M[1])[0]
     th = delta_theorem(ctx).poly
-    for pres_name, pres in (("two", presentation_two_gen(n)),):
-        rep = build_holonomy_rep(ctx, pres_name)
-        for remove_k in range(len(pres.generators)):
-            fox = wada_polynomial(pres, rep, remove_k)
-            assert (fox.poly - th).infnorm() < mpf("1e-50") * (1 + th.infnorm())
+    rep = build_holonomy_rep(ctx, "two")
+    for remove_k in range(len(rep.pres.generators)):
+        fox = wada_polynomial(rep, remove_k)
+        assert fox.exact
+        assert (fox.poly - th).infnorm() < mpf("1e-50") * (1 + th.infnorm())
 
 
 def _convolve(x, y):
@@ -297,8 +297,7 @@ def test_torus_knots_match_kitano_morifuji(n, family):
             if rec.flags:
                 continue
             ctx = build_context(n, m, rec.s, prec)
-            fox = wada_polynomial(presentation_two_gen(n),
-                                  build_holonomy_rep(ctx, "two"), remove_k=1)
+            fox = wada_polynomial(build_holonomy_rep(ctx, "two"), 1)
             for res in (fox, delta_theorem(ctx), delta_prop32(ctx)):
                 with mp.workprec(prec):
                     delta = [res.poly.coeff(e) for e in range(4 * n + 7)]
@@ -337,8 +336,24 @@ def test_genus_report_negative_control():
     ctx = cached_contexts(2, STD_M[0])[0]
     res = delta_theorem(ctx)
     doctored = res.poly + LaurentPoly({res.poly.max_exp + 1: 1}, res.poly.prec)
-    from talex.laurent import DeltaResult
-    bad = DeltaResult(doctored, 1, 0, "test")
+    bad = DeltaResult(doctored, 1, 0, "test", 0)
     rep = genus_fiberedness_report(bad, 2)
     assert not rep.fibered_consistent
     assert rep.degree != rep.expected_degree
+
+
+@pytest.mark.parametrize("prec, offset", ((64, "1e-6"), (256, "2e-20")))
+def test_monic_tolerance_floor_still_refuses(prec, offset):
+    """The monicity tolerance is max(MONIC_TOL, 2^-(prec/2)): the Fox
+    route at 64 bits reads monic, but an end coefficient moved to
+    1 + 1e-6 is refused there, and 1 + 2e-20 at 256 bits."""
+    fox = three_routes(1, STD_M[0], prec)[0]
+    assert genus_fiberedness_report(fox, 1).fibered_consistent
+    for e in (0, fox.poly.max_exp):
+        terms = dict(fox.poly.terms)
+        with mp.workprec(prec):
+            terms[e] = 1 + mpf(offset)
+        bad = DeltaResult(LaurentPoly(terms, prec), 1, 0, "test", 0)
+        rep = genus_fiberedness_report(bad, 1)
+        assert rep.degree == rep.expected_degree
+        assert not rep.monic and not rep.fibered_consistent

@@ -8,13 +8,13 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from talex import Presentation, Relator, word_invert, word_multiply
+from talex import Presentation, Relator, verify, word_invert, word_multiply
 from talex.fox import (abelian_exponent, gen, reduce_word, wada_denominator,
-                       wada_numerator, wada_polynomial, word_power)
+                       wada_polynomial, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import (STD_M, block_matrices, cached_contexts, eps,
-                      fox_derivative, fox_derivative_of_relator, identity,
+from conftest import (STD_M, block_matrices, cached_checks, cached_contexts,
+                      eps, fox_derivative, fox_derivative_of_relator, identity,
                       mat_add, mat_infnorm, mat_sub, mpc_walk_blocks, phi_map,
                       rho_of_word, ring_add, ring_mul, to_laurent)
 
@@ -198,9 +198,7 @@ def test_wada_denominator_meridian_factorization():
     """det Phi(a - 1) = (mt - 1)(t/m - 1): eigenvalues m, 1/m of the
     meridian image."""
     ctx = cached_contexts(2, ("1.2", "0.4"))[0]
-    rep = build_holonomy_rep(ctx, "two")
-    pres = presentation_two_gen(2)
-    den = wada_denominator(pres, rep, k=0)
+    den = wada_denominator(build_holonomy_rep(ctx, "two"), 0)
     m = ctx.m
     assert den.support() == [0, 1, 2]
     with mp.workprec(ctx.prec):
@@ -222,8 +220,34 @@ def test_wada_denominator_is_the_laurent_determinant(n, m_pair):
             for k, e in enumerate(rep.pres.abelian_exponents):
                 block = to_laurent(rep.images[k], e, rep.prec)
                 ref = mat_sub(block, to_laurent(identity(), 0, rep.prec)).det()
-                den = wada_denominator(rep.pres, rep, k)
+                den = wada_denominator(rep, k)
                 assert (den.prec, den.terms) == (ref.prec, ref.terms), (kind, k)
+
+
+def test_check_context_division_is_the_fox_route_remainder():
+    """``check_context`` reports the remainder of ``wada_polynomial(rep2, 1)``
+    as its division check, bit for bit."""
+    for ctx, outcomes in cached_checks(2, STD_M[0]):
+        division = next(c for c in outcomes if c.name == "division")
+        want = wada_polynomial(build_holonomy_rep(ctx, "two"), 1).remainder
+        assert division.value._mpf_ == want._mpf_
+
+
+def test_independence_fails_when_an_alternative_division_is_inexact(monkeypatch):
+    """An alternative Fox route (column 0 removed) with a remainder is no
+    polynomial to compare: independence reads +inf and fails."""
+    ctx = cached_contexts(2, STD_M[0])[0]
+
+    def wada(rep, k):
+        res = wada_polynomial(rep, k)
+        if k == 0:
+            res.remainder = mpf("nan")
+        return res
+    monkeypatch.setattr(verify, "wada_polynomial", wada)
+    outcomes = {c.name: c for c in verify.check_context(ctx, independence=True)}
+    assert outcomes["division"].passed
+    assert outcomes["independence"].value == mpf("inf")
+    assert not outcomes["independence"].passed
 
 
 def test_representation_inverses():
@@ -236,18 +260,6 @@ def test_representation_inverses():
         prod = M * Minv
         assert abs(prod.a11 - 1) < mpf("1e-60")
         assert abs(prod.a21) < mpf("1e-60")
-
-
-def test_wada_refuses_a_representation_of_another_presentation():
-    """A representation is bound to its presentation: pairing it with the
-    other presentation of the same knot is an error, not a polynomial."""
-    ctx = cached_contexts(2, ("1.2", "0.4"))[0]
-    rep2, rep3 = (build_holonomy_rep(ctx, kind) for kind in ("two", "three"))
-    for pres, rep in ((presentation_two_gen(2), rep3),
-                      (presentation_three_gen(2), rep2)):
-        for fn in (wada_numerator, wada_denominator, wada_polynomial):
-            with pytest.raises(ValueError):
-                fn(pres, rep, 1)
 
 
 # The m that the benchmark's check_battery workload draws at its seed 0.

@@ -7,13 +7,14 @@ from itertools import permutations
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import (InexactDivision, LaurentPoly, Mat2, build_holonomy_rep,
-                   laurent, laurent_divide_exact, wada_polynomial)
-from talex.laurent import (SWEEP_GUARD_BITS, _gaussian_terms, divide_with_remainder,
-                           normalize_delta, poly_mat_det, swept_gaussian)
-from talex.pretzel import build_context, presentation_three_gen
-from talex.verify import coefficient_deviation
-from conftest import STD_M, cached_roots, eps, laurent_value
+from talex import (LaurentPoly, Mat2, build_holonomy_rep, fox, laurent,
+                   wada_polynomial)
+from talex.laurent import (SWEEP_GUARD_BITS, _gaussian_terms,
+                           coefficient_deviation, divide_with_remainder,
+                           half_prec_tol, normalize_delta, poly_mat_det,
+                           swept_gaussian)
+from talex.pretzel import build_context
+from conftest import STD_M, cached_contexts, cached_roots, eps, laurent_value
 
 PREC = 192
 
@@ -95,10 +96,9 @@ def test_division_detects_remainder():
     rng = random.Random(17)
     q0, d = rand_poly(rng), rand_poly(rng)
     num = q0 * d + LaurentPoly({d.min_exp - 1: 1}, PREC)
-    _, rel_rem = divide_with_remainder(num, d)
+    q, rel_rem = divide_with_remainder(num, d)
     assert rel_rem > mpf("1e-10")
-    with pytest.raises(InexactDivision):
-        laurent_divide_exact(num, d)
+    assert not normalize_delta(q, "test", rel_rem).exact
 
 
 def test_division_by_zero():
@@ -304,16 +304,27 @@ def test_non_finite_coefficients_refused(bad):
 
 
 def test_exact_division_refuses_a_nan_remainder(monkeypatch):
-    num = LaurentPoly({0: 1, 1: 1}, PREC)
-    monkeypatch.setattr(laurent, "divide_with_remainder",
+    """A Fox route whose division reports a NaN remainder is not exact."""
+    ctx = cached_contexts(2, STD_M[0])[0]
+    monkeypatch.setattr(fox, "divide_with_remainder",
                         lambda n, d: (n, mpf("nan")))
-    with pytest.raises(InexactDivision):
-        laurent_divide_exact(num, num)
+    assert not wada_polynomial(build_holonomy_rep(ctx, "two"), 1).exact
+
+
+def test_exactness_is_the_half_precision_bound():
+    """``DeltaResult.exact`` accepts a remainder up to 2^-(prec/2) of the
+    polynomial's precision and refuses one above it."""
+    poly = LaurentPoly({0: 1, 1: 1}, PREC)
+    tol = half_prec_tol(PREC)
+    assert tol == mpf(2) ** -(PREC // 2)
+    assert normalize_delta(poly, "test", mpf(0)).exact
+    assert normalize_delta(poly, "test", tol).exact
+    assert not normalize_delta(poly, "test", 2 * tol).exact
 
 
 def test_normalize_delta_unit_bookkeeping():
     p = LaurentPoly({-3: -1, -1: 2, 4: -1}, PREC)
-    res = normalize_delta(p, "test")
+    res = normalize_delta(p, "test", 0)
     assert res.poly.min_exp == 0
     assert res.sign == -1 and res.shift == 3
     # raw = sign * t^(-shift) * poly reconstructs the input
@@ -323,7 +334,7 @@ def test_normalize_delta_unit_bookkeeping():
 
 def test_normalize_delta_never_rescales():
     p = LaurentPoly({0: mpc("2.5"), 2: 1}, PREC)
-    res = normalize_delta(p, "test")
+    res = normalize_delta(p, "test", 0)
     assert abs(res.poly.coeff(0) - mpf("2.5")) < eps(150)
 
 
@@ -341,9 +352,7 @@ def test_three_generator_wada_accuracy_at_256_bits(m_pair, index):
         assert not rec.flags
         ctx = build_context(5, m, rec.s, prec=prec, strict=False,
                             residual=rec.residual)
-        polys.append(wada_polynomial(presentation_three_gen(5),
-                                     build_holonomy_rep(ctx, "three"),
-                                     remove_k=0).poly)
+        polys.append(wada_polynomial(build_holonomy_rep(ctx, "three"), 0).poly)
     assert coefficient_deviation(*polys) < mpf("1e-69")
 
 

@@ -8,7 +8,7 @@ from mpmath import mp, mpc, mpf
 from talex import build_context, cli, solve_s_roots
 from talex.errors import NonConvergence
 from talex.pretzel import MAX_PREC, alpha_polynomial
-from talex.verify import coefficient_deviation
+from talex.laurent import coefficient_deviation
 from conftest import STD_M, m_at, three_routes
 
 

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from talex import DegenerateContext, build_context, genus_fiberedness_report
-from talex.verify import (DEFAULT_THRESHOLDS, check_context,
-                          max_pairwise_deviation, verify_sweep)
+from talex.laurent import max_pairwise_deviation
+from talex.verify import DEFAULT_THRESHOLDS, check_context, verify_sweep
 from conftest import cached_contexts, three_routes
 
 GATE = DEFAULT_THRESHOLDS["agreement"]

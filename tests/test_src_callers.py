@@ -1,13 +1,18 @@
-"""Every function in ``src/talex`` has a caller in ``src/talex``.
+"""Every function in ``src/talex`` has a caller in ``src/talex``, and no
+module imports another module's private names.
 
 Code that only tests call belongs next to the tests.  This walks the
 package's syntax trees and lists each function or method that no
 ``src/talex`` code names outside its own definition; ``__init__`` is not
 read, since its re-exports call nothing.  A method counts as used when some
 code names it as an attribute (``p.is_zero()``), any other function when
-some code names it bare or as an attribute (``fox.wada_numerator``).
+some code names it bare or as an attribute (``fox.wada_polynomial``).
 Names are matched without their class, so a method shares its uses with
 every method of the same name.  Dunder methods are called by the language and are exempt.
+
+A name with a leading underscore is private to its module: what another
+module needs is public, so the same walk lists every underscore name that
+a module, ``__init__`` included, imports from the package.
 """
 
 import ast
@@ -27,9 +32,11 @@ class _Walker(ast.NodeVisitor):
     """Collects a module's function definitions and the names it uses."""
 
     def __init__(self, module):
+        self.module = module
         self.scope = [(None, module)]   # (node type, name) of enclosing defs
         self.defined = {}               # qualified name -> (name, is_method)
         self.bare, self.attrs = set(), set()
+        self.imported = set()           # names imported from the package
 
     def _own(self, name):
         return any(kind is ast.FunctionDef and n == name for kind, n in self.scope)
@@ -51,18 +58,28 @@ class _Walker(ast.NodeVisitor):
         if not self._own(node.id):
             self.bare.add(node.id)
 
+    def visit_ImportFrom(self, node):
+        if node.level or (node.module or "").split(".")[0] == "talex":
+            self.imported |= {alias.name for alias in node.names}
+
     def visit_Attribute(self, node):
         if not self._own(node.attr):
             self.attrs.add(node.attr)
         self.generic_visit(node)
 
 
+def _walkers():
+    """One walked ``_Walker`` per module of the package."""
+    for path in sorted(SRC.glob("*.py")):
+        walker = _Walker(path.stem)
+        walker.visit(ast.parse(path.read_text()))
+        yield walker
+
+
 def _walk_src():
     defined, bare, attrs = {}, set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name != "__init__.py":
-            walker = _Walker(path.stem)
-            walker.visit(ast.parse(path.read_text()))
+    for walker in _walkers():
+        if walker.module != "__init__":
             defined.update(walker.defined)
             bare |= walker.bare
             attrs |= walker.attrs
@@ -81,3 +98,9 @@ def test_every_src_function_has_a_src_caller():
     assert not orphans, "no caller in src/talex: " + ", ".join(orphans)
     # an entry for a function that is gone would outlive its reason
     assert [k for k in ALLOWED if not any(_covers(k, q) for q in defined)] == []
+
+
+def test_no_src_module_imports_a_private_name():
+    private = sorted(f"{walker.module}: {name}" for walker in _walkers()
+                     for name in walker.imported if name.startswith("_"))
+    assert not private, "private names imported: " + ", ".join(private)
