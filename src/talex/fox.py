@@ -30,11 +30,11 @@ of two; each prefix product is an exact integer product rounded to
 prec + 64 bits; each block entry is the exact sum of its prefix entries,
 swept by the ``LaurentPoly`` cut; and the residual is taken from the exact
 end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
-they are, so nothing between the images and the determinant's coefficients
-is rounded at ``rep.prec``.  ``wada_denominator`` writes
-det(rho(x_k) t^e - I) out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both
-read the presentation from ``rep.pres``, so a representation cannot be
-paired with another presentation.
+they are, and the Gaussian-integer long division reads the determinant
+exactly, so only its coefficients and the quotient's are rounded at
+``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I) out as
+1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both read the presentation from
+``rep.pres``, so a representation cannot be paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
 the walk is tested against, live with the tests (``tests/conftest.py``).

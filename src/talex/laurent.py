@@ -5,46 +5,40 @@ A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
 carries its working precision ``prec``, which its one constructor requires:
 there is no default precision below the entry points of ``talex.pretzel``
 and ``talex.verify``.  Every operation on a polynomial computes at its
-precision (the larger one for two operands).  Sums, negation and long
-division run in ``mpc`` arithmetic under ``mp.workprec(prec)``.  Products
-are exact: each operand's coefficients are read as Gaussian integers over
-one power of two (an ``mpc`` part is a mantissa times a power of two, so
-nothing is lost), multiplied and summed as Python integers, and each
-coefficient of the result is rounded once, to nearest.
+precision (the larger one for two operands).  Sums and negation run in
+``mpc`` arithmetic under ``mp.workprec(prec)``.  Everything else reads the
+coefficients exactly with ``gaussian``, as Gaussian integers over one power
+of two (an ``mpc`` part is a mantissa times a power of two), computes in
+Python integers, and rounds each coefficient of its result once, to
+nearest: products, with three integer products per pair of terms;
+``poly_mat_det``, whose entries arrive in that exact form from the relator
+walk of ``talex.fox``; and ``divide_with_remainder``, whose quotient
+coefficients are the Gaussian integers nearest R_top / d_lead, with the
+dividend scaled to carry prec + 32 bits more.
 
-``poly_mat_det`` takes its entries in that exact form, as {e: (re, im)}
-dicts over one power of two, and rounds only the determinant's
-coefficients: the Fox blocks of ``talex.fox`` reach it as the exact sums
-the relator walk made, never as ``mpc``.
-
-Every polynomial is swept when it is built, whatever built it: a
-coefficient with magnitude at most 2^-(prec-8) relative to the sup-norm is
-dropped to structural zero, so supports stay finite and degree queries stay
-meaningful, and the spread of exponents stays bounded, so the exact
-products' integers stay near 2*prec bits.  ``swept_gaussian`` is the same
-cut on exact coefficients.  The sweep compares squared magnitudes |c|^2 =
-re^2 + im^2 with the squared cut, so it takes no square root, and it is the
-one place that refuses a non-finite coefficient, with ``ValueError``: a NaN
-would otherwise fail every comparison and vanish, and an infinity would
-sweep every other term away.  So no polynomial holds a non-finite
-coefficient, and the kernels (the exact products, long division) do not
-check for one again.  Long division drops its partial remainders by the
-same cut.  Norms (``max_abs``, ``infnorm``, the division's remainder,
-``coefficient_deviation``) compare squared magnitudes and take one square
-root per value.  ``half_prec_tol(prec)`` = 2^-(prec/2) is what a
-``prec``-bit result must resolve: a division's remainder
-(``DeltaResult.exact``), a root's residual, and the monicity tolerance.
+Every polynomial is swept when it is built: a coefficient with magnitude at
+most 2^-(prec-8) relative to the sup-norm is dropped to structural zero, so
+supports stay finite, degree queries stay meaningful, and the exact
+integers stay near 2*prec bits.  The one sweep rule, ``swept_gaussian``,
+compares exact squared magnitudes with the squared cut; long division drops
+its partial remainders by the same cut relative to the dividend.
+``gaussian`` refuses a non-finite number with ``ValueError`` (it has no
+mantissa, so it would read as 0), so no polynomial holds one.  Norms
+(``max_abs``, the division's remainder, ``coefficient_deviation``) compare
+exact squared magnitudes and take one correctly rounded square root.
+``half_prec_tol(prec)`` = 2^-(prec/2) is what a ``prec``-bit result must
+resolve: a division's remainder (``DeltaResult.exact``), a root's residual,
+and the monicity tolerance.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import (finf, fnan, fone, from_man_exp, fzero, mpf_add,
-                          mpf_div, mpf_gt, mpf_mul, mpf_shift, mpf_sqrt,
-                          mpf_sub, round_nearest)
+from mpmath.libmp import from_man_exp, round_nearest
 
 SWEEP_GUARD_BITS = 8
 
@@ -54,54 +48,47 @@ def half_prec_tol(prec):
     return mpf(2) ** (-(prec // 2))
 
 
-def _abs2(z, prec):
-    """|z|^2 of a raw ``mpc`` pair z = (re, im) as a raw mpmath float,
-    rounded at prec + 4 bits like mpmath's own ``abs``; raises ValueError if
-    z is not finite."""
-    re, im = z
-    a2 = mpf_add(mpf_mul(re, re), mpf_mul(im, im), prec + 4)
-    if a2 in (finf, fnan):
-        raise ValueError(f"non-finite Laurent coefficient {mp.make_mpc(z)}")
-    return a2
+def _sqrt_ratio(a, b, exp, prec):
+    """sqrt(a / b) * 2^exp for integers a >= 0, b > 0, correctly rounded at
+    ``prec``: r = isqrt(a 4^j / b) has prec + 2 bits or more, and an inexact
+    root is rounded as 2r + 1, which lies where 2 sqrt(a 4^j / b) does,
+    strictly between 2r and 2r + 2."""
+    j = max(0, prec + 4 - (a.bit_length() - b.bit_length()) // 2)
+    q, rest = divmod(a << 2 * j, b)
+    r = isqrt(q)
+    man = 2 * r + (1 if rest or r * r != q else 0)
+    return mp.make_mpf(from_man_exp(man, exp - j - 1, prec, round_nearest))
 
 
-def _largest(raw):
-    """The largest of some nonnegative raw mpmath floats (zero for none)."""
-    top = fzero
-    for x in raw:
-        if mpf_gt(x, top):
-            top = x
-    return top
+def _squares(parts):
+    """The squared magnitudes of the flat Gaussian integers re0, im0, ..."""
+    return [re * re + im * im for re, im in zip(parts[0::2], parts[1::2])]
 
 
 def max_abs(values, prec):
     """max |c| over the ``mpc`` values at ``prec`` bits (0 for none),
-    correctly rounded: squared magnitudes are compared and one square root
-    is taken."""
-    norm2 = _largest(_abs2(c._mpc_, prec) for c in values)
-    return mp.make_mpf(mpf_sqrt(norm2, prec, round_nearest))
+    correctly rounded from the exact squared magnitudes."""
+    parts, shift = gaussian(values)
+    return _sqrt_ratio(max(_squares(parts), default=0), 1, shift, prec)
 
 
 def coefficient_deviation(p, q):
     """Max per-coefficient deviation relative to the coefficient scale:
     max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
-    precision.
-
-    Each difference is taken exactly, and the ratios are compared as
-    squared magnitudes (|d|^2 / max(1, |p_e|^2, |q_e|^2), cross-multiplied
-    exactly), so the call takes one division and one square root."""
-    prec = max(p.prec, q.prec)
-    zero = (fzero, fzero)
-    worst_d2, worst_s2 = fzero, fone
-    for e in p.terms.keys() | q.terms.keys():
-        a = p.terms[e]._mpc_ if e in p.terms else zero
-        b = q.terms[e]._mpc_ if e in q.terms else zero
-        d2 = _abs2((mpf_sub(a[0], b[0]), mpf_sub(a[1], b[1])), prec)
-        s2 = _largest((fone, _abs2(a, prec), _abs2(b, prec)))
-        if mpf_gt(mpf_mul(d2, worst_s2), mpf_mul(worst_d2, s2)):
+    precision.  The coefficients and 1 are read exactly, and the ratios of
+    squared magnitudes are compared cross-multiplied."""
+    keys = list(p.terms.keys() | q.terms.keys())
+    parts, _ = gaussian([mpc(1)] + [p.coeff(e) for e in keys]
+                        + [q.coeff(e) for e in keys])
+    one2 = parts[0] * parts[0]
+    a, b = parts[2:2 + 2 * len(keys)], parts[2 + 2 * len(keys):]
+    worst_d2, worst_s2 = 0, 1
+    for a2, b2, d2 in zip(_squares(a), _squares(b),
+                          _squares([x - y for x, y in zip(a, b)])):
+        s2 = max(one2, a2, b2)
+        if d2 * worst_s2 > worst_d2 * s2:
             worst_d2, worst_s2 = d2, s2
-    return mp.make_mpf(mpf_sqrt(mpf_div(worst_d2, worst_s2, prec + 4), prec,
-                                round_nearest))
+    return _sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
 
 
 def max_pairwise_deviation(fox, theorem, prop32):
@@ -112,54 +99,59 @@ def max_pairwise_deviation(fox, theorem, prop32):
                coefficient_deviation(theorem.poly, prop32.poly))
 
 
-def _sweep_cut2(norm2, prec):
-    """The squared sweep cut (2^-(prec-8) * norm)^2, from the squared norm."""
-    return mpf_shift(norm2, -2 * (prec - SWEEP_GUARD_BITS))
-
-
 def gaussian(values):
     """Numbers as exact Gaussian integers over one power of two: returns
     (parts, shift) with parts the flat list re0, im0, re1, im1, ... and
     value k = (parts[2k] + i*parts[2k+1]) * 2^shift, where shift is the
-    smallest mantissa exponent among the parts."""
+    smallest mantissa exponent among the parts.  A non-finite part raises
+    ValueError."""
     parts = [x for c in values for x in c._mpc_]
     shift = min((x[2] for x in parts if x[1]), default=0)
 
     def integer(x):
         sign, man, exp, _ = x
         if not man:
+            if exp:   # only zero has no mantissa and exponent 0
+                raise ValueError(f"non-finite number {mp.make_mpf(x)}")
             return 0
         return -(man << (exp - shift)) if sign else man << (exp - shift)
 
     return [integer(x) for x in parts], shift
 
 
-def _gaussian_terms(poly):
-    """The coefficients of ``poly`` as ({e: (re, im)}, shift), read as
-    ``gaussian`` reads them."""
-    parts, shift = gaussian(poly.terms.values())
-    return dict(zip(poly.terms, zip(parts[0::2], parts[1::2]))), shift
+def _gaussian_terms(terms):
+    """A dict {e: mpc} as ({e: (re, im)}, shift), read by ``gaussian``."""
+    parts, shift = gaussian(terms.values())
+    return dict(zip(terms, zip(parts[0::2], parts[1::2]))), shift
 
 
 def swept_gaussian(terms, prec):
     """Gaussian-integer coefficients {e: (re, im)} without those at or
-    below the sweep cut 2^-(prec-8) times the largest magnitude, the
-    ``LaurentPoly`` sweep on exact squared magnitudes."""
-    abs2 = {e: re * re + im * im for e, (re, im) in terms.items()}
-    norm2 = max(abs2.values(), default=0)
-    bits = 2 * (prec - SWEEP_GUARD_BITS)
-    return {e: c for e, c in terms.items() if abs2[e] << bits > norm2}
+    below the sweep cut 2^-(prec-8) times the largest magnitude: the one
+    sweep rule, on exact squared magnitudes (an integer |c|^2 exceeds the
+    floored squared cut exactly when |c| exceeds the cut)."""
+    abs2 = [re * re + im * im for re, im in terms.values()]
+    cut2 = max(abs2, default=0) >> 2 * (prec - SWEEP_GUARD_BITS)
+    return {e: c for (e, c), a2 in zip(terms.items(), abs2) if a2 > cut2}
 
 
 def _convolve_into(acc, a, b, sign):
-    """acc += sign * a * b for Gaussian-integer coefficient dicts."""
+    """acc += sign * a * b for Gaussian-integer coefficient dicts, with
+    three integer products per pair of terms: for p = r1 r2 and q = i1 i2,
+    the product's parts are p - q and (r1 + i1)(r2 + i2) - p - q."""
+    b = [(e2, r2, i2, r2 + i2) for e2, (r2, i2) in b.items()]
     for e1, (r1, i1) in a.items():
         if sign < 0:
             r1, i1 = -r1, -i1
-        for e2, (r2, i2) in b.items():
+        s1 = r1 + i1
+        for e2, r2, i2, s2 in b:
             e = e1 + e2
-            re, im = acc.get(e, (0, 0))
-            acc[e] = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+            p, q = r1 * r2, i1 * i2
+            if e in acc:
+                re, im = acc[e]
+                acc[e] = (re + p - q, im + s1 * s2 - p - q)
+            else:
+                acc[e] = (p - q, s1 * s2 - p - q)
 
 
 def _rounded(acc, shift, prec):
@@ -185,9 +177,8 @@ class LaurentPoly:
             with mp.workprec(prec):
                 terms = {e: c if isinstance(c, mpc) else mpc(c)
                          for e, c in terms.items()}
-        abs2 = {e: _abs2(c._mpc_, prec) for e, c in terms.items()}
-        cut2 = _sweep_cut2(_largest(abs2.values()), prec)
-        self.terms = {e: c for e, c in terms.items() if mpf_gt(abs2[e], cut2)}
+        kept = swept_gaussian(_gaussian_terms(terms)[0], prec)
+        self.terms = {e: terms[e] for e in kept}
         self.prec = prec
 
     def coeff(self, e):
@@ -206,9 +197,6 @@ class LaurentPoly:
 
     def is_zero(self):
         return not self.terms
-
-    def infnorm(self):
-        return max_abs(self.terms.values(), self.prec)
 
     def shifted(self, k):
         return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec)
@@ -243,7 +231,7 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        (a, sa), (b, sb) = _gaussian_terms(self), _gaussian_terms(other)
+        (a, sa), (b, sb) = _gaussian_terms(self.terms), _gaussian_terms(other.terms)
         acc = {}
         _convolve_into(acc, a, b, 1)
         return _rounded(acc, sa + sb, max(self.prec, other.prec))
@@ -256,43 +244,55 @@ class LaurentPoly:
 
 
 def divide_with_remainder(num, den):
-    """Laurent long division from the top exponent down.
+    """Laurent long division from the top exponent down, in Gaussian
+    integers.
 
     Returns (quotient, relative_remainder_norm).  The quotient support is
     contained in [num.min-den.min, num.max-den.max]; anything left after the
-    sweep is the remainder, reported relative to ||num||_inf.  A partial
-    remainder at or below the sweep cut is dropped.
-    """
+    sweep is the remainder, relative to ||num||_inf.  The dividend is scaled
+    by 2^g, so that quotient integers of size ||num|| / |d_lead| carry
+    prec + 32 bits, and each product with the divisor's tail is subtracted
+    exactly.  A partial remainder at or below the sweep cut relative to
+    ||num|| is dropped."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
-    num_norm = num.infnorm()
-    if num_norm == 0:
+    if num.is_zero():
         return LaurentPoly({}, prec), mpf(0)
+    (a, sa), (d, sd) = _gaussian_terms(num.terms), _gaussian_terms(den.terms)
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp
-    with mp.workprec(prec):
-        cut2 = _sweep_cut2((num_norm * num_norm)._mpf_, prec)
-        dlead = den.terms[dmax]
-        dtail = [(e, c) for e, c in den.terms.items() if e != dmax]
-        rem = dict(num.terms)
-        quot = {}
-        while rem:
-            e = max(rem)
-            if e - dmax < qmin:
-                break
-            # every step lowers the top exponent, so each quotient
-            # exponent is set once
-            co = quot[e - dmax] = rem.pop(e) / dlead
-            for ee, vv in dtail:
-                k = e - dmax + ee
-                w = rem.get(k, 0) - co * vv
-                if mpf_gt(_abs2(w._mpc_, prec), cut2):
-                    rem[k] = w
-                elif k in rem:
-                    del rem[k]
-        rel_rem = max_abs(rem.values(), prec) / num_norm
-    return LaurentPoly(quot, prec), rel_rem
+    dr, di = d[dmax]
+    dlead2 = dr * dr + di * di
+    tail = [(e, r, i, r + i) for e, (r, i) in d.items() if e != dmax]
+    norm2 = max(re * re + im * im for re, im in a.values())
+    g = prec + 32 + max(0, (dlead2.bit_length() - norm2.bit_length()) // 2 + 1)
+    rem = {e: (re << g, im << g) for e, (re, im) in a.items()}
+    norm2 <<= 2 * g
+    cut2 = norm2 >> 2 * (prec - SWEEP_GUARD_BITS)
+    quot = {}
+    while rem:
+        e = max(rem)
+        k = e - dmax
+        if k < qmin:
+            break
+        # each step lowers the top exponent; R / d = R conj(d) / |d|^2
+        rr, ri = rem.pop(e)
+        qr = (2 * (rr * dr + ri * di) + dlead2) // (2 * dlead2)
+        qi = (2 * (ri * dr - rr * di) + dlead2) // (2 * dlead2)
+        quot[k] = (qr, qi)
+        qs = qr + qi
+        for de, tr, ti, ts in tail:
+            p, q = qr * tr, qi * ti
+            wr, wi = rem.get(k + de, (0, 0))
+            wr, wi = wr - p + q, wi - qs * ts + p + q
+            if wr * wr + wi * wi > cut2:
+                rem[k + de] = (wr, wi)
+            else:
+                rem.pop(k + de, None)
+    rem2 = max((re * re + im * im for re, im in rem.values()), default=0)
+    return (_rounded(quot, sa - g - sd, prec),
+            _sqrt_ratio(rem2, norm2, 0, prec))
 
 
 class Mat2:
@@ -336,10 +336,9 @@ def poly_mat_det(rows, shift, prec):
     2^shift, one ``shift`` for the whole matrix.  The minors of the bottom
     k rows, keyed by their sorted column tuple, are expanded along their own
     top row from the minors of the bottom k-1 rows (a 4x4 takes 28 products,
-    not the 40 of the plain recursion).  Each product, sign and sum of the
-    expansion is exact; each coefficient of the determinant is rounded
-    once, to nearest at ``prec``, and the result is swept once.  The
-    cancellation inside the expansion therefore costs no precision."""
+    not the 40 of the plain recursion).  The expansion is exact, so its
+    cancellation costs no precision; each coefficient of the determinant is
+    rounded once, to nearest at ``prec``."""
     n = len(rows)
     minors = {(j,): rows[-1][j] for j in range(n)}
     for i in range(n - 2, -1, -1):

@@ -144,10 +144,11 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                        and p2 < MAX_RETRY_PREC):
                     p2 = min(2 * p2, MAX_RETRY_PREC)
                     m2 = m_at(m_strings, p2)
-                    roots2 = solve_s_roots(n, m2, p2)
+                    roots2 = [r for r in solve_s_roots(n, m2, p2) if not r.flags]
+                    if not roots2:   # nothing to re-check: it stays failed
+                        break
                     with mp.workprec(p2):
-                        near = min((r for r in roots2 if not r.flags),
-                                   key=lambda r: abs(r.s - rec.s))
+                        near = min(roots2, key=lambda r: abs(r.s - rec.s))
                     retried = _check_one(n, m2, idx, near, p2, independence,
                                          None)
                     retried["retried_at"] += entry["retried_at"] + [p2]

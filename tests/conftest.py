@@ -24,7 +24,7 @@ from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
                    delta_prop32, delta_theorem, select_root,
                    solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
-from talex.laurent import _rounded
+from talex.laurent import _rounded, max_abs
 from talex.pretzel import build_context
 from talex.verify import check_context
 
@@ -62,9 +62,15 @@ def mat_sub(P, Q):
     return Mat2(*(p - q for p, q in zip(P.entries(), Q.entries())))
 
 
+def infnorm(p):
+    """The largest coefficient magnitude of a LaurentPoly, at its
+    precision."""
+    return max_abs(p.terms.values(), p.prec)
+
+
 def mat_infnorm(M):
     """The largest infinity-norm of an entry of a LaurentPoly matrix."""
-    return max(e.infnorm() for e in M.entries())
+    return max(infnorm(e) for e in M.entries())
 
 
 def rho_of_word(rep, w):

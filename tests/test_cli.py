@@ -318,6 +318,34 @@ def test_verify_retry_parses_m_at_the_retry_precision(monkeypatch):
     assert [m for m, prec in calls if prec == 256] == [m256]
 
 
+def test_verify_retry_without_a_nondegenerate_root_reports_the_failure(
+        capsys, monkeypatch):
+    """A retry whose re-solve flags every root stops retrying: the entry
+    stays failed and is reported (exit 1), not taken for a usage error."""
+    solve = verify.solve_s_roots
+
+    def flagged_above_256(n, m, prec):
+        roots = solve(n, m, prec)
+        if prec == 256:
+            return roots
+        return [dataclasses.replace(r, flags=frozenset({"s_one"})) for r in roots]
+
+    monkeypatch.setattr(verify, "solve_s_roots", flagged_above_256)
+    # 1e-100 fails at 256 bits (agreement ~1e-70)
+    monkeypatch.setitem(verify.DEFAULT_THRESHOLDS, "agreement", mpf("1e-100"))
+    code, out, err = run(capsys, "verify", "--n-range", "1..1", "--m", "1.2,0.4")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "FAILURES present"
+    assert lines[:-1] and all(line.startswith("FAIL ") and
+                              line.endswith("failing: agreement")
+                              for line in lines[:-1])
+    report = verify.verify_sweep([1], [("1.2", "0.4")])
+    assert report["entries"] and not report["all_passed"]
+    assert all(e["retried_at"] == [] for e in report["entries"])
+
+
 def test_verify_retry_stops_at_the_ceiling(monkeypatch):
     """A retry doubles the precision but never passes MAX_RETRY_PREC: a
     768-bit run retries at 1024 bits, not at 1536."""

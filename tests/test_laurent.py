@@ -6,6 +6,7 @@ from itertools import permutations
 
 import pytest
 from mpmath import mp, mpf, mpc
+from mpmath.libmp import from_man_exp
 
 from talex import (LaurentPoly, Mat2, build_holonomy_rep, fox, laurent,
                    wada_polynomial)
@@ -14,7 +15,8 @@ from talex.laurent import (SWEEP_GUARD_BITS, _gaussian_terms,
                            half_prec_tol, normalize_delta, poly_mat_det,
                            swept_gaussian)
 from talex.pretzel import build_context
-from conftest import STD_M, cached_contexts, cached_roots, eps, laurent_value
+from conftest import (STD_M, cached_contexts, cached_roots, eps, infnorm,
+                      laurent_value)
 
 PREC = 192
 
@@ -62,6 +64,41 @@ def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():
     assert swept_gaussian({}, PREC) == {}
 
 
+@pytest.mark.parametrize("prec", (64, 192, 512))
+def test_sweep_at_the_knife_edge(prec):
+    """A coefficient exactly at the sweep cut 2^-(prec-8) * ||p|| is
+    dropped, one unit above it kept and one unit below it dropped, by
+    ``LaurentPoly`` from ``mpc`` values and by ``swept_gaussian`` from the
+    same exact integers alike, for real, imaginary and complex coefficients;
+    a non-finite part still raises ValueError, even beside a finite one."""
+    g, unit = 40, -prec                 # the cut is 5 * 2^g units of 2^unit
+    exact = {0: (3 << (prec - SWEEP_GUARD_BITS + g),
+                 4 << (prec - SWEEP_GUARD_BITS + g))}
+    kept = {0}
+    e = 1
+    for re, im in ((5, 0), (0, -5), (3, 4), (-4, 3)):
+        re, im = re << g, im << g       # |re + i im| is the cut
+        for delta in (0, 1, -1):
+            # one unit further from zero, or nearer to it, in one part
+            if re:
+                exact[e] = (re + delta * (1 if re > 0 else -1), im)
+            else:
+                exact[e] = (re, im + delta * (1 if im > 0 else -1))
+            if delta == 1:
+                kept.add(e)
+            e += 1
+    terms = {e: mp.make_mpc((from_man_exp(re, unit), from_man_exp(im, unit)))
+             for e, (re, im) in exact.items()}
+    assert set(LaurentPoly(terms, prec).terms) == kept
+    assert set(swept_gaussian(exact, prec)) == kept
+    assert laurent._rounded(exact, unit, prec).support() == sorted(kept)
+    with mp.workprec(prec):
+        bad = (mpc(mpf("nan"), 1), mpc(1, mpf("inf")), mpc(mpf("-inf"), 0))
+    for c in bad:
+        with pytest.raises(ValueError):
+            LaurentPoly({**terms, e: c}, prec)
+
+
 def test_mul_matches_eval():
     rng = random.Random(7)
     t = mpc("0.83", "0.41")
@@ -89,7 +126,7 @@ def test_division_recovers_factor():
         q, rel_rem = divide_with_remainder(num, d)
         assert rel_rem < mpf(2) ** (-150)
         diff = q - q0
-        assert diff.infnorm() < eps(140) * (1 + q0.infnorm())
+        assert infnorm(diff) < eps(140) * (1 + infnorm(q0))
 
 
 def test_division_detects_remainder():
@@ -128,7 +165,7 @@ def test_mat2_scalar_algebra():
 def _det(rows):
     """``poly_mat_det`` of a matrix of LaurentPolys, each coefficient read
     as an exact Gaussian integer over the matrix's smallest power of two."""
-    exact = [[_gaussian_terms(p) for p in row] for row in rows]
+    exact = [[_gaussian_terms(p.terms) for p in row] for row in rows]
     base = min((s for row in exact for terms, s in row if terms), default=0)
     ints = [[{e: (re << (s - base), im << (s - base))
               for e, (re, im) in terms.items()} for terms, s in row]
@@ -141,9 +178,9 @@ def test_mat2_poly_det_and_cofactor():
     entries = [rand_poly(rng, 0, 3) for _ in range(4)]
     M = Mat2(*entries)
     direct = entries[0] * entries[3] - entries[1] * entries[2]
-    assert (M.det() - direct).infnorm() < eps(140) * (1 + direct.infnorm())
+    assert infnorm(M.det() - direct) < eps(140) * (1 + infnorm(direct))
     rows = [[entries[0], entries[1]], [entries[2], entries[3]]]
-    assert (_det(rows) - direct).infnorm() < eps(140) * (1 + direct.infnorm())
+    assert infnorm(_det(rows) - direct) < eps(140) * (1 + infnorm(direct))
 
 
 def test_poly_mat_det_3x3_multiplicative():
@@ -268,7 +305,7 @@ def test_mul_is_the_correctly_rounded_exact_convolution(prec):
         # the mpc loop rounds every multiply-add; it agrees to a few ulps of
         # the largest coefficient
         ref = _mpc_mul(p, q)
-        assert (prod - ref).infnorm() <= eps(prec - 8) * ref.infnorm()
+        assert infnorm(prod - ref) <= eps(prec - 8) * infnorm(ref)
     # the sweep decided near its cut, both ways
     assert below and above
 
@@ -279,7 +316,7 @@ def test_poly_mat_det_4x4_shared_minors():
     d = _det(rows)
     leibniz = _leibniz_det(rows)
     assert d.support() == leibniz.support()
-    assert (d - leibniz).infnorm() < eps(140) * (1 + leibniz.infnorm())
+    assert infnorm(d - leibniz) < eps(140) * (1 + infnorm(leibniz))
     # the expansion is exact and rounds once, so the bits are those of the
     # correctly rounded exact determinant
     assert _bits(d) == _bits(_rounded(_exact_leibniz_det(rows), PREC))
@@ -329,7 +366,7 @@ def test_normalize_delta_unit_bookkeeping():
     assert res.sign == -1 and res.shift == 3
     # raw = sign * t^(-shift) * poly reconstructs the input
     rebuilt = (res.poly * res.sign).shifted(-res.shift)
-    assert (rebuilt - p).infnorm() < eps(150)
+    assert infnorm(rebuilt - p) < eps(150)
 
 
 def test_normalize_delta_never_rescales():
@@ -421,3 +458,98 @@ def test_coefficient_deviation_is_the_formula_within_one_ulp(prec):
     got, want = coefficient_deviation(p, q), _deviation_formula(p, q, 4 * prec)
     _, man, exp, bc = want._mpf_
     assert abs(got - want) <= mpf(2) ** (exp + bc - 2 * prec)
+
+
+def _mpc_long_division(num, den, work):
+    """The former ``divide_with_remainder``, in ``mpc`` arithmetic at
+    ``work`` bits: every quotient coefficient and every multiply-subtract is
+    rounded, and a partial remainder at or below the operands' sweep cut
+    2^-(prec-8) * ||num|| is dropped.  Returns (quotient at ``work`` bits,
+    relative remainder)."""
+    prec = max(num.prec, den.prec)
+    with mp.workprec(work):
+        norm = max(abs(c) for c in num.terms.values())
+        cut = norm * mpf(2) ** -(prec - SWEEP_GUARD_BITS)
+        dmax, qmin = den.max_exp, num.min_exp - den.min_exp
+        tail = [(e, c) for e, c in den.terms.items() if e != dmax]
+        rem, quot = dict(num.terms), {}
+        while rem:
+            e = max(rem)
+            if e - dmax < qmin:
+                break
+            co = quot[e - dmax] = rem.pop(e) / den.terms[dmax]
+            for ee, c in tail:
+                k = e - dmax + ee
+                w = rem.get(k, 0) - co * c
+                if abs(w) > cut:
+                    rem[k] = w
+                else:
+                    rem.pop(k, None)
+        rel = max((abs(c) for c in rem.values()), default=mpf(0)) / norm
+    return LaurentPoly(quot, work), rel
+
+
+@pytest.mark.parametrize("n, prec", ((3, 256), (5, 256), (2, 512)))
+def test_integer_division_is_no_less_accurate_than_the_mpc_division(
+        monkeypatch, n, prec):
+    """The three Wada quotients ``check_context`` forms at every
+    nondegenerate root of both standard m, divided in Gaussian integers:
+    against the same long division run in ``mpc`` at 1024 bits (same cut),
+    each quotient is within 2^-(prec-1) per coefficient and no further off
+    than the ``mpc`` division at ``prec`` bits, and the remainders agree."""
+    calls = []
+
+    def spy(num, den):
+        calls.append((num, den))
+        return divide_with_remainder(num, den)
+
+    monkeypatch.setattr(fox, "divide_with_remainder", spy)
+    contexts = [ctx for m_pair in STD_M for ctx in cached_contexts(n, m_pair, prec)]
+    for ctx in contexts:
+        for kind, k in (("two", 1), ("two", 0), ("three", 0)):
+            wada_polynomial(build_holonomy_rep(ctx, kind), k)
+    assert len(calls) == 3 * len(contexts) > 0
+    for num, den in calls:
+        quot, rem = divide_with_remainder(num, den)
+        old, _ = _mpc_long_division(num, den, prec)
+        ref, ref_rem = _mpc_long_division(num, den, 1024)
+        err = coefficient_deviation(quot, ref)
+        assert err <= eps(prec - 1)
+        assert err <= coefficient_deviation(old, ref)
+        assert abs(rem - ref_rem) <= mpf("1e-9") * ref_rem
+
+
+def _four_products_into(acc, a, b, sign):
+    """acc += sign * a * b with four integer products per pair of terms,
+    as the convolution was written before the three-product form."""
+    for e1, (r1, i1) in a.items():
+        if sign < 0:
+            r1, i1 = -r1, -i1
+        for e2, (r2, i2) in b.items():
+            re, im = acc.get(e1 + e2, (0, 0))
+            acc[e1 + e2] = (re + r1 * r2 - i1 * i2, im + r1 * i2 + i1 * r2)
+
+
+@pytest.mark.parametrize("prec", (128, 256, 512))
+def test_three_product_convolution_is_the_four_product_one(monkeypatch, prec):
+    """``poly_mat_det`` on three-generator Fox matrices and ``LaurentPoly``
+    products give the same bits with three integer products per pair of
+    terms as with four."""
+    calls = []
+
+    def spy(rows, shift, det_prec):
+        calls.append((rows, shift, det_prec))
+        return poly_mat_det(rows, shift, det_prec)
+
+    monkeypatch.setattr(fox, "poly_mat_det", spy)
+    for ctx in cached_contexts(3, STD_M[0], prec)[:3]:
+        wada_polynomial(build_holonomy_rep(ctx, "three"), 0)
+    rng = random.Random(prec)
+    pairs = [(_near_cut_poly(rng, prec), rand_poly(rng, prec=prec))
+             for _ in range(6)]
+    dets = [_bits(poly_mat_det(*call)) for call in calls]
+    products = [_bits(p * q) for p, q in pairs]
+    monkeypatch.setattr(laurent, "_convolve_into", _four_products_into)
+    assert len(calls) == 3 and all(len(rows) == 4 for rows, _, _ in calls)
+    assert dets == [_bits(poly_mat_det(*call)) for call in calls]
+    assert products == [_bits(p * q) for p, q in pairs]
