@@ -18,10 +18,10 @@ always passed on, never assumed: the functions of a context use
 ``PretzelContext.prec``, and the constructors ``Representation(pres,
 images, prec)``, which walks every relator of ``pres`` once on Gaussian
 integers (each prefix product rounded to prec + 64 bits), and
-``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` keeps an
-``mpc`` coefficient as it was computed and converts any other number at
-``prec``; it sweeps every polynomial it builds, so none holds a non-finite
-coefficient.
+``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` stores each
+coefficient as Gaussian integers rounded to ``prec`` bits, the bits an
+``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``; it sweeps
+every polynomial it builds, so none holds a non-finite coefficient.
 Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
 in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
 at their caller's ambient precision.  Inputs are rounded to the working

@@ -1,34 +1,43 @@
-"""Sparse Laurent polynomials, their exact Gaussian-integer form, and 2x2
-number matrices.
+"""Sparse Laurent polynomials on Gaussian integers, and 2x2 number
+matrices.
 
-A ``LaurentPoly`` maps integer exponents of t to ``mpc`` coefficients and
-carries its working precision ``prec``, which its one constructor requires:
-there is no default precision below the entry points of ``talex.pretzel``
-and ``talex.verify``.  Every operation on a polynomial computes at its
-precision (the larger one for two operands).  Sums and negation run in
-``mpc`` arithmetic under ``mp.workprec(prec)``.  Everything else reads the
-coefficients exactly with ``gaussian``, as Gaussian integers over one power
-of two (an ``mpc`` part is a mantissa times a power of two), computes in
-Python integers, and rounds each coefficient of its result once, to
-nearest: products, with three integer products per pair of terms;
-``poly_mat_det``, whose entries arrive in that exact form from the relator
-walk of ``talex.fox``; and ``divide_with_remainder``, whose quotient
-coefficients are the Gaussian integers nearest R_top / d_lead, with the
-dividend scaled to carry prec + 32 bits more.
+A ``LaurentPoly`` stores its coefficients as Gaussian integers over one
+power of two, ``terms`` = {e: (re, im)} with coefficient e equal to (re +
+i*im) * 2^``shift``, and carries its working precision ``prec``, which its
+one constructor requires: there is no default precision below the entry
+points of ``talex.pretzel`` and ``talex.verify``.  Each part is a
+``prec``-bit number, exactly what an ``mpc`` at ``prec`` holds, and
+``shift`` is the largest power of two that keeps every part an integer.
+``mpc`` values cross the boundary twice only: the constructor reads a
+dict of numbers exactly (``gaussian``: an ``mpc`` part is a mantissa times
+a power of two), and ``coeff(e)`` builds the ``mpc`` of one coefficient,
+for the closed forms, the comparisons and printing.
+
+Every operation on polynomials computes at its precision (the larger one
+for two operands) in Python integers and rounds each coefficient of its
+result once, to nearest with ties to even, which is how mpmath rounds: so
+sums and negation give the bits that ``mpc`` arithmetic gives; products
+take three integer products per pair of terms; ``poly_mat_det`` takes its
+entries in the same exact form from the relator walk of ``talex.fox``; and
+``divide_with_remainder`` takes each quotient coefficient as the Gaussian
+integer nearest R_top / d_lead, with the dividend scaled to carry prec +
+32 bits more.
 
 Every polynomial is swept when it is built: a coefficient with magnitude at
 most 2^-(prec-8) relative to the sup-norm is dropped to structural zero, so
 supports stay finite, degree queries stay meaningful, and the exact
 integers stay near 2*prec bits.  The one sweep rule, ``swept_gaussian``,
-compares exact squared magnitudes with the squared cut; long division drops
-its partial remainders by the same cut relative to the dividend.
-``gaussian`` refuses a non-finite number with ``ValueError`` (it has no
-mantissa, so it would read as 0), so no polynomial holds one.  Norms
-(``max_abs``, the division's remainder, ``coefficient_deviation``) compare
-exact squared magnitudes and take one correctly rounded square root.
-``half_prec_tol(prec)`` = 2^-(prec/2) is what a ``prec``-bit result must
-resolve: a division's remainder (``DeltaResult.exact``), a root's residual,
-and the monicity tolerance.
+compares exact squared magnitudes with the squared cut, after the
+rounding; long division drops its partial remainders by the same cut
+relative to the dividend.  The constructor drops, before its exact read,
+a coefficient whose top bit lies more than ``prec`` bits below the
+largest, which the rule drops anyway.  ``gaussian`` refuses a non-finite
+number with ``ValueError`` (it has no mantissa, so it would read as 0), so
+no polynomial holds one.  Norms (``max_abs``, the division's remainder,
+``coefficient_deviation``) compare exact squared magnitudes and take one
+correctly rounded square root.  ``half_prec_tol(prec)`` = 2^-(prec/2) is
+what a ``prec``-bit result must resolve: a division's remainder
+(``DeltaResult.exact``), a root's residual, and the monicity tolerance.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
@@ -38,7 +47,7 @@ from itertools import combinations
 from math import isqrt
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 SWEEP_GUARD_BITS = 8
 
@@ -60,32 +69,32 @@ def _sqrt_ratio(a, b, exp, prec):
     return mp.make_mpf(from_man_exp(man, exp - j - 1, prec, round_nearest))
 
 
-def _squares(parts):
-    """The squared magnitudes of the flat Gaussian integers re0, im0, ..."""
-    return [re * re + im * im for re, im in zip(parts[0::2], parts[1::2])]
-
-
 def max_abs(values, prec):
     """max |c| over the ``mpc`` values at ``prec`` bits (0 for none),
     correctly rounded from the exact squared magnitudes."""
     parts, shift = gaussian(values)
-    return _sqrt_ratio(max(_squares(parts), default=0), 1, shift, prec)
+    abs2 = (re * re + im * im for re, im in zip(parts[0::2], parts[1::2]))
+    return _sqrt_ratio(max(abs2, default=0), 1, shift, prec)
 
 
 def coefficient_deviation(p, q):
     """Max per-coefficient deviation relative to the coefficient scale:
     max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
-    precision.  The coefficients and 1 are read exactly, and the ratios of
-    squared magnitudes are compared cross-multiplied."""
+    precision.  The stored integers and 1 are brought to one power of two,
+    and the ratios of squared magnitudes are compared cross-multiplied."""
     keys = list(p.terms.keys() | q.terms.keys())
-    parts, _ = gaussian([mpc(1)] + [p.coeff(e) for e in keys]
-                        + [q.coeff(e) for e in keys])
-    one2 = parts[0] * parts[0]
-    a, b = parts[2:2 + 2 * len(keys)], parts[2 + 2 * len(keys):]
+    base = min([0] + [x.shift for x in (p, q) if x.terms])
+
+    def parts(x):
+        up = x.shift - base
+        return [(re << up, im << up)
+                for re, im in (x.terms.get(e, (0, 0)) for e in keys)]
+
+    one2 = 1 << -2 * base
     worst_d2, worst_s2 = 0, 1
-    for a2, b2, d2 in zip(_squares(a), _squares(b),
-                          _squares([x - y for x, y in zip(a, b)])):
-        s2 = max(one2, a2, b2)
+    for (ar, ai), (br, bi) in zip(parts(p), parts(q)):
+        dr, di = ar - br, ai - bi
+        s2, d2 = max(one2, ar * ar + ai * ai, br * br + bi * bi), dr * dr + di * di
         if d2 * worst_s2 > worst_d2 * s2:
             worst_d2, worst_s2 = d2, s2
     return _sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
@@ -119,12 +128,6 @@ def gaussian(values):
     return [integer(x) for x in parts], shift
 
 
-def _gaussian_terms(terms):
-    """A dict {e: mpc} as ({e: (re, im)}, shift), read by ``gaussian``."""
-    parts, shift = gaussian(terms.values())
-    return dict(zip(terms, zip(parts[0::2], parts[1::2]))), shift
-
-
 def swept_gaussian(terms, prec):
     """Gaussian-integer coefficients {e: (re, im)} without those at or
     below the sweep cut 2^-(prec-8) times the largest magnitude: the one
@@ -154,35 +157,72 @@ def _convolve_into(acc, a, b, sign):
                 acc[e] = (p - q, s1 * s2 - p - q)
 
 
+def _round(x, prec):
+    """The integer x rounded to nearest at ``prec`` significant bits, ties
+    to even, as mpmath rounds a mantissa."""
+    k = x.bit_length() - prec
+    if k <= 0:
+        return x
+    q, r = x >> k, x & ((1 << k) - 1)
+    half = 1 << (k - 1)
+    return (q + (r > half or r == half and q & 1)) << k
+
+
+def _made(terms, shift, prec):
+    """The LaurentPoly holding ``terms`` over 2^shift as they are."""
+    p = LaurentPoly.__new__(LaurentPoly)
+    p.terms, p.shift, p.prec = terms, shift, prec
+    return p
+
+
 def _rounded(acc, shift, prec):
     """The LaurentPoly with coefficients (re + i*im) * 2^shift from ``acc``,
-    each part rounded once to nearest at ``prec`` bits, then swept."""
-    terms = {e: mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
-                             from_man_exp(im, shift, prec, round_nearest)))
-             for e, (re, im) in acc.items()}
-    return LaurentPoly(terms, prec)
+    each part rounded once to nearest at ``prec`` bits, then swept, and
+    stored over the largest power of two that keeps every part an integer."""
+    kept = swept_gaussian({e: (_round(re, prec), _round(im, prec))
+                           for e, (re, im) in acc.items()}, prec)
+    low = 0
+    for re, im in kept.values():
+        low |= re | im
+    k = (low & -low).bit_length() - 1
+    if k <= 0:
+        return _made(kept, shift if kept else 0, prec)
+    return _made({e: (re >> k, im >> k) for e, (re, im) in kept.items()},
+                 shift + k, prec)
 
 
 class LaurentPoly:
-    """A swept Laurent polynomial at precision ``prec``, built from a dict of
-    int exponents to numbers.  ``mpc`` coefficients are kept as they are,
-    without a copy or a rounding; any other number is converted to ``mpc``
-    at ``prec`` bits.  The dict is then swept into a new one, so the caller's
-    dict is never held, and a non-finite coefficient raises ValueError."""
+    """A swept Laurent polynomial at precision ``prec``: ``terms`` maps int
+    exponents to Gaussian integers (re, im), the coefficient being (re +
+    i*im) * 2^``shift``, each part a ``prec``-bit number.
 
-    __slots__ = ("terms", "prec")
+    It is built from a dict of int exponents to numbers: a number that is
+    not an ``mpc`` is converted at ``prec`` bits, each coefficient is
+    rounded to ``prec`` bits and swept, and a non-finite one raises
+    ValueError.  A coefficient whose top bit lies more than ``prec`` bits
+    below the largest is under the sweep cut, so it is dropped before its
+    exact read, which would cost integers as long as the spread.  The
+    caller's dict is never held.  ``coeff(e)`` is the ``mpc`` value."""
+
+    __slots__ = ("terms", "shift", "prec")
 
     def __init__(self, terms, prec):
-        if not all(isinstance(c, mpc) for c in terms.values()):
-            with mp.workprec(prec):
-                terms = {e: c if isinstance(c, mpc) else mpc(c)
-                         for e, c in terms.items()}
-        kept = swept_gaussian(_gaussian_terms(terms)[0], prec)
-        self.terms = {e: terms[e] for e in kept}
-        self.prec = prec
+        with mp.workprec(prec):
+            values = {e: c if isinstance(c, mpc) else mpc(c)
+                      for e, c in terms.items()}
+        top = max((x[2] + x[3] for c in values.values() for x in c._mpc_ if x[1]),
+                  default=0)
+        values = {e: c for e, c in values.items()
+                  if not all(x[2] + x[3] < top - prec if x[1] else x == fzero
+                             for x in c._mpc_)}
+        parts, shift = gaussian(values.values())
+        p = _rounded(dict(zip(values, zip(parts[0::2], parts[1::2]))), shift, prec)
+        self.terms, self.shift, self.prec = p.terms, p.shift, prec
 
     def coeff(self, e):
-        return self.terms.get(e, mpc(0))
+        re, im = self.terms.get(e, (0, 0))
+        return mp.make_mpc((from_man_exp(re, self.shift),
+                            from_man_exp(im, self.shift)))
 
     @property
     def min_exp(self):
@@ -199,7 +239,8 @@ class LaurentPoly:
         return not self.terms
 
     def shifted(self, k):
-        return LaurentPoly({e + k: c for e, c in self.terms.items()}, self.prec)
+        return _made({e + k: c for e, c in self.terms.items()}, self.shift,
+                     self.prec)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -210,20 +251,23 @@ class LaurentPoly:
 
     def __add__(self, other):
         other = self._coerce(other)
-        prec = max(self.prec, other.prec)
-        out = dict(self.terms)
-        with mp.workprec(prec):
-            for e, c in other.terms.items():
-                out[e] = out[e] + c if e in out else c
-        return LaurentPoly(out, prec)
+        base = min([x.shift for x in (self, other) if x.terms], default=0)
+        acc = {}
+        for x in (self, other):
+            up = x.shift - base
+            for e, (re, im) in x.terms.items():
+                re, im = re << up, im << up
+                if e in acc:
+                    re0, im0 = acc[e]
+                    re, im = re0 + re, im0 + im
+                acc[e] = (re, im)
+        return _rounded(acc, base, max(self.prec, other.prec))
 
     __radd__ = __add__
 
     def __neg__(self):
-        # mpmath rounds even unary minus to the ambient precision
-        with mp.workprec(self.prec):
-            terms = {e: -c for e, c in self.terms.items()}
-        return LaurentPoly(terms, self.prec)
+        return _made({e: (-re, -im) for e, (re, im) in self.terms.items()},
+                     self.shift, self.prec)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -231,15 +275,14 @@ class LaurentPoly:
 
     def __mul__(self, other):
         other = self._coerce(other)
-        (a, sa), (b, sb) = _gaussian_terms(self.terms), _gaussian_terms(other.terms)
         acc = {}
-        _convolve_into(acc, a, b, 1)
-        return _rounded(acc, sa + sb, max(self.prec, other.prec))
+        _convolve_into(acc, self.terms, other.terms, 1)
+        return _rounded(acc, self.shift + other.shift, max(self.prec, other.prec))
 
     __rmul__ = __mul__
 
     def __repr__(self):
-        parts = [f"({c})*t^{e}" for e, c in sorted(self.terms.items())]
+        parts = [f"({self.coeff(e)})*t^{e}" for e in sorted(self.terms)]
         return "LaurentPoly(" + " + ".join(parts or ["0"]) + ")"
 
 
@@ -259,7 +302,7 @@ def divide_with_remainder(num, den):
     prec = max(num.prec, den.prec)
     if num.is_zero():
         return LaurentPoly({}, prec), mpf(0)
-    (a, sa), (d, sd) = _gaussian_terms(num.terms), _gaussian_terms(den.terms)
+    a, sa, d, sd = num.terms, num.shift, den.terms, den.shift
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp
     dr, di = d[dmax]

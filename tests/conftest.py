@@ -40,11 +40,16 @@ def eps(prec):
     return mpf(2) ** (-prec)
 
 
+def coeffs(poly):
+    """The coefficients of a LaurentPoly as a dict {e: mpc}."""
+    return {e: poly.coeff(e) for e in poly.terms}
+
+
 def laurent_value(poly, t):
     """Value of a LaurentPoly at a nonzero number t, at the polynomial's
     precision."""
     with mp.workprec(poly.prec):
-        return sum((c * t ** e for e, c in poly.terms.items()), mpc(0))
+        return sum((c * t ** e for e, c in coeffs(poly).items()), mpc(0))
 
 
 def identity():
@@ -65,7 +70,7 @@ def mat_sub(P, Q):
 def infnorm(p):
     """The largest coefficient magnitude of a LaurentPoly, at its
     precision."""
-    return max_abs(p.terms.values(), p.prec)
+    return max_abs(coeffs(p).values(), p.prec)
 
 
 def mat_infnorm(M):

@@ -16,8 +16,9 @@ from talex.laurent import DeltaResult
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
                            r0_polynomial)
-from conftest import (STD_M, cached_contexts, eps, fox_derivative_of_relator,
-                      infnorm, laurent_value, m_at, phi_map, three_routes)
+from conftest import (STD_M, cached_contexts, coeffs, eps,
+                      fox_derivative_of_relator, infnorm, laurent_value, m_at,
+                      phi_map, three_routes)
 
 import oracles
 
@@ -350,7 +351,7 @@ def test_monic_tolerance_floor_still_refuses(prec, offset):
     fox = three_routes(1, STD_M[0], prec)[0]
     assert genus_fiberedness_report(fox, 1).fibered_consistent
     for e in (0, fox.poly.max_exp):
-        terms = dict(fox.poly.terms)
+        terms = coeffs(fox.poly)
         with mp.workprec(prec):
             terms[e] = 1 + mpf(offset)
         bad = DeltaResult(LaurentPoly(terms, prec), 1, 0, "test", 0)

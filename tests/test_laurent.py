@@ -10,13 +10,13 @@ from mpmath.libmp import from_man_exp
 
 from talex import (LaurentPoly, Mat2, build_holonomy_rep, fox, laurent,
                    wada_polynomial)
-from talex.laurent import (SWEEP_GUARD_BITS, _gaussian_terms,
+from talex.laurent import (SWEEP_GUARD_BITS,
                            coefficient_deviation, divide_with_remainder,
                            half_prec_tol, normalize_delta, poly_mat_det,
                            swept_gaussian)
 from talex.pretzel import build_context
-from conftest import (STD_M, cached_contexts, cached_roots, eps, infnorm,
-                      laurent_value)
+from conftest import (STD_M, cached_contexts, cached_roots, coeffs, eps,
+                      infnorm, laurent_value)
 
 PREC = 192
 
@@ -165,7 +165,7 @@ def test_mat2_scalar_algebra():
 def _det(rows):
     """``poly_mat_det`` of a matrix of LaurentPolys, each coefficient read
     as an exact Gaussian integer over the matrix's smallest power of two."""
-    exact = [[_gaussian_terms(p.terms) for p in row] for row in rows]
+    exact = [[(p.terms, p.shift) for p in row] for row in rows]
     base = min((s for row in exact for terms, s in row if terms), default=0)
     ints = [[{e: (re << (s - base), im << (s - base))
               for e, (re, im) in terms.items()} for terms, s in row]
@@ -210,7 +210,7 @@ def _exact(p):
     def frac(x):
         sign, man, exp, _ = x._mpf_
         return Fraction(-man if sign else man) * Fraction(2) ** exp
-    return {e: (frac(c.real), frac(c.imag)) for e, c in p.terms.items()}
+    return {e: (frac(c.real), frac(c.imag)) for e, c in coeffs(p).items()}
 
 
 def _exact_mul(a, b):
@@ -232,7 +232,7 @@ def _rounded(exact, prec):
 
 
 def _bits(p):
-    return {e: c._mpc_ for e, c in p.terms.items()}
+    return {e: c._mpc_ for e, c in coeffs(p).items()}
 
 
 def _mpc_mul(p, q):
@@ -240,8 +240,8 @@ def _mpc_mul(p, q):
     prec = max(p.prec, q.prec)
     with mp.workprec(prec):
         acc = {}
-        for e1, c1 in p.terms.items():
-            for e2, c2 in q.terms.items():
+        for e1, c1 in coeffs(p).items():
+            for e2, c2 in coeffs(q).items():
                 acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
     return LaurentPoly(acc, prec)
 
@@ -337,7 +337,7 @@ def test_non_finite_coefficients_refused(bad):
     huge = LaurentPoly({0: mpf(2) ** 10 ** 6, 1: 1}, PREC) * p
     assert huge.support() == [0, 1]
     for q in (huge, huge.shifted(-5), -huge):
-        assert all(mp.isfinite(c) for c in q.terms.values())
+        assert all(mp.isfinite(c) for c in coeffs(q).values())
 
 
 def test_exact_division_refuses_a_nan_remainder(monkeypatch):
@@ -411,13 +411,13 @@ def _deviation_cases(rng, prec):
     def scaled(p, lo, hi):
         with mp.workprec(prec):
             return LaurentPoly({e: c * mpf(2) ** rng.randint(lo, hi)
-                                for e, c in p.terms.items()}, prec)
+                                for e, c in coeffs(p).items()}, prec)
 
     def nudged(p, size):
         with mp.workprec(prec):
             return LaurentPoly({e: c * (1 + size * mpc(rng.uniform(-1, 1),
                                                        rng.uniform(-1, 1)))
-                                for e, c in p.terms.items()}, prec)
+                                for e, c in coeffs(p).items()}, prec)
 
     zero = LaurentPoly({}, prec)
     for _ in range(6):
@@ -452,7 +452,7 @@ def test_coefficient_deviation_is_the_formula_within_one_ulp(prec):
             assert abs(got - want) <= mpf(2) ** (exp + bc - prec), (a, b)
     # mixed precisions compare at the larger one
     p = rand_poly(rng, prec=prec)
-    q = LaurentPoly(p.terms, 2 * prec)
+    q = LaurentPoly(coeffs(p), 2 * prec)
     with mp.workprec(2 * prec):
         q = q + LaurentPoly({0: mpf(2) ** -(prec + 20)}, 2 * prec)
     got, want = coefficient_deviation(p, q), _deviation_formula(p, q, 4 * prec)
@@ -468,16 +468,17 @@ def _mpc_long_division(num, den, work):
     relative remainder)."""
     prec = max(num.prec, den.prec)
     with mp.workprec(work):
-        norm = max(abs(c) for c in num.terms.values())
+        num_c, den_c = coeffs(num), coeffs(den)
+        norm = max(abs(c) for c in num_c.values())
         cut = norm * mpf(2) ** -(prec - SWEEP_GUARD_BITS)
         dmax, qmin = den.max_exp, num.min_exp - den.min_exp
-        tail = [(e, c) for e, c in den.terms.items() if e != dmax]
-        rem, quot = dict(num.terms), {}
+        tail = [(e, c) for e, c in den_c.items() if e != dmax]
+        rem, quot = num_c, {}
         while rem:
             e = max(rem)
             if e - dmax < qmin:
                 break
-            co = quot[e - dmax] = rem.pop(e) / den.terms[dmax]
+            co = quot[e - dmax] = rem.pop(e) / den_c[dmax]
             for ee, c in tail:
                 k = e - dmax + ee
                 w = rem.get(k, 0) - co * c
