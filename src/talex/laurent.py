@@ -192,17 +192,11 @@ def _rounded(acc, shift, prec):
 
 
 class LaurentPoly:
-    """A swept Laurent polynomial at precision ``prec``: ``terms`` maps int
-    exponents to Gaussian integers (re, im), the coefficient being (re +
-    i*im) * 2^``shift``, each part a ``prec``-bit number.
-
-    It is built from a dict of int exponents to numbers: a number that is
-    not an ``mpc`` is converted at ``prec`` bits, each coefficient is
-    rounded to ``prec`` bits and swept, and a non-finite one raises
-    ValueError.  A coefficient whose top bit lies more than ``prec`` bits
-    below the largest is under the sweep cut, so it is dropped before its
-    exact read, which would cost integers as long as the spread.  The
-    caller's dict is never held.  ``coeff(e)`` is the ``mpc`` value."""
+    """A swept Laurent polynomial at precision ``prec`` on Gaussian integers
+    (see the module docstring), built from a dict of int exponents to
+    numbers, any of them not an ``mpc`` converted at ``prec`` bits.  The
+    caller's dict is never held, and a non-finite coefficient raises
+    ValueError."""
 
     __slots__ = ("terms", "shift", "prec")
 
@@ -210,6 +204,8 @@ class LaurentPoly:
         with mp.workprec(prec):
             values = {e: c if isinstance(c, mpc) else mpc(c)
                       for e, c in terms.items()}
+        # more than prec bits below the top is under the sweep cut: dropped
+        # unread, as reading it would cost integers as long as the spread
         top = max((x[2] + x[3] for c in values.values() for x in c._mpc_ if x[1]),
                   default=0)
         values = {e: c for e, c in values.items()
@@ -313,6 +309,8 @@ def divide_with_remainder(num, den):
     rem = {e: (re << g, im << g) for e, (re, im) in a.items()}
     norm2 <<= 2 * g
     cut2 = norm2 >> 2 * (prec - SWEEP_GUARD_BITS)
+    # a part of cut_bits + 1 bits or more puts |w|^2 above cut2 unsquared
+    cut_bits = (cut2.bit_length() + 1) // 2
     quot = {}
     while rem:
         e = max(rem)
@@ -329,7 +327,8 @@ def divide_with_remainder(num, den):
             p, q = qr * tr, qi * ti
             wr, wi = rem.get(k + de, (0, 0))
             wr, wi = wr - p + q, wi - qs * ts + p + q
-            if wr * wr + wi * wi > cut2:
+            if (wr.bit_length() > cut_bits or wi.bit_length() > cut_bits
+                    or wr * wr + wi * wi > cut2):
                 rem[k + de] = (wr, wi)
             else:
                 rem.pop(k + de, None)

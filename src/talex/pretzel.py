@@ -12,7 +12,13 @@ cofactor (``r0_cofactor``).
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
 rows per (m, precision), Horner per root, so every per-root evaluation at
 one m (the solver's residuals and flags, the context values, r1) shares one
-specialisation, and the solver takes the cofactor's row from it.
+specialisation.  The rows are the exact values sum_b v m^b (m read exactly
+as a Gaussian integer) and their magnitudes, rounded once onto one power of
+two with prec + 64 bits for the largest magnitude; Horner runs on Gaussian
+integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
+fractional bits, and only the result is rounded to the working precision.
+The solver takes the cofactor's row from ``s_rows``, each entry correctly
+rounded from its exact value.
 ``solve_s_roots`` and ``build_context`` take the working precision and
 enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
 ``BivarPoly.eval`` and ``degeneracy_flags`` run at their caller's ambient
@@ -24,19 +30,22 @@ every m probed (at n = 17 it fails at m = 1.2+0.4i).
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import Mat2, half_prec_tol
+from .laurent import Mat2, gaussian, half_prec_tol
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
 MAX_PREC = 4096
 MAX_N = 16
 DEGENERACY_TOL = mpf("1e-10")
+EVAL_GUARD_BITS = 64
 
 
 def check_prec(prec):
@@ -95,44 +104,87 @@ class BivarPoly:
     def s_valuation(self):
         return min((a for a, _ in self.terms), default=None)
 
+    def _exact_row(self, m, guard):
+        """``(row, shift, valuation)`` at m: the polynomial in s is
+        s^valuation times the row, listed leading first, whose entries are
+        [re, im, mag] over 2^shift: re + i*im = sum_b v_ab m^b exactly, and
+        mag = sum_b |v_ab| |m|^b with each |m|^b rounded down to ``guard``
+        fractional bits."""
+        (mr, mi), e = gaussian([m])
+        norm = mr * mr + mi * mi
+        ms = {b for _, b in self.terms}
+        base = min((b * e for b in ms), default=0)
+        powers, zr, zi = {}, 1, 0
+        for b in range(max(ms, default=0) + 1):
+            if b in ms:
+                up = b * e - base
+                powers[b] = (zr << (up + guard), zi << (up + guard),
+                             isqrt(norm ** b << 2 * guard) << up)
+            zr, zi = zr * mr - zi * mi, zr * mi + zi * mr
+        lo, hi = self.s_valuation() or 0, self.s_degree() or 0
+        row = [[0, 0, 0] for _ in range(hi - lo + 1)]
+        for (a, b), v in self.terms.items():
+            entry, (pr, pi, pa) = row[hi - a], powers[b]
+            entry[0] += v * pr
+            entry[1] += v * pi
+            entry[2] += abs(v) * pa
+        return row, base - guard, lo
+
     def s_rows(self, m):
-        """``(coefficients, magnitudes, valuation)`` at m: the polynomial in
-        s is s^valuation times the coefficient row, listed leading first,
-        whose entries are sum_b v_ab m^b; the magnitude row holds sum_b
-        |v_ab| |m|^b.  Each entry sums its terms in one fixed order, leading
-        first (descending b), so the rows depend only on the terms, not on
-        the order in which they were built.  The rows of the last (m,
-        ambient precision) are kept, so every root at one m shares them."""
-        m = mpc(m)
-        key = (m, mp.prec)
-        if self._rows is None or self._rows[0] != key:
-            lo, hi = self.s_valuation() or 0, self.s_degree() or 0
-            coeffs, mags = [mpc(0)] * (hi - lo + 1), [mpf(0)] * (hi - lo + 1)
-            am = abs(m)
-            mpow, ampow = {0: mpc(1)}, {0: mpf(1)}
-            for (a, b), v in sorted(self.terms.items(), reverse=True):
-                if b not in mpow:
-                    mpow[b], ampow[b] = m ** b, am ** b
-                coeffs[hi - a] += v * mpow[b]
-                mags[hi - a] += abs(v) * ampow[b]
-            self._rows = key, (coeffs, mags, lo)
-        return self._rows[1]
+        """``(coefficients, valuation)`` at m and the ambient precision: the
+        polynomial in s is s^valuation times the coefficient row, listed
+        leading first, each entry sum_b v_ab m^b correctly rounded from its
+        exact value."""
+        row, shift, val = self._exact_row(mpc(m), 0)
+        return [mp.make_mpc((from_man_exp(re, shift, mp.prec, round_nearest),
+                             from_man_exp(im, shift, mp.prec, round_nearest)))
+                for re, im, _ in row], val
 
     def eval(self, m, s):
-        """``(value, scale)`` at (m, s): rows per (m, precision), Horner per
-        root.  The scale is the sum of the term magnitudes at |m|, |s|, the
-        natural scale against which residuals and near-zero tests are
-        measured."""
-        coeffs, mags, val = self.s_rows(m)
-        value, scale = mp.polyval(coeffs, s), mp.polyval(mags, abs(s))
-        if val:
-            value, scale = value * s ** val, scale * abs(s) ** val
-        return value, scale
+        """``(value, scale)`` at (m, s) and the ambient precision: rows per
+        (m, precision), fixed-point Horner per root (see the module
+        docstring).  The scale is the sum of the term magnitudes at |m|,
+        |s|, the natural scale against which residuals and near-zero tests
+        are measured.  The rows of the last (m, precision) are kept, so
+        every root at one m shares them."""
+        m, s, prec = mpc(m), mpc(s), mp.prec
+        bits = prec + EVAL_GUARD_BITS
+        if self._rows is None or self._rows[0] != (m, prec):
+            row, shift, val = self._exact_row(m, bits)
+            k = max(mag for *_, mag in row).bit_length() - bits
+            if k > 0:
+                half = 1 << (k - 1)
+                row = [[(x + half) >> k for x in entry] for entry in row]
+                shift += k
+            self._rows = (m, prec), (row, shift, val)
+        row, shift, power = self._rows[1]
+        zr, zi = to_fixed(s.real._mpf_, bits), to_fixed(s.imag._mpf_, bits)
+        if zr * zr + zi * zi > 1 << 2 * bits:
+            with mp.workprec(bits):
+                z = 1 / s
+            zr, zi = to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
+            row, power = row[::-1], power + len(row) - 1
+        za = isqrt(zr * zr + zi * zi)
+        re = im = mag = 0
+        for cr, ci, ca in row:
+            re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
+            mag = (mag * za >> bits) + ca
+        with mp.workprec(bits):
+            value = mp.make_mpc((from_man_exp(re, shift, bits, round_nearest),
+                                 from_man_exp(im, shift, bits, round_nearest)))
+            scale = mp.make_mpf(from_man_exp(mag, shift, bits, round_nearest))
+            if power:
+                value, scale = value * s ** power, scale * abs(s) ** power
+        return +value, +scale
 
     def divmod_s(self, divisor):
-        """``(quotient, remainder)`` of the exact long division in s by a
-        divisor whose leading s-coefficient is 1: self = quotient * divisor
-        + remainder, the remainder of lower s-degree than the divisor."""
+        """``(quotient, remainder)`` of the long division in s by a divisor
+        whose leading s-coefficient is 1: self = quotient * divisor +
+        remainder, the remainder of lower s-degree than the divisor, or
+        nonzero.  The lowest s-coefficients of both are nonzero polynomials
+        in m, so an exact quotient has s-valuation val(self) - val(divisor);
+        the division stops before a quotient term would fall below it, and
+        what is left is the remainder."""
         d = divisor.s_degree()
         if {b: v for (a, b), v in divisor.terms.items() if a == d} != {0: 1}:
             raise ValueError("the divisor's leading s-coefficient must be 1")
@@ -140,8 +192,9 @@ class BivarPoly:
         cols = {}
         for (a, b), v in self.terms.items():
             cols.setdefault(a, {})[b] = v
+        stop = d + max(0, (self.s_valuation() or 0) - divisor.s_valuation())
         quot = {}
-        for a in range(max(cols, default=d - 1), d - 1, -1):
+        for a in range(max(cols, default=d - 1), stop - 1, -1):
             for b, v in cols.pop(a, {}).items():
                 if v:  # a coefficient that cancelled leaves no quotient term
                     quot[(a - d, b)] = v

@@ -10,6 +10,7 @@ from mpmath import mp, mpf, mpc
 
 from talex import (DegenerateContext, build_context, delta_theorem,
                    select_root, solve_s_roots)
+from talex import pretzel
 from talex.errors import NonConvergence
 from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            beta_polynomial, build_holonomy_rep, certified_roots,
@@ -125,6 +126,85 @@ def test_eval_accuracy_against_exact_arithmetic():
                     assert abs(scale - exact_scale) <= eps(prec - 10) * exact_scale
 
 
+EXTREME_M = (("0.0195", "0.003"), ("24.7", "3.7"))
+EVALUATED = (alpha_polynomial, beta_polynomial, h_polynomial, eta1_polynomial,
+             eta2_polynomial, r1_polynomial, r0_polynomial)
+
+
+def _mpc_row(poly, m):
+    """The coefficient row (leading first) and s-valuation of ``poly`` at
+    m as the evaluator built it before its integer rows: each entry the
+    ``mpc`` sum of v m^b at the ambient precision, leading m-power first."""
+    lo, hi = poly.s_valuation(), poly.s_degree()
+    row = [mpc(0)] * (hi - lo + 1)
+    for (a, b), v in sorted(poly.terms.items(), reverse=True):
+        row[hi - a] += v * m ** b
+    return row, lo
+
+
+@lru_cache(maxsize=None)
+def _evaluation_points(n):
+    """{m_pair: roots s at 256 bits} for both standard m and the two
+    extreme ones."""
+    return {pair: [rec.s for rec in cached_roots(n, pair)[1]]
+            for pair in STD_M + EXTREME_M}
+
+
+def _spread_points():
+    """Points s with |s| from 2^-12 to 2569 on scattered rays, for n = 16,
+    whose roots take the solver seconds per m."""
+    rng = random.Random(16)
+    with mp.workprec(256):
+        return [mpc(r * mp.cos(t), r * mp.sin(t))
+                for r in [mpf(2) ** k for k in range(-12, 12, 3)] + [mpf(2569)]
+                for t in [rng.uniform(0, 7)]]
+
+
+@pytest.mark.parametrize("n, precs", [(n, (128, 256, 512)) for n in (1, 2, 5)]
+                         + [(8, (256,)), (16, (128, 256, 512))])
+def test_integer_horner_is_no_less_accurate_than_polyval(n, precs):
+    """alpha, beta, H, eta_1, eta_2, r1 and r0 at every root of both
+    standard m and two extreme ones (at n = 16, at points with |s| up to
+    2569), at 128, 256 and 512 bits (n = 8 at 256 only, for time): the
+    fixed-point Horner of ``eval`` is off from ``mp.polyval`` of the same
+    row at 3 prec bits by no more, in units of 2^-prec of the scale, than
+    ``mp.polyval`` at prec bits of the row summed in ``mpc`` was (measured:
+    at most 1.0 unit against up to 12); and |s| > 1 takes the reversed
+    row."""
+    if n == 16:
+        points = {pair: _spread_points() for pair in STD_M + EXTREME_M}
+    else:
+        points = _evaluation_points(n)
+    largest = 0
+    for pair, roots in points.items():
+        for prec in precs:
+            m = m_at(*pair, prec=prec)
+            with mp.workprec(prec):
+                roots = [+s for s in roots]
+            largest = max([largest] + [abs(s) for s in roots])
+            new = old = 0
+            for build in EVALUATED:
+                poly = build(n)
+                with mp.workprec(prec):
+                    row, val = _mpc_row(poly, m)
+                with mp.workprec(3 * prec):
+                    ref_row, _ = _mpc_row(poly, m)
+                for s in roots:
+                    with mp.workprec(prec):
+                        value, scale = poly.eval(m, s)
+                        before = mp.polyval(row, s) * s ** val
+                    if not scale:   # s = 0 and s^val divides poly
+                        assert value == before == 0
+                        continue
+                    with mp.workprec(3 * prec):
+                        ref = mp.polyval(ref_row, s) * s ** val
+                        unit = scale * eps(prec)
+                        new = max(new, abs(value - ref) / unit)
+                        old = max(old, abs(before - ref) / unit)
+            assert new <= old, (pair, prec, new, old)
+    assert largest > (2000 if n == 16 else 1)
+
+
 def s_minus(root):
     return BivarPoly({(1, 0): 1, (0, 0): -root})
 
@@ -147,6 +227,44 @@ def test_divmod_s():
                       s_minus(1) + BivarPoly({(1, 2): 1})):
         with pytest.raises(ValueError):
             p.divmod_s(not_monic)
+
+
+def _one_sign_flipped(poly):
+    """poly with the sign of its first term, in sorted order, flipped."""
+    key = min(poly.terms)
+    return BivarPoly({**poly.terms, key: -poly.terms[key]})
+
+
+_DEFLATION = BivarPoly({(5, 0): 1, (4, 0): 1, (3, 0): -2, (2, 0): -2,
+                        (1, 0): 1, (0, 0): 1})
+
+
+@pytest.mark.parametrize("name", ("r0 at n=5", "form", "form, unshifted divisor"))
+def test_divmod_s_stops_at_the_exact_quotients_valuation(monkeypatch, name):
+    """A division that is not exact stops before a quotient term falls
+    below val(self) - val(divisor), the valuation of an exact quotient:
+    the identity self = q * divisor + rem holds, rem is nonzero, and the
+    quotient's terms lie between that valuation and deg(self) - deg(divisor),
+    one per column and m-power.  ``r0_cofactor`` still refuses the mutated
+    r0 with ArithmeticError."""
+    exact = r0_polynomial(5) if name == "r0 at n=5" else FORMS["r0"]
+    divisor = _DEFLATION if "unshifted" in name else _DEFLATION.shift(
+        s_exp=exact.s_valuation())
+    assert exact.divmod_s(divisor)[1] == BivarPoly()
+    bad = _one_sign_flipped(exact)
+    q, rem = bad.divmod_s(divisor)
+    assert rem != BivarPoly()
+    assert q * divisor + rem == bad
+    lo = bad.s_valuation() - divisor.s_valuation()
+    hi = bad.s_degree() - divisor.s_degree()
+    assert all(lo <= a <= hi for a, _ in q.terms)
+    assert len(q.terms) <= (hi - lo + 1) * (m_degree(bad) + 1)
+    if "unshifted" in name:
+        assert lo > 0 and min(a for a, _ in q.terms) == lo
+    if name == "r0 at n=5":
+        monkeypatch.setattr(pretzel, "r0_polynomial", lambda n: bad)
+        with pytest.raises(ArithmeticError):
+            r0_cofactor.__wrapped__(5)
 
 
 # -- exact structural identities of the defining polynomial -----------------
@@ -495,7 +613,7 @@ def test_solve_roots_match_undeflated_polyroots():
     m, roots = cached_roots(n, STD_M[0])
     r0 = r0_polynomial(n)
     with mp.workprec(prec):
-        coeffs, _, val = r0.s_rows(m)
+        coeffs, val = r0.s_rows(m)
         full = mp.polyroots(coeffs, maxsteps=500, extraprec=prec)
         ref = sorted([mpc(0)] * val + full, key=lambda s: (s.real, s.imag))
         assert ([degeneracy_flags(n, m, s) for s in ref]
