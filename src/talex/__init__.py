@@ -22,11 +22,13 @@ integers (each prefix product rounded to prec + 64 bits), and
 coefficient as Gaussian integers rounded to ``prec`` bits, the bits an
 ``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``; it sweeps
 every polynomial it builds, so none holds a non-finite coefficient.
-Helpers that receive only values (``BivarPoly.eval``, which keeps its rows
-in s per (m, precision), ``degeneracy_flags``, ``Mat2`` arithmetic) compute
-at their caller's ambient precision.  Inputs are rounded to the working
-precision on entry; ``verify_sweep`` takes m as decimal strings, so each
-precision it retries at parses m afresh.
+``solve_s_roots`` returns one ``PretzelContext`` per root, the one
+``build_context`` makes there, whose eta_1 and eta_2 are evaluated at its
+``prec`` on first use.  Helpers that receive only values
+(``BivarPoly.eval``, which keeps its rows in s per (m, precision), ``Mat2``
+arithmetic) compute at their caller's ambient precision.  Inputs are
+rounded to the working precision on entry; ``verify_sweep`` takes m as
+decimal strings, so each precision it retries at parses m afresh.
 The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division
 remainder in the ``DeltaResult`` and never raises for it: the CLI refuses
 an inexact one (``InexactDivision``), ``verify`` reports it as a check.

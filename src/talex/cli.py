@@ -32,8 +32,8 @@ from .errors import DegenerateContext, InexactDivision, NonConvergence
 from .fox import wada_polynomial
 from .closed_form import delta_prop32, delta_theorem, genus_fiberedness_report
 from .laurent import half_prec_tol, max_pairwise_deviation
-from .pretzel import (DEFAULT_PREC, MAX_N, build_context, build_holonomy_rep,
-                      check_n, check_prec, select_root, solve_s_roots)
+from .pretzel import (DEFAULT_PREC, MAX_N, build_holonomy_rep, check_n,
+                      check_prec, select_root, solve_s_roots)
 from .verify import m_at, verify_sweep
 
 EXIT_OK = 0
@@ -170,8 +170,7 @@ def _pair(z, prec):
 
 def cmd_roots(args):
     prec = args.precision_bits
-    m = m_at(args.m, prec)
-    records = solve_s_roots(args.n, m, prec)
+    records = solve_s_roots(args.n, m_at(args.m, prec), prec)
     payload = {
         "n": args.n,
         "m": list(args.m),
@@ -223,13 +222,12 @@ def _delta_payload(result, ctx, args):
 
 def cmd_delta(args):
     prec = args.precision_bits
-    m = m_at(args.m, prec)
-    records = solve_s_roots(args.n, m, prec)
+    records = solve_s_roots(args.n, m_at(args.m, prec), prec)
     if args.root_index is None and all(rec.flags for rec in records):
         print("error: no nondegenerate root at this (n, m)", file=sys.stderr)
         return EXIT_NO_ROOT
     idx = select_root(records, args.root_index)
-    ctx = build_context(args.n, m, records[idx].s, prec, strict=True)
+    ctx = records[idx]
 
     def run(method):
         if method == "fox":
@@ -243,8 +241,10 @@ def cmd_delta(args):
             return delta_theorem(ctx)
         return delta_prop32(ctx)
 
-    if args.method == "all":
-        results = {name: run(name) for name in ("fox", "theorem", "prop32")}
+    every = args.method == "all"
+    results = {name: run(name) for name in (
+        ("fox", "theorem", "prop32") if every else (args.method,))}
+    if every:
         dev = max_pairwise_deviation(**results)
         # from the Fox route: delta_theorem is monic of degree 4n+6 by
         # construction, so its report would only restate the claim
@@ -260,35 +260,30 @@ def cmd_delta(args):
             "methods": {name: _delta_payload(res, ctx, args)
                         for name, res in results.items()},
         }
-        if args.format == "json":
-            print(json.dumps(payload, indent=2))
-        elif args.format == "csv":
-            print("method,exp,re,im")
-            for name, res in results.items():
-                for e in res.poly.support():
-                    c = res.poly.coeff(e)
-                    print(f"{name},{e},{_fmt(c.real, prec)},{_fmt(c.imag, prec)}")
-        else:
-            print(f"Delta_(K_{ctx.n}) at root #{idx}, all methods; "
+        shown = results["theorem"]
+        header = (f"Delta_(K_{ctx.n}) at root #{idx}, all methods; "
                   f"max pairwise deviation {payload['max_pairwise_deviation']}")
-            _print_poly(results["theorem"], prec)
-            print(f"degree {genus.degree}, genus {genus.genus}, "
-                  f"monic={genus.monic}")
-        return EXIT_OK
-
-    result = run(args.method)
-    payload = _delta_payload(result, ctx, args)
-    payload["root_index"] = idx
+    else:
+        shown = results[args.method]
+        payload = _delta_payload(shown, ctx, args)
+        payload["root_index"] = idx
+        header = (f"Delta_(K_{ctx.n}) via {shown.method} at root #{idx} "
+                  f"(unit sign {shown.sign}, shift {shown.shift}):")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
-        print("exp,re,im")
-        for c in payload["coefficients"]:
-            print(f"{c['exp']},{c['re']},{c['im']}")
+        print("method,exp,re,im" if every else "exp,re,im")
+        for name, res in results.items():
+            for e in res.poly.support():
+                c = res.poly.coeff(e)
+                row = f"{e},{_fmt(c.real, prec)},{_fmt(c.imag, prec)}"
+                print(f"{name},{row}" if every else row)
     else:
-        print(f"Delta_(K_{ctx.n}) via {result.method} at root #{idx} "
-              f"(unit sign {result.sign}, shift {result.shift}):")
-        _print_poly(result, prec)
+        print(header)
+        _print_poly(shown, prec)
+        if every:
+            print(f"degree {genus.degree}, genus {genus.genus}, "
+                  f"monic={genus.monic}")
     return EXIT_OK
 
 

@@ -69,12 +69,12 @@ def _sqrt_ratio(a, b, exp, prec):
     return mp.make_mpf(from_man_exp(man, exp - j - 1, prec, round_nearest))
 
 
-def max_abs(values, prec):
-    """max |c| over the ``mpc`` values at ``prec`` bits (0 for none),
-    correctly rounded from the exact squared magnitudes."""
-    parts, shift = gaussian(values)
-    abs2 = (re * re + im * im for re, im in zip(parts[0::2], parts[1::2]))
-    return _sqrt_ratio(max(abs2, default=0), 1, shift, prec)
+def max_abs(p, exps):
+    """max |c_e| over the exponents ``exps`` of the LaurentPoly p (0 for
+    none), correctly rounded at ``p.prec`` from the exact squared
+    magnitudes of its stored integers."""
+    abs2 = (re * re + im * im for re, im in (p.terms.get(e, (0, 0)) for e in exps))
+    return _sqrt_ratio(max(abs2, default=0), 1, p.shift, p.prec)
 
 
 def coefficient_deviation(p, q):
@@ -237,6 +237,10 @@ class LaurentPoly:
     def shifted(self, k):
         return _made({e + k: c for e, c in self.terms.items()}, self.shift,
                      self.prec)
+
+    def reflected(self, k):
+        """The polynomial with coefficient e moved to k - e."""
+        return _made({k - e: c for e, c in self.terms.items()}, self.shift, self.prec)
 
     # -- arithmetic -------------------------------------------------------
 

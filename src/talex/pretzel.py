@@ -11,7 +11,7 @@ cofactor (``r0_cofactor``).
 
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
 rows per (m, precision), Horner per root, so every per-root evaluation at
-one m (the solver's residuals and flags, the context values, r1) shares one
+one m (the solver's residuals, the context values, r1) shares one
 specialisation.  The rows are the exact values sum_b v m^b (m read exactly
 as a Gaussian integer) and their magnitudes, rounded once onto one power of
 two with prec + 64 bits for the largest magnitude; Horner runs on Gaussian
@@ -19,17 +19,19 @@ integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
 fractional bits, and only the result is rounded to the working precision.
 The solver takes the cofactor's row from ``s_rows``, each entry correctly
 rounded from its exact value.
-``solve_s_roots`` and ``build_context`` take the working precision and
-enter it; the functions of a ``PretzelContext`` run at ``ctx.prec``;
-``BivarPoly.eval`` and ``degeneracy_flags`` run at their caller's ambient
-precision.  ``DEFAULT_PREC`` is the default of the entry points, which
-accept precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
+``solve_s_roots`` returns, per root, the ``PretzelContext`` that
+``build_context`` makes there, so alpha, beta and H are evaluated once per
+root and the flags are read from them.  Both take the working precision and
+enter it; a context's eta_1 and eta_2 and the functions of a context run at
+``ctx.prec``; ``BivarPoly.eval`` runs at its caller's ambient precision.
+``DEFAULT_PREC`` is the default of the entry points, which accept
+precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
 from 1 to ``MAX_N``, the largest n whose roots the solver certified at
 every m probed (at n = 17 it fails at m = 1.2+0.4i).
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 from math import isqrt
 
 import mpmath
@@ -319,7 +321,10 @@ def r1_polynomial(n):
 @dataclass(frozen=True)
 class PretzelContext:
     """One fully instantiated parameter point: n, the meridian eigenvalue m,
-    a root s of r0(m, .), and every derived quantity of the closed forms."""
+    a root s of r0(m, .), and every derived quantity of the closed forms,
+    eta_1 and eta_2 evaluated at ``prec`` on first use.  ``residual`` and
+    ``radius`` are the solver's (0 at the exact roots 0, 1 and -1); a
+    context from ``build_context`` alone holds the residual it was given."""
 
     n: int
     m: mpc
@@ -327,28 +332,31 @@ class PretzelContext:
     alpha: mpc
     beta: mpc
     H: mpc
-    eta1: mpc
-    eta2: mpc
     S: mpc
     prec: int
     flags: frozenset
     residual: object = None
+    radius: object = None
 
     @property
     def nondegenerate(self):
         return not self.flags
 
+    @cached_property
+    def eta1(self):
+        with mp.workprec(self.prec):
+            return eta1_polynomial(self.n).eval(self.m, self.s)[0]
 
-def degeneracy_flags(n, m, s):
-    """Near-zero flags for every quantity the representation formulas divide
-    by, each measured relative to its natural scale."""
-    polys = alpha_polynomial(n), beta_polynomial(n), h_polynomial(n)
-    return _flags(n, m, s, [poly.eval(m, s) for poly in polys])
+    @cached_property
+    def eta2(self):
+        with mp.workprec(self.prec):
+            return eta2_polynomial(self.n).eval(self.m, self.s)[0]
 
 
 def _flags(n, m, s, values):
-    """``degeneracy_flags`` given the ``(value, scale)`` pairs of alpha,
-    beta and H at (m, s)."""
+    """Near-zero flags for every quantity the representation formulas
+    divide by, given the ``(value, scale)`` pairs of alpha, beta and H at
+    (m, s), each measured relative to its natural scale."""
     flags = set()
     am, as_ = abs(m), abs(s)
     if am < DEGENERACY_TOL:
@@ -375,14 +383,13 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
         values = [poly.eval(m, s) for poly in (
-            alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
-            eta1_polynomial(n), eta2_polynomial(n))]
-        flags = _flags(n, m, s, values[:3])
+            alpha_polynomial(n), beta_polynomial(n), h_polynomial(n))]
+        flags = _flags(n, m, s, values)
         if strict and flags:
             raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
-        (alpha, _), (beta, _), (H, _), (eta1, _), (eta2, _) = values
+        (alpha, _), (beta, _), (H, _) = values
         return PretzelContext(
-            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H, eta1=eta1, eta2=eta2,
+            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H,
             S=s ** n,
             prec=prec,
             flags=flags,
@@ -417,18 +424,6 @@ def r0_cofactor(n):
     return val, q
 
 
-@dataclass(frozen=True)
-class RootRecord:
-    """One root s of r0(m, .).  ``radius`` is its inclusion certificate: the
-    disc of that radius about s holds exactly one root (0 for the exact
-    roots 0, 1 and -1)."""
-
-    s: mpc
-    residual: object
-    flags: frozenset
-    radius: object = mpf(0)
-
-
 def _newton(coeffs, z, prec):
     """Polish an approximate simple root at the ambient precision ``prec``;
     quadratic convergence takes a 64-bit seed to ``prec`` bits in about
@@ -445,13 +440,14 @@ def _newton(coeffs, z, prec):
     return z
 
 
-def _inclusion_radius(coeffs, z, prec):
+def _inclusion_radius(coeffs, mags, z, prec):
     """d |p(z)| / |p'(z)|, with both values widened by the rounding error of
-    their Horner evaluation: a disc of this radius about z holds a root of p
+    their Horner evaluation, whose bound takes the magnitudes ``mags`` of
+    the coefficients: a disc of this radius about z holds a root of p
     (Henrici, Applied and Computational Complex Analysis I)."""
     d = len(coeffs) - 1
     p, dp = mp.polyval(coeffs, z, derivative=True)
-    mag, dmag = mp.polyval([abs(c) for c in coeffs], abs(z), derivative=True)
+    mag, dmag = mp.polyval(mags, abs(z), derivative=True)
     err = 8 * (d + 1) * mpf(2) ** -prec
     den = abs(dp) - err * dmag
     return d * (abs(p) + err * mag) / den if den > 0 else mpf("inf")
@@ -472,6 +468,8 @@ def certified_roots(coeffs, prec):
     above 64, the seeds are computed again at ``prec``; if that fails too,
     ``NonConvergence`` is raised.
     """
+    with mp.workprec(prec):
+        mags = [abs(c) for c in coeffs]
     for seed_prec in dict.fromkeys((64, prec)):
         try:
             with mp.workprec(seed_prec):
@@ -480,7 +478,7 @@ def certified_roots(coeffs, prec):
             continue
         with mp.workprec(prec):
             roots = [_newton(coeffs, z, prec) for z in seeds]
-            radii = [_inclusion_radius(coeffs, z, prec) for z in roots]
+            radii = [_inclusion_radius(coeffs, mags, z, prec) for z in roots]
             if _disjoint(roots, radii):
                 return roots, radii
     raise NonConvergence(
@@ -489,15 +487,15 @@ def certified_roots(coeffs, prec):
 
 
 def solve_s_roots(n, m, prec=DEFAULT_PREC):
-    """All complex roots of s -> r0(m, s), each with its relative residual,
-    degeneracy flags and inclusion radius.
+    """The ``build_context`` context of every complex root of s -> r0(m, .),
+    with its relative residual and inclusion radius.
 
     The roots 0 (of multiplicity the s-valuation), 1 (double) and -1
     (triple) are exact and come from the integer factorisation of r0
     (``r0_cofactor``); they are always flagged, never dropped.  The rest
     are the simple roots of the cofactor q(m, .), found by
     ``certified_roots`` at ``prec`` bits and checked against r0 by their
-    relative residual.  Records are sorted by Re s, then Im s.
+    relative residual.  Contexts are sorted by Re s, then Im s.
     """
     check_prec(prec)
     with mp.workprec(prec):
@@ -508,8 +506,8 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
         val, q = r0_cofactor(n)
         records = []
         for root, mult in ((0, val), (1, 2), (-1, 3)):
-            s = mpc(root)
-            records += [RootRecord(s, mpf(0), degeneracy_flags(n, m, s))] * mult
+            ctx = build_context(n, m, root, prec, residual=mpf(0))
+            records += [replace(ctx, radius=mpf(0))] * mult
         # q(m, 0) != 0, so its coefficient row is all of q
         roots, radii = certified_roots(q.s_rows(m)[0], prec)
         bound = half_prec_tol(prec)
@@ -519,7 +517,8 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
             if not res <= bound:
                 raise NonConvergence(
                     f"root {s} has relative residual {res} above {bound}")
-            records.append(RootRecord(s, res, degeneracy_flags(n, m, s), radius))
+            records.append(replace(build_context(n, m, s, prec, residual=res),
+                                   radius=radius))
     # Re s is compared to 2^(-prec/2) absolute, so real parts that agree up
     # to rounding noise (conjugate pairs at real m, the m-independent roots
     # of s^(2n+1) = -1) are ordered by Im s, not by the noise

@@ -83,11 +83,9 @@ def check_context(ctx, independence=False):
         add("agreement", max_pairwise_deviation(fox, theorem, prop32))
 
         deg = 4 * ctx.n + 6
-        c = fox.poly.coeff
-        add("structural_zeros",
-            max_abs((c(e) for e in (1, 2, deg - 2, deg - 1)), ctx.prec))
+        add("structural_zeros", max_abs(fox.poly, (1, 2, deg - 2, deg - 1)))
         add("palindromic",
-            max_abs((c(e) - c(deg - e) for e in range(deg + 1)), ctx.prec))
+            max_abs(fox.poly - fox.poly.reflected(deg), range(deg + 1)))
 
         report = genus_fiberedness_report(fox, ctx.n)
         out.append(CheckOutcome("monic_degree", report.fibered_consistent,
@@ -138,7 +136,7 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                 if rec.flags:
                     continue
                 independence = thorough or idx == default_idx
-                entry = _check_one(n, m, idx, rec, prec, independence, perturb_s)
+                entry = _check_one(idx, rec, independence, perturb_s)
                 p2 = prec
                 while (not entry["passed"] and perturb_s is None
                        and p2 < MAX_RETRY_PREC):
@@ -149,8 +147,7 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                         break
                     with mp.workprec(p2):
                         near = min(roots2, key=lambda r: abs(r.s - rec.s))
-                    retried = _check_one(n, m2, idx, near, p2, independence,
-                                         None)
+                    retried = _check_one(idx, near, independence, None)
                     retried["retried_at"] += entry["retried_at"] + [p2]
                     entry = retried
                 entries.append(entry)
@@ -161,23 +158,24 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     }
 
 
-def _check_one(n, m, idx, rec, prec, independence, perturb_s):
-    """The report entry of root ``rec`` of r0(m, .), reported as root
-    ``idx``: its checks, whether all passed, and no retries yet."""
-    s = rec.s
+def _check_one(idx, rec, independence, perturb_s):
+    """The report entry of the solver's context ``rec`` as root ``idx``: its
+    checks (at the root offset by ``perturb_s``, if given), whether all
+    passed, and no retries yet."""
+    ctx = rec
     if perturb_s is not None:
-        with mp.workprec(prec):
-            s = s + perturb_s
-    ctx = build_context(n, m, s, prec=prec, strict=False)
+        with mp.workprec(rec.prec):
+            s = rec.s + perturb_s
+        ctx = build_context(rec.n, rec.m, s, rec.prec)
     checks = check_context(ctx, independence=independence)
 
     def pair(z):
         return [mpmath.nstr(z.real, 30), mpmath.nstr(z.imag, 30)]
     return {
-        "n": n,
-        "m": pair(m),
+        "n": rec.n,
+        "m": pair(rec.m),
         "root_index": idx,
-        "s": pair(s),
+        "s": pair(ctx.s),
         "flags": sorted(rec.flags),
         "residual": mpmath.nstr(mpf(rec.residual), 6),
         "checks": [c.as_dict() for c in checks],

@@ -25,13 +25,11 @@ from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
                    solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
 from talex.laurent import _rounded, max_abs
-from talex.pretzel import build_context
 from talex.verify import check_context
 
 STD_M = (("1.2", "0.4"), ("0.9", "-0.2"))
 
 _root_cache = {}
-_ctx_cache = {}
 _check_cache = {}
 
 
@@ -70,7 +68,7 @@ def mat_sub(P, Q):
 def infnorm(p):
     """The largest coefficient magnitude of a LaurentPoly, at its
     precision."""
-    return max_abs(coeffs(p).values(), p.prec)
+    return max_abs(p, p.support())
 
 
 def mat_infnorm(M):
@@ -269,9 +267,8 @@ def m_at(re_str, im_str="0", prec=256):
 def three_routes(n, m_pair, prec):
     """The Fox, final-formula and grouped-form results at the default root
     of (n, m), all at ``prec`` bits."""
-    m = m_at(*m_pair, prec=prec)
-    roots = solve_s_roots(n, m, prec)
-    ctx = build_context(n, m, roots[select_root(roots)].s, prec, strict=True)
+    roots = solve_s_roots(n, m_at(*m_pair, prec=prec), prec)
+    ctx = roots[select_root(roots)]
     fox = wada_polynomial(build_holonomy_rep(ctx, "two"), 1)
     return fox, delta_theorem(ctx), delta_prop32(ctx)
 
@@ -285,16 +282,8 @@ def cached_roots(n, m_pair, prec=256):
 
 
 def cached_contexts(n, m_pair, prec=256):
-    """One context per nondegenerate root, memoized."""
-    key = (n, m_pair, prec)
-    if key not in _ctx_cache:
-        m, roots = cached_roots(n, m_pair, prec)
-        _ctx_cache[key] = [
-            build_context(n, m, rec.s, prec=prec, strict=False,
-                          residual=rec.residual)
-            for rec in roots if not rec.flags
-        ]
-    return _ctx_cache[key]
+    """The solver's context of every nondegenerate root, memoized."""
+    return [ctx for ctx in cached_roots(n, m_pair, prec)[1] if not ctx.flags]
 
 
 def cached_checks(n, m_pair, prec=256, independence=True):

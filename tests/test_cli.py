@@ -14,7 +14,7 @@ from mpmath import mp, mpc, mpf
 from talex import cli, pretzel, verify
 from talex.closed_form import genus_fiberedness_report
 from talex.errors import NonConvergence
-from talex.pretzel import BivarPoly, RootRecord
+from talex.pretzel import BivarPoly, build_context
 
 
 def run(capsys, *argv):
@@ -208,8 +208,8 @@ def test_delta_csv(capsys):
 
 
 def all_flagged_roots(n, m, prec=256, **kw):
-    rec = RootRecord(mpc(1), mpf(0), frozenset({"s_one"}))
-    return [rec, rec]
+    ctx = build_context(n, m, 1, prec, residual=mpf(0))
+    return [ctx, ctx]
 
 
 def test_no_nondegenerate_root(capsys, monkeypatch):

@@ -14,7 +14,6 @@ from talex.laurent import (SWEEP_GUARD_BITS,
                            coefficient_deviation, divide_with_remainder,
                            half_prec_tol, normalize_delta, poly_mat_det,
                            swept_gaussian)
-from talex.pretzel import build_context
 from conftest import (STD_M, cached_contexts, cached_roots, coeffs, eps,
                       infnorm, laurent_value)
 
@@ -384,11 +383,8 @@ def test_normalize_delta_never_rescales():
 def test_three_generator_wada_accuracy_at_256_bits(m_pair, index):
     polys = []
     for prec in (256, 1024):
-        m, roots = cached_roots(5, m_pair, prec)
-        rec = roots[index]
-        assert not rec.flags
-        ctx = build_context(5, m, rec.s, prec=prec, strict=False,
-                            residual=rec.residual)
+        ctx = cached_roots(5, m_pair, prec)[1][index]
+        assert not ctx.flags
         polys.append(wada_polynomial(build_holonomy_rep(ctx, "three"), 0).poly)
     assert coefficient_deviation(*polys) < mpf("1e-69")
 

@@ -8,13 +8,13 @@ from functools import lru_cache
 import pytest
 from mpmath import mp, mpf, mpc
 
-from talex import (DegenerateContext, build_context, delta_theorem,
-                   select_root, solve_s_roots)
+from talex import (DegenerateContext, PretzelContext, build_context,
+                   delta_theorem, select_root, solve_s_roots)
 from talex import pretzel
 from talex.errors import NonConvergence
 from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            beta_polynomial, build_holonomy_rep, certified_roots,
-                           degeneracy_flags, eval_r1,
+                           eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            holonomy_matrices, presentation_three_gen,
                            presentation_two_gen, r0_cofactor, r0_polynomial,
@@ -616,7 +616,7 @@ def test_solve_roots_match_undeflated_polyroots():
         coeffs, val = r0.s_rows(m)
         full = mp.polyroots(coeffs, maxsteps=500, extraprec=prec)
         ref = sorted([mpc(0)] * val + full, key=lambda s: (s.real, s.imag))
-        assert ([degeneracy_flags(n, m, s) for s in ref]
+        assert ([build_context(n, m, s, prec).flags for s in ref]
                 == [rec.flags for rec in roots])
     for s, rec in zip(ref, roots):
         if not rec.flags:
@@ -658,19 +658,18 @@ def test_select_root_policy():
 
 def test_degeneracy_flags():
     m = m_at("1.2", "0.4")
-    with mp.workprec(256):
-        assert "s_one" in degeneracy_flags(2, m, mpc(1))
-        assert "s_minus_one" in degeneracy_flags(2, m, mpc(-1))
-        assert "s_zero" in degeneracy_flags(2, m, mpc(0))
-        assert "m_zero" in degeneracy_flags(2, mpc(mpf("1e-15")), mpc(2))
+    assert "s_one" in build_context(2, m, 1).flags
+    assert "s_minus_one" in build_context(2, m, -1).flags
+    assert "s_zero" in build_context(2, m, 0).flags
+    assert "m_zero" in build_context(2, mpc(mpf("1e-15")), 2).flags
 
 
 @pytest.mark.parametrize("prec", (128, 256))
 def test_context_values_and_flags_match_their_single_evaluations(prec):
-    """build_context evaluates alpha, beta, H, eta_1 and eta_2 through each
-    polynomial's ``eval`` and flags the point from those same values: each
-    value is bit for bit the polynomial's own ``eval``, and the flags are
-    those of ``degeneracy_flags`` and of the solver, at every root."""
+    """build_context evaluates alpha, beta and H through each polynomial's
+    ``eval`` and flags the point from those same values, and eta_1 and
+    eta_2 on first use: each value is bit for bit the polynomial's own
+    ``eval``, and the flags are the solver's, at every root."""
     n = 3
     m, roots = cached_roots(n, ("0.9", "-0.2"), prec)
     polys = (alpha_polynomial(n), beta_polynomial(n), h_polynomial(n),
@@ -679,9 +678,33 @@ def test_context_values_and_flags_match_their_single_evaluations(prec):
         ctx = build_context(n, m, rec.s, prec=prec, strict=False)
         with mp.workprec(prec):
             singles = [poly.eval(m, rec.s)[0] for poly in polys]
-            assert ctx.flags == degeneracy_flags(n, m, rec.s)
         assert [ctx.alpha, ctx.beta, ctx.H, ctx.eta1, ctx.eta2] == singles
         assert ctx.flags == rec.flags
+
+
+@pytest.mark.parametrize("prec", (128, 256, 512))
+@pytest.mark.parametrize("n", (1, 2, 5, 8))
+def test_solver_contexts_are_the_built_contexts(n, prec):
+    """Every context the solver returns is, bit for bit, the one
+    build_context makes at its root, eta_1 and eta_2 are their polynomials'
+    ``eval`` at ``ctx.prec``, and the exact roots carry residual and radius
+    0."""
+    polys = eta1_polynomial(n), eta2_polynomial(n)
+    fields = ("m", "s", "alpha", "beta", "H", "eta1", "eta2", "S", "flags")
+    for m_pair in STD_M:
+        m, roots = cached_roots(n, m_pair, prec)
+        for ctx in roots:
+            assert isinstance(ctx, PretzelContext) and ctx.prec == prec
+            built = build_context(n, m, ctx.s, prec)
+            for name in fields:
+                assert getattr(ctx, name) == getattr(built, name), name
+            with mp.workprec(prec):
+                etas = [poly.eval(ctx.m, ctx.s)[0] for poly in polys]
+            assert [ctx.eta1, ctx.eta2] == etas
+            if ctx.s in (0, 1, -1):
+                assert ctx.residual == ctx.radius == 0
+            else:
+                assert 0 < ctx.radius and 0 <= ctx.residual
 
 
 def test_build_context_strict():
