@@ -23,8 +23,8 @@ coefficient as Gaussian integers rounded to ``prec`` bits, the bits an
 ``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``; it sweeps
 every polynomial it builds, so none holds a non-finite coefficient.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
-``build_context`` makes there, whose eta_1 and eta_2 are evaluated at its
-``prec`` on first use.  Helpers that receive only values
+``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
+are computed at its ``prec`` on first use.  Helpers that receive only values
 (``BivarPoly.eval``, which keeps its rows in s per (m, precision), ``Mat2``
 arithmetic) compute at their caller's ambient precision.  Inputs are
 rounded to the working precision on entry; ``verify_sweep`` takes m as

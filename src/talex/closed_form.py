@@ -32,12 +32,12 @@ def _require_nondegenerate(ctx):
         raise DegenerateContext(f"degenerate context: {sorted(ctx.flags)}")
 
 
-def _balanced_geometric(s, k):
+def _balanced_geometric(powers, k):
     """(s^k - s^-k)/(s - s^-1) as the branch-safe sum s^(k-1) + s^(k-3) +
-    ... + s^(1-k); defined for every s, including s = +-1."""
+    ... + s^(1-k) of ``powers`` = {j: s^j}; defined at s = +-1 too."""
     total = mpc(0)
     for j in range(k):
-        total = total + s ** (k - 1 - 2 * j)
+        total = total + powers[k - 1 - 2 * j]
     return total
 
 
@@ -46,25 +46,27 @@ def lambda_coefficients(ctx):
 
     Even indices below 2n-1 use the (H, beta, eta_1 + eta_2) expression, odd
     ones the balanced s-power ratio, and the top index 2n-1 its own two-term
-    expression.  s-powers are taken with integer exponents only.
+    expression.  s-powers are taken with integer exponents only, each once.
     """
     _require_nondegenerate(ctx)
     n, m, s = ctx.n, ctx.m, ctx.s
     H, beta = ctx.H, ctx.beta
     out = []
     with mp.workprec(ctx.prec):
+        powers = {j: s ** j for j in range(-n, n + 1)}
         eta_sum = ctx.eta1 + ctx.eta2
+        one_m2, hmb = 1 + m * m, H * m * beta
         for i in range(2 * n):
             if i == 2 * n - 1:
-                lam = (_balanced_geometric(s, n - 1)
+                lam = (_balanced_geometric(powers, n - 1)
                        - (s * s - 1) * ctx.eta1 / (H * ctx.S * beta))
             elif i % 2 == 0:
                 k = i // 2 + 1
-                lam = ((1 + m * m)
-                       * (H * s ** k * beta - s * (s ** k - s ** (-k)) * eta_sum)
-                       / (H * m * beta))
+                lam = (one_m2
+                       * (H * powers[k] * beta - s * (powers[k] - powers[-k]) * eta_sum)
+                       / hmb)
             else:
-                lam = _balanced_geometric(s, (i - 1) // 2)
+                lam = _balanced_geometric(powers, (i - 1) // 2)
             out.append(lam)
     return out
 
@@ -100,20 +102,23 @@ def delta_prop32(ctx):
     with mp.workprec(prec):
         one_minus_s2 = 1 - s * s
         eta_sum = ctx.eta1 + ctx.eta2
-        k2 = (1 + m * m) * eta_sum / (H * m * beta)
+        one_m2 = 1 + m * m
+        k2 = one_m2 * eta_sum / (H * m * beta)
+        edge = one_m2 * S / m - k2 * s * S
+        powers = [s ** i for i in range(n + 1)]
 
-        geo1 = LaurentPoly({2 * i: S / s ** (i + 1) for i in range(n)}, prec)
-        geo2 = LaurentPoly({2 * i: s ** i for i in range(n)}, prec)
+        geo1 = LaurentPoly({2 * i: S / powers[i + 1] for i in range(n)}, prec)
+        geo2 = LaurentPoly({2 * i: powers[i] for i in range(n)}, prec)
 
         # first grouped block, times t^2 n shifts already folded into exponents
         blk1 = LaurentPoly({
             -2: s / one_minus_s2,
             2 * n - 2: -S / one_minus_s2,
-            2 * n - 1: (1 + m * m) * S / m - k2 * s * S,
+            2 * n - 1: edge,
             -3: k2,
         }, prec)
         blk2 = LaurentPoly({
-            -3: (1 + m * m) * S / m - k2 * s * S,
+            -3: edge,
             -2: -S / one_minus_s2,
             2 * n - 2: s / one_minus_s2,
             2 * n - 1: k2,

@@ -22,7 +22,8 @@ rho(p) t^alpha(p) over the prefixes p of w at the letters x_j^(+-1), so one
 left-to-right scan of each relator side, carrying the prefix matrix rho(p)
 and its t-exponent alpha(p), yields every column's block in O(L) matrix
 products for a side of length L, and its last prefix is rho(side), which
-gives the relation residual.
+gives the relation residual.  The blocks are summed from the walk on first
+use, so checking only the relations never builds them.
 
 The walk runs on Gaussian integers.  rho(x_j) and its inverse (computed in
 ``mpc`` at ``rep.prec``) are read once, exactly, as integers over one power
@@ -41,6 +42,7 @@ the walk is tested against, live with the tests (``tests/conftest.py``).
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from mpmath import mp
 from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
@@ -164,11 +166,11 @@ class Representation:
     with the precision ``prec`` that the walk and the Wada pipeline run at.
 
     Construction walks each relator once and keeps, per relator,
-    ``blocks``: Phi(d rel/dx_j) for every generator j, as the four entry
-    polynomials (a11, a12, a21, a22) of the block, each an exact swept
-    Gaussian-integer dict {e: (re, im)} over the one power of two
-    2^``shift`` that all blocks share; and ``residuals``: the largest entry
-    magnitude of rho(lhs) - rho(rhs)."""
+    ``residuals``: the largest entry magnitude of rho(lhs) - rho(rhs); and,
+    built from the walk on first use, ``blocks``: Phi(d rel/dx_j) for every
+    generator j, as the four entry polynomials (a11, a12, a21, a22) of the
+    block, each an exact swept Gaussian-integer dict {e: (re, im)} over the
+    one power of two 2^``shift`` that all blocks share."""
 
     def __init__(self, pres, images, prec):
         self.pres = pres
@@ -181,8 +183,12 @@ class Representation:
         walks = [self._walk(rel) for rel in pres.relators]
         self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
                          default=0)
-        self.blocks = tuple(self._blocks(terms) for terms, _ in walks)
+        self._terms = [terms for terms, _ in walks]
         self.residuals = tuple(_residual(*ends, prec) for _, ends in walks)
+
+    @cached_property
+    def blocks(self):
+        return tuple(self._blocks(terms) for terms in self._terms)
 
     def _walk(self, rel):
         """One scan of each side of ``rel``: its Fox terms and the two end

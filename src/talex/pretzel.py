@@ -7,7 +7,8 @@ in s, U = s^n and m (``FORMS``), and each builder substitutes U = s^n, so
 an identity between forms holds at every n: the tests prove r1 = Q r0,
 zeta_1 = 0, r0 | zeta_2 and both palindromies of r0 this way.  The one
 exact division, ``BivarPoly.divmod_s``, deflates r0 to the solver's
-cofactor (``r0_cofactor``).
+cofactor (``r0_cofactor``); it refuses a quotient beyond an exact one's
+bounds.
 
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
 rows per (m, precision), Horner per root, so every per-root evaluation at
@@ -16,14 +17,19 @@ specialisation.  The rows are the exact values sum_b v m^b (m read exactly
 as a Gaussian integer) and their magnitudes, rounded once onto one power of
 two with prec + 64 bits for the largest magnitude; Horner runs on Gaussian
 integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
-fractional bits, and only the result is rounded to the working precision.
+fractional bits.  The power of s (of 1/s if negative) that the row leaves
+out is powered on Gaussian integers, a prec + 64-bit mantissa and an
+exponent, which also give its modulus for the scale; only the result is
+rounded to the working precision.
 The solver takes the cofactor's row from ``s_rows``, each entry correctly
 rounded from its exact value.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
 root and the flags are read from them.  Both take the working precision and
-enter it; a context's eta_1 and eta_2 and the functions of a context run at
-``ctx.prec``; ``BivarPoly.eval`` runs at its caller's ambient precision.
+enter it; a context's eta_1, eta_2 and holonomy matrices (each computed
+once, on first use) and the functions of a context run at ``ctx.prec``;
+``BivarPoly.eval`` runs at its caller's ambient precision.  The two
+presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
 from 1 to ``MAX_N``, the largest n whose roots the solver certified at
@@ -59,6 +65,19 @@ def check_prec(prec):
 def check_n(n):
     if not 1 <= n <= MAX_N:
         raise ValueError(f"the family is implemented for 1 <= n <= {MAX_N}, got {n}")
+
+
+def _rounded_product(x, y, bits):
+    """x y of Gaussian numbers ((re, im), exp), value (re + i im) 2^exp, as
+    ``gaussian`` gives them: exact, then rounded to nearest on one power of
+    two so that its larger part has at most ``bits`` bits."""
+    ((a, b), e), ((c, d), f) = x, y
+    re, im, exp = a * c - b * d, a * d + b * c, e + f
+    k = max(abs(re), abs(im)).bit_length() - bits
+    if k <= 0:
+        return (re, im), exp
+    half = 1 << (k - 1)
+    return ((re + half) >> k, (im + half) >> k), exp + k
 
 
 class BivarPoly:
@@ -144,11 +163,11 @@ class BivarPoly:
 
     def eval(self, m, s):
         """``(value, scale)`` at (m, s) and the ambient precision: rows per
-        (m, precision), fixed-point Horner per root (see the module
-        docstring).  The scale is the sum of the term magnitudes at |m|,
-        |s|, the natural scale against which residuals and near-zero tests
-        are measured.  The rows of the last (m, precision) are kept, so
-        every root at one m shares them."""
+        (m, precision), fixed-point Horner per root, times the power of s
+        the row leaves out (see the module docstring).  The scale is the sum
+        of the term magnitudes at |m|, |s|, the natural scale against which
+        residuals and near-zero tests are measured.  The rows of the last
+        (m, precision) are kept, so every root at one m shares them."""
         m, s, prec = mpc(m), mpc(s), mp.prec
         bits = prec + EVAL_GUARD_BITS
         if self._rows is None or self._rows[0] != (m, prec):
@@ -171,13 +190,20 @@ class BivarPoly:
         for cr, ci, ca in row:
             re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
             mag = (mag * za >> bits) + ca
-        with mp.workprec(bits):
-            value = mp.make_mpc((from_man_exp(re, shift, bits, round_nearest),
-                                 from_man_exp(im, shift, bits, round_nearest)))
-            scale = mp.make_mpf(from_man_exp(mag, shift, bits, round_nearest))
-            if power:
-                value, scale = value * s ** power, scale * abs(s) ** power
-        return +value, +scale
+        if power < 0:
+            with mp.workprec(bits):
+                s, power = 1 / s, -power
+        p, base = ((1, 0), 0), gaussian([s])
+        for bit in bin(power)[2:]:
+            p = _rounded_product(p, p, bits)
+            if bit == "1":
+                p = _rounded_product(p, base, bits)
+        (pr, pi), exp = p
+        pa = isqrt((pr * pr + pi * pi) << 2 * bits)   # |s^power| 2^(bits - exp)
+        exp += shift
+        return (mp.make_mpc((from_man_exp(re * pr - im * pi, exp, prec, round_nearest),
+                             from_man_exp(re * pi + im * pr, exp, prec, round_nearest))),
+                mp.make_mpf(from_man_exp(mag * pa, exp - bits, prec, round_nearest)))
 
     def divmod_s(self, divisor):
         """``(quotient, remainder)`` of the long division in s by a divisor
@@ -186,7 +212,11 @@ class BivarPoly:
         nonzero.  The lowest s-coefficients of both are nonzero polynomials
         in m, so an exact quotient has s-valuation val(self) - val(divisor);
         the division stops before a quotient term would fall below it, and
-        what is left is the remainder."""
+        what is left is the remainder.  A quotient term beyond the bounds of
+        an exact quotient, a factor of self, raises ``ArithmeticError``: its
+        m-exponents lie in [val_m(self) - deg_m(divisor), deg_m(self) -
+        val_m(divisor)], its coefficients below 2^(s-span + m-span)
+        ||self||_2 (Mignotte's bound, through the Mahler measure)."""
         d = divisor.s_degree()
         if {b: v for (a, b), v in divisor.terms.items() if a == d} != {0: 1}:
             raise ValueError("the divisor's leading s-coefficient must be 1")
@@ -194,11 +224,19 @@ class BivarPoly:
         cols = {}
         for (a, b), v in self.terms.items():
             cols.setdefault(a, {})[b] = v
+        ms, ds = [b for _, b in self.terms] or [0], [b for _, b in divisor.terms]
+        m_lo, m_hi = min(ms) - max(ds), max(ms) - min(ds)
+        span = (self.s_degree() or 0) - (self.s_valuation() or 0) - d + divisor.s_valuation()
+        norm2 = sum(v * v for v in self.terms.values())
+        limit = max(0, span) + m_hi - m_lo + (norm2.bit_length() + 1) // 2
         stop = d + max(0, (self.s_valuation() or 0) - divisor.s_valuation())
         quot = {}
         for a in range(max(cols, default=d - 1), stop - 1, -1):
             for b, v in cols.pop(a, {}).items():
                 if v:  # a coefficient that cancelled leaves no quotient term
+                    if not m_lo <= b <= m_hi or v.bit_length() > limit:
+                        raise ArithmeticError(f"inexact division: quotient term s^{a - d} "
+                                              f"m^{b} is beyond an exact quotient's bounds")
                     quot[(a - d, b)] = v
                     for c, e, w in lower:
                         col = cols.setdefault(a - d + c, {})
@@ -322,9 +360,10 @@ def r1_polynomial(n):
 class PretzelContext:
     """One fully instantiated parameter point: n, the meridian eigenvalue m,
     a root s of r0(m, .), and every derived quantity of the closed forms,
-    eta_1 and eta_2 evaluated at ``prec`` on first use.  ``residual`` and
-    ``radius`` are the solver's (0 at the exact roots 0, 1 and -1); a
-    context from ``build_context`` alone holds the residual it was given."""
+    eta_1, eta_2 and the holonomy matrices computed at ``prec`` on first
+    use.  ``residual`` and ``radius`` are the solver's (0 at the exact roots
+    0, 1 and -1); a context from ``build_context`` alone holds the residual
+    it was given."""
 
     n: int
     m: mpc
@@ -351,6 +390,24 @@ class PretzelContext:
     def eta2(self):
         with mp.workprec(self.prec):
             return eta2_polynomial(self.n).eval(self.m, self.s)[0]
+
+    @cached_property
+    def holonomy_matrices(self):
+        """The printed images rho(a), rho(b), rho(x)."""
+        if not self.nondegenerate:
+            raise DegenerateContext(
+                f"cannot build a representation at flags {sorted(self.flags)}")
+        n, m, s = self.n, self.m, self.s
+        alpha, beta = self.alpha, self.beta
+        with mp.workprec(self.prec):
+            sp1 = s ** (2 * n + 1) + 1
+            A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
+            u = s * alpha - m * beta
+            v = m * s * alpha - beta
+            B = Mat2(beta, -u * v / (m * beta), beta, (m * v + s * alpha) / m).scaled(
+                1 / (s * alpha))
+            X = Mat2(self.S, mpc(0), (self.S - 1 / self.S) / sp1, 1 / self.S)
+        return A, B, X
 
 
 def _flags(n, m, s, values):
@@ -554,6 +611,7 @@ def select_root(records, root_index=None):
 # presentations
 
 
+@lru_cache(maxsize=None)
 def presentation_two_gen(n):
     """<a, c | (acac^-1)^(n-1) = c (acac^-1)^-1 (ac)^-1 c>."""
     check_n(n)
@@ -564,6 +622,7 @@ def presentation_two_gen(n):
     return Presentation(("a", "c"), (Relator(lhs, rhs),), (1, 2 * n + 1))
 
 
+@lru_cache(maxsize=None)
 def presentation_three_gen(n):
     """<a, b, x | w^-1 x = x b w^-1 (a x b)^-1 x b,  x = w^n>  with
     w = a x b a (x b)^-1, from the surgery description."""
@@ -583,29 +642,11 @@ def presentation_three_gen(n):
 # the representation
 
 
-def holonomy_matrices(ctx):
-    """The printed images rho(a), rho(b), rho(x)."""
-    if not ctx.nondegenerate:
-        raise DegenerateContext(
-            f"cannot build a representation at flags {sorted(ctx.flags)}")
-    n, m, s = ctx.n, ctx.m, ctx.s
-    alpha, beta = ctx.alpha, ctx.beta
-    with mp.workprec(ctx.prec):
-        sp1 = s ** (2 * n + 1) + 1
-        A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
-        u = s * alpha - m * beta
-        v = m * s * alpha - beta
-        B = Mat2(beta, -u * v / (m * beta), beta, (m * v + s * alpha) / m).scaled(
-            1 / (s * alpha))
-        X = Mat2(ctx.S, mpc(0), (ctx.S - 1 / ctx.S) / sp1, 1 / ctx.S)
-    return A, B, X
-
-
 def build_holonomy_rep(ctx, presentation):
     """The representation of the ``"two"`` or ``"three"`` generator
     presentation of K_n; for the 2-generator one the image of c is
     rho(x) rho(b)."""
-    A, B, X = holonomy_matrices(ctx)
+    A, B, X = ctx.holonomy_matrices
     if presentation == "two":
         with mp.workprec(ctx.prec):
             XB = X * B

@@ -18,7 +18,6 @@ image.  The expansion takes a context and works at ``ctx.prec``.
 from mpmath import mp
 
 from talex import LaurentPoly, Mat2
-from talex.pretzel import holonomy_matrices
 from conftest import identity, mat_add, to_laurent
 
 
@@ -223,7 +222,7 @@ def derivative_expansion_eq2(ctx):
     expansion misprints w for w^-1 there).
     """
     n, prec = ctx.n, ctx.prec
-    A, B, X = holonomy_matrices(ctx)
+    A, B, X = ctx.holonomy_matrices
     zero = LaurentPoly({}, prec)
     total = Mat2(zero, zero, zero, zero)
     terms = []

@@ -8,16 +8,17 @@ import random
 import pytest
 from mpmath import mp, mpf
 
-from talex import Presentation, Relator, verify, word_invert, word_multiply
-from talex.fox import (abelian_exponent, gen, reduce_word, wada_denominator,
-                       wada_polynomial, word_power)
+from talex import (Presentation, Relator, solve_s_roots, verify, word_invert,
+                   word_multiply)
+from talex.fox import (Representation, abelian_exponent, gen, reduce_word,
+                       wada_denominator, wada_polynomial, word_power)
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
 from conftest import (STD_M, block_matrices, cached_checks, cached_contexts,
-                      coeffs, eps, fox_derivative, fox_derivative_of_relator,
-                      identity, infnorm, mat_add, mat_infnorm, mat_sub,
-                      mpc_walk_blocks, phi_map, rho_of_word, ring_add,
-                      ring_mul, to_laurent)
+                      cached_roots, coeffs, eps, fox_derivative,
+                      fox_derivative_of_relator, identity, infnorm, mat_add,
+                      mat_infnorm, mat_sub, mpc_walk_blocks, phi_map,
+                      rho_of_word, ring_add, ring_mul, to_laurent)
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -251,6 +252,27 @@ def test_independence_fails_when_an_alternative_division_is_inexact(monkeypatch)
     assert not outcomes["independence"].passed
 
 
+def test_fox_blocks_are_built_on_first_use(monkeypatch):
+    """A representation walks its relators at construction but builds its
+    Fox blocks on first use: ``check_context`` without the independence
+    checks reads only the relation residuals of the three-generator
+    representation, never its blocks; with them, each presentation's
+    blocks are built once per relator."""
+    built = []
+    blocks = Representation._blocks
+
+    def recording(rep, terms):
+        built.append(len(rep.pres.generators))
+        return blocks(rep, terms)
+    monkeypatch.setattr(Representation, "_blocks", recording)
+    ctx = cached_contexts(2, STD_M[0])[0]
+    verify.check_context(ctx, independence=False)
+    assert built == [2]
+    built.clear()
+    verify.check_context(ctx, independence=True)
+    assert sorted(built) == [2, 3, 3]
+
+
 def test_representation_inverses():
     ctx = cached_contexts(2, ("1.2", "0.4"))[0]
     rep = build_holonomy_rep(ctx, "three")
@@ -310,3 +332,32 @@ def test_gaussian_walk_is_no_less_accurate_than_the_mpc_walk(n, m_pair):
                 new = max(new, walk_error(gaussian, ref, rep.prec))
                 old = max(old, walk_error(walked, ref, rep.prec))
             assert new <= old, (kind, new, old)
+
+
+@pytest.mark.parametrize("n", (2, 3, 5))
+def test_fox_route_m_symmetries(n):
+    """m -> -m twists rho by the sign character, and both abelian exponents
+    (1 and 2n + 1) are odd, so the Fox route at -m is t -> -t of the one at
+    m: coefficient e times (-1)^e.  m -> 1/m gives the same polynomial.  The
+    route imposes neither.  Roots are matched by index, as the root sets
+    of m, -m and 1/m are pinned to be one.  At -m it is not bit for bit,
+    since the integer roundings (ties upward, floor shifts) are not odd: at
+    m = 1.2+0.4i a few coefficients near the noise floor differ (measured:
+    at most 5.1e-16 units of 2^-256 of the largest coefficient; the gate is
+    1 unit).  At 1/m, measured at most 1.2e-71."""
+    for m_pair in STD_M:
+        m, roots = cached_roots(n, m_pair)
+        with mp.workprec(256):
+            twins = ((-1, solve_s_roots(n, -m, 256)), (1, solve_s_roots(n, 1 / m, 256)))
+        for sign, twin in twins:
+            for base, other in zip(roots, twin):
+                assert base.flags == other.flags
+                if base.flags:
+                    continue
+                p, q = (wada_polynomial(build_holonomy_rep(c, "two"), 1).poly
+                        for c in (base, other))
+                deg = 4 * n + 6
+                with mp.workprec(512):
+                    gap = max(abs(q.coeff(e) - sign ** e * p.coeff(e))
+                              for e in range(deg + 1))
+                assert gap <= (eps(256) * infnorm(p) if sign < 0 else mpf("1e-60"))

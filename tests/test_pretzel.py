@@ -1,9 +1,13 @@
 """The knot-family layer: exact polynomial builders, root solving,
 representation construction, and the certification identities."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from mpmath import mp, mpf, mpc
@@ -16,9 +20,8 @@ from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            beta_polynomial, build_holonomy_rep, certified_roots,
                            eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
-                           holonomy_matrices, presentation_three_gen,
-                           presentation_two_gen, r0_cofactor, r0_polynomial,
-                           r1_polynomial)
+                           presentation_three_gen, presentation_two_gen,
+                           r0_cofactor, r0_polynomial, r1_polynomial)
 from conftest import (STD_M, cached_contexts, cached_roots, eps, m_at,
                       m_degree, m_reversed, walked_residual)
 
@@ -127,8 +130,17 @@ def test_eval_accuracy_against_exact_arithmetic():
 
 
 EXTREME_M = (("0.0195", "0.003"), ("24.7", "3.7"))
+
+
+def _negative_exponents(n):
+    """beta shifted so that its s-exponents all lie below 0: s^power in
+    ``eval`` is then a power of 1/s on both the row and the reversed row."""
+    beta = beta_polynomial(n)
+    return beta.shift(s_exp=-beta.s_degree() - 1)
+
+
 EVALUATED = (alpha_polynomial, beta_polynomial, h_polynomial, eta1_polynomial,
-             eta2_polynomial, r1_polynomial, r0_polynomial)
+             eta2_polynomial, r1_polynomial, r0_polynomial, _negative_exponents)
 
 
 def _mpc_row(poly, m):
@@ -151,8 +163,8 @@ def _evaluation_points(n):
 
 
 def _spread_points():
-    """Points s with |s| from 2^-12 to 2569 on scattered rays, for n = 16,
-    whose roots take the solver seconds per m."""
+    """Points s with |s| from 2^-12 to 2569 on scattered rays; the only
+    points at n = 16, whose roots take the solver seconds per m."""
     rng = random.Random(16)
     with mp.workprec(256):
         return [mpc(r * mp.cos(t), r * mp.sin(t))
@@ -163,18 +175,19 @@ def _spread_points():
 @pytest.mark.parametrize("n, precs", [(n, (128, 256, 512)) for n in (1, 2, 5)]
                          + [(8, (256,)), (16, (128, 256, 512))])
 def test_integer_horner_is_no_less_accurate_than_polyval(n, precs):
-    """alpha, beta, H, eta_1, eta_2, r1 and r0 at every root of both
-    standard m and two extreme ones (at n = 16, at points with |s| up to
-    2569), at 128, 256 and 512 bits (n = 8 at 256 only, for time): the
-    fixed-point Horner of ``eval`` is off from ``mp.polyval`` of the same
-    row at 3 prec bits by no more, in units of 2^-prec of the scale, than
-    ``mp.polyval`` at prec bits of the row summed in ``mpc`` was (measured:
-    at most 1.0 unit against up to 12); and |s| > 1 takes the reversed
-    row."""
+    """alpha, beta, H, eta_1, eta_2, r1, r0 and a polynomial with only
+    negative s-exponents at every root of both standard m and two extreme
+    ones (not at n = 16) and at the spread points, |s| from 2^-12 to 2569
+    (not at n = 8), at 128, 256 and 512 bits (n = 8 at 256 only, for
+    time): ``eval`` is off from ``mp.polyval`` of the same row at 3 prec
+    bits by no more, in units of 2^-prec of the scale, than ``mp.polyval``
+    at prec bits of the row summed in ``mpc`` was (measured: at most 1.0
+    unit against up to 12); and |s| > 1 takes the reversed row."""
+    spread = _spread_points() if n != 8 else []
     if n == 16:
-        points = {pair: _spread_points() for pair in STD_M + EXTREME_M}
+        points = {pair: spread for pair in STD_M + EXTREME_M}
     else:
-        points = _evaluation_points(n)
+        points = {pair: roots + spread for pair, roots in _evaluation_points(n).items()}
     largest = 0
     for pair, roots in points.items():
         for prec in precs:
@@ -190,6 +203,8 @@ def test_integer_horner_is_no_less_accurate_than_polyval(n, precs):
                 with mp.workprec(3 * prec):
                     ref_row, _ = _mpc_row(poly, m)
                 for s in roots:
+                    if val < 0 and not s:   # a pole
+                        continue
                     with mp.workprec(prec):
                         value, scale = poly.eval(m, s)
                         before = mp.polyval(row, s) * s ** val
@@ -227,6 +242,13 @@ def test_divmod_s():
                       s_minus(1) + BivarPoly({(1, 2): 1})):
         with pytest.raises(ValueError):
             p.divmod_s(not_monic)
+    # s^40 - 3^40 = (s - 3) (s^39 + 3 s^38 + ... + 3^39); the same quotient
+    # for s^40 - 1 would need coefficients beyond Mignotte's bound for a
+    # factor of s^40 - 1, so that division is refused
+    q, rem = BivarPoly({(40, 0): 1, (0, 0): -3 ** 40}).divmod_s(s_minus(3))
+    assert rem == BivarPoly() and q.terms[(0, 0)] == 3 ** 39
+    with pytest.raises(ArithmeticError):
+        BivarPoly({(40, 0): 1, (0, 0): -1}).divmod_s(s_minus(3))
 
 
 def _one_sign_flipped(poly):
@@ -265,6 +287,37 @@ def test_divmod_s_stops_at_the_exact_quotients_valuation(monkeypatch, name):
         monkeypatch.setattr(pretzel, "r0_polynomial", lambda n: bad)
         with pytest.raises(ArithmeticError):
             r0_cofactor.__wrapped__(5)
+
+
+# The flipped-sign division of forms that once grew its integers until it
+# ran out of memory: r1 m^4 by r0 m^-4 with r0's top m^6 term negated.
+_RUNAWAY = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from talex.pretzel import FORMS, BivarPoly
+alpha, beta, r0 = FORMS["alpha"], FORMS["beta"], FORMS["r0"]
+t_aa, t_ab, t_bb = FORMS["r1"]
+r1 = -(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb
+key = max(k for k in r0.terms if k[1] == 6)
+bad = BivarPoly({**r0.terms, key: -r0.terms[key]})
+try:
+    r1.shift(m_exp=4).divmod_s(bad.shift(m_exp=-4))
+except ArithmeticError:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_divmod_s_refuses_a_runaway_division():
+    """A division of forms that is not exact, whose wrong quotient terms
+    spread without end (MemoryError under a 1.5 GB cap before the bounds of
+    ``divmod_s``), raises ArithmeticError within seconds in a child process
+    whose address space alone is capped at 1 GB."""
+    src = str(Path(pretzel.__file__).resolve().parents[1])
+    child = subprocess.run([sys.executable, "-c", _RUNAWAY], capture_output=True,
+                           text=True, timeout=60,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert child.returncode == 0, child.stderr
 
 
 # -- exact structural identities of the defining polynomial -----------------
@@ -756,7 +809,7 @@ def test_reciprocal_roots_carry_one_representation(m_pair):
     for i, j in pairs:
         words = []
         for ctx in (ctxs[i], ctxs[j]):
-            A, B, X = holonomy_matrices(ctx)
+            A, B, X = ctx.holonomy_matrices
             with mp.workprec(ctx.prec):
                 words.append([M.a11 + M.a22 for M in (
                     A, B, X, A * B, A * X, B * X, A * B * X)])
@@ -785,7 +838,7 @@ def test_relation_residuals_both_presentations(n):
 
 def test_holonomy_matrix_structure():
     ctx = cached_contexts(3, STD_M[1])[0]
-    A, B, X = holonomy_matrices(ctx)
+    A, B, X = ctx.holonomy_matrices
     m, S = ctx.m, ctx.S
     assert abs(A.a11 - m) == 0 and abs(A.a21) == 0
     assert abs(X.a11 - S) == 0 and abs(X.a12) == 0
