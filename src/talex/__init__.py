@@ -17,11 +17,12 @@ default ``DEFAULT_PREC`` = 256 bits, from ``MIN_PREC`` = 64 to ``MAX_PREC``
 always passed on, never assumed: the functions of a context use
 ``PretzelContext.prec``, and the constructors ``Representation(pres,
 images, prec)``, which walks every relator of ``pres`` once on Gaussian
-integers (each prefix product rounded to prec + 64 bits), and
-``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly`` stores each
-coefficient as Gaussian integers rounded to ``prec`` bits, the bits an
-``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``; it sweeps
-every polynomial it builds, so none holds a non-finite coefficient.
+integers, and ``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly``
+stores each coefficient as Gaussian integers rounded to ``prec`` bits,
+ties to even, the bits an ``mpc`` at ``prec`` holds, and ``coeff(e)``
+returns that ``mpc``; it sweeps every polynomial it builds, so none holds a
+non-finite coefficient.  Every other fixed-point number carries prec + 64
+bits, rounded by the one rule ``talex.laurent.fit``.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
 ``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
 are computed at its ``prec`` on first use.  Helpers that receive only values
@@ -40,7 +41,7 @@ from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
 from .fox import (Presentation, Relator, Representation, wada_polynomial,
                   word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
-                      build_holonomy_rep, eval_r1, presentation_three_gen,
+                      build_holonomy_rep, presentation_three_gen,
                       presentation_two_gen, r0_polynomial, select_root,
                       solve_s_roots)
 from .closed_form import (delta_prop32, delta_theorem,
@@ -56,7 +57,7 @@ __all__ = [
     "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
-    "delta_prop32", "delta_theorem", "eval_r1", "genus_fiberedness_report",
+    "delta_prop32", "delta_theorem", "genus_fiberedness_report",
     "lambda_coefficients", "normalize_delta",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "select_root", "solve_s_roots", "verify_sweep",

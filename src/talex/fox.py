@@ -27,9 +27,10 @@ use, so checking only the relations never builds them.
 
 The walk runs on Gaussian integers.  rho(x_j) and its inverse (computed in
 ``mpc`` at ``rep.prec``) are read once, exactly, as integers over one power
-of two; each prefix product is an exact integer product rounded to
-prec + 64 bits; each block entry is the exact sum of its prefix entries,
-swept by the ``LaurentPoly`` cut; and the residual is taken from the exact
+of two; each prefix product is an exact integer product, ``fit`` to
+prec + ``GUARD_BITS`` bits (the rule and guard of ``talex.laurent``); each
+block entry is the exact sum of its prefix entries, swept by the
+``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the exact
 end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
 they are, and the Gaussian-integer long division reads the determinant
 exactly, so only its coefficients and the quotient's are rounded at
@@ -45,10 +46,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from mpmath import mp
-from mpmath.libmp import from_man_exp, mpf_sqrt, round_nearest
 
-from .laurent import (LaurentPoly, divide_with_remainder, gaussian,
-                      normalize_delta, poly_mat_det, swept_gaussian)
+from .laurent import (GUARD_BITS, LaurentPoly, divide_with_remainder, fit,
+                      gaussian, normalize_delta, poly_mat_det, sqrt_ratio,
+                      swept_gaussian)
 
 # ---------------------------------------------------------------------------
 # words
@@ -128,27 +129,20 @@ class Presentation:
 # representations and Phi
 
 
-PREFIX_GUARD_BITS = 64
-
 _IDENTITY = ((1, 0, 0, 0, 0, 0, 1, 0), 0)
 
 
 def _product(P, Q, bits):
     """P Q of two Gaussian-integer matrices, each given as (parts, shift):
     the re and im parts of a11, a12, a21, a22 over the one power of two
-    2^shift.  The product is exact, then rounded to nearest on one power
-    of two, so that its largest part has at most ``bits`` bits."""
+    2^shift.  The product is exact, then ``fit`` to ``bits`` bits."""
     (a, b, c, d, e, f, g, h), sp = P
     (A, B, C, D, E, F, G, H), sq = Q
     parts = (a * A - b * B + c * E - d * F, a * B + b * A + c * F + d * E,
              a * C - b * D + c * G - d * H, a * D + b * C + c * H + d * G,
              e * A - f * B + g * E - h * F, e * B + f * A + g * F + h * E,
              e * C - f * D + g * G - h * H, e * D + f * C + g * H + h * G)
-    excess = max(map(abs, parts)).bit_length() - bits
-    if excess <= 0:
-        return parts, sp + sq
-    half = 1 << (excess - 1)
-    return tuple((x + half) >> excess for x in parts), sp + sq + excess
+    return fit(parts, sp + sq, bits)
 
 
 def _residual(P, Q, prec):
@@ -158,7 +152,7 @@ def _residual(P, Q, prec):
     base = min(sp, sq)
     diff = [(x << (sp - base)) - (y << (sq - base)) for x, y in zip(p, q)]
     d2 = max(re * re + im * im for re, im in zip(diff[0::2], diff[1::2]))
-    return mp.make_mpf(mpf_sqrt(from_man_exp(d2, 2 * base), prec, round_nearest))
+    return sqrt_ratio(d2, 1, base, prec)
 
 
 class Representation:
@@ -199,10 +193,11 @@ class Representation:
         through it.  The rhs enters with the opposite sign: d lhs - d rhs is
         the relator's derivative wherever Phi(lhs) = Phi(rhs).  Each term is
         (j, alpha(p), sign, rho(p)).  Prefix matrices are multiplied out
-        from the identity in Gaussian integers, each product rounded to
-        prec + 64 bits, so the last prefix of a side is rho(side)."""
+        from the identity in Gaussian integers, each product ``fit`` to
+        prec + ``GUARD_BITS`` bits, so the last prefix of a side is
+        rho(side)."""
         exps = self.pres.abelian_exponents
-        bits = self.prec + PREFIX_GUARD_BITS
+        bits = self.prec + GUARD_BITS
         terms, ends = [], []
         for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
             P, k = _IDENTITY, 0

@@ -35,9 +35,14 @@ largest, which the rule drops anyway.  ``gaussian`` refuses a non-finite
 number with ``ValueError`` (it has no mantissa, so it would read as 0), so
 no polynomial holds one.  Norms (``max_abs``, the division's remainder,
 ``coefficient_deviation``) compare exact squared magnitudes and take one
-correctly rounded square root.  ``half_prec_tol(prec)`` = 2^-(prec/2) is
-what a ``prec``-bit result must resolve: a division's remainder
-(``DeltaResult.exact``), a root's residual, and the monicity tolerance.
+correctly rounded square root, ``sqrt_ratio``.  ``half_prec_tol(prec)``
+= 2^-(prec/2) is what a ``prec``-bit result must resolve: a division's
+remainder (``DeltaResult.exact``), a root's residual, and the monicity
+tolerance.
+
+``fit`` is the package's one fixed-point rounding (to nearest, halves up,
+on one power of two) and ``GUARD_BITS`` = 64 its one guard beyond ``prec``:
+the Fox prefix products and the rows and s-powers of ``BivarPoly.eval``.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
@@ -50,6 +55,7 @@ from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp, fzero, round_nearest
 
 SWEEP_GUARD_BITS = 8
+GUARD_BITS = 64
 
 
 def half_prec_tol(prec):
@@ -57,7 +63,21 @@ def half_prec_tol(prec):
     return mpf(2) ** (-(prec // 2))
 
 
-def _sqrt_ratio(a, b, exp, prec):
+def fit(parts, exp, bits):
+    """Integers ``parts`` over 2^exp rounded to nearest, halves up, on one
+    power of two: (parts, exp) as they are if the largest magnitude has at
+    most ``bits`` bits, else every part shifted right by the k bits of
+    excess, with exp + k.  Each part moves by at most half a unit of
+    2^(exp + k).  A carry can lift the largest magnitude to exactly 2^bits,
+    one bit over: 2^(bits+1) - 1 rounds to 2^bits."""
+    k = max(map(abs, parts)).bit_length() - bits
+    if k <= 0:
+        return parts, exp
+    half = 1 << (k - 1)
+    return [(x + half) >> k for x in parts], exp + k
+
+
+def sqrt_ratio(a, b, exp, prec):
     """sqrt(a / b) * 2^exp for integers a >= 0, b > 0, correctly rounded at
     ``prec``: r = isqrt(a 4^j / b) has prec + 2 bits or more, and an inexact
     root is rounded as 2r + 1, which lies where 2 sqrt(a 4^j / b) does,
@@ -74,7 +94,7 @@ def max_abs(p, exps):
     none), correctly rounded at ``p.prec`` from the exact squared
     magnitudes of its stored integers."""
     abs2 = (re * re + im * im for re, im in (p.terms.get(e, (0, 0)) for e in exps))
-    return _sqrt_ratio(max(abs2, default=0), 1, p.shift, p.prec)
+    return sqrt_ratio(max(abs2, default=0), 1, p.shift, p.prec)
 
 
 def coefficient_deviation(p, q):
@@ -97,7 +117,7 @@ def coefficient_deviation(p, q):
         s2, d2 = max(one2, ar * ar + ai * ai, br * br + bi * bi), dr * dr + di * di
         if d2 * worst_s2 > worst_d2 * s2:
             worst_d2, worst_s2 = d2, s2
-    return _sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
+    return sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
 
 
 def max_pairwise_deviation(fox, theorem, prop32):
@@ -338,7 +358,7 @@ def divide_with_remainder(num, den):
                 rem.pop(k + de, None)
     rem2 = max((re * re + im * im for re, im in rem.values()), default=0)
     return (_rounded(quot, sa - g - sd, prec),
-            _sqrt_ratio(rem2, norm2, 0, prec))
+            sqrt_ratio(rem2, norm2, 0, prec))
 
 
 class Mat2:

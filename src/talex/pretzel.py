@@ -14,13 +14,13 @@ bounds.
 rows per (m, precision), Horner per root, so every per-root evaluation at
 one m (the solver's residuals, the context values, r1) shares one
 specialisation.  The rows are the exact values sum_b v m^b (m read exactly
-as a Gaussian integer) and their magnitudes, rounded once onto one power of
-two with prec + 64 bits for the largest magnitude; Horner runs on Gaussian
+as a Gaussian integer) and their magnitudes, ``fit`` once to prec + 64
+bits (``GUARD_BITS``) for the largest magnitude; Horner runs on Gaussian
 integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
-fractional bits.  The power of s (of 1/s if negative) that the row leaves
-out is powered on Gaussian integers, a prec + 64-bit mantissa and an
-exponent, which also give its modulus for the scale; only the result is
-rounded to the working precision.
+fractional bits, each step's shift truncating.  The power of s (of 1/s if
+negative) that the row leaves out is powered on Gaussian integers, each
+product ``fit`` to prec + 64 bits, which also give its modulus for the
+scale; only the result is rounded to the working precision.
 The solver takes the cofactor's row from ``s_rows``, each entry correctly
 rounded from its exact value.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
@@ -46,14 +46,13 @@ from mpmath.libmp import from_man_exp, round_nearest, to_fixed
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import Mat2, gaussian, half_prec_tol
+from .laurent import GUARD_BITS, Mat2, fit, gaussian, half_prec_tol
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
 MAX_PREC = 4096
 MAX_N = 16
 DEGENERACY_TOL = mpf("1e-10")
-EVAL_GUARD_BITS = 64
 
 
 def check_prec(prec):
@@ -65,19 +64,6 @@ def check_prec(prec):
 def check_n(n):
     if not 1 <= n <= MAX_N:
         raise ValueError(f"the family is implemented for 1 <= n <= {MAX_N}, got {n}")
-
-
-def _rounded_product(x, y, bits):
-    """x y of Gaussian numbers ((re, im), exp), value (re + i im) 2^exp, as
-    ``gaussian`` gives them: exact, then rounded to nearest on one power of
-    two so that its larger part has at most ``bits`` bits."""
-    ((a, b), e), ((c, d), f) = x, y
-    re, im, exp = a * c - b * d, a * d + b * c, e + f
-    k = max(abs(re), abs(im)).bit_length() - bits
-    if k <= 0:
-        return (re, im), exp
-    half = 1 << (k - 1)
-    return ((re + half) >> k, (im + half) >> k), exp + k
 
 
 class BivarPoly:
@@ -169,14 +155,12 @@ class BivarPoly:
         residuals and near-zero tests are measured.  The rows of the last
         (m, precision) are kept, so every root at one m shares them."""
         m, s, prec = mpc(m), mpc(s), mp.prec
-        bits = prec + EVAL_GUARD_BITS
+        bits = prec + GUARD_BITS
         if self._rows is None or self._rows[0] != (m, prec):
             row, shift, val = self._exact_row(m, bits)
-            k = max(mag for *_, mag in row).bit_length() - bits
-            if k > 0:
-                half = 1 << (k - 1)
-                row = [[(x + half) >> k for x in entry] for entry in row]
-                shift += k
+            # mag >= |re|, |im| in every entry, so the largest mag sets the budget
+            flat, shift = fit([x for entry in row for x in entry], shift, bits)
+            row = list(zip(flat[0::3], flat[1::3], flat[2::3]))
             self._rows = (m, prec), (row, shift, val)
         row, shift, power = self._rows[1]
         zr, zi = to_fixed(s.real._mpf_, bits), to_fixed(s.imag._mpf_, bits)
@@ -193,12 +177,12 @@ class BivarPoly:
         if power < 0:
             with mp.workprec(bits):
                 s, power = 1 / s, -power
-        p, base = ((1, 0), 0), gaussian([s])
+        (pr, pi), exp = (1, 0), 0
+        (br, bi), bexp = gaussian([s])
         for bit in bin(power)[2:]:
-            p = _rounded_product(p, p, bits)
+            (pr, pi), exp = fit((pr * pr - pi * pi, 2 * pr * pi), 2 * exp, bits)
             if bit == "1":
-                p = _rounded_product(p, base, bits)
-        (pr, pi), exp = p
+                (pr, pi), exp = fit((pr * br - pi * bi, pr * bi + pi * br), exp + bexp, bits)
         pa = isqrt((pr * pr + pi * pi) << 2 * bits)   # |s^power| 2^(bits - exp)
         exp += shift
         return (mp.make_mpc((from_man_exp(re * pr - im * pi, exp, prec, round_nearest),
@@ -452,12 +436,6 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
             flags=flags,
             residual=residual,
         )
-
-
-def eval_r1(ctx):
-    """``(value, scale)`` of r1 at the context's (m, s)."""
-    with mp.workprec(ctx.prec):
-        return r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .errors import DegenerateContext
 from .fox import wada_polynomial
 from .laurent import coefficient_deviation, max_abs, max_pairwise_deviation
 from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, check_n,
-                      eval_r1, select_root, solve_s_roots)
+                      r1_polynomial, select_root, solve_s_roots)
 
 MAX_RETRY_PREC = 1024
 
@@ -70,7 +70,7 @@ def check_context(ctx, independence=False):
         rep3 = build_holonomy_rep(ctx, "three")
         add("relation_two", max(rep2.residuals))
         add("relation_three", max(rep3.residuals))
-        add("r1", abs(eval_r1(ctx)[0]))
+        add("r1", abs(r1_polynomial(ctx.n).eval(ctx.m, ctx.s)[0]))
         z1, z2 = zeta_vanishing(ctx)
         add("zeta1", abs(z1))
         add("zeta2", abs(z2))

@@ -47,6 +47,20 @@ def test_zero_and_sweep():
     assert q.is_zero()
 
 
+def test_fit_rounds_halves_up_on_one_power_of_two():
+    """``fit`` leaves parts within the budget as they are, shifts every
+    part by the excess of the largest, rounds halves up (not away from
+    zero), may carry the largest to exactly 2^bits, and passes zeros."""
+    assert laurent.fit([7, -8, 3], 5, 4) == ([7, -8, 3], 5)
+    assert laurent.fit([15, -15], -3, 4) == ([15, -15], -3)
+    # the carry, for both signs: 6 bits down to 4 gives 2^4, one bit over
+    assert laurent.fit([63, 1], 0, 4) == ([16, 0], 2)
+    assert laurent.fit([-63, -1], 0, 4) == ([-16, 0], 2)
+    # 5/2 and -5/2 are halves: both go up
+    assert laurent.fit([5, -5], 7, 2) == ([3, -2], 8)
+    assert laurent.fit([0, 0, 0], 4, 8) == ([0, 0, 0], 4)
+
+
 def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():
     """``swept_gaussian`` drops exact coefficients at or below 2^-(prec-8)
     times the largest magnitude and keeps those above, as the LaurentPoly

@@ -17,9 +17,9 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from talex import LaurentPoly, build_holonomy_rep, fox
-from talex.laurent import (SWEEP_GUARD_BITS, _convolve_into, _sqrt_ratio,
+from talex.laurent import (SWEEP_GUARD_BITS, _convolve_into,
                            divide_with_remainder, gaussian, poly_mat_det,
-                           swept_gaussian)
+                           sqrt_ratio, swept_gaussian)
 from conftest import STD_M, cached_contexts, coeffs
 
 PRECS = (64, 100, 192, 256, 512)
@@ -102,7 +102,7 @@ def _mpc_divide(num, den):
                 rem.pop(k + de, None)
     rem2 = max((re * re + im * im for re, im in rem.values()), default=0)
     return (_mpc_rounded(quot, sa - g - sd, prec),
-            _sqrt_ratio(rem2, norm2, 0, prec))
+            sqrt_ratio(rem2, norm2, 0, prec))
 
 
 def _mpc_det(rows, shift, prec):

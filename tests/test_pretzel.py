@@ -18,7 +18,6 @@ from talex import pretzel
 from talex.errors import NonConvergence
 from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            beta_polynomial, build_holonomy_rep, certified_roots,
-                           eval_r1,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            presentation_three_gen, presentation_two_gen,
                            r0_cofactor, r0_polynomial, r1_polynomial)
@@ -775,7 +774,8 @@ def test_build_context_strict():
 def test_r1_vanishes_at_roots(n):
     for m_pair in STD_M:
         for ctx in cached_contexts(n, m_pair):
-            value, scale = eval_r1(ctx)
+            with mp.workprec(ctx.prec):
+                value, scale = r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
             assert abs(value) < mpf("1e-40") * scale
 
 
@@ -785,7 +785,8 @@ def test_r1_generically_nonzero_off_roots():
     for _ in range(5):
         m, s = rand_ms(rng)
         ctx = build_context(n, m, s, strict=False)
-        value, scale = eval_r1(ctx)
+        with mp.workprec(ctx.prec):
+            value, scale = r1_polynomial(ctx.n).eval(ctx.m, ctx.s)
         assert abs(value) > mpf("1e-12") * scale
 
 

@@ -12,7 +12,10 @@ every method of the same name.  Dunder methods are called by the language and ar
 
 A name with a leading underscore is private to its module: what another
 module needs is public, so the same walk lists every underscore name that
-a module, ``__init__`` included, imports from the package.
+a module, ``__init__`` included, imports from the package.  And every
+name a module other than ``__init__`` imports must be used in it, so an
+import the code no longer needs (a stale ``mpmath.libmp`` helper) does not
+linger as a dependency.
 """
 
 import ast
@@ -37,6 +40,7 @@ class _Walker(ast.NodeVisitor):
         self.defined = {}               # qualified name -> (name, is_method)
         self.bare, self.attrs = set(), set()
         self.imported = set()           # names imported from the package
+        self.bound = set()              # names any import statement binds
 
     def _own(self, name):
         return any(kind is ast.FunctionDef and n == name for kind, n in self.scope)
@@ -58,9 +62,14 @@ class _Walker(ast.NodeVisitor):
         if not self._own(node.id):
             self.bare.add(node.id)
 
+    def visit_Import(self, node):
+        self.bound |= {alias.asname or alias.name.split(".")[0]
+                       for alias in node.names}
+
     def visit_ImportFrom(self, node):
         if node.level or (node.module or "").split(".")[0] == "talex":
             self.imported |= {alias.name for alias in node.names}
+        self.bound |= {alias.asname or alias.name for alias in node.names}
 
     def visit_Attribute(self, node):
         if not self._own(node.attr):
@@ -104,3 +113,10 @@ def test_no_src_module_imports_a_private_name():
     private = sorted(f"{walker.module}: {name}" for walker in _walkers()
                      for name in walker.imported if name.startswith("_"))
     assert not private, "private names imported: " + ", ".join(private)
+
+
+def test_every_src_import_is_used():
+    unused = sorted(f"{walker.module}: {name}" for walker in _walkers()
+                    if walker.module != "__init__"
+                    for name in walker.bound - walker.bare)
+    assert not unused, "imported but never used: " + ", ".join(unused)
