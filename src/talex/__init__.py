@@ -18,18 +18,21 @@ always passed on, never assumed: the functions of a context use
 ``PretzelContext.prec``, and the constructors ``Representation(pres,
 images, prec)``, which walks every relator of ``pres`` once on Gaussian
 integers, and ``LaurentPoly(terms, prec)`` require it.  ``LaurentPoly``
-stores each coefficient as Gaussian integers rounded to ``prec`` bits,
-ties to even, the bits an ``mpc`` at ``prec`` holds, and ``coeff(e)``
-returns that ``mpc``; it sweeps every polynomial it builds, so none holds a
-non-finite coefficient.  Every other fixed-point number carries prec + 64
-bits, rounded by the one rule ``talex.laurent.fit``.
+stores each coefficient as Gaussian integers rounded to ``prec`` bits, the
+bits an ``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``;
+it sweeps every polynomial it builds, so none holds a non-finite
+coefficient.  Every other fixed-point number carries prec + 64 bits.  All
+of them, and the Fox division's quotient, round to nearest with ties to
+even, as mpmath does (``talex.laurent.fit``); the Horner shift of
+``BivarPoly.eval`` is the one truncation.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
 ``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
 are computed at its ``prec`` on first use.  Helpers that receive only values
 (``BivarPoly.eval``, which keeps its rows in s per (m, precision), ``Mat2``
-arithmetic) compute at their caller's ambient precision.  Inputs are
-rounded to the working precision on entry; ``verify_sweep`` takes m as
-decimal strings, so each precision it retries at parses m afresh.
+arithmetic) take ``mpc`` inputs as given, at the caller's ambient
+precision.  Inputs are rounded to the working precision on entry;
+``verify_sweep`` takes m as decimal strings, so each precision it retries
+at parses m afresh.
 The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division
 remainder in the ``DeltaResult`` and never raises for it: the CLI refuses
 an inexact one (``InexactDivision``), ``verify`` reports it as a check.

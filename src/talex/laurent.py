@@ -15,13 +15,12 @@ for the closed forms, the comparisons and printing.
 
 Every operation on polynomials computes at its precision (the larger one
 for two operands) in Python integers and rounds each coefficient of its
-result once, to nearest with ties to even, which is how mpmath rounds: so
-sums and negation give the bits that ``mpc`` arithmetic gives; products
-take three integer products per pair of terms; ``poly_mat_det`` takes its
-entries in the same exact form from the relator walk of ``talex.fox``; and
-``divide_with_remainder`` takes each quotient coefficient as the Gaussian
-integer nearest R_top / d_lead, with the dividend scaled to carry prec +
-32 bits more.
+result once, to nearest at ``prec`` bits: so sums and negation give the
+bits that ``mpc`` arithmetic gives; products take three integer products
+per pair of terms; ``poly_mat_det`` takes its entries in the same exact
+form from the relator walk of ``talex.fox``; and ``divide_with_remainder``
+takes each quotient coefficient as the Gaussian integer nearest R_top /
+d_lead, with the dividend scaled to carry prec + 32 bits more.
 
 Every polynomial is swept when it is built: a coefficient with magnitude at
 most 2^-(prec-8) relative to the sup-norm is dropped to structural zero, so
@@ -40,9 +39,12 @@ correctly rounded square root, ``sqrt_ratio``.  ``half_prec_tol(prec)``
 remainder (``DeltaResult.exact``), a root's residual, and the monicity
 tolerance.
 
-``fit`` is the package's one fixed-point rounding (to nearest, halves up,
-on one power of two) and ``GUARD_BITS`` = 64 its one guard beyond ``prec``:
-the Fox prefix products and the rows and s-powers of ``BivarPoly.eval``.
+Every rounding to nearest follows one rule, ties to even, as mpmath rounds;
+it is odd, so the Fox route at -m is t -> -t of the one at m bit for bit.
+``fit`` applies it on one power of two to the fixed-point numbers (the Fox
+prefix products, the rows and s-powers of ``BivarPoly.eval``) with the one
+guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one part at
+``prec`` bits) and ``_nearest`` (any divisor) spell it again.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
@@ -64,17 +66,25 @@ def half_prec_tol(prec):
 
 
 def fit(parts, exp, bits):
-    """Integers ``parts`` over 2^exp rounded to nearest, halves up, on one
-    power of two: (parts, exp) as they are if the largest magnitude has at
-    most ``bits`` bits, else every part shifted right by the k bits of
+    """Integers ``parts`` over 2^exp rounded to nearest, ties to even, on
+    one power of two: (parts, exp) as they are if the largest magnitude has
+    at most ``bits`` bits, else every part shifted right by the k bits of
     excess, with exp + k.  Each part moves by at most half a unit of
     2^(exp + k).  A carry can lift the largest magnitude to exactly 2^bits,
     one bit over: 2^(bits+1) - 1 rounds to 2^bits."""
     k = max(map(abs, parts)).bit_length() - bits
     if k <= 0:
         return parts, exp
-    half = 1 << (k - 1)
-    return [(x + half) >> k for x in parts], exp + k
+    # floor((x + half) / 2^k), less one at an exact half over an even floor
+    low = (1 << (k - 1)) - 1
+    return [(x + low + (x >> k & 1)) >> k for x in parts], exp + k
+
+
+def _nearest(x, d):
+    """The integer x over d > 0 rounded to nearest, ties to even: ``fit``'s
+    rule for a divisor that need not be a power of two."""
+    q, r = divmod(2 * x + d, 2 * d)
+    return q - (not r and q & 1)
 
 
 def sqrt_ratio(a, b, exp, prec):
@@ -178,14 +188,12 @@ def _convolve_into(acc, a, b, sign):
 
 
 def _round(x, prec):
-    """The integer x rounded to nearest at ``prec`` significant bits, ties
-    to even, as mpmath rounds a mantissa."""
+    """The integer x rounded to nearest at ``prec`` significant bits: ``fit``
+    of the one part x, written out for speed, and scaled back."""
     k = x.bit_length() - prec
     if k <= 0:
         return x
-    q, r = x >> k, x & ((1 << k) - 1)
-    half = 1 << (k - 1)
-    return (q + (r > half or r == half and q & 1)) << k
+    return (x + (1 << (k - 1)) - 1 + (x >> k & 1)) >> k << k
 
 
 def _made(terms, shift, prec):
@@ -314,9 +322,9 @@ def divide_with_remainder(num, den):
     contained in [num.min-den.min, num.max-den.max]; anything left after the
     sweep is the remainder, relative to ||num||_inf.  The dividend is scaled
     by 2^g, so that quotient integers of size ||num|| / |d_lead| carry
-    prec + 32 bits, and each product with the divisor's tail is subtracted
-    exactly.  A partial remainder at or below the sweep cut relative to
-    ||num|| is dropped."""
+    prec + 32 bits (each part ``_nearest``), and each product with the
+    divisor's tail is subtracted exactly.  A partial remainder at or below
+    the sweep cut relative to ||num|| is dropped."""
     if den.is_zero():
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
@@ -343,8 +351,8 @@ def divide_with_remainder(num, den):
             break
         # each step lowers the top exponent; R / d = R conj(d) / |d|^2
         rr, ri = rem.pop(e)
-        qr = (2 * (rr * dr + ri * di) + dlead2) // (2 * dlead2)
-        qi = (2 * (ri * dr - rr * di) + dlead2) // (2 * dlead2)
+        qr = _nearest(rr * dr + ri * di, dlead2)
+        qi = _nearest(ri * dr - rr * di, dlead2)
         quot[k] = (qr, qi)
         qs = qr + qi
         for de, tr, ti, ts in tail:

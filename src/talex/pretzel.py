@@ -17,10 +17,13 @@ specialisation.  The rows are the exact values sum_b v m^b (m read exactly
 as a Gaussian integer) and their magnitudes, ``fit`` once to prec + 64
 bits (``GUARD_BITS``) for the largest magnitude; Horner runs on Gaussian
 integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
-fractional bits, each step's shift truncating.  The power of s (of 1/s if
-negative) that the row leaves out is powered on Gaussian integers, each
-product ``fit`` to prec + 64 bits, which also give its modulus for the
-scale; only the result is rounded to the working precision.
+fractional bits, each step's shift a floor: the one truncation, under a
+unit of 2^-(prec+64) per step, 64 bits below the final rounding (parity
+in m held bit for bit through it in every evaluation measured; rounding
+it cost the solver and verify paths a few per cent).  The power of s (of
+1/s if negative) that the row leaves out is powered on Gaussian integers,
+each product ``fit`` to prec + 64 bits, which also give its modulus for
+the scale; only the result is rounded to the working precision.
 The solver takes the cofactor's row from ``s_rows``, each entry correctly
 rounded from its exact value.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
@@ -148,13 +151,13 @@ class BivarPoly:
                 for re, im, _ in row], val
 
     def eval(self, m, s):
-        """``(value, scale)`` at (m, s) and the ambient precision: rows per
-        (m, precision), fixed-point Horner per root, times the power of s
-        the row leaves out (see the module docstring).  The scale is the sum
-        of the term magnitudes at |m|, |s|, the natural scale against which
-        residuals and near-zero tests are measured.  The rows of the last
-        (m, precision) are kept, so every root at one m shares them."""
-        m, s, prec = mpc(m), mpc(s), mp.prec
+        """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
+        ambient precision: rows per (m, precision), fixed-point Horner per
+        root, times the power of s the row leaves out (module docstring).
+        The scale is the sum of the term magnitudes at |m|, |s|, against
+        which residuals and near-zero tests are measured.  The rows of the
+        last (m, precision) are kept, so every root at one m shares them."""
+        prec = mp.prec
         bits = prec + GUARD_BITS
         if self._rows is None or self._rows[0] != (m, prec):
             row, shift, val = self._exact_row(m, bits)
@@ -488,11 +491,6 @@ def _inclusion_radius(coeffs, mags, z, prec):
     return d * (abs(p) + err * mag) / den if den > 0 else mpf("inf")
 
 
-def _disjoint(roots, radii):
-    return all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
-               for i in range(len(roots)) for j in range(i))
-
-
 def certified_roots(coeffs, prec):
     """All roots of a polynomial with simple roots (coefficients leading
     first), each with an inclusion radius, at ``prec`` bits.
@@ -514,7 +512,8 @@ def certified_roots(coeffs, prec):
         with mp.workprec(prec):
             roots = [_newton(coeffs, z, prec) for z in seeds]
             radii = [_inclusion_radius(coeffs, mags, z, prec) for z in roots]
-            if _disjoint(roots, radii):
+            if all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
+                   for i in range(len(roots)) for j in range(i)):
                 return roots, radii
     raise NonConvergence(
         f"could not isolate the {len(coeffs) - 1} roots in disjoint discs "

@@ -13,7 +13,6 @@ suite, and several test modules (plus the acceptance criteria) need the
 same (n, m) points, so both are memoized for the session.
 """
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -111,7 +110,7 @@ def exact_product(P, Q):
 
 
 def round_to_bits(parts, bits):
-    """Every part rounded to nearest (ties upward) on the one power of two
+    """Every part rounded to nearest, ties to even, on the one power of two
     2^(t - bits), where 2^(t-1) <= max |part| < 2^t."""
     top = max(map(abs, parts))
     if not top:
@@ -122,7 +121,7 @@ def round_to_bits(parts, bits):
     while Fraction(2) ** (t - 1) > top:
         t -= 1
     grid = Fraction(2) ** (t - bits)
-    return [math.floor(x / grid + Fraction(1, 2)) * grid for x in parts]
+    return [round(x / grid) * grid for x in parts]
 
 
 def walked_rho_of_word(rep, w):

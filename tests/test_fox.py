@@ -340,24 +340,30 @@ def test_fox_route_m_symmetries(n):
     (1 and 2n + 1) are odd, so the Fox route at -m is t -> -t of the one at
     m: coefficient e times (-1)^e.  m -> 1/m gives the same polynomial.  The
     route imposes neither.  Roots are matched by index, as the root sets
-    of m, -m and 1/m are pinned to be one.  At -m it is not bit for bit,
-    since the integer roundings (ties upward, floor shifts) are not odd: at
-    m = 1.2+0.4i a few coefficients near the noise floor differ (measured:
-    at most 5.1e-16 units of 2^-256 of the largest coefficient; the gate is
-    1 unit).  At 1/m, measured at most 1.2e-71."""
+    of m, -m and 1/m are pinned to be one.  Every rounding to nearest rounds
+    ties to even, which is odd, so at -m the stored Gaussian integers and
+    their power of two are (-1)^e times those at m, bit for bit, in both
+    presentations.  At 1/m, measured at most 1.2e-71."""
     for m_pair in STD_M:
         m, roots = cached_roots(n, m_pair)
         with mp.workprec(256):
-            twins = ((-1, solve_s_roots(n, -m, 256)), (1, solve_s_roots(n, 1 / m, 256)))
-        for sign, twin in twins:
-            for base, other in zip(roots, twin):
-                assert base.flags == other.flags
-                if base.flags:
-                    continue
-                p, q = (wada_polynomial(build_holonomy_rep(c, "two"), 1).poly
+            negated, inverted = solve_s_roots(n, -m, 256), solve_s_roots(n, 1 / m, 256)
+        for base, other in zip(roots, negated):
+            assert base.flags == other.flags
+            if base.flags:
+                continue
+            for kind, k in (("two", 1), ("three", 0)):
+                p, q = (wada_polynomial(build_holonomy_rep(c, kind), k).poly
                         for c in (base, other))
-                deg = 4 * n + 6
-                with mp.workprec(512):
-                    gap = max(abs(q.coeff(e) - sign ** e * p.coeff(e))
-                              for e in range(deg + 1))
-                assert gap <= (eps(256) * infnorm(p) if sign < 0 else mpf("1e-60"))
+                assert q.shift == p.shift, (kind, m_pair)
+                assert q.terms == {e: (-re, -im) if e % 2 else (re, im)
+                                   for e, (re, im) in p.terms.items()}, (kind, m_pair)
+        for base, other in zip(roots, inverted):
+            assert base.flags == other.flags
+            if base.flags:
+                continue
+            p, q = (wada_polynomial(build_holonomy_rep(c, "two"), 1).poly
+                    for c in (base, other))
+            with mp.workprec(512):
+                gap = max(abs(q.coeff(e) - p.coeff(e)) for e in range(4 * n + 7))
+            assert gap <= mpf("1e-60")

@@ -47,18 +47,48 @@ def test_zero_and_sweep():
     assert q.is_zero()
 
 
-def test_fit_rounds_halves_up_on_one_power_of_two():
+def test_fit_rounds_ties_to_even_on_one_power_of_two():
     """``fit`` leaves parts within the budget as they are, shifts every
-    part by the excess of the largest, rounds halves up (not away from
-    zero), may carry the largest to exactly 2^bits, and passes zeros."""
+    part by the excess of the largest, rounds to nearest with ties to even
+    (so -x gives minus what x gives), may carry the largest to exactly
+    2^bits, and passes zeros."""
     assert laurent.fit([7, -8, 3], 5, 4) == ([7, -8, 3], 5)
     assert laurent.fit([15, -15], -3, 4) == ([15, -15], -3)
     # the carry, for both signs: 6 bits down to 4 gives 2^4, one bit over
     assert laurent.fit([63, 1], 0, 4) == ([16, 0], 2)
     assert laurent.fit([-63, -1], 0, 4) == ([-16, 0], 2)
-    # 5/2 and -5/2 are halves: both go up
-    assert laurent.fit([5, -5], 7, 2) == ([3, -2], 8)
+    # 5/2 and 7/2 are halves: each goes to the even neighbour, either sign
+    assert laurent.fit([5, -5], 7, 2) == ([2, -2], 8)
+    assert laurent.fit([7, -7], 7, 2) == ([4, -4], 8)
     assert laurent.fit([0, 0, 0], 4, 8) == ([0, 0, 0], 4)
+
+
+def test_one_rounding_rule_in_every_spelling():
+    """The rule of ``fit`` is written out again for speed in ``_round`` and
+    for a divisor that is not a power of two in ``_nearest``: all three
+    round x / d to nearest, ties to even, as ``round`` does on a Fraction.
+    About half of the inputs are built as exact ties."""
+    rng = random.Random(26)
+    for _ in range(3000):
+        prec = rng.randint(1, 80)
+        k = rng.randint(0, 70)
+        x = rng.getrandbits(prec + k) | 1 << (prec + k - 1)
+        if k and rng.random() < 0.5:   # an exact tie, k bits below the top
+            x = (x >> k << k) | 1 << (k - 1)
+        x = -x if rng.random() < 0.5 else x
+        want = round(Fraction(x, 1 << k)) << k
+        assert laurent._round(x, prec) == want, (x, prec)
+        parts, exp = laurent.fit([x], 0, prec)
+        assert parts[0] << exp == want, (x, prec)
+    for _ in range(3000):
+        d = rng.randint(1, 1 << rng.randint(1, 90))
+        q = rng.randint(-(1 << 100), 1 << 100)
+        if d % 2 == 0 and rng.random() < 0.5:   # an exact tie: q + 1/2
+            x = q * d + d // 2
+        else:
+            x = q * d + rng.randrange(d)
+        assert laurent._nearest(x, d) == round(Fraction(x, d)), (x, d)
+    assert [laurent._nearest(x, 2) for x in (-5, -3, -1, 1, 3, 5)] == [-2, -2, 0, 0, 2, 2]
 
 
 def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():

@@ -578,7 +578,7 @@ def test_alpha_vanishes_at_s_one():
         for m_pair in STD_M:
             m = m_at(*m_pair)
             with mp.workprec(256):
-                v, scale = alpha_polynomial(n).eval(m, 1)
+                v, scale = alpha_polynomial(n).eval(m, mpc(1))
                 assert abs(v) < eps(200) * scale
 
 
@@ -590,7 +590,7 @@ def test_beta_odd_in_m():
 def test_h_vanishes_at_s_one():
     m = m_at("1.2", "0.4")
     with mp.workprec(256):
-        assert abs(h_polynomial(3).eval(m, 1)[0]) < eps(200) * 10
+        assert abs(h_polynomial(3).eval(m, mpc(1))[0]) < eps(200) * 10
 
 
 # -- roots ------------------------------------------------------------------
