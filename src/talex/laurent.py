@@ -20,7 +20,8 @@ bits that ``mpc`` arithmetic gives; products take three integer products
 per pair of terms; ``poly_mat_det`` takes its entries in the same exact
 form from the relator walk of ``talex.fox``; and ``divide_with_remainder``
 takes each quotient coefficient as the Gaussian integer nearest R_top /
-d_lead, with the dividend scaled to carry prec + 32 bits more.
+d_lead, with the dividend scaled so that a quotient part at the sweep cut
+still carries prec + 32 bits.
 
 Every polynomial is swept when it is built: a coefficient with magnitude at
 most 2^-(prec-8) relative to the sup-norm is dropped to structural zero, so
@@ -44,7 +45,8 @@ it is odd, so the Fox route at -m is t -> -t of the one at m bit for bit.
 ``fit`` applies it on one power of two to the fixed-point numbers (the Fox
 prefix products, the rows and s-powers of ``BivarPoly.eval``) with the one
 guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one part at
-``prec`` bits) and ``_nearest`` (any divisor) spell it again.
+``prec`` bits), ``_nearest`` (any divisor) and ``read_fixed`` (s, or 1/s,
+onto the fixed point of eval's Horner and the solver's) spell it again.
 
 ``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
 """
@@ -85,6 +87,28 @@ def _nearest(x, d):
     rule for a divisor that need not be a power of two."""
     q, r = divmod(2 * x + d, 2 * d)
     return q - (not r and q & 1)
+
+
+def read_fixed(z, bits):
+    """``(zr, zi, inverted)``: the ``mpc`` z on the fixed point 2^-bits, the
+    Gaussian integer nearest z 2^bits, or, if that has modulus above 2^bits,
+    the one nearest 2^bits / z (z != 0), with ``inverted`` True.  Each part
+    is rounded once from its exact value, to nearest, ties to even (``fit``'s
+    shift on a fixed power of two, ``_nearest`` for the quotient), so a part
+    and its negation read to negatives."""
+    parts = []
+    for sign, man, exp, _ in z._mpc_:
+        x, k = -man if sign else man, -exp - bits
+        parts.append(x << -k if k <= 0 else (x + (1 << (k - 1)) - 1 + (x >> k & 1)) >> k)
+    zr, zi = parts
+    if zr * zr + zi * zi <= 1 << 2 * bits:
+        return zr, zi, False
+    # 2^bits / z = (re - i im) 2^(bits - e) / (re^2 + im^2) for z = (re + i im) 2^e
+    (re, im), e = gaussian([z])
+    norm, up = re * re + im * im, bits - e
+    if up < 0:
+        norm, up = norm << -up, 0
+    return _nearest(re << up, norm), _nearest(-im << up, norm), True
 
 
 def sqrt_ratio(a, b, exp, prec):
@@ -322,7 +346,9 @@ def divide_with_remainder(num, den):
     contained in [num.min-den.min, num.max-den.max]; anything left after the
     sweep is the remainder, relative to ||num||_inf.  The dividend is scaled
     by 2^g, so that quotient integers of size ||num|| / |d_lead| carry
-    prec + 32 bits (each part ``_nearest``), and each product with the
+    2 prec + 24 bits (each part ``_nearest``): a part down at the sweep cut,
+    2^-(prec-8) of the norm, still carries prec + 32 bits of its own, as
+    many as ``mpc`` rounding gives it and 32 more.  Each product with the
     divisor's tail is subtracted exactly.  A partial remainder at or below
     the sweep cut relative to ||num|| is dropped."""
     if den.is_zero():
@@ -337,7 +363,7 @@ def divide_with_remainder(num, den):
     dlead2 = dr * dr + di * di
     tail = [(e, r, i, r + i) for e, (r, i) in d.items() if e != dmax]
     norm2 = max(re * re + im * im for re, im in a.values())
-    g = prec + 32 + max(0, (dlead2.bit_length() - norm2.bit_length()) // 2 + 1)
+    g = 2 * prec + 24 + max(0, (dlead2.bit_length() - norm2.bit_length()) // 2 + 1)
     rem = {e: (re << g, im << g) for e, (re, im) in a.items()}
     norm2 <<= 2 * g
     cut2 = norm2 >> 2 * (prec - SWEEP_GUARD_BITS)

@@ -15,17 +15,20 @@ rows per (m, precision), Horner per root, so every per-root evaluation at
 one m (the solver's residuals, the context values, r1) shares one
 specialisation.  The rows are the exact values sum_b v m^b (m read exactly
 as a Gaussian integer) and their magnitudes, ``fit`` once to prec + 64
-bits (``GUARD_BITS``) for the largest magnitude; Horner runs on Gaussian
-integers with s, or 1/s on the reversed row when |s| > 1, to prec + 64
-fractional bits, each step's shift a floor: the one truncation, under a
-unit of 2^-(prec+64) per step, 64 bits below the final rounding (parity
-in m held bit for bit through it in every evaluation measured; rounding
-it cost the solver and verify paths a few per cent).  The power of s (of
-1/s if negative) that the row leaves out is powered on Gaussian integers,
-each product ``fit`` to prec + 64 bits, which also give its modulus for
-the scale; only the result is rounded to the working precision.
-The solver takes the cofactor's row from ``s_rows``, each entry correctly
-rounded from its exact value.
+bits (``GUARD_BITS``) for the largest magnitude; Horner (``_horner``) runs
+on Gaussian integers with s, or 1/s on the reversed row when |s| > 1, read
+to nearest at prec + 64 fractional bits (``read_fixed``), each step's shift
+a floor: the one truncation, under a unit of 2^-(prec+64) per step, 64
+bits below the final rounding (parity in m held bit for bit through it in
+every evaluation measured; rounding it cost the solver and verify paths a
+few per cent).  The power of s (of 1/s if negative) that the row leaves
+out is powered on Gaussian integers, each product ``fit`` to prec + 64
+bits, which also give its modulus for the scale; only the result is
+rounded to the working precision.
+The solver seeds from the cofactor's coefficients correctly rounded
+(``s_rows``), then polishes and certifies its roots on eval's row of the
+cofactor and on its derivative row, through the same ``_horner``, so a
+certificate covers the cofactor at m itself.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
 root and the flags are read from them.  Both take the working precision and
@@ -45,11 +48,11 @@ from math import isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import GUARD_BITS, Mat2, fit, gaussian, half_prec_tol
+from .laurent import GUARD_BITS, Mat2, fit, gaussian, half_prec_tol, read_fixed
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -150,33 +153,31 @@ class BivarPoly:
                              from_man_exp(im, shift, mp.prec, round_nearest)))
                 for re, im, _ in row], val
 
-    def eval(self, m, s):
-        """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
-        ambient precision: rows per (m, precision), fixed-point Horner per
-        root, times the power of s the row leaves out (module docstring).
-        The scale is the sum of the term magnitudes at |m|, |s|, against
-        which residuals and near-zero tests are measured.  The rows of the
-        last (m, precision) are kept, so every root at one m shares them."""
-        prec = mp.prec
-        bits = prec + GUARD_BITS
-        if self._rows is None or self._rows[0] != (m, prec):
+    def _fixed_row(self, m, bits):
+        """``(row, shift, valuation)``: the ``_exact_row`` at m, ``fit`` once
+        to ``bits`` for its largest magnitude, entries (re, im, mag) over
+        2^shift.  The row of the last (m, bits) is kept, so every root at
+        one m shares it."""
+        if self._rows is None or self._rows[0] != (m, bits):
             row, shift, val = self._exact_row(m, bits)
             # mag >= |re|, |im| in every entry, so the largest mag sets the budget
             flat, shift = fit([x for entry in row for x in entry], shift, bits)
-            row = list(zip(flat[0::3], flat[1::3], flat[2::3]))
-            self._rows = (m, prec), (row, shift, val)
-        row, shift, power = self._rows[1]
-        zr, zi = to_fixed(s.real._mpf_, bits), to_fixed(s.imag._mpf_, bits)
-        if zr * zr + zi * zi > 1 << 2 * bits:
-            with mp.workprec(bits):
-                z = 1 / s
-            zr, zi = to_fixed(z.real._mpf_, bits), to_fixed(z.imag._mpf_, bits)
+            self._rows = (m, bits), (list(zip(flat[0::3], flat[1::3], flat[2::3])), shift, val)
+        return self._rows[1]
+
+    def eval(self, m, s):
+        """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
+        ambient precision: the row at (m, precision), fixed-point Horner per
+        root, times the power of s the row leaves out (module docstring).
+        The scale is the sum of the term magnitudes at |m|, |s|, against
+        which residuals and near-zero tests are measured."""
+        prec = mp.prec
+        bits = prec + GUARD_BITS
+        row, shift, power = self._fixed_row(m, bits)
+        zr, zi, inverted = read_fixed(s, bits)
+        if inverted:
             row, power = row[::-1], power + len(row) - 1
-        za = isqrt(zr * zr + zi * zi)
-        re = im = mag = 0
-        for cr, ci, ca in row:
-            re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
-            mag = (mag * za >> bits) + ca
+        re, im, mag = _horner(row, zr, zi, isqrt(zr * zr + zi * zi), bits)
         if power < 0:
             with mp.workprec(bits):
                 s, power = 1 / s, -power
@@ -462,47 +463,100 @@ def r0_cofactor(n):
     return val, q
 
 
-def _newton(coeffs, z, prec):
-    """Polish an approximate simple root at the ambient precision ``prec``;
+def _horner(row, zr, zi, za, bits):
+    """``(re, im, mag)``: Horner's rule on the Gaussian-integer row (entries
+    (re, im, mag) leading first) at z = (zr + i zi) 2^-bits, and on its
+    magnitude column at za 2^-bits, in the row's units.  Each step's shift
+    is a floor, the one truncation: under one unit per part per step."""
+    re = im = mag = 0
+    for cr, ci, ca in row:
+        re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
+        mag = (mag * za >> bits) + ca
+    return re, im, mag
+
+
+def _values(rows, z, bits):
+    """``(p, dp, w, inverted)``: the Gaussian integers P and D of Horner on
+    the row pair ``rows[inverted]`` at the fixed-point read w of z
+    (``read_fixed``), in the row's units.  Not inverted, w is z and P, D are
+    p(w), p'(w); inverted, w is 1/z on the reversed rows, and p(1/w) =
+    w^-d P, p'(1/w) = w^(1-d) D."""
+    wr, wi, inverted = read_fixed(z, bits)
+    row, drow = rows[inverted]
+    return (_horner(row, wr, wi, 0, bits)[:2], _horner(drow, wr, wi, 0, bits)[:2],
+            (wr, wi), inverted)
+
+
+def _newton(rows, z, prec):
+    """Polish an approximate simple root at the ambient precision ``prec``,
+    with p/p' = P/D, or P/(wD) on the reversed rows (``_values``);
     quadratic convergence takes a 64-bit seed to ``prec`` bits in about
     log2(prec / 64) steps."""
+    bits = prec + GUARD_BITS
     tol = mpf(2) ** (-(3 * prec // 4))
     for _ in range(prec.bit_length() + 4):
-        p, dp = mp.polyval(coeffs, z, derivative=True)
-        if not dp:
+        (pr, pi), (dr, di), (wr, wi), inverted = _values(rows, z, bits)
+        if inverted:
+            pr, pi, dr, di = pr << bits, pi << bits, wr * dr - wi * di, wr * di + wi * dr
+        if not (dr or di):
             break
-        step = p / dp
+        step = mpc(pr, pi) / mpc(dr, di)
         z -= step
         if not abs(step) > tol * max(1, abs(z)):
             break
     return z
 
 
-def _inclusion_radius(coeffs, mags, z, prec):
-    """d |p(z)| / |p'(z)|, with both values widened by the rounding error of
-    their Horner evaluation, whose bound takes the magnitudes ``mags`` of
-    the coefficients: a disc of this radius about z holds a root of p
-    (Henrici, Applied and Computational Complex Analysis I)."""
-    d = len(coeffs) - 1
-    p, dp = mp.polyval(coeffs, z, derivative=True)
-    mag, dmag = mp.polyval(mags, abs(z), derivative=True)
-    err = 8 * (d + 1) * mpf(2) ** -prec
-    den = abs(dp) - err * dmag
-    return d * (abs(p) + err * mag) / den if den > 0 else mpf("inf")
+def _inclusion_radius(rows, z, prec):
+    """A radius r such that the disc about z holds a root of p, rounded up
+    at ``prec``: d |p(w)| / |p'(w)| at the read w of z (Henrici, Applied and
+    Computational Complex Analysis I), with |P| widened and |D| narrowed by
+    the bound on their error, plus |z - w|.  In units of the row (``_values``):
+    the row's ``fit`` moves each coefficient by at most sqrt(2)/2 and each
+    Horner floor by under sqrt(2), so |P| is off by at most (d + 1) sqrt(2)/2
+    + d sqrt(2) < 3 (d + 1), and |D|, whose row holds j c_j, by at most
+    d (d + 1) sqrt(2)/4 + (d - 1) sqrt(2) < (d + 1)(d + 4)/2 (both for |w| <=
+    1, on the reversed rows |w| < 1 + 2^(1-bits), which the slack covers).
+    Each part of w is within half a unit of 2^-bits of its exact value, so
+    |z - w| <= 2^-bits, and on the reversed rows |z - 1/w| <= 2^bits / (a (a
+    - 1)) with a = floor |w 2^bits|.  isqrt floors |P| (one unit is added)
+    and |D|, and the one division rounds up."""
+    bits = prec + GUARD_BITS
+    d = len(rows[0][0]) - 1
+    (pr, pi), (dr, di), (wr, wi), inverted = _values(rows, z, bits)
+    num = d * (isqrt(pr * pr + pi * pi) + 1 + 3 * (d + 1))
+    den = isqrt(dr * dr + di * di) - (d + 1) * (d + 4) // 2
+    if inverted:   # |p(1/w)| / |p'(1/w)| = |P| / (|w| |D|), plus |z - 1/w|
+        a = isqrt(wr * wr + wi * wi)
+        num, den = (num * (a - 1) + den) << bits, den * a * (a - 1)
+    else:          # |P| / |D|, plus |z - w|
+        num, den = (num << bits) + den, den << bits
+    if den <= 0:   # the sign of den survives both branches
+        return mpf("inf")
+    return mp.make_mpf(mpf_div(from_int(num), from_int(den), prec, round_ceiling))
 
 
-def certified_roots(coeffs, prec):
-    """All roots of a polynomial with simple roots (coefficients leading
-    first), each with an inclusion radius, at ``prec`` bits.
+def certified_roots(poly, m, prec):
+    """The roots of s -> poly(m, s) other than 0, which must be simple, each
+    with an inclusion radius, at ``prec`` bits.
 
-    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``) and
-    are Newton-polished at ``prec``.  The d discs must be pairwise disjoint:
-    each then holds exactly one root.  If they are not, and ``prec`` is
-    above 64, the seeds are computed again at ``prec``; if that fails too,
-    ``NonConvergence`` is raised.
+    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``) on the
+    coefficient row ``s_rows``.  Newton polishes them at ``prec``, and the
+    radii certify them, on the exact row at m (m read exactly), ``fit`` once
+    to prec + ``GUARD_BITS`` bits as ``BivarPoly.eval``'s rows are, and on
+    its derivative row, through eval's fixed-point Horner: on 1/s over the
+    reversed rows when |s| > 1, so the integers stay near prec + 64 bits.
+    A disc then holds a root of poly(m, .) itself.  The d discs must be
+    pairwise disjoint: each then holds exactly one root.  If they are not,
+    and ``prec`` is above 64, the seeds are computed again at ``prec``; if
+    that fails too, ``NonConvergence`` is raised.
     """
     with mp.workprec(prec):
-        mags = [abs(c) for c in coeffs]
+        coeffs = poly.s_rows(m)[0]
+    row = poly._fixed_row(m, prec + GUARD_BITS)[0]
+    d = len(row) - 1
+    drow = [(j * cr, j * ci, j * ca) for j, (cr, ci, ca) in zip(range(d, 0, -1), row)]
+    rows = ((row, drow), (row[::-1], drow[::-1]))
     for seed_prec in dict.fromkeys((64, prec)):
         try:
             with mp.workprec(seed_prec):
@@ -510,14 +564,13 @@ def certified_roots(coeffs, prec):
         except mp.NoConvergence:
             continue
         with mp.workprec(prec):
-            roots = [_newton(coeffs, z, prec) for z in seeds]
-            radii = [_inclusion_radius(coeffs, mags, z, prec) for z in roots]
+            roots = [_newton(rows, mpc(z), prec) for z in seeds]
+            radii = [_inclusion_radius(rows, z, prec) for z in roots]
             if all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
                    for i in range(len(roots)) for j in range(i)):
                 return roots, radii
     raise NonConvergence(
-        f"could not isolate the {len(coeffs) - 1} roots in disjoint discs "
-        f"at {prec} bits")
+        f"could not isolate the {d} roots in disjoint discs at {prec} bits")
 
 
 def solve_s_roots(n, m, prec=DEFAULT_PREC):
@@ -542,8 +595,7 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
         for root, mult in ((0, val), (1, 2), (-1, 3)):
             ctx = build_context(n, m, root, prec, residual=mpf(0))
             records += [replace(ctx, radius=mpf(0))] * mult
-        # q(m, 0) != 0, so its coefficient row is all of q
-        roots, radii = certified_roots(q.s_rows(m)[0], prec)
+        roots, radii = certified_roots(q, m, prec)
         bound = half_prec_tol(prec)
         for s, radius in zip(roots, radii):
             value, scale = r0.eval(m, s)

@@ -91,6 +91,53 @@ def test_one_rounding_rule_in_every_spelling():
     assert [laurent._nearest(x, 2) for x in (-5, -3, -1, 1, 3, 5)] == [-2, -2, 0, 0, 2, 2]
 
 
+def _fraction(x):
+    """An ``mpf`` as the Fraction it is."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * Fraction(man) * Fraction(2) ** exp
+
+
+def test_fixed_point_read_is_nearest_and_odd():
+    """``read_fixed`` reads z, or 1/z when z 2^bits reads above 2^bits in
+    modulus, onto 2^-bits to nearest, ties to even, as ``round`` does on the
+    exact Fraction; so a part and its negation read to exact negatives.  (A
+    floor, mpmath's ``to_fixed``, read s.real = 2^-100/3 at 256 bits as
+    ...356 and its negation as -...357.)  About a third of the parts are
+    exact ties, an odd number of half units of 2^-bits, and about a third
+    of the points read inverted."""
+    bits = 256 + laurent.GUARD_BITS
+    with mp.workprec(256):
+        small = mpf(2) ** -100 / 3
+        for z in (mpc(small, 0), mpc(0, small), mpc(small, -small)):
+            zr, zi, inverted = laurent.read_fixed(z, bits)
+            assert not inverted and laurent.read_fixed(-z, bits) == (-zr, -zi, False)
+            assert (zr, zi) == (round(_fraction(z.real) * 2 ** bits),
+                                round(_fraction(z.imag) * 2 ** bits))
+    rng = random.Random(27)
+    for _ in range(2000):
+        prec = rng.choice((64, 128, 256))
+        bits = prec + laurent.GUARD_BITS
+
+        def part():
+            if rng.random() < 1 / 3:   # a tie: (2j + 1) / 2^(bits + 1)
+                return mpf(2 * rng.getrandbits(prec - 1) + 1) * mpf(2) ** -(bits + 1)
+            low = rng.choice((-2 * prec, -prec - 4))   # |z| from 2^-prec, or near 1
+            return mpf(rng.getrandbits(prec) | 1) * mpf(2) ** rng.randint(low, 8 - prec)
+
+        with mp.workprec(prec):
+            z = mpc(part() * rng.choice((-1, 1)), part() * rng.choice((-1, 1)))
+            minus_z = -z
+        zr, zi, inverted = laurent.read_fixed(z, bits)
+        assert laurent.read_fixed(minus_z, bits) == (-zr, -zi, inverted)
+        x, y = _fraction(z.real), _fraction(z.imag)
+        direct = (round(x * 2 ** bits), round(y * 2 ** bits))
+        assert inverted == (direct[0] ** 2 + direct[1] ** 2 > 1 << 2 * bits)
+        if inverted:
+            norm = x * x + y * y
+            x, y = x / norm, -y / norm
+        assert (zr, zi) == (round(x * 2 ** bits), round(y * 2 ** bits)), (z, bits)
+
+
 def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():
     """``swept_gaussian`` drops exact coefficients at or below 2^-(prec-8)
     times the largest magnitude and keeps those above, as the LaurentPoly

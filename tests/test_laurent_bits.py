@@ -78,7 +78,7 @@ def _mpc_divide(num, den):
     dlead2 = dr * dr + di * di
     tail = [(e, r, i, r + i) for e, (r, i) in d.items() if e != dmax]
     norm2 = max(re * re + im * im for re, im in a.values())
-    g = prec + 32 + max(0, (dlead2.bit_length() - norm2.bit_length()) // 2 + 1)
+    g = 2 * prec + 24 + max(0, (dlead2.bit_length() - norm2.bit_length()) // 2 + 1)
     rem = {e: (re << g, im << g) for e, (re, im) in a.items()}
     norm2 <<= 2 * g
     cut2 = norm2 >> 2 * (prec - SWEEP_GUARD_BITS)

@@ -634,11 +634,31 @@ def test_solve_roots_exact_roots_and_certificates(n):
             assert abs(a.s - b.s) > a.radius + b.radius
 
 
+@pytest.mark.parametrize("m_pair", STD_M + (("0.6872", "-1.0699"),))
+def test_certificate_discs_enclose_the_1024_bit_roots(m_pair):
+    """The certificate is an enclosure of the cofactor's roots at m itself:
+    with m read at 128 bits, so that every precision solves for the same m,
+    each disc of ``certified_roots`` at 128, 256 and 512 bits holds exactly
+    one of the roots solved at 1024 bits, for n = 1, 2, 3, 5 and 8, and the
+    discs are pairwise disjoint (both compared at 1100 bits)."""
+    m = m_at(*m_pair, prec=128)
+    for n in (1, 2, 3, 5, 8):
+        q = r0_cofactor(n)[1]
+        ref = certified_roots(q, m, 1024)[0]
+        for prec in (128, 256, 512):
+            roots, radii = certified_roots(q, m, prec)
+            with mp.workprec(1100):
+                for z, r in zip(roots, radii):
+                    assert sum(abs(w - z) <= r for w in ref) == 1, (n, prec, z)
+                for i in range(len(roots)):
+                    for j in range(i):
+                        assert abs(roots[i] - roots[j]) > radii[i] + radii[j], (n, prec)
+
+
 def test_certifier_refuses_a_double_root():
-    with mp.workprec(256):
-        coeffs = [mpc(1), mpc(0), mpc(-3), mpc(2)]  # (s - 1)^2 (s + 2)
+    poly = BivarPoly({(3, 0): 1, (1, 0): -3, (0, 0): 2})  # (s - 1)^2 (s + 2)
     with pytest.raises(NonConvergence):
-        certified_roots(coeffs, 256)
+        certified_roots(poly, mpc(1), 256)
 
 
 @pytest.mark.parametrize("prec, seeded_at", ((64, [64]), (256, [64, 256])),
@@ -654,7 +674,7 @@ def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
 
     monkeypatch.setattr(mp, "polyroots", failing_polyroots)
     with pytest.raises(NonConvergence):
-        certified_roots([mpc(1), mpc(0), mpc(-2)], prec)
+        certified_roots(BivarPoly({(2, 0): 1, (0, 0): -2}), mpc(1), prec)
     assert seen == seeded_at
 
 
