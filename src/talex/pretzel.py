@@ -156,24 +156,24 @@ class BivarPoly:
     def _fixed_row(self, m, bits):
         """``(row, shift, valuation)``: the ``_exact_row`` at m, ``fit`` once
         to ``bits`` for its largest magnitude, entries (re, im, mag) over
-        2^shift.  The row of the last (m, bits) is kept, so every root at
-        one m shares it."""
-        if self._rows is None or self._rows[0] != (m, bits):
-            row, shift, val = self._exact_row(m, bits)
-            # mag >= |re|, |im| in every entry, so the largest mag sets the budget
-            flat, shift = fit([x for entry in row for x in entry], shift, bits)
-            self._rows = (m, bits), (list(zip(flat[0::3], flat[1::3], flat[2::3])), shift, val)
-        return self._rows[1]
+        2^shift."""
+        row, shift, val = self._exact_row(m, bits)
+        # mag >= |re|, |im| in every entry, so the largest mag sets the budget
+        flat, shift = fit([x for entry in row for x in entry], shift, bits)
+        return list(zip(flat[0::3], flat[1::3], flat[2::3])), shift, val
 
     def eval(self, m, s):
         """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
         ambient precision: the row at (m, precision), fixed-point Horner per
         root, times the power of s the row leaves out (module docstring).
         The scale is the sum of the term magnitudes at |m|, |s|, against
-        which residuals and near-zero tests are measured."""
+        which residuals and near-zero tests are measured.  The row of the
+        last (m, precision) is kept, so every root at one m shares it."""
         prec = mp.prec
         bits = prec + GUARD_BITS
-        row, shift, power = self._fixed_row(m, bits)
+        if self._rows is None or self._rows[0] != (m, bits):
+            self._rows = (m, bits), self._fixed_row(m, bits)
+        row, shift, power = self._rows[1]
         zr, zi, inverted = read_fixed(s, bits)
         if inverted:
             row, power = row[::-1], power + len(row) - 1
