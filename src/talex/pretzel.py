@@ -164,11 +164,11 @@ class BivarPoly:
 
     def eval(self, m, s):
         """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
-        ambient precision: the row at (m, precision), fixed-point Horner per
+        ambient precision: rows per (m, precision), fixed-point Horner per
         root, times the power of s the row leaves out (module docstring).
         The scale is the sum of the term magnitudes at |m|, |s|, against
-        which residuals and near-zero tests are measured.  The row of the
-        last (m, precision) is kept, so every root at one m shares it."""
+        which residuals and near-zero tests are measured.  The rows of the
+        last (m, precision) are kept, so every root at one m shares them."""
         prec = mp.prec
         bits = prec + GUARD_BITS
         if self._rows is None or self._rows[0] != (m, bits):
@@ -476,11 +476,12 @@ def _horner(row, zr, zi, za, bits):
 
 
 def _values(rows, z, bits):
-    """``(p, dp, w, inverted)``: the Gaussian integers P and D of Horner on
+    """``(P, D, w, inverted)``: the Gaussian integers P and D of Horner on
     the row pair ``rows[inverted]`` at the fixed-point read w of z
     (``read_fixed``), in the row's units.  Not inverted, w is z and P, D are
     p(w), p'(w); inverted, w is 1/z on the reversed rows, and p(1/w) =
-    w^-d P, p'(1/w) = w^(1-d) D."""
+    w^-d P, p'(1/w) = w^(1-d) D.  The magnitude column is not used (za =
+    0): the radius counts its error in the row's units."""
     wr, wi, inverted = read_fixed(z, bits)
     row, drow = rows[inverted]
     return (_horner(row, wr, wi, 0, bits)[:2], _horner(drow, wr, wi, 0, bits)[:2],
