@@ -22,15 +22,16 @@ stores each coefficient as Gaussian integers rounded to ``prec`` bits, the
 bits an ``mpc`` at ``prec`` holds, and ``coeff(e)`` returns that ``mpc``;
 it sweeps every polynomial it builds, so none holds a non-finite
 coefficient.  Every other fixed-point number carries prec + 64 bits.  All
-of them, and the Fox division's quotient, round to nearest with ties to
-even, as mpmath does (``talex.laurent.fit``); the Horner shift of
-``BivarPoly.eval`` is the one truncation.
+of them, the Fox division's quotient and the solver's Newton steps round to
+nearest with ties to even, as mpmath does (``talex.laurent.fit``); the
+Horner shift of ``BivarPoly.eval`` is the one truncation.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
 ``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
 are computed at its ``prec`` on first use.  Helpers that receive only values
-(``BivarPoly.eval``, which keeps its rows in s per (m, precision), ``Mat2``
-arithmetic) take ``mpc`` inputs as given, at the caller's ambient
-precision.  Inputs are rounded to the working precision on entry;
+(``BivarPoly.eval``, which keeps its rows in s per (m, precision), the
+``Mat2`` products and determinants) take ``mpc`` inputs as given, at the
+caller's ambient precision; a ``Representation`` inverts its images on
+Gaussian integers, not in ``mpc``.  Inputs are rounded to the working precision on entry;
 ``verify_sweep`` takes m as decimal strings, so each precision it retries
 at parses m afresh.
 The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division

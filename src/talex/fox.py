@@ -25,18 +25,19 @@ products for a side of length L, and its last prefix is rho(side), which
 gives the relation residual.  The blocks are summed from the walk on first
 use, so checking only the relations never builds them.
 
-The walk runs on Gaussian integers.  rho(x_j) and its inverse (computed in
-``mpc`` at ``rep.prec``) are read once, exactly, as integers over one power
-of two; each prefix product is an exact integer product, ``fit`` to
-prec + ``GUARD_BITS`` bits (the rule and guard of ``talex.laurent``); each
-block entry is the exact sum of its prefix entries, swept by the
-``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the exact
-end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
-they are, and the Gaussian-integer long division reads the determinant
-exactly, so only its coefficients and the quotient's are rounded at
-``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I) out as
-1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both read the presentation from
-``rep.pres``, so a representation cannot be paired with another presentation.
+The walk runs on Gaussian integers.  rho(x_j) is read once, exactly, as
+integers over one power of two, and its inverse is adj / det of that exact
+image rounded once (``_inverse``); the inverse and each prefix product, an
+exact integer product, are ``fit`` to prec + ``GUARD_BITS`` bits (the rule
+and guard of ``talex.laurent``); each block entry is the exact sum of its
+prefix entries, swept by the ``LaurentPoly`` cut; and the residual is the
+``sqrt_ratio`` of the exact end prefixes.  ``wada_polynomial`` hands the
+blocks to ``poly_mat_det`` as they are, and the Gaussian-integer long
+division reads the determinant exactly, so only its coefficients and the
+quotient's are rounded at ``rep.prec``.  ``wada_denominator`` writes
+det(rho(x_k) t^e - I) out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both
+read the presentation from ``rep.pres``, so a representation cannot be
+paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
 the walk is tested against, live with the tests (``tests/conftest.py``).
@@ -145,6 +146,26 @@ def _product(P, Q, bits):
     return fit(parts, sp + sq, bits)
 
 
+def _inverse(P, bits):
+    """P^-1 of a Gaussian-integer matrix (parts, shift), det P != 0, as
+    (parts, shift): adj(P) conj(det P) / |det P|^2, each part rounded once
+    by ``fit`` to ``bits`` bits for the largest.  ``fit`` reads each exact
+    quotient as its floor with extra bits and a sticky last bit (2q + 1 if
+    inexact, as in ``sqrt_ratio``), which no rounding boundary separates
+    from the quotient."""
+    (a, b, c, d, e, f, g, h), s = P
+    dr, di = a * g - b * h - c * e + d * f, a * h + b * g - c * f - d * e
+    norm = dr * dr + di * di
+    parts = []
+    for xr, xi in ((g, h), (-c, -d), (-e, -f), (a, b)):   # adj(P), row by row
+        parts += [xr * dr + xi * di, xi * dr - xr * di]
+    # at least bits + 2 bits in the largest |2q + 1|, so fit never sees a tie
+    # that the exact quotient does not have
+    up = max(0, bits + 2 + norm.bit_length() - max(map(abs, parts)).bit_length())
+    floors = [divmod(x << up, norm) for x in parts]
+    return fit([2 * q + (r != 0) for q, r in floors], -s - up - 1, bits)
+
+
 def _residual(P, Q, prec):
     """The largest entry magnitude of P - Q for Gaussian-integer matrices,
     from the exact squared magnitudes, correctly rounded at ``prec``."""
@@ -170,10 +191,8 @@ class Representation:
         self.pres = pres
         self.images = tuple(images)
         self.prec = prec
-        with mp.workprec(prec):
-            inverses = [M.inverse() for M in self.images]
         self._exact = [gaussian(M.entries()) for M in self.images]
-        self._exact_inverses = [gaussian(M.entries()) for M in inverses]
+        self._exact_inverses = [_inverse(P, prec + GUARD_BITS) for P in self._exact]
         walks = [self._walk(rel) for rel in pres.relators]
         self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
                          default=0)

@@ -43,12 +43,15 @@ tolerance.
 Every rounding to nearest follows one rule, ties to even, as mpmath rounds;
 it is odd, so the Fox route at -m is t -> -t of the one at m bit for bit.
 ``fit`` applies it on one power of two to the fixed-point numbers (the Fox
-prefix products, the rows and s-powers of ``BivarPoly.eval``) with the one
-guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one part at
-``prec`` bits), ``_nearest`` (any divisor) and ``read_fixed`` (s, or 1/s,
-onto the fixed point of eval's Horner and the solver's) spell it again.
+prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``)
+with the one guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one
+part at ``prec`` bits), ``nearest`` (any divisor: the division's quotient,
+the solver's Newton step), ``reciprocal`` (1/z onto a fixed point) and
+``read_fixed`` (s, or 1/s, onto the fixed point of eval's Horner and the
+solver's) spell it again.
 
-``Mat2`` is a 2x2 matrix of numbers: the representation matrices.
+``Mat2`` is a 2x2 matrix of numbers in ``mpc``: the representation matrices,
+their products and determinants (``talex.fox`` inverts them exactly).
 """
 
 from dataclasses import dataclass
@@ -82,11 +85,21 @@ def fit(parts, exp, bits):
     return [(x + low + (x >> k & 1)) >> k for x in parts], exp + k
 
 
-def _nearest(x, d):
+def nearest(x, d):
     """The integer x over d > 0 rounded to nearest, ties to even: ``fit``'s
     rule for a divisor that need not be a power of two."""
     q, r = divmod(2 * x + d, 2 * d)
     return q - (not r and q & 1)
+
+
+def reciprocal(re, im, exp, bits):
+    """1/z on the fixed point 2^-bits for z = (re + i im) 2^exp != 0: the
+    Gaussian integer nearest 2^bits / z = (re - i im) 2^(bits - exp) / (re^2
+    + im^2), each part rounded once from its exact value (``nearest``)."""
+    norm, up = re * re + im * im, bits - exp
+    if up < 0:
+        norm, up = norm << -up, 0
+    return nearest(re << up, norm), nearest(-im << up, norm)
 
 
 def read_fixed(z, bits):
@@ -94,8 +107,8 @@ def read_fixed(z, bits):
     Gaussian integer nearest z 2^bits, or, if that has modulus above 2^bits,
     the one nearest 2^bits / z (z != 0), with ``inverted`` True.  Each part
     is rounded once from its exact value, to nearest, ties to even (``fit``'s
-    shift on a fixed power of two, ``_nearest`` for the quotient), so a part
-    and its negation read to negatives."""
+    shift on a fixed power of two, ``reciprocal`` for the quotient), so a
+    part and its negation read to negatives."""
     parts = []
     for sign, man, exp, _ in z._mpc_:
         x, k = -man if sign else man, -exp - bits
@@ -103,12 +116,8 @@ def read_fixed(z, bits):
     zr, zi = parts
     if zr * zr + zi * zi <= 1 << 2 * bits:
         return zr, zi, False
-    # 2^bits / z = (re - i im) 2^(bits - e) / (re^2 + im^2) for z = (re + i im) 2^e
     (re, im), e = gaussian([z])
-    norm, up = re * re + im * im, bits - e
-    if up < 0:
-        norm, up = norm << -up, 0
-    return _nearest(re << up, norm), _nearest(-im << up, norm), True
+    return (*reciprocal(re, im, e, bits), True)
 
 
 def sqrt_ratio(a, b, exp, prec):
@@ -346,7 +355,7 @@ def divide_with_remainder(num, den):
     contained in [num.min-den.min, num.max-den.max]; anything left after the
     sweep is the remainder, relative to ||num||_inf.  The dividend is scaled
     by 2^g, so that quotient integers of size ||num|| / |d_lead| carry
-    2 prec + 24 bits (each part ``_nearest``): a part down at the sweep cut,
+    2 prec + 24 bits (each part ``nearest``): a part down at the sweep cut,
     2^-(prec-8) of the norm, still carries prec + 32 bits of its own, as
     many as ``mpc`` rounding gives it and 32 more.  Each product with the
     divisor's tail is subtracted exactly.  A partial remainder at or below
@@ -377,8 +386,8 @@ def divide_with_remainder(num, den):
             break
         # each step lowers the top exponent; R / d = R conj(d) / |d|^2
         rr, ri = rem.pop(e)
-        qr = _nearest(rr * dr + ri * di, dlead2)
-        qi = _nearest(ri * dr - rr * di, dlead2)
+        qr = nearest(rr * dr + ri * di, dlead2)
+        qi = nearest(ri * dr - rr * di, dlead2)
         quot[k] = (qr, qi)
         qs = qr + qi
         for de, tr, ti, ts in tail:
@@ -420,11 +429,6 @@ class Mat2:
 
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
-
-    def inverse(self):
-        """Inverse (adjugate over determinant)."""
-        d = self.det()
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
 
 
 def poly_mat_det(rows, shift, prec):
@@ -484,11 +488,7 @@ def normalize_delta(poly, method, remainder):
         return DeltaResult(poly, 1, 0, method, remainder)
     shift = -poly.min_exp
     p = poly.shifted(shift)
-    c0 = p.coeff(0)
-    sign = 1
-    with mp.workprec(p.prec):
-        flip = abs(c0 + 1) < abs(c0 - 1)
-    if flip:
-        p = -p
-        sign = -1
-    return DeltaResult(p, sign, shift, method, remainder)
+    # |c0 + 1| < |c0 - 1| exactly when Re c0 < 0: read off the stored integer
+    if p.terms[0][0] < 0:
+        return DeltaResult(-p, -1, shift, method, remainder)
+    return DeltaResult(p, 1, shift, method, remainder)

@@ -26,9 +26,12 @@ out is powered on Gaussian integers, each product ``fit`` to prec + 64
 bits, which also give its modulus for the scale; only the result is
 rounded to the working precision.
 The solver seeds from the cofactor's coefficients correctly rounded
-(``s_rows``), then polishes and certifies its roots on eval's row of the
-cofactor and on its derivative row, through the same ``_horner``, so a
-certificate covers the cofactor at m itself.
+(``s_rows``; ``mp.polyroots`` with max(50, 2d) steps at degree d), then
+polishes and certifies its roots on eval's row of the cofactor and on its
+derivative row, through the same ``_horner``, so a certificate covers the
+cofactor at m itself.  Newton stays on Horner's fixed point: each step, and
+each 1/s it reads, is an exact Gaussian quotient rounded once, and only the
+root is rounded to the working precision.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
 root and the flags are read from them.  Both take the working precision and
@@ -52,7 +55,8 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_n
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import GUARD_BITS, Mat2, fit, gaussian, half_prec_tol, read_fixed
+from .laurent import (GUARD_BITS, Mat2, fit, gaussian, half_prec_tol, nearest, read_fixed,
+                      reciprocal)
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -475,37 +479,49 @@ def _horner(row, zr, zi, za, bits):
     return re, im, mag
 
 
-def _values(rows, z, bits):
-    """``(P, D, w, inverted)``: the Gaussian integers P and D of Horner on
-    the row pair ``rows[inverted]`` at the fixed-point read w of z
-    (``read_fixed``), in the row's units.  Not inverted, w is z and P, D are
-    p(w), p'(w); inverted, w is 1/z on the reversed rows, and p(1/w) =
-    w^-d P, p'(1/w) = w^(1-d) D.  The magnitude column is not used (za =
-    0): the radius counts its error in the row's units."""
-    wr, wi, inverted = read_fixed(z, bits)
+def _values(rows, wr, wi, inverted, bits):
+    """``(P, D)``: the Gaussian integers of Horner on the row pair
+    ``rows[inverted]`` at w = (wr + i wi) 2^-bits, in the row's units.  Not
+    inverted, w is z and P, D are p(w), p'(w); inverted, w is 1/z on the
+    reversed rows, and p(1/w) = w^-d P, p'(1/w) = w^(1-d) D.  The magnitude
+    column is not used (za = 0): the radius counts its error in the row's
+    units."""
     row, drow = rows[inverted]
-    return (_horner(row, wr, wi, 0, bits)[:2], _horner(drow, wr, wi, 0, bits)[:2],
-            (wr, wi), inverted)
+    return _horner(row, wr, wi, 0, bits)[:2], _horner(drow, wr, wi, 0, bits)[:2]
 
 
 def _newton(rows, z, prec):
-    """Polish an approximate simple root at the ambient precision ``prec``,
-    with p/p' = P/D, or P/(wD) on the reversed rows (``_values``);
-    quadratic convergence takes a 64-bit seed to ``prec`` bits in about
-    log2(prec / 64) steps."""
+    """Polish an approximate simple root at ``prec`` bits on ``_horner``'s
+    fixed point 2^-bits, bits = prec + ``GUARD_BITS``.  z is read once
+    (``read_fixed``); each step takes w = z, or w = 1/z on the reversed rows
+    when |z| > 1 (``reciprocal``), and p/p' = P/D, or P/(wD) (``_values``),
+    the exact Gaussian quotient rounded once (``nearest``).  It stops after
+    a step of at most 2^-(3 prec/4) max(1, |z|), compared on exact squared
+    magnitudes, or after bit_length(prec) + 4 steps: quadratic convergence
+    takes a 64-bit seed to ``prec`` bits in about log2(prec / 64).  The root
+    is rounded once, to nearest at ``prec``."""
     bits = prec + GUARD_BITS
-    tol = mpf(2) ** (-(3 * prec // 4))
+    one2, tol2 = 1 << 2 * bits, 2 * (3 * prec // 4)   # |z|^2 = 1; |step|^2 2^tol2
+    zr, zi, inverted = read_fixed(z, bits)
+    if inverted:
+        zr, zi = reciprocal(zr, zi, -bits, bits)
     for _ in range(prec.bit_length() + 4):
-        (pr, pi), (dr, di), (wr, wi), inverted = _values(rows, z, bits)
+        inverted = zr * zr + zi * zi > one2
+        wr, wi = reciprocal(zr, zi, -bits, bits) if inverted else (zr, zi)
+        (pr, pi), (dr, di) = _values(rows, wr, wi, inverted, bits)
         if inverted:
             pr, pi, dr, di = pr << bits, pi << bits, wr * dr - wi * di, wr * di + wi * dr
-        if not (dr or di):
+        den = dr * dr + di * di
+        if not den:
             break
-        step = mpc(pr, pi) / mpc(dr, di)
-        z -= step
-        if not abs(step) > tol * max(1, abs(z)):
+        # the step on the fixed point: P conj(D) 2^bits / |D|^2
+        sr = nearest((pr * dr + pi * di) << bits, den)
+        si = nearest((pi * dr - pr * di) << bits, den)
+        zr, zi = zr - sr, zi - si
+        if (sr * sr + si * si) << tol2 <= max(one2, zr * zr + zi * zi):
             break
-    return z
+    return mp.make_mpc((from_man_exp(zr, -bits, prec, round_nearest),
+                        from_man_exp(zi, -bits, prec, round_nearest)))
 
 
 def _inclusion_radius(rows, z, prec):
@@ -524,7 +540,8 @@ def _inclusion_radius(rows, z, prec):
     and |D|, and the one division rounds up."""
     bits = prec + GUARD_BITS
     d = len(rows[0][0]) - 1
-    (pr, pi), (dr, di), (wr, wi), inverted = _values(rows, z, bits)
+    wr, wi, inverted = read_fixed(z, bits)
+    (pr, pi), (dr, di) = _values(rows, wr, wi, inverted, bits)
     num = d * (isqrt(pr * pr + pi * pi) + 1 + 3 * (d + 1))
     den = isqrt(dr * dr + di * di) - (d + 1) * (d + 4) // 2
     if inverted:   # |p(1/w)| / |p'(1/w)| = |P| / (|w| |D|), plus |z - 1/w|
@@ -541,9 +558,10 @@ def certified_roots(poly, m, prec):
     """The roots of s -> poly(m, s) other than 0, which must be simple, each
     with an inclusion radius, at ``prec`` bits.
 
-    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``) on the
-    coefficient row ``s_rows``.  Newton polishes them at ``prec``, and the
-    radii certify them, on the exact row at m (m read exactly), ``fit`` once
+    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``, with
+    max(50, 2d) steps) on the coefficient row ``s_rows``.  Newton polishes
+    them at ``prec``, and the radii certify them, on the exact row at m (m
+    read exactly), ``fit`` once
     to prec + ``GUARD_BITS`` bits as ``BivarPoly.eval``'s rows are, and on
     its derivative row, through eval's fixed-point Horner: on 1/s over the
     reversed rows when |s| > 1, so the integers stay near prec + 64 bits.
@@ -561,7 +579,7 @@ def certified_roots(poly, m, prec):
     for seed_prec in dict.fromkeys((64, prec)):
         try:
             with mp.workprec(seed_prec):
-                seeds = mp.polyroots(coeffs)
+                seeds = mp.polyroots(coeffs, maxsteps=max(50, 2 * d))
         except mp.NoConvergence:
             continue
         with mp.workprec(prec):

@@ -75,13 +75,20 @@ def mat_infnorm(M):
     return max(infnorm(e) for e in M.entries())
 
 
+def mpc_inverse(M):
+    """The inverse of a 2x2 number matrix in ``mpc`` at the ambient
+    precision: adjugate over determinant, each entry one ``mpc`` division."""
+    d = M.det()
+    return Mat2(M.a22 / d, -M.a12 / d, -M.a21 / d, M.a11 / d)
+
+
 def rho_of_word(rep, w):
     """rho(w) multiplied out letter by letter from the identity in ``mpc``
     at ``rep.prec``."""
     with mp.workprec(rep.prec):
         M = identity()
         for g, e in w:
-            M = M * (rep.images[g] if e == 1 else rep.images[g].inverse())
+            M = M * (rep.images[g] if e == 1 else mpc_inverse(rep.images[g]))
         return M
 
 
@@ -124,17 +131,29 @@ def round_to_bits(parts, bits):
     return [round(x / grid) * grid for x in parts]
 
 
+def exact_inverse(P):
+    """The exact inverse, adj / det, of a matrix given by its 8 parts."""
+    (a, b, c, d, e, f, g, h) = P
+    det_r, det_i = a * g - b * h - c * e + d * f, a * h + b * g - c * f - d * e
+    norm = det_r * det_r + det_i * det_i
+    out = []
+    for xr, xi in ((g, h), (-c, -d), (-e, -f), (a, b)):
+        out += [(xr * det_r + xi * det_i) / norm, (xi * det_r - xr * det_i) / norm]
+    return out
+
+
 def walked_rho_of_word(rep, w):
     """rho(w) as the relator walk of ``talex.fox.Representation`` defines
     it, computed here in exact Fractions: from the identity, letter by
-    letter, each exact product with rho(x_j) or with its ``mpc`` inverse at
-    ``rep.prec`` rounded to rep.prec + 64 bits.  Returns the 8 exact parts."""
-    with mp.workprec(rep.prec):
-        inverses = [M.inverse() for M in rep.images]
+    letter, each exact product with rho(x_j), or with its inverse (adj / det
+    of the exact image, itself rounded once to rep.prec + 64 bits), rounded
+    to rep.prec + 64 bits.  Returns the 8 exact parts."""
+    images = [exact_matrix(M) for M in rep.images]
+    inverses = [round_to_bits(exact_inverse(P), rep.prec + 64) for P in images]
     P = [Fraction(x) for x in (1, 0, 0, 0, 0, 0, 1, 0)]
     for g, e in w:
-        M = rep.images[g] if e == 1 else inverses[g]
-        P = round_to_bits(exact_product(P, exact_matrix(M)), rep.prec + 64)
+        P = round_to_bits(exact_product(P, images[g] if e == 1 else inverses[g]),
+                          rep.prec + 64)
     return P
 
 
@@ -156,16 +175,14 @@ def mpc_walk_blocks(rep, rel, prec):
     """The Fox blocks of relator ``rel`` by a relator walk in ``mpc`` at
     ``prec`` bits: prefix matrices multiplied letter by letter, each block
     coefficient summed term by term, every operation rounded at ``prec``.
-    The images are ``rep.images`` and their inverses are computed at
-    ``rep.prec``, as ``Representation`` computes them, so at ``prec`` =
-    ``rep.prec`` this is the walk in ``mpc`` that the Gaussian-integer walk
-    replaced, bit for bit, and at a high ``prec`` it is a reference walk of
-    the same rounded images."""
-    with mp.workprec(rep.prec):
-        inverses = [M.inverse() for M in rep.images]
+    The images are ``rep.images`` and their inverses are computed in
+    ``mpc`` at ``prec`` too, so at ``prec`` = ``rep.prec`` this is the walk
+    in ``mpc`` that the Gaussian-integer walk replaced, and at a high
+    ``prec`` it is a reference walk of the same rounded images."""
     exps = rep.pres.abelian_exponents
     acc = [({}, {}, {}, {}) for _ in rep.images]
     with mp.workprec(prec):
+        inverses = [mpc_inverse(M) for M in rep.images]
         for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
             P, k = identity(), 0
             for g, e in side:

@@ -18,7 +18,7 @@ image.  The expansion takes a context and works at ``ctx.prec``.
 from mpmath import mp
 
 from talex import LaurentPoly, Mat2
-from conftest import identity, mat_add, to_laurent
+from conftest import identity, mat_add, mpc_inverse, to_laurent
 
 
 def r0_value(n, m, s):
@@ -229,14 +229,14 @@ def derivative_expansion_eq2(ctx):
     with mp.workprec(prec):
         XB = X * B
         AXB = A * XB
-        W = AXB * A * XB.inverse()
-        Wi = W.inverse()
+        W = AXB * A * mpc_inverse(XB)
+        Wi = mpc_inverse(W)
         acc = identity()
         for i in range(n - 1):
             terms += [(acc, 2 * i), (acc * AXB, 2 * i + 2 * n + 2)]
             acc = acc * W
-        terms += [(XB * XB * A.inverse(), 4 * n + 1), (XB * Wi, 2 * n - 1),
-                  (XB * Wi * XB.inverse() * A.inverse(), -3)]
+        terms += [(XB * XB * mpc_inverse(A), 4 * n + 1), (XB * Wi, 2 * n - 1),
+                  (XB * Wi * mpc_inverse(XB) * mpc_inverse(A), -3)]
         for M, e in terms:
             total = mat_add(total, to_laurent(M, e, prec))
     return total

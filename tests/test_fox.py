@@ -4,21 +4,25 @@ The symbolic Fox reference and the group-ring arithmetic the identities
 below are stated in (``ring_add``, ``ring_mul``) are in ``conftest``."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from talex import (Presentation, Relator, solve_s_roots, verify, word_invert,
                    word_multiply)
-from talex.fox import (Representation, abelian_exponent, gen, reduce_word,
-                       wada_denominator, wada_polynomial, word_power)
+from talex.fox import (Representation, _inverse, abelian_exponent, gen,
+                       reduce_word, wada_denominator, wada_polynomial,
+                       word_power)
+from talex.laurent import gaussian
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
 from conftest import (STD_M, block_matrices, cached_checks, cached_contexts,
-                      cached_roots, coeffs, eps, fox_derivative,
+                      cached_roots, coeffs, eps, exact_inverse, fox_derivative,
                       fox_derivative_of_relator, identity, infnorm, mat_add,
                       mat_infnorm, mat_sub, mpc_walk_blocks, phi_map,
-                      rho_of_word, ring_add, ring_mul, to_laurent)
+                      rho_of_word, ring_add, ring_mul, round_to_bits,
+                      to_laurent)
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -283,6 +287,43 @@ def test_representation_inverses():
         prod = M * Minv
         assert abs(prod.a11 - 1) < mpf("1e-60")
         assert abs(prod.a21) < mpf("1e-60")
+
+
+def test_walk_inverse_is_the_exact_inverse_rounded_once():
+    """The walk's inverse of an exact image is adj / det in exact Fractions
+    rounded once, to nearest, ties to even, on the one power of two that
+    gives the largest part ``bits`` bits (``round_to_bits``), bit for bit:
+    on random Gaussian matrices with parts of both signs and of 1 to 400
+    bits over a random power of two, so that det lies far from 1; on
+    matrices [[1, x], [0, 1]] with x an odd number of bits + 1 bits, whose
+    inverse's largest part is an exact tie; and on the holonomy images at
+    128, 256 and 512 bits."""
+    rng = random.Random(28)
+    cases = []
+    for _ in range(400):
+        bits = rng.choice((64, 128, 192, 320, 576))
+        sizes = [rng.randint(1, 400) for _ in range(8)]
+        parts = [rng.choice((-1, 1)) * rng.getrandbits(k) for k in sizes]
+        cases.append(((parts, rng.randint(-600, 200)), bits))
+    for _ in range(50):
+        bits = rng.choice((64, 128, 192))
+        x = rng.choice((-1, 1)) * (rng.getrandbits(bits) | 1 << bits | 1)
+        cases.append((([1, 0, x, 0, 0, 0, 1, 0], rng.randint(-20, 20)), bits))
+    for prec in (128, 256, 512):
+        for ctx in cached_contexts(3, STD_M[0], prec)[:3]:
+            A, B, X = ctx.holonomy_matrices
+            with mp.workprec(prec):
+                XB = X * B
+            cases += [(gaussian(M.entries()), prec + 64) for M in (A, B, X, XB)]
+    ties = 0
+    for (parts, shift), bits in cases:
+        exact = [Fraction(x) * Fraction(2) ** shift for x in parts]
+        got, exp = _inverse((parts, shift), bits)
+        want = round_to_bits(exact_inverse(exact), bits)
+        assert [Fraction(x) * Fraction(2) ** exp for x in got] == want, (parts, shift, bits)
+        assert max(map(abs, got)).bit_length() in (bits, bits + 1)
+        ties += parts[:2] == [1, 0] and parts[4:] == [0, 0, 1, 0]
+    assert ties == 50
 
 
 # The m that the benchmark's check_battery workload draws at its seed 0.

@@ -640,7 +640,10 @@ def test_certificate_discs_enclose_the_1024_bit_roots(m_pair):
     with m read at 128 bits, so that every precision solves for the same m,
     each disc of ``certified_roots`` at 128, 256 and 512 bits holds exactly
     one of the roots solved at 1024 bits, for n = 1, 2, 3, 5 and 8, and the
-    discs are pairwise disjoint (both compared at 1100 bits)."""
+    discs are pairwise disjoint (both compared at 1100 bits).  Each part of
+    each polished root lies within half a unit in its last place at
+    ``prec`` of that 1024-bit root: it is the root correctly rounded, up to
+    the reference's own error."""
     m = m_at(*m_pair, prec=128)
     for n in (1, 2, 3, 5, 8):
         q = r0_cofactor(n)[1]
@@ -650,9 +653,33 @@ def test_certificate_discs_enclose_the_1024_bit_roots(m_pair):
             with mp.workprec(1100):
                 for z, r in zip(roots, radii):
                     assert sum(abs(w - z) <= r for w in ref) == 1, (n, prec, z)
+                    w = next(w for w in ref if abs(w - z) <= r)
+                    for got, want in ((z.real, w.real), (z.imag, w.imag)):
+                        _, man, exp, bc = got._mpf_
+                        assert man and abs(got - want) <= mpf(2) ** (exp + bc - prec - 1), \
+                            (n, prec, z)
                 for i in range(len(roots)):
                     for j in range(i):
                         assert abs(roots[i] - roots[j]) > radii[i] + radii[j], (n, prec)
+
+
+def test_seed_step_budget_follows_the_degree(monkeypatch):
+    """The seed gets max(50, 2d) steps of ``mp.polyroots``: at n = 15, m =
+    0.6872-1.0699i, its default 50 did not converge, at 64 bits nor at
+    ``prec``, and the point refused; with 168 steps its 84 roots certify at
+    128 bits, on the first seed."""
+    budgets = []
+    polyroots = mp.polyroots
+
+    def counted(coeffs, **kwargs):
+        budgets.append(kwargs["maxsteps"])
+        return polyroots(coeffs, **kwargs)
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    q = r0_cofactor(15)[1]
+    roots, _ = certified_roots(q, m_at("0.6872", "-1.0699", prec=128), 128)
+    assert len(roots) == q.s_degree() == 84
+    assert budgets == [168]
 
 
 def test_certifier_refuses_a_double_root():
