@@ -27,13 +27,14 @@ nearest with ties to even, as mpmath does (``talex.laurent.fit``); the
 Horner shift of ``BivarPoly.eval`` is the one truncation.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
 ``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
-are computed at its ``prec`` on first use.  Helpers that receive only values
-(``BivarPoly.eval``, which keeps its rows in s per (m, precision), the
-``Mat2`` products and determinants) take ``mpc`` inputs as given, at the
-caller's ambient precision; a ``Representation`` inverts its images on
-Gaussian integers, not in ``mpc``.  Inputs are rounded to the working precision on entry;
-``verify_sweep`` takes m as decimal strings, so each precision it retries
-at parses m afresh.
+are computed at its ``prec`` on first use, each matrix a 4-tuple of
+``mpc``.  ``BivarPoly.eval``, which keeps its rows in s per (m,
+precision), takes ``mpc`` inputs as given, at the caller's ambient
+precision.  A ``Representation`` reads its images once as exact Gaussian
+integers; rho(x) rho(b) and the Wada denominator's trace and determinant
+are ``mpc`` arithmetic at ``prec``.  Inputs are rounded to the working
+precision on entry; ``verify_sweep`` takes m as decimal strings, so each
+precision it retries at parses m afresh.
 The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division
 remainder in the ``DeltaResult`` and never raises for it: the CLI refuses
 an inexact one (``InexactDivision``), ``verify`` reports it as a check.
@@ -41,7 +42,7 @@ an inexact one (``InexactDivision``), ``verify`` reports it as a check.
 
 from .errors import (DegenerateContext, InexactDivision, NonConvergence,
                      TalexError)
-from .laurent import DeltaResult, LaurentPoly, Mat2, normalize_delta
+from .laurent import DeltaResult, LaurentPoly, normalize_delta
 from .fox import (Presentation, Relator, Representation, wada_polynomial,
                   word_invert, word_multiply)
 from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
@@ -58,7 +59,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BivarPoly", "DEFAULT_PREC", "DegenerateContext",
     "DeltaResult", "InexactDivision", "LaurentPoly",
-    "Mat2", "NonConvergence", "Presentation", "PretzelContext", "Relator",
+    "NonConvergence", "Presentation", "PretzelContext", "Relator",
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
     "delta_prop32", "delta_theorem", "genus_fiberedness_report",

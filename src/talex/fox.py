@@ -25,19 +25,20 @@ products for a side of length L, and its last prefix is rho(side), which
 gives the relation residual.  The blocks are summed from the walk on first
 use, so checking only the relations never builds them.
 
-The walk runs on Gaussian integers.  rho(x_j) is read once, exactly, as
-integers over one power of two, and its inverse is adj / det of that exact
-image rounded once (``_inverse``); the inverse and each prefix product, an
-exact integer product, are ``fit`` to prec + ``GUARD_BITS`` bits (the rule
-and guard of ``talex.laurent``); each block entry is the exact sum of its
-prefix entries, swept by the ``LaurentPoly`` cut; and the residual is the
-``sqrt_ratio`` of the exact end prefixes.  ``wada_polynomial`` hands the
-blocks to ``poly_mat_det`` as they are, and the Gaussian-integer long
-division reads the determinant exactly, so only its coefficients and the
-quotient's are rounded at ``rep.prec``.  ``wada_denominator`` writes
-det(rho(x_k) t^e - I) out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e.  Both
-read the presentation from ``rep.pres``, so a representation cannot be
-paired with another presentation.
+The walk runs on Gaussian integers.  rho(x_j), a 4-tuple of ``mpc``
+entries, is read once, exactly, as integers over one power of two, and its
+inverse is adj / det of that exact image rounded once (``_inverse``); the
+inverse and each prefix product, an exact integer product, are ``fit`` to
+prec + ``GUARD_BITS`` bits (the rule and guard of ``talex.laurent``); each
+block entry is the exact sum of its prefix entries, swept by the
+``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the exact
+end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
+they are, and the Gaussian-integer long division reads the determinant
+exactly, so only its coefficients and the quotient's are rounded at
+``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I) out as 1 -
+tr rho(x_k) t^e + det rho(x_k) t^2e, the trace and determinant in ``mpc``
+at ``rep.prec``.  Both read the presentation from ``rep.pres``, so a
+representation cannot be paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
 the walk is tested against, live with the tests (``tests/conftest.py``).
@@ -177,8 +178,9 @@ def _residual(P, Q, prec):
 
 
 class Representation:
-    """rho on the generators of ``pres``: one Mat2 of numbers per generator,
-    with the precision ``prec`` that the walk and the Wada pipeline run at.
+    """rho on the generators of ``pres``: one 4-tuple (a11, a12, a21, a22)
+    of ``mpc`` per generator, read once as exact Gaussian integers, with the
+    precision ``prec`` that the walk and the Wada pipeline run at.
 
     Construction walks each relator once and keeps, per relator,
     ``residuals``: the largest entry magnitude of rho(lhs) - rho(rhs); and,
@@ -191,7 +193,7 @@ class Representation:
         self.pres = pres
         self.images = tuple(images)
         self.prec = prec
-        self._exact = [gaussian(M.entries()) for M in self.images]
+        self._exact = [gaussian(M) for M in self.images]
         self._exact_inverses = [_inverse(P, prec + GUARD_BITS) for P in self._exact]
         walks = [self._walk(rel) for rel in pres.relators]
         self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
@@ -249,9 +251,10 @@ def wada_denominator(rep, k):
     """det Phi(x_k - 1) = det(rho(x_k) t^e - I) as a LaurentPoly, with e the
     abelian exponent of x_k: 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, each
     coefficient rounded once at ``rep.prec``."""
-    M, e = rep.images[k], rep.pres.abelian_exponents[k]
+    (a11, a12, a21, a22), e = rep.images[k], rep.pres.abelian_exponents[k]
     with mp.workprec(rep.prec):
-        return LaurentPoly({0: 1, e: -(M.a11 + M.a22), 2 * e: M.det()}, rep.prec)
+        return LaurentPoly({0: 1, e: -(a11 + a22), 2 * e: a11 * a22 - a12 * a21},
+                           rep.prec)
 
 
 def wada_polynomial(rep, remove_k):

@@ -1,5 +1,4 @@
-"""Sparse Laurent polynomials on Gaussian integers, and 2x2 number
-matrices.
+"""Sparse Laurent polynomials on Gaussian integers.
 
 A ``LaurentPoly`` stores its coefficients as Gaussian integers over one
 power of two, ``terms`` = {e: (re, im)} with coefficient e equal to (re +
@@ -49,9 +48,6 @@ part at ``prec`` bits), ``nearest`` (any divisor: the division's quotient,
 the solver's Newton step), ``reciprocal`` (1/z onto a fixed point) and
 ``read_fixed`` (s, or 1/s, onto the fixed point of eval's Horner and the
 solver's) spell it again.
-
-``Mat2`` is a 2x2 matrix of numbers in ``mpc``: the representation matrices,
-their products and determinants (``talex.fox`` inverts them exactly).
 """
 
 from dataclasses import dataclass
@@ -402,33 +398,6 @@ def divide_with_remainder(num, den):
     rem2 = max((re * re + im * im for re, im in rem.values()), default=0)
     return (_rounded(quot, sa - g - sd, prec),
             sqrt_ratio(rem2, norm2, 0, prec))
-
-
-class Mat2:
-    """2x2 matrix of numbers (a representation matrix), computed at the
-    caller's ambient precision."""
-
-    __slots__ = ("a11", "a12", "a21", "a22")
-
-    def __init__(self, a11, a12, a21, a22):
-        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
-
-    def entries(self):
-        return (self.a11, self.a12, self.a21, self.a22)
-
-    def __mul__(self, other):
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def scaled(self, c):
-        return Mat2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
-
-    def det(self):
-        return self.a11 * self.a22 - self.a12 * self.a21
 
 
 def poly_mat_det(rows, shift, prec):

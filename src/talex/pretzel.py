@@ -25,9 +25,9 @@ few per cent).  The power of s (of 1/s if negative) that the row leaves
 out is powered on Gaussian integers, each product ``fit`` to prec + 64
 bits, which also give its modulus for the scale; only the result is
 rounded to the working precision.
-The solver seeds from the cofactor's coefficients correctly rounded
-(``s_rows``; ``mp.polyroots`` with max(50, 2d) steps at degree d), then
-polishes and certifies its roots on eval's row of the cofactor and on its
+The solver reads eval's row of the cofactor once, seeds from its parts
+rounded to the working precision (``mp.polyroots`` with max(50, 2d) steps
+at degree d), then polishes and certifies its roots on that row and on its
 derivative row, through the same ``_horner``, so a certificate covers the
 cofactor at m itself.  Newton stays on Horner's fixed point: each step, and
 each 1/s it reads, is an exact Gaussian quotient rounded once, and only the
@@ -35,10 +35,10 @@ root is rounded to the working precision.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
 root and the flags are read from them.  Both take the working precision and
-enter it; a context's eta_1, eta_2 and holonomy matrices (each computed
-once, on first use) and the functions of a context run at ``ctx.prec``;
-``BivarPoly.eval`` runs at its caller's ambient precision.  The two
-presentations are built once per n.
+enter it; a context's eta_1, eta_2 and holonomy matrices (4-tuples of
+``mpc`` entries; each computed once, on first use) and the functions of a
+context run at ``ctx.prec``; ``BivarPoly.eval`` runs at its caller's
+ambient precision.  The two presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
 from 1 to ``MAX_N``, the largest n whose roots the solver certified at
@@ -55,7 +55,7 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_n
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import (GUARD_BITS, Mat2, fit, gaussian, half_prec_tol, nearest, read_fixed,
+from .laurent import (GUARD_BITS, fit, gaussian, half_prec_tol, nearest, read_fixed,
                       reciprocal)
 
 DEFAULT_PREC = 256
@@ -121,12 +121,13 @@ class BivarPoly:
     def s_valuation(self):
         return min((a for a, _ in self.terms), default=None)
 
-    def _exact_row(self, m, guard):
+    def _fixed_row(self, m, bits):
         """``(row, shift, valuation)`` at m: the polynomial in s is
-        s^valuation times the row, listed leading first, whose entries are
-        [re, im, mag] over 2^shift: re + i*im = sum_b v_ab m^b exactly, and
-        mag = sum_b |v_ab| |m|^b with each |m|^b rounded down to ``guard``
-        fractional bits."""
+        s^valuation times the row, listed leading first, whose entries
+        (re, im, mag) over 2^shift are re + i*im = sum_b v_ab m^b and mag =
+        sum_b |v_ab| |m|^b, exact (each |m|^b rounded down to ``bits``
+        fractional bits), then ``fit`` once to ``bits`` for the largest
+        magnitude."""
         (mr, mi), e = gaussian([m])
         norm = mr * mr + mi * mi
         ms = {b for _, b in self.terms}
@@ -135,8 +136,8 @@ class BivarPoly:
         for b in range(max(ms, default=0) + 1):
             if b in ms:
                 up = b * e - base
-                powers[b] = (zr << (up + guard), zi << (up + guard),
-                             isqrt(norm ** b << 2 * guard) << up)
+                powers[b] = (zr << (up + bits), zi << (up + bits),
+                             isqrt(norm ** b << 2 * bits) << up)
             zr, zi = zr * mr - zi * mi, zr * mi + zi * mr
         lo, hi = self.s_valuation() or 0, self.s_degree() or 0
         row = [[0, 0, 0] for _ in range(hi - lo + 1)]
@@ -145,26 +146,9 @@ class BivarPoly:
             entry[0] += v * pr
             entry[1] += v * pi
             entry[2] += abs(v) * pa
-        return row, base - guard, lo
-
-    def s_rows(self, m):
-        """``(coefficients, valuation)`` at m and the ambient precision: the
-        polynomial in s is s^valuation times the coefficient row, listed
-        leading first, each entry sum_b v_ab m^b correctly rounded from its
-        exact value."""
-        row, shift, val = self._exact_row(mpc(m), 0)
-        return [mp.make_mpc((from_man_exp(re, shift, mp.prec, round_nearest),
-                             from_man_exp(im, shift, mp.prec, round_nearest)))
-                for re, im, _ in row], val
-
-    def _fixed_row(self, m, bits):
-        """``(row, shift, valuation)``: the ``_exact_row`` at m, ``fit`` once
-        to ``bits`` for its largest magnitude, entries (re, im, mag) over
-        2^shift."""
-        row, shift, val = self._exact_row(m, bits)
         # mag >= |re|, |im| in every entry, so the largest mag sets the budget
-        flat, shift = fit([x for entry in row for x in entry], shift, bits)
-        return list(zip(flat[0::3], flat[1::3], flat[2::3])), shift, val
+        flat, shift = fit([x for entry in row for x in entry], base - bits, bits)
+        return list(zip(flat[0::3], flat[1::3], flat[2::3])), shift, lo
 
     def eval(self, m, s):
         """``(value, scale)`` at ``mpc`` values (m, s), taken as given, at the
@@ -385,7 +369,8 @@ class PretzelContext:
 
     @cached_property
     def holonomy_matrices(self):
-        """The printed images rho(a), rho(b), rho(x)."""
+        """The printed images rho(a), rho(b), rho(x), each the 4-tuple (a11,
+        a12, a21, a22) of its ``mpc`` entries."""
         if not self.nondegenerate:
             raise DegenerateContext(
                 f"cannot build a representation at flags {sorted(self.flags)}")
@@ -393,12 +378,13 @@ class PretzelContext:
         alpha, beta = self.alpha, self.beta
         with mp.workprec(self.prec):
             sp1 = s ** (2 * n + 1) + 1
-            A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
+            A = (m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
             u = s * alpha - m * beta
             v = m * s * alpha - beta
-            B = Mat2(beta, -u * v / (m * beta), beta, (m * v + s * alpha) / m).scaled(
-                1 / (s * alpha))
-            X = Mat2(self.S, mpc(0), (self.S - 1 / self.S) / sp1, 1 / self.S)
+            c = 1 / (s * alpha)
+            B = (beta * c, -u * v / (m * beta) * c, beta * c,
+                 (m * v + s * alpha) / m * c)
+            X = (self.S, mpc(0), (self.S - 1 / self.S) / sp1, 1 / self.S)
         return A, B, X
 
 
@@ -558,21 +544,23 @@ def certified_roots(poly, m, prec):
     """The roots of s -> poly(m, s) other than 0, which must be simple, each
     with an inclusion radius, at ``prec`` bits.
 
-    Seeds come from 64-bit simultaneous iteration (``mp.polyroots``, with
-    max(50, 2d) steps) on the coefficient row ``s_rows``.  Newton polishes
-    them at ``prec``, and the radii certify them, on the exact row at m (m
-    read exactly), ``fit`` once
-    to prec + ``GUARD_BITS`` bits as ``BivarPoly.eval``'s rows are, and on
-    its derivative row, through eval's fixed-point Horner: on 1/s over the
-    reversed rows when |s| > 1, so the integers stay near prec + 64 bits.
-    A disc then holds a root of poly(m, .) itself.  The d discs must be
-    pairwise disjoint: each then holds exactly one root.  If they are not,
-    and ``prec`` is above 64, the seeds are computed again at ``prec``; if
-    that fails too, ``NonConvergence`` is raised.
+    The coefficient row at m (m read exactly) is built once, exact and
+    ``fit`` to prec + ``GUARD_BITS`` bits as ``BivarPoly.eval``'s rows are
+    (``_fixed_row``).  Seeds come from 64-bit simultaneous iteration
+    (``mp.polyroots``, with max(50, 2d) steps) on its parts rounded to
+    nearest at ``prec``.  Newton polishes them at ``prec``, and the radii
+    certify them, on that row and on its derivative row, through eval's
+    fixed-point Horner: on 1/s over the reversed rows when |s| > 1, so the
+    integers stay near prec + 64 bits.  A disc then holds a root of poly(m,
+    .) itself.  The d discs must be pairwise disjoint: each then holds
+    exactly one root.  If they are not, and ``prec`` is above 64, the seeds
+    are computed again at ``prec``; if that fails too, ``NonConvergence`` is
+    raised.
     """
-    with mp.workprec(prec):
-        coeffs = poly.s_rows(m)[0]
-    row = poly._fixed_row(m, prec + GUARD_BITS)[0]
+    row, shift, _ = poly._fixed_row(m, prec + GUARD_BITS)
+    coeffs = [mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
+                           from_man_exp(im, shift, prec, round_nearest)))
+              for re, im, _ in row]
     d = len(row) - 1
     drow = [(j * cr, j * ci, j * ca) for j, (cr, ci, ca) in zip(range(d, 0, -1), row)]
     rows = ((row, drow), (row[::-1], drow[::-1]))
@@ -693,11 +681,13 @@ def presentation_three_gen(n):
 def build_holonomy_rep(ctx, presentation):
     """The representation of the ``"two"`` or ``"three"`` generator
     presentation of K_n; for the 2-generator one the image of c is
-    rho(x) rho(b)."""
+    rho(x) rho(b), multiplied out in ``mpc`` at ``ctx.prec`` without the
+    terms of x12 = 0."""
     A, B, X = ctx.holonomy_matrices
     if presentation == "two":
+        (x11, _, x21, x22), (b11, b12, b21, b22) = X, B
         with mp.workprec(ctx.prec):
-            XB = X * B
+            XB = (x11 * b11, x11 * b12, x21 * b11 + x22 * b21, x21 * b12 + x22 * b22)
         return Representation(presentation_two_gen(ctx.n), (A, XB), prec=ctx.prec)
     if presentation == "three":
         return Representation(presentation_three_gen(ctx.n), (A, B, X), prec=ctx.prec)

@@ -19,7 +19,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp
 
-from talex import (BivarPoly, LaurentPoly, Mat2, build_holonomy_rep,
+from talex import (BivarPoly, LaurentPoly, build_holonomy_rep,
                    delta_prop32, delta_theorem, select_root,
                    solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
@@ -47,6 +47,35 @@ def laurent_value(poly, t):
     precision."""
     with mp.workprec(poly.prec):
         return sum((c * t ** e for e, c in coeffs(poly).items()), mpc(0))
+
+
+class Mat2:
+    """A 2x2 matrix of numbers or of LaurentPolys for the reference
+    arithmetic of the tests, in ``mpc`` at the ambient precision.  The
+    package holds a matrix as the 4-tuple (a11, a12, a21, a22) of its
+    entries; ``Mat2(*M)`` reads one."""
+
+    __slots__ = ("a11", "a12", "a21", "a22")
+
+    def __init__(self, a11, a12, a21, a22):
+        self.a11, self.a12, self.a21, self.a22 = a11, a12, a21, a22
+
+    def entries(self):
+        return (self.a11, self.a12, self.a21, self.a22)
+
+    def __mul__(self, other):
+        return Mat2(
+            self.a11 * other.a11 + self.a12 * other.a21,
+            self.a11 * other.a12 + self.a12 * other.a22,
+            self.a21 * other.a11 + self.a22 * other.a21,
+            self.a21 * other.a12 + self.a22 * other.a22,
+        )
+
+    def scaled(self, c):
+        return Mat2(self.a11 * c, self.a12 * c, self.a21 * c, self.a22 * c)
+
+    def det(self):
+        return self.a11 * self.a22 - self.a12 * self.a21
 
 
 def identity():
@@ -85,10 +114,11 @@ def mpc_inverse(M):
 def rho_of_word(rep, w):
     """rho(w) multiplied out letter by letter from the identity in ``mpc``
     at ``rep.prec``."""
+    images = [Mat2(*M) for M in rep.images]
     with mp.workprec(rep.prec):
         M = identity()
         for g, e in w:
-            M = M * (rep.images[g] if e == 1 else mpc_inverse(rep.images[g]))
+            M = M * (images[g] if e == 1 else mpc_inverse(images[g]))
         return M
 
 
@@ -99,8 +129,9 @@ def _fraction(x):
 
 
 def exact_matrix(M):
-    """A number matrix as its 8 exact parts: re, im of a11, a12, a21, a22."""
-    return [_fraction(x) for c in M.entries() for x in c._mpc_]
+    """A number matrix (a11, a12, a21, a22) as its 8 exact parts: re, im of
+    a11, a12, a21, a22."""
+    return [_fraction(x) for c in M for x in c._mpc_]
 
 
 def exact_product(P, Q):
@@ -180,9 +211,10 @@ def mpc_walk_blocks(rep, rel, prec):
     in ``mpc`` that the Gaussian-integer walk replaced, and at a high
     ``prec`` it is a reference walk of the same rounded images."""
     exps = rep.pres.abelian_exponents
-    acc = [({}, {}, {}, {}) for _ in rep.images]
+    images = [Mat2(*M) for M in rep.images]
+    acc = [({}, {}, {}, {}) for _ in images]
     with mp.workprec(prec):
-        inverses = [mpc_inverse(M) for M in rep.images]
+        inverses = [mpc_inverse(M) for M in images]
         for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
             P, k = identity(), 0
             for g, e in side:
@@ -192,7 +224,7 @@ def mpc_walk_blocks(rep, rel, prec):
                     v = v if sign == e else -v
                     d[k] = d[k] + v if k in d else v
                 if e == 1:
-                    P, k = P * rep.images[g], k + exps[g]
+                    P, k = P * images[g], k + exps[g]
     return [Mat2(*(LaurentPoly(d, prec) for d in a)) for a in acc]
 
 

@@ -17,8 +17,8 @@ image.  The expansion takes a context and works at ``ctx.prec``.
 
 from mpmath import mp
 
-from talex import LaurentPoly, Mat2
-from conftest import identity, mat_add, mpc_inverse, to_laurent
+from talex import LaurentPoly
+from conftest import Mat2, identity, mat_add, mpc_inverse, to_laurent
 
 
 def r0_value(n, m, s):
@@ -222,7 +222,7 @@ def derivative_expansion_eq2(ctx):
     expansion misprints w for w^-1 there).
     """
     n, prec = ctx.n, ctx.prec
-    A, B, X = ctx.holonomy_matrices
+    A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
     zero = LaurentPoly({}, prec)
     total = Mat2(zero, zero, zero, zero)
     terms = []

@@ -1,11 +1,13 @@
 """Fingerprint the solver's output over a grid of (n, m, prec) cases.
 
 One line per case: n, m, prec, then the number of roots, the count of each
-degeneracy flag, and the first 16 hex digits of a SHA-256 over the ``repr``
-of every root s, its radius and its sorted flags, in the order
-``solve_s_roots`` returns them; a case that raises prints the exception
-instead.  A ``diff`` of two runs, each against its own source tree, lists
-the cases that moved.  Run from the repository root:
+degeneracy flag, and the first 16 hex digits of a SHA-256 over the exact
+(sign, mantissa, exponent, bit count) tuples of every root s (``_mpc_``)
+and its radius (``_mpf_``) and over its sorted flags, in the order
+``solve_s_roots`` returns them, so a change of one bit anywhere shows; a
+case that raises prints the exception instead.  A ``diff`` of two runs,
+each against its own source tree, lists the cases that moved.  Run from
+the repository root:
 
     PYTHONPATH=src python tests/root_sweep.py [--n 1..16] [--prec 128,256,512]
 
@@ -37,10 +39,16 @@ def fingerprint(n, m_pair, prec):
         return f"{type(exc).__name__}: {exc}"
     digest = hashlib.sha256()
     for ctx in roots:
-        digest.update(repr((ctx.s, ctx.radius, sorted(ctx.flags))).encode())
+        digest.update(repr((ctx.s._mpc_, ctx.radius._mpf_, sorted(ctx.flags))).encode())
     flags = Counter(flag for ctx in roots for flag in ctx.flags)
     counts = " ".join(f"{flag}:{k}" for flag, k in sorted(flags.items()))
     return f"{len(roots)} roots  {counts}  {digest.hexdigest()[:16]}"
+
+
+def case_line(n, m_pair, prec):
+    """The case's line, with its (n, m, prec) prefix."""
+    m = ",".join(m_pair)
+    return f"n={n:<3}m={m:<16}prec={prec:<5}{fingerprint(n, m_pair, prec)}"
 
 
 def _range(text):
@@ -59,9 +67,7 @@ def main(argv):
     for n in args.n:
         for m_pair in M_VALUES:
             for prec in args.prec:
-                m = ",".join(m_pair)
-                print(f"n={n:<3}m={m:<16}prec={prec:<5}{fingerprint(n, m_pair, prec)}",
-                      flush=True)
+                print(case_line(n, m_pair, prec), flush=True)
 
 
 if __name__ == "__main__":

@@ -17,12 +17,12 @@ from talex.fox import (Representation, _inverse, abelian_exponent, gen,
 from talex.laurent import gaussian
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import (STD_M, block_matrices, cached_checks, cached_contexts,
-                      cached_roots, coeffs, eps, exact_inverse, fox_derivative,
-                      fox_derivative_of_relator, identity, infnorm, mat_add,
-                      mat_infnorm, mat_sub, mpc_walk_blocks, phi_map,
-                      rho_of_word, ring_add, ring_mul, round_to_bits,
-                      to_laurent)
+from conftest import (STD_M, Mat2, block_matrices, cached_checks,
+                      cached_contexts, cached_roots, coeffs, eps,
+                      exact_inverse, fox_derivative, fox_derivative_of_relator,
+                      identity, infnorm, mat_add, mat_infnorm, mat_sub,
+                      mpc_walk_blocks, phi_map, rho_of_word, ring_add,
+                      ring_mul, round_to_bits, to_laurent)
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -224,7 +224,7 @@ def test_wada_denominator_is_the_laurent_determinant(n, m_pair):
         for kind in ("two", "three"):
             rep = build_holonomy_rep(ctx, kind)
             for k, e in enumerate(rep.pres.abelian_exponents):
-                block = to_laurent(rep.images[k], e, rep.prec)
+                block = to_laurent(Mat2(*rep.images[k]), e, rep.prec)
                 ref = mat_sub(block, to_laurent(identity(), 0, rep.prec)).det()
                 den = wada_denominator(rep, k)
                 assert (den.prec, coeffs(den)) == (ref.prec, coeffs(ref)), (kind, k)
@@ -311,7 +311,7 @@ def test_walk_inverse_is_the_exact_inverse_rounded_once():
         cases.append((([1, 0, x, 0, 0, 0, 1, 0], rng.randint(-20, 20)), bits))
     for prec in (128, 256, 512):
         for ctx in cached_contexts(3, STD_M[0], prec)[:3]:
-            A, B, X = ctx.holonomy_matrices
+            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
             with mp.workprec(prec):
                 XB = X * B
             cases += [(gaussian(M.entries()), prec + 64) for M in (A, B, X, XB)]

@@ -8,13 +8,13 @@ import pytest
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp
 
-from talex import (LaurentPoly, Mat2, build_holonomy_rep, fox, laurent,
+from talex import (LaurentPoly, build_holonomy_rep, fox, laurent,
                    wada_polynomial)
 from talex.laurent import (SWEEP_GUARD_BITS,
                            coefficient_deviation, divide_with_remainder,
                            half_prec_tol, normalize_delta, poly_mat_det,
                            swept_gaussian)
-from conftest import (STD_M, cached_contexts, cached_roots, coeffs, eps,
+from conftest import (STD_M, Mat2, cached_contexts, cached_roots, coeffs, eps,
                       infnorm, laurent_value, mpc_inverse)
 
 PREC = 192

@@ -21,10 +21,11 @@ from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            presentation_three_gen, presentation_two_gen,
                            r0_cofactor, r0_polynomial, r1_polynomial)
-from conftest import (STD_M, cached_contexts, cached_roots, eps, m_at,
+from conftest import (STD_M, Mat2, cached_contexts, cached_roots, eps, m_at,
                       m_degree, m_reversed, walked_residual)
 
 import oracles
+import root_sweep
 
 
 def rand_ms(rng):
@@ -707,12 +708,13 @@ def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
 
 def test_solve_roots_match_undeflated_polyroots():
     """Oracle: mpmath's polyroots on the whole of r0, as the solver did
-    before the exact deflation, at n = 2 and 256 bits."""
+    before the exact deflation, on its coefficient row summed in ``mpc``
+    (``_mpc_row``), at n = 2 and 256 bits."""
     n, prec = 2, 256
     m, roots = cached_roots(n, STD_M[0])
     r0 = r0_polynomial(n)
     with mp.workprec(prec):
-        coeffs, val = r0.s_rows(m)
+        coeffs, val = _mpc_row(r0, m)
         full = mp.polyroots(coeffs, maxsteps=500, extraprec=prec)
         ref = sorted([mpc(0)] * val + full, key=lambda s: (s.real, s.imag))
         assert ([build_context(n, m, s, prec).flags for s in ref]
@@ -857,7 +859,7 @@ def test_reciprocal_roots_carry_one_representation(m_pair):
     for i, j in pairs:
         words = []
         for ctx in (ctxs[i], ctxs[j]):
-            A, B, X = ctx.holonomy_matrices
+            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
             with mp.workprec(ctx.prec):
                 words.append([M.a11 + M.a22 for M in (
                     A, B, X, A * B, A * X, B * X, A * B * X)])
@@ -886,7 +888,7 @@ def test_relation_residuals_both_presentations(n):
 
 def test_holonomy_matrix_structure():
     ctx = cached_contexts(3, STD_M[1])[0]
-    A, B, X = ctx.holonomy_matrices
+    A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
     m, S = ctx.m, ctx.S
     assert abs(A.a11 - m) == 0 and abs(A.a21) == 0
     assert abs(X.a11 - S) == 0 and abs(X.a12) == 0
@@ -896,6 +898,31 @@ def test_holonomy_matrix_structure():
             assert abs(M.det() - 1) < mpf("1e-60")
         tr = A.a11 + A.a22
         assert abs(tr - (m + 1 / m)) < eps(200)
+
+
+@pytest.mark.parametrize("prec", (128, 256, 512))
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_two_generator_image_is_the_full_mpc_product(n, prec):
+    """The image of c, rho(x) rho(b), written out without the terms of x12
+    = 0, is bit for bit the full 2x2 product X B in ``mpc`` at ``ctx.prec``,
+    at every nondegenerate root of both standard m."""
+    for m_pair in STD_M:
+        for ctx in cached_contexts(n, m_pair, prec):
+            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
+            with mp.workprec(prec):
+                want = (X * B).entries()
+            got = build_holonomy_rep(ctx, "two").images[1]
+            assert [c._mpc_ for c in got] == [c._mpc_ for c in want]
+
+
+def test_root_fingerprints_match_the_sweep_fixture():
+    """The exact-bit fingerprints of ``root_sweep`` for n = 1..8 at its three
+    m and 256 bits equal its stored output (``python tests/root_sweep.py
+    --n 1..8 --prec 256``): every root, radius, flag and their order."""
+    want = (Path(__file__).parent / "golden" / "root_sweep_256.txt").read_text()
+    got = [root_sweep.case_line(n, m_pair, 256)
+           for n in range(1, 9) for m_pair in root_sweep.M_VALUES]
+    assert got == want.splitlines()
 
 
 def test_holonomy_rejects_degenerate():
