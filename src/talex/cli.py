@@ -156,12 +156,8 @@ def build_parser():
     return parser
 
 
-def _digits(prec):
-    return max(17, int(prec * 0.3))
-
-
 def _fmt(x, prec):
-    return mpmath.nstr(x, _digits(prec), strip_zeros=False)
+    return mpmath.nstr(x, max(17, int(prec * 0.3)), strip_zeros=False)
 
 
 def _pair(z, prec):
@@ -244,8 +240,8 @@ def cmd_delta(args):
     every = args.method == "all"
     results = {name: run(name) for name in (
         ("fox", "theorem", "prop32") if every else (args.method,))}
+    methods = {name: _delta_payload(res, ctx, args) for name, res in results.items()}
     if every:
-        dev = max_pairwise_deviation(**results)
         # from the Fox route: delta_theorem is monic of degree 4n+6 by
         # construction, so its report would only restate the claim
         genus = genus_fiberedness_report(results["fox"], ctx.n)
@@ -254,43 +250,32 @@ def cmd_delta(args):
             "m": list(args.m),
             "s": _pair(ctx.s, prec),
             "root_index": idx,
-            "max_pairwise_deviation": _fmt(dev, prec),
+            "max_pairwise_deviation": _fmt(max_pairwise_deviation(**results), prec),
             "genus": genus.genus,
             "fibered_consistent": genus.fibered_consistent,
-            "methods": {name: _delta_payload(res, ctx, args)
-                        for name, res in results.items()},
+            "methods": methods,
         }
-        shown = results["theorem"]
+        shown = methods["theorem"]
         header = (f"Delta_(K_{ctx.n}) at root #{idx}, all methods; "
                   f"max pairwise deviation {payload['max_pairwise_deviation']}")
     else:
-        shown = results[args.method]
-        payload = _delta_payload(shown, ctx, args)
-        payload["root_index"] = idx
-        header = (f"Delta_(K_{ctx.n}) via {shown.method} at root #{idx} "
-                  f"(unit sign {shown.sign}, shift {shown.shift}):")
+        payload = shown = {**methods[args.method], "root_index": idx}
+        header = (f"Delta_(K_{ctx.n}) via {shown['method']} at root #{idx} "
+                  f"(unit sign {shown['unit']['sign']}, shift {shown['unit']['shift']}):")
     if args.format == "json":
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print("method,exp,re,im" if every else "exp,re,im")
-        for name, res in results.items():
-            for e in res.poly.support():
-                c = res.poly.coeff(e)
-                row = f"{e},{_fmt(c.real, prec)},{_fmt(c.imag, prec)}"
-                print(f"{name},{row}" if every else row)
+        for name, method in methods.items():
+            for c in method["coefficients"]:
+                print(f"{name}," * every + f"{c['exp']},{c['re']},{c['im']}")
     else:
         print(header)
-        _print_poly(shown, prec)
+        for c in shown["coefficients"]:
+            print(f"  t^{c['exp']:<3d} {c['re']}  {c['im']}i")
         if every:
-            print(f"degree {genus.degree}, genus {genus.genus}, "
-                  f"monic={genus.monic}")
+            print(f"degree {genus.degree}, genus {genus.genus}, monic={genus.monic}")
     return EXIT_OK
-
-
-def _print_poly(result, prec):
-    for e in result.poly.support():
-        c = result.poly.coeff(e)
-        print(f"  t^{e:<3d} {_fmt(c.real, prec)}  {_fmt(c.imag, prec)}i")
 
 
 def cmd_verify(args):

@@ -465,27 +465,17 @@ def _horner(row, zr, zi, za, bits):
     return re, im, mag
 
 
-def _values(rows, wr, wi, inverted, bits):
-    """``(P, D)``: the Gaussian integers of Horner on the row pair
-    ``rows[inverted]`` at w = (wr + i wi) 2^-bits, in the row's units.  Not
-    inverted, w is z and P, D are p(w), p'(w); inverted, w is 1/z on the
-    reversed rows, and p(1/w) = w^-d P, p'(1/w) = w^(1-d) D.  The magnitude
-    column is not used (za = 0): the radius counts its error in the row's
-    units."""
-    row, drow = rows[inverted]
-    return _horner(row, wr, wi, 0, bits)[:2], _horner(drow, wr, wi, 0, bits)[:2]
-
-
 def _newton(rows, z, prec):
     """Polish an approximate simple root at ``prec`` bits on ``_horner``'s
     fixed point 2^-bits, bits = prec + ``GUARD_BITS``.  z is read once
     (``read_fixed``); each step takes w = z, or w = 1/z on the reversed rows
-    when |z| > 1 (``reciprocal``), and p/p' = P/D, or P/(wD) (``_values``),
-    the exact Gaussian quotient rounded once (``nearest``).  It stops after
-    a step of at most 2^-(3 prec/4) max(1, |z|), compared on exact squared
-    magnitudes, or after bit_length(prec) + 4 steps: quadratic convergence
-    takes a 64-bit seed to ``prec`` bits in about log2(prec / 64).  The root
-    is rounded once, to nearest at ``prec``."""
+    when |z| > 1 (``reciprocal``), and p/p' = P/D, or P/(wD), the exact
+    Gaussian quotient rounded once (``nearest``), with P, D ``_horner`` on
+    ``rows[inverted]`` at w (p(1/w) = w^-d P, p'(1/w) = w^(1-d) D).  It stops
+    after a step of at most 2^-(3 prec/4) max(1, |z|), compared on exact
+    squared magnitudes, or after bit_length(prec) + 4 steps: quadratic
+    convergence takes a 64-bit seed to ``prec`` bits in about
+    log2(prec / 64).  The root is rounded once, to nearest at ``prec``."""
     bits = prec + GUARD_BITS
     one2, tol2 = 1 << 2 * bits, 2 * (3 * prec // 4)   # |z|^2 = 1; |step|^2 2^tol2
     zr, zi, inverted = read_fixed(z, bits)
@@ -494,7 +484,9 @@ def _newton(rows, z, prec):
     for _ in range(prec.bit_length() + 4):
         inverted = zr * zr + zi * zi > one2
         wr, wi = reciprocal(zr, zi, -bits, bits) if inverted else (zr, zi)
-        (pr, pi), (dr, di) = _values(rows, wr, wi, inverted, bits)
+        row, drow = rows[inverted]
+        pr, pi, _ = _horner(row, wr, wi, 0, bits)
+        dr, di, _ = _horner(drow, wr, wi, 0, bits)
         if inverted:
             pr, pi, dr, di = pr << bits, pi << bits, wr * dr - wi * di, wr * di + wi * dr
         den = dr * dr + di * di
@@ -514,7 +506,7 @@ def _inclusion_radius(rows, z, prec):
     """A radius r such that the disc about z holds a root of p, rounded up
     at ``prec``: d |p(w)| / |p'(w)| at the read w of z (Henrici, Applied and
     Computational Complex Analysis I), with |P| widened and |D| narrowed by
-    the bound on their error, plus |z - w|.  In units of the row (``_values``):
+    the bound on their error, plus |z - w|.  In units of the row:
     the row's ``fit`` moves each coefficient by at most sqrt(2)/2 and each
     Horner floor by under sqrt(2), so |P| is off by at most (d + 1) sqrt(2)/2
     + d sqrt(2) < 3 (d + 1), and |D|, whose row holds j c_j, by at most
@@ -527,7 +519,9 @@ def _inclusion_radius(rows, z, prec):
     bits = prec + GUARD_BITS
     d = len(rows[0][0]) - 1
     wr, wi, inverted = read_fixed(z, bits)
-    (pr, pi), (dr, di) = _values(rows, wr, wi, inverted, bits)
+    row, drow = rows[inverted]
+    pr, pi, _ = _horner(row, wr, wi, 0, bits)
+    dr, di, _ = _horner(drow, wr, wi, 0, bits)
     num = d * (isqrt(pr * pr + pi * pi) + 1 + 3 * (d + 1))
     den = isqrt(dr * dr + di * di) - (d + 1) * (d + 4) // 2
     if inverted:   # |p(1/w)| / |p'(1/w)| = |P| / (|w| |D|), plus |z - 1/w|

@@ -18,7 +18,7 @@ from mpmath import mp, mpc, mpf
 
 from .closed_form import (delta_prop32, delta_theorem, genus_fiberedness_report,
                           zeta_vanishing)
-from .errors import DegenerateContext
+from .errors import DegenerateContext, NonConvergence
 from .fox import wada_polynomial
 from .laurent import coefficient_deviation, max_abs, max_pairwise_deviation
 from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, check_n,
@@ -111,14 +111,14 @@ def m_at(m_strings, prec):
 def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     """Run the suite over all nondegenerate roots for every (n, m).
 
-    Each m is given as its (RE, IM) decimal strings.  Each point is checked
-    at ``prec`` bits; a failing point is retried at doubled precision,
-    capped at ``MAX_RETRY_PREC`` (1024 bits), on the root nearest to the one
-    that failed.  Every precision parses m afresh from the strings, so a
-    retry solves for the decimal m, not for its ``prec``-bit rounding.
-    ``perturb_s`` offsets every root before checking; it exists as the
-    negative-control hook, is expected to make the suite fail, and is never
-    retried.  Every n is checked before the first root is solved.
+    Each m is given as its (RE, IM) decimal strings.  Each point is checked at
+    ``prec`` bits; a failing point is retried at doubled precision, up to
+    ``MAX_RETRY_PREC``, on the root nearest to the one that failed, and stays
+    failed if a re-solve is refused or flags every root.  A retry parses m
+    afresh from the strings, so it solves for the decimal m, not for its
+    ``prec``-bit rounding.  ``perturb_s`` offsets every root before checking;
+    it is the negative-control hook, is expected to make the suite fail, and is
+    never retried.  Every n is checked before the first root is solved.
     """
     ns = list(ns)
     for n in ns:
@@ -142,7 +142,10 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                        and p2 < MAX_RETRY_PREC):
                     p2 = min(2 * p2, MAX_RETRY_PREC)
                     m2 = m_at(m_strings, p2)
-                    roots2 = [r for r in solve_s_roots(n, m2, p2) if not r.flags]
+                    try:
+                        roots2 = [r for r in solve_s_roots(n, m2, p2) if not r.flags]
+                    except NonConvergence:   # a refused re-solve, as an empty one
+                        break
                     if not roots2:   # nothing to re-check: it stays failed
                         break
                     with mp.workprec(p2):

@@ -15,6 +15,7 @@ from talex import cli, pretzel, verify
 from talex.closed_form import genus_fiberedness_report
 from talex.errors import NonConvergence
 from talex.pretzel import BivarPoly, build_context
+from conftest import STD_M
 
 
 def run(capsys, *argv):
@@ -204,6 +205,48 @@ def test_delta_csv(capsys):
     assert out.splitlines()[0] == "exp,re,im"
 
 
+def _delta_lines(capsys, argv, fmt):
+    code, out, err = run(capsys, "delta", *argv, "--format", fmt)
+    assert code == 0, err
+    return out.splitlines()
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", str(n), "--m", ",".join(m), "--method", "all")
+    for n in (1, 2, 3) for m in STD_M
+] + [
+    ("--n", "2", "--m", ",".join(STD_M[0]), "--method", method)
+    for method in ("fox", "theorem", "prop32")
+], ids=lambda argv: "-".join(argv[1::2]))
+def test_delta_formats_carry_the_json_strings(capsys, argv):
+    """CSV rows and text lines print exactly the JSON payload's strings:
+    one payload per route, rendered three ways, headers included."""
+    payload = json.loads("\n".join(_delta_lines(capsys, argv, "json")))
+    csv, text = _delta_lines(capsys, argv, "csv"), _delta_lines(capsys, argv, "text")
+    idx = payload["root_index"]
+    if "methods" in payload:
+        n, methods = payload["n"], payload["methods"]
+        assert list(methods) == ["fox", "theorem", "prop32"]
+        assert csv == ["method,exp,re,im"] + [
+            f"{name},{c['exp']},{c['re']},{c['im']}"
+            for name, method in methods.items() for c in method["coefficients"]]
+        shown = methods["theorem"]
+        assert text[0] == (f"Delta_(K_{n}) at root #{idx}, all methods; max pairwise "
+                           f"deviation {payload['max_pairwise_deviation']}")
+        assert text[-1].startswith(f"degree {4 * n + 6}, genus {payload['genus']}, ")
+        body = text[1:-1]
+    else:
+        shown, unit = payload, payload["unit"]
+        assert list(payload)[-1] == "root_index"
+        assert csv == ["exp,re,im"] + [f"{c['exp']},{c['re']},{c['im']}"
+                                       for c in payload["coefficients"]]
+        assert text[0] == (f"Delta_(K_{payload['n']}) via {payload['method']} at root "
+                           f"#{idx} (unit sign {unit['sign']}, shift {unit['shift']}):")
+        body = text[1:]
+    assert body == [f"  t^{c['exp']:<3d} {c['re']}  {c['im']}i"
+                    for c in shown["coefficients"]]
+
+
 # -- injected failure paths (exit 2, 3, 5) ----------------------------------
 
 
@@ -344,6 +387,36 @@ def test_verify_retry_without_a_nondegenerate_root_reports_the_failure(
     report = verify.verify_sweep([1], [("1.2", "0.4")])
     assert report["entries"] and not report["all_passed"]
     assert all(e["retried_at"] == [] for e in report["entries"])
+
+
+def test_verify_refused_retry_reports_the_point_failed(capsys, monkeypatch):
+    """At n = 3, m = 0.0099+0.0015i, root #21 (|s| ~ 9,973) fails its checks
+    at 256 bits, and the retry's 512-bit re-solve is refused
+    (``NonConvergence``).  As when a re-solve flags every root, the point
+    stays failed and the whole report prints, with exit 1; a refused base
+    solve (n = 4 there) still exits 3."""
+    refused = []
+    solve = verify.solve_s_roots
+
+    def spy(n, m, prec):
+        try:
+            return solve(n, m, prec)
+        except NonConvergence:
+            refused.append((n, prec))
+            raise
+
+    monkeypatch.setattr(verify, "solve_s_roots", spy)
+    code, out, err = run(capsys, "verify", "--n-range", "3..3", "--m", "0.0099,0.0015")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert err == "" and refused == [(3, 512)]
+    lines = out.splitlines()
+    assert lines[-1] == "FAILURES present"
+    assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 11 + ["FAIL"]
+    assert "root#21  failing: " in lines[-2]
+    code, out, err = run(capsys, "verify", "--n-range", "4..4", "--m", "0.0099,0.0015")
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert out == "" and "non-convergence" in err
+    assert refused[1:] == [(4, 256)]
 
 
 def test_verify_retry_stops_at_the_ceiling(monkeypatch):

@@ -683,6 +683,30 @@ def test_seed_step_budget_follows_the_degree(monkeypatch):
     assert budgets == [168]
 
 
+@pytest.mark.parametrize("prec", (256, 512))
+def test_certifier_reseeds_at_working_precision(monkeypatch, prec):
+    """At n = 5, m = 0.0099+0.0015i, the 64-bit seed does not converge and
+    the seed at ``prec`` certifies all 24 roots: real traffic through the
+    working-precision stage, with no forced failure."""
+    seeds = []
+    polyroots = mp.polyroots
+
+    def counted(coeffs, **kwargs):
+        try:
+            found = polyroots(coeffs, **kwargs)
+        except mp.NoConvergence:
+            seeds.append((mp.prec, False))
+            raise
+        seeds.append((mp.prec, True))
+        return found
+
+    monkeypatch.setattr(mp, "polyroots", counted)
+    q = r0_cofactor(5)[1]
+    roots, _ = certified_roots(q, m_at("0.0099", "0.0015", prec=prec), prec)
+    assert len(roots) == q.s_degree() == 24
+    assert seeds == [(64, False), (prec, True)]
+
+
 def test_certifier_refuses_a_double_root():
     poly = BivarPoly({(3, 0): 1, (1, 0): -3, (0, 0): 2})  # (s - 1)^2 (s + 2)
     with pytest.raises(NonConvergence):
