@@ -14,17 +14,90 @@ Fox pipeline against (the closed forms of the denominator and of the zeta_2
 cofactor, the four-term derivative expansion) are transcribed in
 ``tests/oracles.py``.
 
-Every evaluator runs at the context's precision ``ctx.prec``.
+Every evaluator runs on Gaussian integers by the Fox walk's floating rule:
+the context values are read once, exactly, and each sum, product and
+quotient is exact, then ``fit`` to ctx.prec + ``GUARD_BITS`` bits on its own
+power of two (``_Gauss``), so a tiny m or beta keeps its relative precision.
+Only the results are rounded at ``ctx.prec``: a polynomial's coefficients
+from exact terms over one power of two (``rounded``), and lambda_i and
+zeta_i each to an ``mpc``.  Every rounding is odd, so each polynomial at -m
+is t -> -t of the one at m, bit for bit.
 """
 
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DegenerateContext
-from .laurent import DeltaResult, LaurentPoly, half_prec_tol, normalize_delta
+from .laurent import (GUARD_BITS, DeltaResult, convolve_into, fit, fit_quotient,
+                      gaussian, half_prec_tol, normalize_delta, rounded)
 
 MONIC_TOL = mpf("1e-20")
+
+
+class _Gauss:
+    """(re + i im) 2^exp, its parts ``fit`` to ``bits``: each sum, product
+    and quotient is taken exactly, then ``fit`` (``fit_quotient``)."""
+
+    __slots__ = ("re", "im", "exp", "bits")
+
+    def __init__(self, parts, exp, bits):
+        (self.re, self.im), self.exp = fit(parts, exp, bits)
+        self.bits = bits
+
+    def __add__(self, other):
+        e = min(self.exp, other.exp)
+        a, b = self.exp - e, other.exp - e
+        return _Gauss(((self.re << a) + (other.re << b),
+                       (self.im << a) + (other.im << b)), e, self.bits)
+
+    def __neg__(self):
+        return _Gauss((-self.re, -self.im), self.exp, self.bits)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Gauss((a * c - b * d, a * d + b * c), self.exp + other.exp, self.bits)
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return _Gauss(*fit_quotient((a * c + b * d, b * c - a * d), c * c + d * d,
+                                    self.exp - other.exp, self.bits), self.bits)
+
+    def mpc(self, prec):
+        """The value rounded to nearest at ``prec``."""
+        return mp.make_mpc((from_man_exp(self.re, self.exp, prec, round_nearest),
+                            from_man_exp(self.im, self.exp, prec, round_nearest)))
+
+
+def _read(ctx, *values):
+    """1 and the ``mpc`` values as ``_Gauss`` at ctx.prec + ``GUARD_BITS``
+    bits, each read exactly (``gaussian``), then ``fit``."""
+    parts, shift = gaussian([mpc(1), *values])
+    return [_Gauss(parts[i:i + 2], shift, ctx.prec + GUARD_BITS)
+            for i in range(0, len(parts), 2)]
+
+
+def _powers(one, s, lo, hi):
+    """{j: s^j} for lo <= j <= hi (lo <= 0 <= hi), by repeated products of s
+    and of 1/s."""
+    powers, inverse = {0: one}, one / s
+    for j in range(1, hi + 1):
+        powers[j] = powers[j - 1] * s
+    for j in range(-1, lo - 1, -1):
+        powers[j] = powers[j + 1] * inverse
+    return powers
+
+
+def _exact(*terms):
+    """Dicts {e: _Gauss} as Gaussian-integer dicts {e: (re, im)} over one
+    power of two: (dicts, shift), exactly."""
+    base = min(g.exp for t in terms for g in t.values())
+    return [{e: (g.re << g.exp - base, g.im << g.exp - base) for e, g in t.items()}
+            for t in terms], base
 
 
 def _require_nondegenerate(ctx):
@@ -32,108 +105,89 @@ def _require_nondegenerate(ctx):
         raise DegenerateContext(f"degenerate context: {sorted(ctx.flags)}")
 
 
-def _balanced_geometric(powers, k):
-    """(s^k - s^-k)/(s - s^-1) as the branch-safe sum s^(k-1) + s^(k-3) +
-    ... + s^(1-k) of ``powers`` = {j: s^j}; defined at s = +-1 too."""
-    total = mpc(0)
-    for j in range(k):
-        total = total + powers[k - 1 - 2 * j]
-    return total
-
-
 def lambda_coefficients(ctx):
     """The 2n coefficients lambda_0 .. lambda_(2n-1) of the final formula.
 
     Even indices below 2n-1 use the (H, beta, eta_1 + eta_2) expression, odd
     ones the balanced s-power ratio, and the top index 2n-1 its own two-term
-    expression.  s-powers are taken with integer exponents only, each once.
+    expression.  s-powers are taken with integer exponents only, each once,
+    and each lambda_i is rounded to an ``mpc`` at ``ctx.prec`` once.
     """
     _require_nondegenerate(ctx)
-    n, m, s = ctx.n, ctx.m, ctx.s
-    H, beta = ctx.H, ctx.beta
+    n = ctx.n
+    one, m, s, S, H, beta, eta1, eta2 = _read(ctx, ctx.m, ctx.s, ctx.S, ctx.H,
+                                              ctx.beta, ctx.eta1, ctx.eta2)
+    powers = _powers(one, s, -n, n)
+    # balanced[k] = (s^k - s^-k)/(s - s^-1) as the branch-safe sum s^(k-1)
+    # + s^(k-3) + ... + s^(1-k), defined at s = +-1 too
+    balanced = [one - one, one]
+    for k in range(2, n):
+        balanced.append(balanced[k - 2] + powers[k - 1] + powers[1 - k])
+    # (1 + m^2)(H s^k beta - s (s^k - s^-k) eta) / (H m beta)
+    #   = (a - b) s^k + b s^-k
+    a = (one + m * m) / m
+    b = a * s * (eta1 + eta2) / (H * beta)
+    c = a - b
     out = []
-    with mp.workprec(ctx.prec):
-        powers = {j: s ** j for j in range(-n, n + 1)}
-        eta_sum = ctx.eta1 + ctx.eta2
-        one_m2, hmb = 1 + m * m, H * m * beta
-        for i in range(2 * n):
-            if i == 2 * n - 1:
-                lam = (_balanced_geometric(powers, n - 1)
-                       - (s * s - 1) * ctx.eta1 / (H * ctx.S * beta))
-            elif i % 2 == 0:
-                k = i // 2 + 1
-                lam = (one_m2
-                       * (H * powers[k] * beta - s * (powers[k] - powers[-k]) * eta_sum)
-                       / hmb)
-            else:
-                lam = _balanced_geometric(powers, (i - 1) // 2)
-            out.append(lam)
+    for i in range(2 * n):
+        if i == 2 * n - 1:
+            lam = balanced[n - 1] - (s * s - one) * eta1 / (H * S * beta)
+        elif i % 2 == 0:
+            k = i // 2 + 1
+            lam = c * powers[k] + b * powers[-k]
+        else:
+            lam = balanced[(i - 1) // 2]
+        out.append(lam.mpc(ctx.prec))
     return out
 
 
 def delta_theorem(ctx):
     """1 + sum_i lambda_i (t^(i+3) + t^(4n-i+3)) + t^(4n+6), palindromic by
-    construction."""
-    lams = lambda_coefficients(ctx)
-    n, prec = ctx.n, ctx.prec
-    terms = {0: 1, 4 * n + 6: 1}
-    with mp.workprec(prec):
-        for i, lam in enumerate(lams):
-            for e in (i + 3, 4 * n - i + 3):
-                terms[e] = terms[e] + lam if e in terms else lam
-    poly = LaurentPoly(terms, prec)
-    return DeltaResult(poly, 1, 0, "theorem", mpf(0))
+    construction; no two terms share an exponent.  The coefficients are the
+    ``lambda_coefficients``, read exactly: they are rounded at ``ctx.prec``."""
+    n = ctx.n
+    parts, shift = gaussian([mpc(1), *lambda_coefficients(ctx)])
+    one, *lams = zip(parts[0::2], parts[1::2])
+    terms = {0: one, 4 * n + 6: one}
+    for i, lam in enumerate(lams):
+        terms[i + 3] = terms[4 * n - i + 3] = lam
+    return DeltaResult(rounded(terms, shift, ctx.prec), 1, 0, "theorem", mpf(0))
 
 
 def delta_prop32(ctx):
     """The grouped intermediate form, evaluated as a genuine Laurent
     polynomial.
 
-    The two quotient prefactors are expanded with
-      (S - T^2)/(s - t^2)   = (S/s) sum_i (t^2/s)^i,
-      (1 - S T^2)/(1 - s t^2) = sum_i (s t^2)^i,
-    the three grouped blocks contribute finitely many monomials each, and
-    the total is multiplied by t^6 before normalization.
+    The two quotient prefactors, times s/S, are expanded with
+      (S - T^2)/(s - t^2) s/S     = sum_(i<n) s^-i t^2i,
+      (1 - S T^2)/(1 - s t^2) s/S = sum_(i<n) s^(i+1-n) t^2i,
+    the three grouped blocks contribute finitely many monomials each, their
+    products with the sums are taken exactly, and the total is multiplied
+    by t^6 before normalization.
     """
     _require_nondegenerate(ctx)
-    n, m, s, S = ctx.n, ctx.m, ctx.s, ctx.S
-    prec = ctx.prec
-    H, beta = ctx.H, ctx.beta
-    with mp.workprec(prec):
-        one_minus_s2 = 1 - s * s
-        eta_sum = ctx.eta1 + ctx.eta2
-        one_m2 = 1 + m * m
-        k2 = one_m2 * eta_sum / (H * m * beta)
-        edge = one_m2 * S / m - k2 * s * S
-        powers = [s ** i for i in range(n + 1)]
-
-        geo1 = LaurentPoly({2 * i: S / powers[i + 1] for i in range(n)}, prec)
-        geo2 = LaurentPoly({2 * i: powers[i] for i in range(n)}, prec)
-
-        # first grouped block, times t^2 n shifts already folded into exponents
-        blk1 = LaurentPoly({
-            -2: s / one_minus_s2,
-            2 * n - 2: -S / one_minus_s2,
-            2 * n - 1: edge,
-            -3: k2,
-        }, prec)
-        blk2 = LaurentPoly({
-            -3: edge,
-            -2: -S / one_minus_s2,
-            2 * n - 2: s / one_minus_s2,
-            2 * n - 1: k2,
-        }, prec)
-        tail_coeff = one_minus_s2 * ctx.eta1 / (H * S * beta)
-        blk3 = LaurentPoly({
-            -6: 1,
-            4 * n: 1,
-            2 * n - 4: tail_coeff,
-            2 * n - 2: tail_coeff,
-        }, prec)
-
-        scale = s / S
-    total = geo1 * (blk1 * scale) + geo2 * (blk2 * scale) + blk3
-    poly = total.shifted(6)
+    n = ctx.n
+    one, m, s, S, H, beta, eta1, eta2 = _read(ctx, ctx.m, ctx.s, ctx.S, ctx.H,
+                                              ctx.beta, ctx.eta1, ctx.eta2)
+    powers = _powers(one, s, 1 - n, 1)
+    one_minus_s2 = one - s * s
+    a = (one + m * m) / m
+    k2 = a * (eta1 + eta2) / (H * beta)
+    edge = (a - k2 * s) * S
+    u, v = s / one_minus_s2, -S / one_minus_s2
+    tail = one_minus_s2 * eta1 / (H * S * beta)
+    sums, shift = _exact({2 * i: powers[-i] for i in range(n)},
+                         {2 * i: powers[i + 1 - n] for i in range(n)}, {0: one})
+    # the first two blocks have the n shifts of t^2 folded into exponents;
+    # the third takes no sum (its sum is 1)
+    blocks, block_shift = _exact(
+        {-2: u, 2 * n - 2: v, 2 * n - 1: edge, -3: k2},
+        {-3: edge, -2: v, 2 * n - 2: u, 2 * n - 1: k2},
+        {-6: one, 4 * n: one, 2 * n - 4: tail, 2 * n - 2: tail})
+    total = {}
+    for geo, block in zip(sums, blocks):
+        convolve_into(total, geo, block, 1)
+    poly = rounded(total, shift + block_shift, ctx.prec).shifted(6)
     return normalize_delta(poly, "prop32", mpf(0))
 
 
@@ -143,17 +197,16 @@ def zeta_vanishing(ctx):
     zeta_1 vanishes identically (an algebraic identity in H, eta_1, eta_2);
     zeta_2 factors through r0 and vanishes exactly at roots.
     """
-    n, m, s, S = ctx.n, ctx.m, ctx.s, ctx.S
-    H, eta1, eta2 = ctx.H, ctx.eta1, ctx.eta2
-    alpha, beta = ctx.alpha, ctx.beta
-    with mp.workprec(ctx.prec):
-        S2 = S * S
-        zeta1 = m * (m * m + 1) * s * (s + 1) * (
-            H * S2 * beta - s * (S2 - 1) * eta1 - (s * S2 - 1) * eta2)
-        zeta2 = (H * m * m * s * (m * alpha - m * s * s * alpha + s * beta + S2 * beta)
-                 - (s * s - 1) * (m * m * eta1 + m * m * s ** 3 * eta1
-                                  + s * eta2 + m * m * s * eta2))
-    return zeta1, zeta2
+    one, m, s, S, H, alpha, beta, eta1, eta2 = _read(
+        ctx, ctx.m, ctx.s, ctx.S, ctx.H, ctx.alpha, ctx.beta, ctx.eta1, ctx.eta2)
+    S2, m2, s2 = S * S, m * m, s * s
+    zeta1 = m * (m2 + one) * s * (s + one) * (
+        H * S2 * beta - s * (S2 - one) * eta1 - (s * S2 - one) * eta2)
+    # H m^2 s (m alpha - m s^2 alpha + s beta + S2 beta) - (s^2 - 1)(m^2 eta1
+    # + m^2 s^3 eta1 + s eta2 + m^2 s eta2), grouped
+    zeta2 = (H * m2 * s * ((s + S2) * beta - (s2 - one) * m * alpha)
+             - (s2 - one) * ((s2 * s + one) * m2 * eta1 + (m2 + one) * s * eta2))
+    return zeta1.mpc(ctx.prec), zeta2.mpc(ctx.prec)
 
 
 @dataclass(frozen=True)

@@ -50,8 +50,8 @@ from functools import cached_property
 from mpmath import mp
 
 from .laurent import (GUARD_BITS, LaurentPoly, divide_with_remainder, fit,
-                      gaussian, normalize_delta, poly_mat_det, sqrt_ratio,
-                      swept_gaussian)
+                      fit_quotient, gaussian, normalize_delta, poly_mat_det,
+                      sqrt_ratio, swept_gaussian)
 
 # ---------------------------------------------------------------------------
 # words
@@ -150,21 +150,13 @@ def _product(P, Q, bits):
 def _inverse(P, bits):
     """P^-1 of a Gaussian-integer matrix (parts, shift), det P != 0, as
     (parts, shift): adj(P) conj(det P) / |det P|^2, each part rounded once
-    by ``fit`` to ``bits`` bits for the largest.  ``fit`` reads each exact
-    quotient as its floor with extra bits and a sticky last bit (2q + 1 if
-    inexact, as in ``sqrt_ratio``), which no rounding boundary separates
-    from the quotient."""
+    (``fit_quotient``) to ``bits`` bits for the largest."""
     (a, b, c, d, e, f, g, h), s = P
     dr, di = a * g - b * h - c * e + d * f, a * h + b * g - c * f - d * e
-    norm = dr * dr + di * di
     parts = []
     for xr, xi in ((g, h), (-c, -d), (-e, -f), (a, b)):   # adj(P), row by row
         parts += [xr * dr + xi * di, xi * dr - xr * di]
-    # at least bits + 2 bits in the largest |2q + 1|, so fit never sees a tie
-    # that the exact quotient does not have
-    up = max(0, bits + 2 + norm.bit_length() - max(map(abs, parts)).bit_length())
-    floors = [divmod(x << up, norm) for x in parts]
-    return fit([2 * q + (r != 0) for q, r in floors], -s - up - 1, bits)
+    return fit_quotient(parts, dr * dr + di * di, -s, bits)
 
 
 def _residual(P, Q, prec):

@@ -42,8 +42,9 @@ tolerance.
 Every rounding to nearest follows one rule, ties to even, as mpmath rounds;
 it is odd, so the Fox route at -m is t -> -t of the one at m bit for bit.
 ``fit`` applies it on one power of two to the fixed-point numbers (the Fox
-prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``)
-with the one guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one
+prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``,
+the values of ``talex.closed_form``; ``fit_quotient`` for a quotient) with
+the one guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one
 part at ``prec`` bits), ``nearest`` (any divisor: the division's quotient,
 the solver's Newton step), ``reciprocal`` (1/z onto a fixed point) and
 ``read_fixed`` (s, or 1/s, onto the fixed point of eval's Horner and the
@@ -79,6 +80,16 @@ def fit(parts, exp, bits):
     # floor((x + half) / 2^k), less one at an exact half over an even floor
     low = (1 << (k - 1)) - 1
     return [(x + low + (x >> k & 1)) >> k for x in parts], exp + k
+
+
+def fit_quotient(parts, norm, exp, bits):
+    """(parts / norm) 2^exp for integers ``parts``, norm > 0, ``fit`` to
+    ``bits``: each quotient is read as its floor, with bits + 2 bits or more
+    and a sticky last bit (2q + 1 if inexact, as in ``sqrt_ratio``), so no
+    rounding boundary or tie separates it from the quotient; both are odd."""
+    up = max(0, bits + 2 + norm.bit_length() - max(map(abs, parts)).bit_length())
+    floors = [divmod(x << up, norm) for x in parts]
+    return fit([2 * q + (r != 0) for q, r in floors], exp - up - 1, bits)
 
 
 def nearest(x, d):
@@ -140,7 +151,8 @@ def coefficient_deviation(p, q):
     """Max per-coefficient deviation relative to the coefficient scale:
     max over e of |p_e - q_e| / max(1, |p_e|, |q_e|), at the larger
     precision.  The stored integers and 1 are brought to one power of two,
-    and the ratios of squared magnitudes are compared cross-multiplied."""
+    and the ratios of squared magnitudes are compared by their bit lengths,
+    or cross-multiplied where the bit lengths do not decide."""
     keys = list(p.terms.keys() | q.terms.keys())
     base = min([0] + [x.shift for x in (p, q) if x.terms])
 
@@ -154,7 +166,11 @@ def coefficient_deviation(p, q):
     for (ar, ai), (br, bi) in zip(parts(p), parts(q)):
         dr, di = ar - br, ai - bi
         s2, d2 = max(one2, ar * ar + ai * ai, br * br + bi * bi), dr * dr + di * di
-        if d2 * worst_s2 > worst_d2 * s2:
+        # 2^(L-1) <= x < 2^L for x > 0 of bit length L: a gap of 2 decides
+        gap = (d2.bit_length() + worst_s2.bit_length()
+               - worst_d2.bit_length() - s2.bit_length())
+        if d2 and (not worst_d2 or gap >= 2
+                   or gap > -2 and d2 * worst_s2 > worst_d2 * s2):
             worst_d2, worst_s2 = d2, s2
     return sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
 
@@ -197,7 +213,7 @@ def swept_gaussian(terms, prec):
     return {e: c for (e, c), a2 in zip(terms.items(), abs2) if a2 > cut2}
 
 
-def _convolve_into(acc, a, b, sign):
+def convolve_into(acc, a, b, sign):
     """acc += sign * a * b for Gaussian-integer coefficient dicts, with
     three integer products per pair of terms: for p = r1 r2 and q = i1 i2,
     the product's parts are p - q and (r1 + i1)(r2 + i2) - p - q."""
@@ -232,7 +248,7 @@ def _made(terms, shift, prec):
     return p
 
 
-def _rounded(acc, shift, prec):
+def rounded(acc, shift, prec):
     """The LaurentPoly with coefficients (re + i*im) * 2^shift from ``acc``,
     each part rounded once to nearest at ``prec`` bits, then swept, and
     stored over the largest power of two that keeps every part an integer."""
@@ -269,7 +285,7 @@ class LaurentPoly:
                   if not all(x[2] + x[3] < top - prec if x[1] else x == fzero
                              for x in c._mpc_)}
         parts, shift = gaussian(values.values())
-        p = _rounded(dict(zip(values, zip(parts[0::2], parts[1::2]))), shift, prec)
+        p = rounded(dict(zip(values, zip(parts[0::2], parts[1::2]))), shift, prec)
         self.terms, self.shift, self.prec = p.terms, p.shift, prec
 
     def coeff(self, e):
@@ -318,7 +334,7 @@ class LaurentPoly:
                     re0, im0 = acc[e]
                     re, im = re0 + re, im0 + im
                 acc[e] = (re, im)
-        return _rounded(acc, base, max(self.prec, other.prec))
+        return rounded(acc, base, max(self.prec, other.prec))
 
     __radd__ = __add__
 
@@ -333,8 +349,8 @@ class LaurentPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         acc = {}
-        _convolve_into(acc, self.terms, other.terms, 1)
-        return _rounded(acc, self.shift + other.shift, max(self.prec, other.prec))
+        convolve_into(acc, self.terms, other.terms, 1)
+        return rounded(acc, self.shift + other.shift, max(self.prec, other.prec))
 
     __rmul__ = __mul__
 
@@ -396,7 +412,7 @@ def divide_with_remainder(num, den):
             else:
                 rem.pop(k + de, None)
     rem2 = max((re * re + im * im for re, im in rem.values()), default=0)
-    return (_rounded(quot, sa - g - sd, prec),
+    return (rounded(quot, sa - g - sd, prec),
             sqrt_ratio(rem2, norm2, 0, prec))
 
 
@@ -420,11 +436,11 @@ def poly_mat_det(rows, shift, prec):
         for cols in combinations(range(n), n - i):
             total = {}
             for pos, j in enumerate(cols):
-                _convolve_into(total, row[j], minors[cols[:pos] + cols[pos + 1:]],
-                               -1 if pos % 2 else 1)
+                convolve_into(total, row[j], minors[cols[:pos] + cols[pos + 1:]],
+                              -1 if pos % 2 else 1)
             wider[cols] = total
         minors = wider
-    return _rounded(minors[tuple(range(n))], n * shift, prec)
+    return rounded(minors[tuple(range(n))], n * shift, prec)
 
 
 @dataclass

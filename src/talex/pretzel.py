@@ -548,8 +548,8 @@ def certified_roots(poly, m, prec):
     integers stay near prec + 64 bits.  A disc then holds a root of poly(m,
     .) itself.  The d discs must be pairwise disjoint: each then holds
     exactly one root.  If they are not, and ``prec`` is above 64, the seeds
-    are computed again at ``prec``; if that fails too, ``NonConvergence`` is
-    raised.
+    are computed again at ``prec``; if that fails too, ``NonConvergence``
+    names the discs, or the seeds if none converged.
     """
     row, shift, _ = poly._fixed_row(m, prec + GUARD_BITS)
     coeffs = [mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
@@ -558,20 +558,21 @@ def certified_roots(poly, m, prec):
     d = len(row) - 1
     drow = [(j * cr, j * ci, j * ca) for j, (cr, ci, ca) in zip(range(d, 0, -1), row)]
     rows = ((row, drow), (row[::-1], drow[::-1]))
+    reason = f"the seeds of the {d} roots did not converge"
     for seed_prec in dict.fromkeys((64, prec)):
         try:
             with mp.workprec(seed_prec):
                 seeds = mp.polyroots(coeffs, maxsteps=max(50, 2 * d))
         except mp.NoConvergence:
             continue
+        reason = f"could not isolate the {d} roots in disjoint discs"
         with mp.workprec(prec):
             roots = [_newton(rows, mpc(z), prec) for z in seeds]
             radii = [_inclusion_radius(rows, z, prec) for z in roots]
             if all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
                    for i in range(len(roots)) for j in range(i)):
                 return roots, radii
-    raise NonConvergence(
-        f"could not isolate the {d} roots in disjoint discs at {prec} bits")
+    raise NonConvergence(f"{reason} at {prec} bits")
 
 
 def solve_s_roots(n, m, prec=DEFAULT_PREC):

@@ -23,7 +23,7 @@ from talex import (BivarPoly, LaurentPoly, build_holonomy_rep,
                    delta_prop32, delta_theorem, select_root,
                    solve_s_roots, wada_polynomial, word_multiply)
 from talex.fox import abelian_exponent
-from talex.laurent import _rounded, max_abs
+from talex.laurent import max_abs, rounded
 from talex.verify import check_context
 
 STD_M = (("1.2", "0.4"), ("0.9", "-0.2"))
@@ -238,7 +238,7 @@ def block_matrices(rep, i, prec=None):
     """The Fox blocks of relator ``i`` of ``rep`` as LaurentPoly matrices,
     each exact coefficient rounded once at ``prec`` bits (default
     ``rep.prec``)."""
-    return [Mat2(*(_rounded(d, rep.shift, prec or rep.prec) for d in block))
+    return [Mat2(*(rounded(d, rep.shift, prec or rep.prec) for d in block))
             for block in rep.blocks[i]]
 
 

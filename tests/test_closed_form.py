@@ -16,7 +16,7 @@ from talex.laurent import DeltaResult
 from talex.fox import wada_denominator
 from talex.pretzel import (build_holonomy_rep, presentation_two_gen,
                            r0_polynomial)
-from conftest import (STD_M, cached_contexts, coeffs, eps,
+from conftest import (STD_M, cached_contexts, cached_roots, coeffs, eps,
                       fox_derivative_of_relator, infnorm, laurent_value, m_at,
                       phi_map, three_routes)
 
@@ -132,6 +132,86 @@ def test_theorem_oracle_at_random_t():
                 ref = oracles.theorem_value(n, ctx.m, ctx.s, t)
                 got = laurent_value(poly, t)
                 assert abs(got - ref) < mpf("1e-50") * (1 + abs(ref))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_closed_form_m_symmetry(n):
+    """m -> -m keeps s, alpha and H and negates beta, eta_1 and eta_2, so
+    both closed forms at -m are t -> -t of the ones at m: coefficient e
+    times (-1)^e.  Every rounding is odd, so the stored Gaussian integers
+    and their power of two are (-1)^e times those at m, bit for bit, as
+    ``test_fox_route_m_symmetries`` pins for the Fox route."""
+    for m_pair in STD_M:
+        m, roots = cached_roots(n, m_pair)
+        with mp.workprec(256):
+            negated = solve_s_roots(n, -m, 256)
+        for base, other in zip(roots, negated):
+            assert base.flags == other.flags
+            if base.flags:
+                continue
+            for route in (delta_theorem, delta_prop32):
+                p, q = route(base).poly, route(other).poly
+                assert q.shift == p.shift, (route.__name__, m_pair)
+                assert q.terms == {e: (-re, -im) if e % 2 else (re, im)
+                                   for e, (re, im) in p.terms.items()}, (
+                    route.__name__, m_pair)
+
+
+TINY_M = ("0.0099", "0.0015")
+
+
+@pytest.fixture(scope="module")
+def tiny_m_root():
+    """The root of largest |s| (about 1e4) at n = 3, m = 0.0099+0.0015i."""
+    roots = solve_s_roots(3, m_at(*TINY_M), 256)
+    return max((r.s for r in roots if not r.flags), key=abs)
+
+
+@pytest.mark.parametrize("prec", (128, 256, 512))
+def test_closed_forms_keep_relative_precision_at_tiny_m(tiny_m_root, prec):
+    """At |m| = 0.01 and |s| = 1e4 the context values span 1e-2 to 1e98,
+    and 1 / (H m beta) is about 1e-88.  lambda_i, the grouped form's
+    coefficients and zeta_1, zeta_2 stay within 2^(4-prec) of the oracles
+    (at twice the precision), relative to the magnitudes of the terms each
+    formula sums (eta_1 and eta_2 apart: their sum cancels some 68 bits).
+    Measured within 2^-prec; rounding every operation to 6 bits fewer fails
+    at all three precisions."""
+    n = 3
+    ctx = build_context(n, m_at(*TINY_M, prec=prec), tiny_m_root, prec)
+    assert ctx.nondegenerate
+    lams, grouped = lambda_coefficients(ctx), delta_prop32(ctx).poly
+    z1, z2 = zeta_vanishing(ctx)
+    tol = mpf(2) ** (4 - prec)
+    with mp.workprec(2 * prec):
+        m, s = ctx.m, ctx.s
+        S, H = s ** n, oracles.h_value(n, m, s)
+        a, b = oracles.alpha_value(n, m, s), oracles.beta_value(n, m, s)
+        e1, e2 = oracles.eta1_value(n, m, s, a, b), oracles.eta2_value(n, m, s, a, b)
+        for i, lam in enumerate(lams):
+            ref = oracles.lambda_value(n, i, m, s)
+            if i == 2 * n - 1:
+                scale = (abs((s ** (n - 1) - s ** (1 - n)) / (s - 1 / s))
+                         + abs(s * s - 1) * abs(e1) / (abs(H) * abs(S) * abs(b)))
+            elif i % 2 == 0:
+                k = i // 2 + 1
+                scale = abs(1 + m * m) * (
+                    abs(H) * abs(s) ** k * abs(b)
+                    + abs(s) * abs(s ** k - s ** -k) * (abs(e1) + abs(e2))
+                ) / (abs(H) * abs(m) * abs(b))
+            else:
+                scale = max(1, abs(ref))
+            for got in (lam, grouped.coeff(i + 3), grouped.coeff(4 * n - i + 3)):
+                assert abs(got - ref) <= tol * scale, (i, prec)
+        S2, m2 = S * S, abs(m) ** 2
+        scale1 = abs(m) * abs(m * m + 1) * abs(s) * abs(s + 1) * (
+            abs(H) * abs(S2) * abs(b) + abs(s) * abs(S2 - 1) * abs(e1)
+            + abs(s * S2 - 1) * abs(e2))
+        scale2 = (abs(H) * m2 * abs(s) * (abs(m) * abs(a) * (1 + abs(s) ** 2)
+                                          + abs(b) * (abs(s) + abs(S2)))
+                  + abs(s * s - 1) * (m2 * abs(e1) * (1 + abs(s) ** 3)
+                                      + abs(s) * abs(e2) * (1 + m2)))
+        assert abs(z1 - oracles.zeta1_value(n, m, s)) <= tol * scale1
+        assert abs(z2 - oracles.zeta2_value(n, m, s)) <= tol * scale2
 
 
 def test_closed_form_requires_nondegenerate():

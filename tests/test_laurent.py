@@ -8,8 +8,8 @@ import pytest
 from mpmath import mp, mpf, mpc
 from mpmath.libmp import from_man_exp
 
-from talex import (LaurentPoly, build_holonomy_rep, fox, laurent,
-                   wada_polynomial)
+from talex import (LaurentPoly, build_holonomy_rep, delta_prop32,
+                   delta_theorem, fox, laurent, wada_polynomial)
 from talex.laurent import (SWEEP_GUARD_BITS,
                            coefficient_deviation, divide_with_remainder,
                            half_prec_tol, normalize_delta, poly_mat_det,
@@ -91,6 +91,29 @@ def test_one_rounding_rule_in_every_spelling():
     assert [laurent.nearest(x, 2) for x in (-5, -3, -1, 1, 3, 5)] == [-2, -2, 0, 0, 2, 2]
 
 
+def test_fit_quotient_rounds_the_exact_quotient():
+    """``fit_quotient`` gives each part of (parts / norm) 2^exp rounded to
+    nearest, ties to even, on the one power of two it returns, with at most
+    ``bits`` + 1 bits in the largest part (the carry of ``fit``), and is odd
+    in the parts.  Some inputs are exact multiples of the norm."""
+    rng = random.Random(31)
+    for _ in range(2000):
+        bits = rng.randint(2, 90)
+        norm = rng.randint(1, 1 << rng.randint(1, 200))
+        parts = [rng.randint(-(1 << 150), 1 << 150) for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.3:
+            parts = [x * norm for x in parts]
+        if not any(parts):
+            continue
+        exp0 = rng.randint(-300, 300)
+        got, exp = laurent.fit_quotient(parts, norm, exp0, bits)
+        for x, y in zip(parts, got):
+            assert y == round(Fraction(x, norm) * Fraction(2) ** (exp0 - exp)), (x, norm)
+        assert max(map(abs, got)).bit_length() <= bits + 1
+        assert laurent.fit_quotient([-x for x in parts], norm, exp0, bits) == (
+            [-y for y in got], exp)
+
+
 def _fraction(x):
     """An ``mpf`` as the Fraction it is."""
     sign, man, exp, _ = x._mpf_
@@ -149,7 +172,7 @@ def test_gaussian_sweep_cuts_where_the_polynomial_sweep_does():
     kept = swept_gaussian(terms, PREC)
     assert sorted(kept) == [0, 2, 3]
     assert kept == {e: terms[e] for e in kept}
-    poly = laurent._rounded(terms, -50, PREC)
+    poly = laurent.rounded(terms, -50, PREC)
     assert poly.support() == sorted(kept)
     assert swept_gaussian({}, PREC) == {}
 
@@ -181,7 +204,7 @@ def test_sweep_at_the_knife_edge(prec):
              for e, (re, im) in exact.items()}
     assert set(LaurentPoly(terms, prec).terms) == kept
     assert set(swept_gaussian(exact, prec)) == kept
-    assert laurent._rounded(exact, unit, prec).support() == sorted(kept)
+    assert laurent.rounded(exact, unit, prec).support() == sorted(kept)
     with mp.workprec(prec):
         bad = (mpc(mpf("nan"), 1), mpc(1, mpf("inf")), mpc(mpf("-inf"), 0))
     for c in bad:
@@ -547,6 +570,60 @@ def test_coefficient_deviation_is_the_formula_within_one_ulp(prec):
     assert abs(got - want) <= mpf(2) ** (exp + bc - 2 * prec)
 
 
+def _cross_multiplied_deviation(p, q):
+    """``coefficient_deviation`` as it was written before the bit-length
+    test: every ratio compared cross-multiplied."""
+    keys = list(p.terms.keys() | q.terms.keys())
+    base = min([0] + [x.shift for x in (p, q) if x.terms])
+
+    def parts(x):
+        up = x.shift - base
+        return [(re << up, im << up)
+                for re, im in (x.terms.get(e, (0, 0)) for e in keys)]
+
+    one2 = 1 << -2 * base
+    worst_d2, worst_s2 = 0, 1
+    for (ar, ai), (br, bi) in zip(parts(p), parts(q)):
+        dr, di = ar - br, ai - bi
+        s2, d2 = max(one2, ar * ar + ai * ai, br * br + bi * bi), dr * dr + di * di
+        if d2 * worst_s2 > worst_d2 * s2:
+            worst_d2, worst_s2 = d2, s2
+    return laurent.sqrt_ratio(worst_d2, worst_s2, 0, max(p.prec, q.prec))
+
+
+def _close_ratio_cases(rng, prec):
+    """Pairs whose per-coefficient ratios lie within a factor of 8 of one
+    another, so that bit lengths alone often cannot order them."""
+    for _ in range(8):
+        p = rand_poly(rng, -3, 30, 1.0, prec)
+        with mp.workprec(prec):
+            q = LaurentPoly({e: c * (1 + mpf(rng.uniform(0.5, 4)) * 2 ** -(prec // 3))
+                             for e, c in coeffs(p).items()}, prec)
+        yield p, q
+
+
+@pytest.mark.parametrize("prec", (64, 256))
+def test_coefficient_deviation_is_the_cross_multiplied_one(prec):
+    """Deciding a comparison by bit lengths where they suffice changes no
+    bit of ``coefficient_deviation``: it equals the cross-multiplied
+    comparison on random pairs, on pairs of nearly equal ratios, and on the
+    three routes and the Fox alternatives at real roots."""
+    rng = random.Random(prec + 7)
+    pairs = list(_deviation_cases(rng, prec)) + list(_close_ratio_cases(rng, prec))
+    for n in (1, 2, 3):
+        for ctx in cached_contexts(n, STD_M[0])[:2]:
+            rep = build_holonomy_rep(ctx, "two")
+            fox_, alt = (wada_polynomial(rep, k).poly for k in (1, 0))
+            three = wada_polynomial(build_holonomy_rep(ctx, "three"), 0).poly
+            theorem, prop32 = delta_theorem(ctx).poly, delta_prop32(ctx).poly
+            pairs += [(fox_, theorem), (fox_, prop32), (theorem, prop32),
+                      (fox_, alt), (fox_, three)]
+    for p, q in pairs:
+        for a, b in ((p, q), (q, p)):
+            got = coefficient_deviation(a, b)
+            assert got._mpf_ == _cross_multiplied_deviation(a, b)._mpf_, (a, b)
+
+
 def _mpc_long_division(num, den, work):
     """The former ``divide_with_remainder``, in ``mpc`` arithmetic at
     ``work`` bits: every quotient coefficient and every multiply-subtract is
@@ -637,7 +714,7 @@ def test_three_product_convolution_is_the_four_product_one(monkeypatch, prec):
              for _ in range(6)]
     dets = [_bits(poly_mat_det(*call)) for call in calls]
     products = [_bits(p * q) for p, q in pairs]
-    monkeypatch.setattr(laurent, "_convolve_into", _four_products_into)
+    monkeypatch.setattr(laurent, "convolve_into", _four_products_into)
     assert len(calls) == 3 and all(len(rows) == 4 for rows, _, _ in calls)
     assert dets == [_bits(poly_mat_det(*call)) for call in calls]
     assert products == [_bits(p * q) for p, q in pairs]

@@ -17,7 +17,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import from_man_exp, round_nearest
 
 from talex import LaurentPoly, build_holonomy_rep, fox
-from talex.laurent import (SWEEP_GUARD_BITS, _convolve_into,
+from talex.laurent import (SWEEP_GUARD_BITS, convolve_into,
                            divide_with_remainder, gaussian, poly_mat_det,
                            sqrt_ratio, swept_gaussian)
 from conftest import STD_M, cached_contexts, coeffs
@@ -54,7 +54,7 @@ class MpcPoly:
     def __mul__(self, other):
         (a, sa), (b, sb) = _read(self.terms), _read(other.terms)
         acc = {}
-        _convolve_into(acc, a, b, 1)
+        convolve_into(acc, a, b, 1)
         return _mpc_rounded(acc, sa + sb, max(self.prec, other.prec))
 
 
@@ -115,7 +115,7 @@ def _mpc_det(rows, shift, prec):
         for cols in combinations(range(n), n - i):
             total = {}
             for pos, j in enumerate(cols):
-                _convolve_into(total, rows[i][j],
+                convolve_into(total, rows[i][j],
                                minors[cols[:pos] + cols[pos + 1:]],
                                -1 if pos % 2 else 1)
             wider[cols] = total

@@ -708,8 +708,10 @@ def test_certifier_reseeds_at_working_precision(monkeypatch, prec):
 
 
 def test_certifier_refuses_a_double_root():
+    """The seeds converge, so the refusal names the overlapping discs."""
     poly = BivarPoly({(3, 0): 1, (1, 0): -3, (0, 0): 2})  # (s - 1)^2 (s + 2)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence,
+                       match="could not isolate the 3 roots in disjoint discs"):
         certified_roots(poly, mpc(1), 256)
 
 
@@ -717,7 +719,7 @@ def test_certifier_refuses_a_double_root():
                          ids=("64bit", "256bit"))
 def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
     """When seeding fails, each distinct precision of 64 bits and ``prec``
-    is tried once before ``NonConvergence``."""
+    is tried once before ``NonConvergence``, which names the seeds."""
     seen = []
 
     def failing_polyroots(coeffs, **kwargs):
@@ -725,7 +727,8 @@ def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
         raise mp.NoConvergence
 
     monkeypatch.setattr(mp, "polyroots", failing_polyroots)
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence,
+                       match=f"the seeds of the 2 roots did not converge at {prec} bits"):
         certified_roots(BivarPoly({(2, 0): 1, (0, 0): -2}), mpc(1), prec)
     assert seen == seeded_at
 
