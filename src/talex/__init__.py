@@ -27,14 +27,12 @@ nearest with ties to even, as mpmath does (``talex.laurent.fit``); the
 Horner shift of ``BivarPoly.eval`` is the one truncation.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
 ``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
-are computed at its ``prec`` on first use, each matrix a 4-tuple of
-``mpc``.  ``BivarPoly.eval``, which keeps its rows in s per (m,
-precision), takes ``mpc`` inputs as given, at the caller's ambient
-precision.  A ``Representation`` reads its images once as exact Gaussian
-integers; rho(x) rho(b) and the Wada denominator's trace and determinant
-are ``mpc`` arithmetic at ``prec``.  Inputs are rounded to the working
-precision on entry; ``verify_sweep`` takes m as decimal strings, so each
-precision it retries at parses m afresh.
+are computed at its ``prec`` on first use, each matrix exact Gaussian
+integers over one power of two, as a ``Representation`` takes its images.
+``BivarPoly.eval``, which keeps its rows in s per (m, precision), takes
+``mpc`` inputs as given, at the caller's ambient precision.  Inputs are
+rounded to the working precision on entry; ``verify_sweep`` takes m as
+decimal strings, so each precision it retries at parses m afresh.
 The Fox route is ``wada_polynomial(rep, k)`` alone; it returns its division
 remainder in the ``DeltaResult`` and never raises for it: the CLI refuses
 an inexact one (``InexactDivision``), ``verify`` reports it as a check.

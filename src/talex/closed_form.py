@@ -15,70 +15,25 @@ cofactor, the four-term derivative expansion) are transcribed in
 ``tests/oracles.py``.
 
 Every evaluator runs on Gaussian integers by the Fox walk's floating rule:
-the context values are read once, exactly, and each sum, product and
-quotient is exact, then ``fit`` to ctx.prec + ``GUARD_BITS`` bits on its own
-power of two (``_Gauss``), so a tiny m or beta keeps its relative precision.
-Only the results are rounded at ``ctx.prec``: a polynomial's coefficients
-from exact terms over one power of two (``rounded``), and lambda_i and
-zeta_i each to an ``mpc``.  Every rounding is odd, so each polynomial at -m
-is t -> -t of the one at m, bit for bit.
+the context values are read once, exactly (eta_1 + eta_2 as ``eta_sum``,
+one polynomial's value, since the two cancel), and each sum, product and
+quotient is exact, then ``fit`` to ctx.prec + ``GUARD_BITS`` bits on its
+own power of two (``talex.laurent.Gauss``), so a tiny m or beta keeps its
+relative precision.  Only the results are rounded at ``ctx.prec``: a
+polynomial's coefficients from exact terms over one power of two
+(``rounded``), and lambda_i and zeta_i each to an ``mpc``.  Every rounding
+is odd, so each polynomial at -m is t -> -t of the one at m, bit for bit.
 """
 
 from dataclasses import dataclass
 
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_man_exp, round_nearest
 
 from .errors import DegenerateContext
-from .laurent import (GUARD_BITS, DeltaResult, convolve_into, fit, fit_quotient,
-                      gaussian, half_prec_tol, normalize_delta, rounded)
+from .laurent import (GUARD_BITS, DeltaResult, Gauss, convolve_into, gaussian,
+                      half_prec_tol, normalize_delta, rounded)
 
 MONIC_TOL = mpf("1e-20")
-
-
-class _Gauss:
-    """(re + i im) 2^exp, its parts ``fit`` to ``bits``: each sum, product
-    and quotient is taken exactly, then ``fit`` (``fit_quotient``)."""
-
-    __slots__ = ("re", "im", "exp", "bits")
-
-    def __init__(self, parts, exp, bits):
-        (self.re, self.im), self.exp = fit(parts, exp, bits)
-        self.bits = bits
-
-    def __add__(self, other):
-        e = min(self.exp, other.exp)
-        a, b = self.exp - e, other.exp - e
-        return _Gauss(((self.re << a) + (other.re << b),
-                       (self.im << a) + (other.im << b)), e, self.bits)
-
-    def __neg__(self):
-        return _Gauss((-self.re, -self.im), self.exp, self.bits)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __mul__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _Gauss((a * c - b * d, a * d + b * c), self.exp + other.exp, self.bits)
-
-    def __truediv__(self, other):
-        a, b, c, d = self.re, self.im, other.re, other.im
-        return _Gauss(*fit_quotient((a * c + b * d, b * c - a * d), c * c + d * d,
-                                    self.exp - other.exp, self.bits), self.bits)
-
-    def mpc(self, prec):
-        """The value rounded to nearest at ``prec``."""
-        return mp.make_mpc((from_man_exp(self.re, self.exp, prec, round_nearest),
-                            from_man_exp(self.im, self.exp, prec, round_nearest)))
-
-
-def _read(ctx, *values):
-    """1 and the ``mpc`` values as ``_Gauss`` at ctx.prec + ``GUARD_BITS``
-    bits, each read exactly (``gaussian``), then ``fit``."""
-    parts, shift = gaussian([mpc(1), *values])
-    return [_Gauss(parts[i:i + 2], shift, ctx.prec + GUARD_BITS)
-            for i in range(0, len(parts), 2)]
 
 
 def _powers(one, s, lo, hi):
@@ -93,7 +48,7 @@ def _powers(one, s, lo, hi):
 
 
 def _exact(*terms):
-    """Dicts {e: _Gauss} as Gaussian-integer dicts {e: (re, im)} over one
+    """Dicts {e: Gauss} as Gaussian-integer dicts {e: (re, im)} over one
     power of two: (dicts, shift), exactly."""
     base = min(g.exp for t in terms for g in t.values())
     return [{e: (g.re << g.exp - base, g.im << g.exp - base) for e, g in t.items()}
@@ -108,15 +63,15 @@ def _require_nondegenerate(ctx):
 def lambda_coefficients(ctx):
     """The 2n coefficients lambda_0 .. lambda_(2n-1) of the final formula.
 
-    Even indices below 2n-1 use the (H, beta, eta_1 + eta_2) expression, odd
+    Even indices below 2n-1 use the (H, beta, eta_sum) expression, odd
     ones the balanced s-power ratio, and the top index 2n-1 its own two-term
     expression.  s-powers are taken with integer exponents only, each once,
     and each lambda_i is rounded to an ``mpc`` at ``ctx.prec`` once.
     """
     _require_nondegenerate(ctx)
     n = ctx.n
-    one, m, s, S, H, beta, eta1, eta2 = _read(ctx, ctx.m, ctx.s, ctx.S, ctx.H,
-                                              ctx.beta, ctx.eta1, ctx.eta2)
+    one, m, s, S, H, beta, eta1, eta = Gauss.read(
+        ctx.prec + GUARD_BITS, ctx.m, ctx.s, ctx.S, ctx.H, ctx.beta, ctx.eta1, ctx.eta_sum)
     powers = _powers(one, s, -n, n)
     # balanced[k] = (s^k - s^-k)/(s - s^-1) as the branch-safe sum s^(k-1)
     # + s^(k-3) + ... + s^(1-k), defined at s = +-1 too
@@ -126,7 +81,7 @@ def lambda_coefficients(ctx):
     # (1 + m^2)(H s^k beta - s (s^k - s^-k) eta) / (H m beta)
     #   = (a - b) s^k + b s^-k
     a = (one + m * m) / m
-    b = a * s * (eta1 + eta2) / (H * beta)
+    b = a * s * eta / (H * beta)
     c = a - b
     out = []
     for i in range(2 * n):
@@ -167,12 +122,12 @@ def delta_prop32(ctx):
     """
     _require_nondegenerate(ctx)
     n = ctx.n
-    one, m, s, S, H, beta, eta1, eta2 = _read(ctx, ctx.m, ctx.s, ctx.S, ctx.H,
-                                              ctx.beta, ctx.eta1, ctx.eta2)
+    one, m, s, S, H, beta, eta1, eta = Gauss.read(
+        ctx.prec + GUARD_BITS, ctx.m, ctx.s, ctx.S, ctx.H, ctx.beta, ctx.eta1, ctx.eta_sum)
     powers = _powers(one, s, 1 - n, 1)
     one_minus_s2 = one - s * s
     a = (one + m * m) / m
-    k2 = a * (eta1 + eta2) / (H * beta)
+    k2 = a * eta / (H * beta)
     edge = (a - k2 * s) * S
     u, v = s / one_minus_s2, -S / one_minus_s2
     tail = one_minus_s2 * eta1 / (H * S * beta)
@@ -197,8 +152,9 @@ def zeta_vanishing(ctx):
     zeta_1 vanishes identically (an algebraic identity in H, eta_1, eta_2);
     zeta_2 factors through r0 and vanishes exactly at roots.
     """
-    one, m, s, S, H, alpha, beta, eta1, eta2 = _read(
-        ctx, ctx.m, ctx.s, ctx.S, ctx.H, ctx.alpha, ctx.beta, ctx.eta1, ctx.eta2)
+    one, m, s, S, H, alpha, beta, eta1, eta2 = Gauss.read(
+        ctx.prec + GUARD_BITS, ctx.m, ctx.s, ctx.S, ctx.H, ctx.alpha, ctx.beta, ctx.eta1,
+        ctx.eta2)
     S2, m2, s2 = S * S, m * m, s * s
     zeta1 = m * (m2 + one) * s * (s + one) * (
         H * S2 * beta - s * (S2 - one) * eta1 - (s * S2 - one) * eta2)

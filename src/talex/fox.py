@@ -25,19 +25,20 @@ products for a side of length L, and its last prefix is rho(side), which
 gives the relation residual.  The blocks are summed from the walk on first
 use, so checking only the relations never builds them.
 
-The walk runs on Gaussian integers.  rho(x_j), a 4-tuple of ``mpc``
-entries, is read once, exactly, as integers over one power of two, and its
-inverse is adj / det of that exact image rounded once (``_inverse``); the
-inverse and each prefix product, an exact integer product, are ``fit`` to
-prec + ``GUARD_BITS`` bits (the rule and guard of ``talex.laurent``); each
-block entry is the exact sum of its prefix entries, swept by the
-``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the exact
-end prefixes.  ``wada_polynomial`` hands the blocks to ``poly_mat_det`` as
-they are, and the Gaussian-integer long division reads the determinant
-exactly, so only its coefficients and the quotient's are rounded at
-``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I) out as 1 -
-tr rho(x_k) t^e + det rho(x_k) t^2e, the trace and determinant in ``mpc``
-at ``rep.prec``.  Both read the presentation from ``rep.pres``, so a
+The walk runs on Gaussian integers and reads no ``mpc``.  rho(x_j) is given
+exactly, as integers over one power of two, and its inverse is adj / det of
+that image rounded once (``_inverse``); the inverse and each prefix
+product, an exact integer product (three integer products per entry
+product), are ``fit`` to prec + ``GUARD_BITS`` bits (the rule and guard of
+``talex.laurent``), a side's first prefix product being its letter's image,
+``fit``; each block entry is the exact sum of its prefix entries, swept by
+the ``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the
+exact end prefixes.  ``wada_polynomial`` hands the blocks to
+``poly_mat_det`` as they are, and the Gaussian-integer long division reads
+the determinant exactly, so only its coefficients and the quotient's are
+rounded at ``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I)
+out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, the trace and determinant
+exact from the image.  Both read the presentation from ``rep.pres``, so a
 representation cannot be paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
@@ -47,11 +48,8 @@ the walk is tested against, live with the tests (``tests/conftest.py``).
 from dataclasses import dataclass
 from functools import cached_property
 
-from mpmath import mp
-
-from .laurent import (GUARD_BITS, LaurentPoly, divide_with_remainder, fit,
-                      fit_quotient, gaussian, normalize_delta, poly_mat_det,
-                      sqrt_ratio, swept_gaussian)
+from .laurent import (GUARD_BITS, divide_with_remainder, fit, fit_quotient,
+                      normalize_delta, poly_mat_det, rounded, sqrt_ratio, swept_gaussian)
 
 # ---------------------------------------------------------------------------
 # words
@@ -137,13 +135,19 @@ _IDENTITY = ((1, 0, 0, 0, 0, 0, 1, 0), 0)
 def _product(P, Q, bits):
     """P Q of two Gaussian-integer matrices, each given as (parts, shift):
     the re and im parts of a11, a12, a21, a22 over the one power of two
-    2^shift.  The product is exact, then ``fit`` to ``bits`` bits."""
+    2^shift.  The product is exact, each entry product of three integer
+    products (re re, im im and (re + im)(re + im)), then ``fit`` to ``bits``
+    bits; the identity times Q is ``fit`` of Q, taken without the product."""
+    if P is _IDENTITY:
+        return fit(*Q, bits)
     (a, b, c, d, e, f, g, h), sp = P
     (A, B, C, D, E, F, G, H), sq = Q
-    parts = (a * A - b * B + c * E - d * F, a * B + b * A + c * F + d * E,
-             a * C - b * D + c * G - d * H, a * D + b * C + c * H + d * G,
-             e * A - f * B + g * E - h * F, e * B + f * A + g * F + h * E,
-             e * C - f * D + g * G - h * H, e * D + f * C + g * H + h * G)
+    ab, cd, ef, gh, AB, CD, EF, GH = a + b, c + d, e + f, g + h, A + B, C + D, E + F, G + H
+    p1, q1, p2, q2, p3, q3, p4, q4 = a * A, b * B, c * E, d * F, a * C, b * D, c * G, d * H
+    p5, q5, p6, q6, p7, q7, p8, q8 = e * A, f * B, g * E, h * F, e * C, f * D, g * G, h * H
+    s1, s2, s3, s4 = p1 + q1 + p2 + q2, p3 + q3 + p4 + q4, p5 + q5 + p6 + q6, p7 + q7 + p8 + q8
+    parts = (p1 - q1 + p2 - q2, ab * AB + cd * EF - s1, p3 - q3 + p4 - q4, ab * CD + cd * GH - s2,
+             p5 - q5 + p6 - q6, ef * AB + gh * EF - s3, p7 - q7 + p8 - q8, ef * CD + gh * GH - s4)
     return fit(parts, sp + sq, bits)
 
 
@@ -170,8 +174,8 @@ def _residual(P, Q, prec):
 
 
 class Representation:
-    """rho on the generators of ``pres``: one 4-tuple (a11, a12, a21, a22)
-    of ``mpc`` per generator, read once as exact Gaussian integers, with the
+    """rho on the generators of ``pres``: one exact Gaussian-integer matrix
+    (parts, shift) per generator, as ``_product`` takes it, with the
     precision ``prec`` that the walk and the Wada pipeline run at.
 
     Construction walks each relator once and keeps, per relator,
@@ -185,8 +189,7 @@ class Representation:
         self.pres = pres
         self.images = tuple(images)
         self.prec = prec
-        self._exact = [gaussian(M) for M in self.images]
-        self._exact_inverses = [_inverse(P, prec + GUARD_BITS) for P in self._exact]
+        self._inverses = [_inverse(P, prec + GUARD_BITS) for P in self.images]
         walks = [self._walk(rel) for rel in pres.relators]
         self.shift = min((P[1] for terms, _ in walks for *_, P in terms),
                          default=0)
@@ -207,8 +210,8 @@ class Representation:
         the relator's derivative wherever Phi(lhs) = Phi(rhs).  Each term is
         (j, alpha(p), sign, rho(p)).  Prefix matrices are multiplied out
         from the identity in Gaussian integers, each product ``fit`` to
-        prec + ``GUARD_BITS`` bits, so the last prefix of a side is
-        rho(side)."""
+        prec + ``GUARD_BITS`` bits (the first is its letter's image, ``fit``),
+        so the last prefix of a side is rho(side)."""
         exps = self.pres.abelian_exponents
         bits = self.prec + GUARD_BITS
         terms, ends = [], []
@@ -216,10 +219,10 @@ class Representation:
             P, k = _IDENTITY, 0
             for g, e in side:
                 if e == -1:
-                    P, k = _product(P, self._exact_inverses[g], bits), k - exps[g]
+                    P, k = _product(P, self._inverses[g], bits), k - exps[g]
                 terms.append((g, k, sign * e, P))
                 if e == 1:
-                    P, k = _product(P, self._exact[g], bits), k + exps[g]
+                    P, k = _product(P, self.images[g], bits), k + exps[g]
             ends.append(P)
         return terms, ends
 
@@ -241,12 +244,14 @@ class Representation:
 
 def wada_denominator(rep, k):
     """det Phi(x_k - 1) = det(rho(x_k) t^e - I) as a LaurentPoly, with e the
-    abelian exponent of x_k: 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, each
+    abelian exponent of x_k: 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, the
+    trace and determinant exact from the image (parts over 2^s), each
     coefficient rounded once at ``rep.prec``."""
-    (a11, a12, a21, a22), e = rep.images[k], rep.pres.abelian_exponents[k]
-    with mp.workprec(rep.prec):
-        return LaurentPoly({0: 1, e: -(a11 + a22), 2 * e: a11 * a22 - a12 * a21},
-                           rep.prec)
+    (a, b, c, d, e, f, g, h), s = rep.images[k]
+    t, base = rep.pres.abelian_exponents[k], min(0, 2 * s)
+    dr, di = a * g - b * h - c * e + d * f, a * h + b * g - c * f - d * e
+    return rounded({0: (1 << -base, 0), t: (-a - g << s - base, -b - h << s - base),
+                    2 * t: (dr << 2 * s - base, di << 2 * s - base)}, base, rep.prec)
 
 
 def wada_polynomial(rep, remove_k):

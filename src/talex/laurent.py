@@ -42,13 +42,16 @@ tolerance.
 Every rounding to nearest follows one rule, ties to even, as mpmath rounds;
 it is odd, so the Fox route at -m is t -> -t of the one at m bit for bit.
 ``fit`` applies it on one power of two to the fixed-point numbers (the Fox
-prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``,
-the values of ``talex.closed_form``; ``fit_quotient`` for a quotient) with
-the one guard ``GUARD_BITS`` = 64 beyond ``prec``; ``_round`` (one
-part at ``prec`` bits), ``nearest`` (any divisor: the division's quotient,
-the solver's Newton step), ``reciprocal`` (1/z onto a fixed point) and
-``read_fixed`` (s, or 1/s, onto the fixed point of eval's Horner and the
-solver's) spell it again.
+prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``;
+``fit_quotient`` for a quotient) with the one guard ``GUARD_BITS`` = 64
+beyond ``prec``, and ``Gauss`` is the value type that applies it to each
+sum, product and quotient (the closed forms, the holonomy images, the
+degeneracy flags; ``aligned`` puts values on one power of two exactly).
+``_round`` (one part at ``prec`` bits), ``Gauss`` (its two parts),
+``nearest`` (any divisor: the division's quotient, the solver's Newton
+step), ``reciprocal`` (1/z onto a fixed point) and ``read_fixed`` (s, or
+1/s, onto the fixed point of eval's Horner and the solver's) spell it
+again.
 """
 
 from dataclasses import dataclass
@@ -90,6 +93,67 @@ def fit_quotient(parts, norm, exp, bits):
     up = max(0, bits + 2 + norm.bit_length() - max(map(abs, parts)).bit_length())
     floors = [divmod(x << up, norm) for x in parts]
     return fit([2 * q + (r != 0) for q, r in floors], exp - up - 1, bits)
+
+
+class Gauss:
+    """(re + i im) 2^exp, its parts ``fit`` to ``bits``: each sum, product
+    and quotient is taken exactly, then ``fit`` (``fit_quotient``), so every
+    operation is odd and a tiny value keeps its relative precision."""
+
+    __slots__ = ("re", "im", "exp", "bits")
+
+    def __init__(self, parts, exp, bits):
+        re, im = parts   # ``fit``, written out for the two parts
+        k = max(abs(re), abs(im)).bit_length() - bits
+        if k > 0:
+            low = (1 << (k - 1)) - 1
+            re, im, exp = (re + low + (re >> k & 1)) >> k, (im + low + (im >> k & 1)) >> k, exp + k
+        self.re, self.im, self.exp, self.bits = re, im, exp, bits
+
+    @staticmethod
+    def read(bits, *values):
+        """1 and the ``mpc`` values as ``Gauss`` at ``bits``, each read
+        exactly (``gaussian``), then ``fit``."""
+        parts, shift = gaussian([mpc(1), *values])
+        return [Gauss(parts[i:i + 2], shift, bits) for i in range(0, len(parts), 2)]
+
+    def __add__(self, other):
+        e = min(self.exp, other.exp)
+        a, b = self.exp - e, other.exp - e
+        return Gauss(((self.re << a) + (other.re << b),
+                      (self.im << a) + (other.im << b)), e, self.bits)
+
+    def __neg__(self):
+        return Gauss((-self.re, -self.im), self.exp, self.bits)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Gauss((a * c - b * d, a * d + b * c), self.exp + other.exp, self.bits)
+
+    def __pow__(self, k):   # k >= 1, by repeated squaring
+        out = self
+        for bit in bin(k)[3:]:
+            out = out * out * self if bit == "1" else out * out
+        return out
+
+    def __truediv__(self, other):
+        a, b, c, d = self.re, self.im, other.re, other.im
+        return Gauss(*fit_quotient((a * c + b * d, b * c - a * d), c * c + d * d,
+                                   self.exp - other.exp, self.bits), self.bits)
+
+    def mpc(self, prec):
+        """The value rounded to nearest at ``prec``."""
+        return mp.make_mpc((from_man_exp(self.re, self.exp, prec, round_nearest),
+                            from_man_exp(self.im, self.exp, prec, round_nearest)))
+
+
+def aligned(values):
+    """``Gauss`` values exactly as ``gaussian`` reads numbers: (parts, shift)."""
+    shift = min((g.exp for g in values if g.re or g.im), default=0)
+    return [x << g.exp - shift if x else 0 for g in values for x in (g.re, g.im)], shift
 
 
 def nearest(x, d):

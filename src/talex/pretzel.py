@@ -24,7 +24,7 @@ every evaluation measured; rounding it cost the solver and verify paths a
 few per cent).  The power of s (of 1/s if negative) that the row leaves
 out is powered on Gaussian integers, each product ``fit`` to prec + 64
 bits, which also give its modulus for the scale; only the result is
-rounded to the working precision.
+rounded to the working precision.  s is read once per root (``_read_s``).
 The solver reads eval's row of the cofactor once, seeds from its parts
 rounded to the working precision (``mp.polyroots`` with max(50, 2d) steps
 at degree d), then polishes and certifies its roots on that row and on its
@@ -34,11 +34,12 @@ each 1/s it reads, is an exact Gaussian quotient rounded once, and only the
 root is rounded to the working precision.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
-root and the flags are read from them.  Both take the working precision and
-enter it; a context's eta_1, eta_2 and holonomy matrices (4-tuples of
-``mpc`` entries; each computed once, on first use) and the functions of a
-context run at ``ctx.prec``; ``BivarPoly.eval`` runs at its caller's
-ambient precision.  The two presentations are built once per n.
+root and the flags are read from them, exactly, as ``Gauss`` values.  Both
+take the working precision and enter it; a context's eta_1, eta_2, their
+sum and holonomy matrices (Gaussian-integer matrices, taken on ``Gauss``),
+each computed once, on first use, and the functions of a context run at
+``ctx.prec``; ``BivarPoly.eval`` runs at its caller's ambient precision.
+The two presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
 from 1 to ``MAX_N``, the largest n whose roots the solver certified at
@@ -55,8 +56,8 @@ from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_n
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
-from .laurent import (GUARD_BITS, fit, gaussian, half_prec_tol, nearest, read_fixed,
-                      reciprocal)
+from .laurent import (GUARD_BITS, Gauss, aligned, fit, gaussian, half_prec_tol, nearest,
+                      read_fixed, reciprocal)
 
 DEFAULT_PREC = 256
 MIN_PREC = 64
@@ -126,8 +127,8 @@ class BivarPoly:
         s^valuation times the row, listed leading first, whose entries
         (re, im, mag) over 2^shift are re + i*im = sum_b v_ab m^b and mag =
         sum_b |v_ab| |m|^b, exact (each |m|^b rounded down to ``bits``
-        fractional bits), then ``fit`` once to ``bits`` for the largest
-        magnitude."""
+        fractional bits, norm^(b/2) for even b), then ``fit`` once to
+        ``bits`` for the largest magnitude."""
         (mr, mi), e = gaussian([m])
         norm = mr * mr + mi * mi
         ms = {b for _, b in self.terms}
@@ -136,8 +137,8 @@ class BivarPoly:
         for b in range(max(ms, default=0) + 1):
             if b in ms:
                 up = b * e - base
-                powers[b] = (zr << (up + bits), zi << (up + bits),
-                             isqrt(norm ** b << 2 * bits) << up)
+                mag = norm ** (b // 2) << bits if b % 2 == 0 else isqrt(norm ** b << 2 * bits)
+                powers[b] = (zr << (up + bits), zi << (up + bits), mag << up)
             zr, zi = zr * mr - zi * mi, zr * mi + zi * mr
         lo, hi = self.s_valuation() or 0, self.s_degree() or 0
         row = [[0, 0, 0] for _ in range(hi - lo + 1)]
@@ -159,13 +160,13 @@ class BivarPoly:
         last (m, precision) are kept, so every root at one m shares them."""
         prec = mp.prec
         bits = prec + GUARD_BITS
-        if self._rows is None or self._rows[0] != (m, bits):
-            self._rows = (m, bits), self._fixed_row(m, bits)
+        if self._rows is None or self._rows[0] != (m._mpc_, bits):
+            self._rows = (m._mpc_, bits), self._fixed_row(m, bits)
         row, shift, power = self._rows[1]
-        zr, zi, inverted = read_fixed(s, bits)
+        zr, zi, inverted, za = _read_s(s._mpc_, bits)
         if inverted:
             row, power = row[::-1], power + len(row) - 1
-        re, im, mag = _horner(row, zr, zi, isqrt(zr * zr + zi * zi), bits)
+        re, im, mag = _horner(row, zr, zi, za, bits)
         if power < 0:
             with mp.workprec(bits):
                 s, power = 1 / s, -power
@@ -321,6 +322,11 @@ def eta2_polynomial(n):
 
 
 @lru_cache(maxsize=None)
+def eta_sum_polynomial(n):
+    return eta1_polynomial(n) + eta2_polynomial(n)
+
+
+@lru_cache(maxsize=None)
 def r1_polynomial(n):
     """The combination whose vanishing modulo r0 certifies the representation."""
     alpha, beta = alpha_polynomial(n), beta_polynomial(n)
@@ -357,57 +363,59 @@ class PretzelContext:
     def nondegenerate(self):
         return not self.flags
 
-    @cached_property
-    def eta1(self):
+    def _value(self, polynomial):
         with mp.workprec(self.prec):
-            return eta1_polynomial(self.n).eval(self.m, self.s)[0]
+            return polynomial(self.n).eval(self.m, self.s)[0]
 
-    @cached_property
-    def eta2(self):
-        with mp.workprec(self.prec):
-            return eta2_polynomial(self.n).eval(self.m, self.s)[0]
+    eta1 = cached_property(lambda self: self._value(eta1_polynomial))
+    eta2 = cached_property(lambda self: self._value(eta2_polynomial))
+    # eta_1 + eta_2 as one polynomial: the two cancel
+    eta_sum = cached_property(lambda self: self._value(eta_sum_polynomial))
 
     @cached_property
     def holonomy_matrices(self):
-        """The printed images rho(a), rho(b), rho(x), each the 4-tuple (a11,
-        a12, a21, a22) of its ``mpc`` entries."""
+        """The printed images rho(a), rho(b), rho(x) and the product rho(x)
+        rho(b), each the Gaussian-integer matrix (parts, shift) of its
+        entries a11, a12, a21, a22 (``aligned``), on ``Gauss`` from one
+        exact read of m, s, alpha, beta and S."""
         if not self.nondegenerate:
             raise DegenerateContext(
                 f"cannot build a representation at flags {sorted(self.flags)}")
-        n, m, s = self.n, self.m, self.s
-        alpha, beta = self.alpha, self.beta
-        with mp.workprec(self.prec):
-            sp1 = s ** (2 * n + 1) + 1
-            A = (m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
-            u = s * alpha - m * beta
-            v = m * s * alpha - beta
-            c = 1 / (s * alpha)
-            B = (beta * c, -u * v / (m * beta) * c, beta * c,
-                 (m * v + s * alpha) / m * c)
-            X = (self.S, mpc(0), (self.S - 1 / self.S) / sp1, 1 / self.S)
-        return A, B, X
+        one, m, s, alpha, beta, S = Gauss.read(self.prec + GUARD_BITS, self.m, self.s,
+                                               self.alpha, self.beta, self.S)
+        zero, sp1, sa = one - one, s ** (2 * self.n + 1) + one, s * alpha
+        u, v, c = sa - m * beta, m * sa - beta, one / sa
+        A = (m, -(m * m - s) * sp1 / (m * (s + one)), zero, one / m)
+        B = (beta * c, -u * v / (m * beta) * c, beta * c, (m * v + sa) / m * c)
+        X = (S, zero, (S - one / S) / sp1, one / S)
+        XB = (S * B[0], S * B[1], X[2] * B[0] + X[3] * B[2], X[2] * B[1] + X[3] * B[3])
+        return tuple(aligned(M) for M in (A, B, X, XB))
+
+
+def _small(x, scale):
+    """|x| < ``DEGENERACY_TOL`` |scale| for ``Gauss`` values, on their exact
+    squared magnitudes."""
+    k = 2 * (scale.exp + DEGENERACY_TOL.exp - x.exp)
+    return (x.re ** 2 + x.im ** 2 << max(0, -k)
+            < (scale.re ** 2 + scale.im ** 2) * DEGENERACY_TOL.man ** 2 << max(0, k))
 
 
 def _flags(n, m, s, values):
     """Near-zero flags for every quantity the representation formulas
     divide by, given the ``(value, scale)`` pairs of alpha, beta and H at
-    (m, s), each measured relative to its natural scale."""
-    flags = set()
-    am, as_ = abs(m), abs(s)
-    if am < DEGENERACY_TOL:
-        flags.add("m_zero")
-    if as_ < DEGENERACY_TOL:
-        flags.add("s_zero")
-    if abs(s - 1) < DEGENERACY_TOL * max(mpf(1), as_):
-        flags.add("s_one")
-    if abs(s + 1) < DEGENERACY_TOL * max(mpf(1), as_):
-        flags.add("s_minus_one")
-    if abs(s ** (2 * n + 1) + 1) < DEGENERACY_TOL * (1 + as_ ** (2 * n + 1)):
-        flags.add("s_power_minus_one")
-    for name, (value, scale) in zip(("alpha_zero", "beta_zero", "H_zero"), values):
-        if scale == 0 or abs(value) < DEGENERACY_TOL * scale:
-            flags.add(name)
-    return frozenset(flags)
+    (m, s), each measured relative to its natural scale (s -+ 1 to max(1,
+    |s|), s^(2n+1) + 1 to 1 + |s^(2n+1)|, an isqrt floor), all read exactly
+    as ``Gauss`` (``_small``)."""
+    bits = mp.prec + GUARD_BITS
+    one, m, s, *vals = Gauss.read(bits, m, s, *(mpc(x) for pair in values for x in pair))
+    y = s ** (2 * n + 1)
+    y_abs = Gauss((isqrt(y.re ** 2 + y.im ** 2 << 2 * bits), 0), y.exp - bits, bits)
+    names = ("alpha_zero", "beta_zero", "H_zero")
+    tests = [("m_zero", m, one), ("s_zero", s, one), ("s_one", s - one, one),
+             ("s_one", s - one, s), ("s_minus_one", s + one, one), ("s_minus_one", s + one, s),
+             ("s_power_minus_one", y + one, one + y_abs), *zip(names, vals[0::2], vals[1::2])]
+    return frozenset({name for name, x, scale in tests if _small(x, scale)}
+                     | {name for name, (_, scale) in zip(names, values) if scale == 0})
 
 
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
@@ -424,8 +432,7 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
             raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
         (alpha, _), (beta, _), (H, _) = values
         return PretzelContext(
-            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H,
-            S=s ** n,
+            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H, S=s ** n,
             prec=prec,
             flags=flags,
             residual=residual,
@@ -463,6 +470,14 @@ def _horner(row, zr, zi, za, bits):
         re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
         mag = (mag * za >> bits) + ca
     return re, im, mag
+
+
+@lru_cache(maxsize=16)
+def _read_s(s, bits):
+    """``read_fixed`` of the ``mpc`` whose ``_mpc_`` is s, and its modulus
+    floored: once per root, for every polynomial evaluated there."""
+    zr, zi, inverted = read_fixed(mp.make_mpc(s), bits)
+    return zr, zi, inverted, isqrt(zr * zr + zi * zi)
 
 
 def _newton(rows, z, prec):
@@ -676,13 +691,9 @@ def presentation_three_gen(n):
 def build_holonomy_rep(ctx, presentation):
     """The representation of the ``"two"`` or ``"three"`` generator
     presentation of K_n; for the 2-generator one the image of c is
-    rho(x) rho(b), multiplied out in ``mpc`` at ``ctx.prec`` without the
-    terms of x12 = 0."""
-    A, B, X = ctx.holonomy_matrices
+    rho(x) rho(b) (``PretzelContext.holonomy_matrices``)."""
+    A, B, X, XB = ctx.holonomy_matrices
     if presentation == "two":
-        (x11, _, x21, x22), (b11, b12, b21, b22) = X, B
-        with mp.workprec(ctx.prec):
-            XB = (x11 * b11, x11 * b12, x21 * b11 + x22 * b21, x21 * b12 + x22 * b22)
         return Representation(presentation_two_gen(ctx.n), (A, XB), prec=ctx.prec)
     if presentation == "three":
         return Representation(presentation_three_gen(ctx.n), (A, B, X), prec=ctx.prec)

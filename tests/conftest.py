@@ -52,8 +52,8 @@ def laurent_value(poly, t):
 class Mat2:
     """A 2x2 matrix of numbers or of LaurentPolys for the reference
     arithmetic of the tests, in ``mpc`` at the ambient precision.  The
-    package holds a matrix as the 4-tuple (a11, a12, a21, a22) of its
-    entries; ``Mat2(*M)`` reads one."""
+    package holds a matrix as Gaussian integers over one power of two,
+    (parts, shift); ``mpc_matrix`` reads one exactly."""
 
     __slots__ = ("a11", "a12", "a21", "a22")
 
@@ -76,6 +76,14 @@ class Mat2:
 
     def det(self):
         return self.a11 * self.a22 - self.a12 * self.a21
+
+
+def mpc_matrix(P):
+    """A Gaussian-integer matrix (parts, shift) as the Mat2 of its exact
+    ``mpc`` entries a11, a12, a21, a22."""
+    parts, shift = P
+    return Mat2(*(mp.make_mpc((from_man_exp(re, shift), from_man_exp(im, shift)))
+                  for re, im in zip(parts[0::2], parts[1::2])))
 
 
 def identity():
@@ -114,7 +122,7 @@ def mpc_inverse(M):
 def rho_of_word(rep, w):
     """rho(w) multiplied out letter by letter from the identity in ``mpc``
     at ``rep.prec``."""
-    images = [Mat2(*M) for M in rep.images]
+    images = [mpc_matrix(M) for M in rep.images]
     with mp.workprec(rep.prec):
         M = identity()
         for g, e in w:
@@ -122,16 +130,11 @@ def rho_of_word(rep, w):
         return M
 
 
-def _fraction(x):
-    """A raw mpmath float as an exact Fraction."""
-    sign, man, exp, _ = x
-    return Fraction(-man if sign else man) * Fraction(2) ** exp
-
-
-def exact_matrix(M):
-    """A number matrix (a11, a12, a21, a22) as its 8 exact parts: re, im of
-    a11, a12, a21, a22."""
-    return [_fraction(x) for c in M for x in c._mpc_]
+def exact_matrix(P):
+    """A Gaussian-integer matrix (parts, shift) as its 8 exact parts: re, im
+    of a11, a12, a21, a22."""
+    parts, shift = P
+    return [Fraction(x) * Fraction(2) ** shift for x in parts]
 
 
 def exact_product(P, Q):
@@ -211,7 +214,7 @@ def mpc_walk_blocks(rep, rel, prec):
     in ``mpc`` that the Gaussian-integer walk replaced, and at a high
     ``prec`` it is a reference walk of the same rounded images."""
     exps = rep.pres.abelian_exponents
-    images = [Mat2(*M) for M in rep.images]
+    images = [mpc_matrix(M) for M in rep.images]
     acc = [({}, {}, {}, {}) for _ in images]
     with mp.workprec(prec):
         inverses = [mpc_inverse(M) for M in images]

@@ -13,12 +13,15 @@ with ``fox.wada_denominator`` and ``closed_form.zeta_vanishing``, and the
 four-term expansion of the two-generator relator's Fox derivative
 (``derivative_expansion_eq2``), which the tests compare with the generic Fox
 image.  The expansion takes a context and works at ``ctx.prec``.
+``holonomy_images`` keeps the printed images and rho(x) rho(b) as the
+``mpc`` arithmetic the package once took them in; it now takes them on
+Gaussian integers, and the tests compare the two.
 """
 
-from mpmath import mp
+from mpmath import mp, mpc
 
 from talex import LaurentPoly
-from conftest import Mat2, identity, mat_add, mpc_inverse, to_laurent
+from conftest import Mat2, identity, mat_add, mpc_inverse, mpc_matrix, to_laurent
 
 
 def r0_value(n, m, s):
@@ -210,6 +213,20 @@ def quotient_table_value(n, m, s, t):
     return num / (H * m ** 2 * S * t ** 6 * (s - t ** 2) * (s * t ** 2 - 1) * b)
 
 
+def holonomy_images(n, m, s, alpha, beta, S):
+    """The printed images rho(a), rho(b), rho(x) and the product rho(x)
+    rho(b), as Mat2 of ``mpc`` entries, each operation rounded at the
+    ambient precision."""
+    sp1 = s ** (2 * n + 1) + 1
+    A = Mat2(m, -(m * m - s) * sp1 / (m * (s + 1)), mpc(0), 1 / m)
+    u = s * alpha - m * beta
+    v = m * s * alpha - beta
+    c = 1 / (s * alpha)
+    B = Mat2(beta * c, -u * v / (m * beta) * c, beta * c, (m * v + s * alpha) / m * c)
+    X = Mat2(S, mpc(0), (S - 1 / S) / sp1, 1 / S)
+    return A, B, X, X * B
+
+
 def derivative_expansion_eq2(ctx):
     """The four-term expansion of Phi(d/da of the 2-generator relator):
 
@@ -222,7 +239,7 @@ def derivative_expansion_eq2(ctx):
     expansion misprints w for w^-1 there).
     """
     n, prec = ctx.n, ctx.prec
-    A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
+    A, B, X = (mpc_matrix(M) for M in ctx.holonomy_matrices[:3])
     zero = LaurentPoly({}, prec)
     total = Mat2(zero, zero, zero, zero)
     terms = []

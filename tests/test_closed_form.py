@@ -214,6 +214,22 @@ def test_closed_forms_keep_relative_precision_at_tiny_m(tiny_m_root, prec):
         assert abs(z2 - oracles.zeta2_value(n, m, s)) <= tol * scale2
 
 
+def test_eta_sum_is_one_evaluation_at_tiny_m(tiny_m_root):
+    """At the largest-|s| root of n = 3, m = 0.0099+0.0015i, eta_1 and
+    eta_2 cancel by about 40 bits in their sum, so the context evaluates
+    eta_1 + eta_2 as one polynomial (``eta_sum``): at 128 bits it is within
+    1e-36 of the oracles' sum at 256 bits, relative (measured 1.7e-39; the
+    sum of the two rounded values misses by 2.3e-27)."""
+    n, prec = 3, 128
+    ctx = build_context(n, m_at(*TINY_M, prec=prec), tiny_m_root, prec)
+    with mp.workprec(2 * prec):
+        m, s = ctx.m, ctx.s
+        a, b = oracles.alpha_value(n, m, s), oracles.beta_value(n, m, s)
+        ref = oracles.eta1_value(n, m, s, a, b) + oracles.eta2_value(n, m, s, a, b)
+        assert abs(ctx.eta_sum - ref) <= mpf("1e-36") * abs(ref)
+        assert abs(ctx.eta1 + ctx.eta2 - ref) > mpf("1e-30") * abs(ref)
+
+
 def test_closed_form_requires_nondegenerate():
     m = m_at("1.2", "0.4")
     ctx = build_context(2, m, 1, strict=False)

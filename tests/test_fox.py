@@ -11,18 +11,17 @@ from mpmath import mp, mpf
 
 from talex import (Presentation, Relator, solve_s_roots, verify, word_invert,
                    word_multiply)
-from talex.fox import (Representation, _inverse, abelian_exponent, gen,
+from talex.fox import (Representation, _inverse, _residual, abelian_exponent, gen,
                        reduce_word, wada_denominator, wada_polynomial,
                        word_power)
-from talex.laurent import gaussian
+from talex.laurent import fit, rounded
 from talex.pretzel import (build_holonomy_rep, presentation_three_gen,
                            presentation_two_gen)
-from conftest import (STD_M, Mat2, block_matrices, cached_checks,
-                      cached_contexts, cached_roots, coeffs, eps,
-                      exact_inverse, fox_derivative, fox_derivative_of_relator,
-                      identity, infnorm, mat_add, mat_infnorm, mat_sub,
-                      mpc_walk_blocks, phi_map, rho_of_word, ring_add,
-                      ring_mul, round_to_bits, to_laurent)
+from conftest import (STD_M, block_matrices, cached_checks, cached_contexts,
+                      cached_roots, coeffs, eps, exact_inverse, fox_derivative,
+                      fox_derivative_of_relator, identity, infnorm, mat_add,
+                      mat_infnorm, mat_sub, mpc_matrix, mpc_walk_blocks, phi_map,
+                      rho_of_word, ring_add, ring_mul, round_to_bits, to_laurent)
 
 
 def rand_word(rng, num_gens=2, length=8):
@@ -218,14 +217,17 @@ def test_wada_denominator_meridian_factorization():
 def test_wada_denominator_is_the_laurent_determinant(n, m_pair):
     """The three written-out coefficients of ``wada_denominator`` are, bit
     for bit, those of det(rho(x_k) t^e - I) built through Laurent-matrix
-    arithmetic, for every generator of both presentations at every
+    arithmetic on the exact image, at 4096 bits, where no product or sum of
+    these entries of prec + 64 bits rounds, then each rounded once at
+    ``rep.prec``: for every generator of both presentations at every
     nondegenerate root."""
     for ctx in cached_contexts(n, m_pair):
         for kind in ("two", "three"):
             rep = build_holonomy_rep(ctx, kind)
             for k, e in enumerate(rep.pres.abelian_exponents):
-                block = to_laurent(Mat2(*rep.images[k]), e, rep.prec)
-                ref = mat_sub(block, to_laurent(identity(), 0, rep.prec)).det()
+                block = to_laurent(mpc_matrix(rep.images[k]), e, 4096)
+                exact = mat_sub(block, to_laurent(identity(), 0, 4096)).det()
+                ref = rounded(exact.terms, exact.shift, rep.prec)
                 den = wada_denominator(rep, k)
                 assert (den.prec, coeffs(den)) == (ref.prec, coeffs(ref)), (kind, k)
 
@@ -311,10 +313,7 @@ def test_walk_inverse_is_the_exact_inverse_rounded_once():
         cases.append((([1, 0, x, 0, 0, 0, 1, 0], rng.randint(-20, 20)), bits))
     for prec in (128, 256, 512):
         for ctx in cached_contexts(3, STD_M[0], prec)[:3]:
-            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
-            with mp.workprec(prec):
-                XB = X * B
-            cases += [(gaussian(M.entries()), prec + 64) for M in (A, B, X, XB)]
+            cases += [(P, prec + 64) for P in ctx.holonomy_matrices]
     ties = 0
     for (parts, shift), bits in cases:
         exact = [Fraction(x) * Fraction(2) ** shift for x in parts]
@@ -324,6 +323,58 @@ def test_walk_inverse_is_the_exact_inverse_rounded_once():
         assert max(map(abs, got)).bit_length() in (bits, bits + 1)
         ties += parts[:2] == [1, 0] and parts[4:] == [0, 0, 1, 0]
     assert ties == 50
+
+
+def four_product(P, Q, bits):
+    """P Q of two Gaussian-integer matrices (parts, shift) with four
+    integer products per entry product, exact, then ``fit``."""
+    (a, b, c, d, e, f, g, h), sp = P
+    (A, B, C, D, E, F, G, H), sq = Q
+    return fit([a * A - b * B + c * E - d * F, a * B + b * A + c * F + d * E,
+                a * C - b * D + c * G - d * H, a * D + b * C + c * H + d * G,
+                e * A - f * B + g * E - h * F, e * B + f * A + g * F + h * E,
+                e * C - f * D + g * G - h * H, e * D + f * C + g * H + h * G], sp + sq, bits)
+
+
+def identity_walk(rep, rel):
+    """The relator walk of ``Representation._walk`` with every prefix
+    multiplied out from the identity by ``four_product``: the first
+    product of a side is the identity times its letter's image."""
+    exps, bits = rep.pres.abelian_exponents, rep.prec + 64
+    inverses = [_inverse(P, bits) for P in rep.images]
+    terms, ends = [], []
+    for side, sign in ((rel.lhs, 1), (rel.rhs, -1)):
+        P, k = ([1, 0, 0, 0, 0, 0, 1, 0], 0), 0
+        for g, e in side:
+            if e == -1:
+                P, k = four_product(P, inverses[g], bits), k - exps[g]
+            terms.append((g, k, sign * e, P))
+            if e == 1:
+                P, k = four_product(P, rep.images[g], bits), k + exps[g]
+        ends.append(P)
+    return terms, ends
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_walk_starts_from_the_first_image(n):
+    """Each side of the walk starts from ``fit`` of its first letter's
+    image, with no identity x image product, and takes three integer
+    products per entry product, not four; neither changes a bit: the walk's
+    terms, its Fox blocks, their ``shift`` and the ``residuals`` are those
+    of ``identity_walk``, in both presentations at every nondegenerate
+    root of both standard m."""
+    def flat(terms):
+        return [(g, k, sign, list(parts), shift) for g, k, sign, (parts, shift) in terms]
+
+    for m_pair in STD_M:
+        for ctx in cached_contexts(n, m_pair):
+            for kind in ("two", "three"):
+                rep = build_holonomy_rep(ctx, kind)
+                walks = [identity_walk(rep, rel) for rel in rep.pres.relators]
+                assert [flat(t) for t in rep._terms] == [flat(t) for t, _ in walks]
+                assert rep.shift == min(P[1] for t, _ in walks for *_, P in t)
+                assert rep.blocks == tuple(rep._blocks(t) for t, _ in walks)
+                assert rep.residuals == tuple(_residual(*ends, rep.prec) for _, ends in walks)
 
 
 # The m that the benchmark's check_battery workload draws at its seed 0.

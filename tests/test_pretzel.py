@@ -7,6 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -16,13 +17,14 @@ from talex import (DegenerateContext, PretzelContext, build_context,
                    delta_theorem, select_root, solve_s_roots)
 from talex import pretzel
 from talex.errors import NonConvergence
+from talex.laurent import gaussian
 from talex.pretzel import (FORMS, MAX_N, BivarPoly, _N, _at, alpha_polynomial,
                            beta_polynomial, build_holonomy_rep, certified_roots,
                            eta1_polynomial, eta2_polynomial, h_polynomial,
                            presentation_three_gen, presentation_two_gen,
                            r0_cofactor, r0_polynomial, r1_polynomial)
-from conftest import (STD_M, Mat2, cached_contexts, cached_roots, eps, m_at,
-                      m_degree, m_reversed, walked_residual)
+from conftest import (STD_M, cached_contexts, cached_roots, eps, exact_matrix, m_at,
+                      m_degree, m_reversed, mpc_matrix, round_to_bits, walked_residual)
 
 import oracles
 import root_sweep
@@ -72,6 +74,28 @@ def test_eval_rows_are_keyed_by_m_and_precision():
             assert alpha.eval(m, s) == BivarPoly(terms).eval(m, s)
             reversed_copy = BivarPoly(dict(reversed(terms.items())))
             assert reversed_copy.eval(m, s) == alpha.eval(m, s)
+
+
+@pytest.mark.parametrize("bits", (64, 256, 512, 1024))
+def test_fixed_row_magnitudes_are_the_square_roots(bits, monkeypatch):
+    """The magnitude column of ``_fixed_row``, taken before its ``fit``,
+    holds each |m|^b as isqrt(norm^b << 2 bits), norm = |m|^2 of m read
+    exactly, bit for bit, for b = 0..20: an even b takes norm^(b/2) <<
+    bits, the same integer.  At random m, at m of ``bits`` bits, and at
+    tiny and large |m|."""
+    monkeypatch.setattr(pretzel, "fit", lambda parts, exp, bits: (parts, exp))
+    poly = BivarPoly({(b, b): 1 for b in range(21)})
+    rng = random.Random(bits)
+    ms = [mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(4)]
+    ms += [mpc("1e-30", "3e-31"), mpc("-2e-5", 0), mpc("3e20", "-1e19"), mpc(0, "7e4")]
+    with mp.workprec(bits):
+        ms += [mpc(mpf(1) / 3, mpf(-2) / 7), mpc(mpf(10) ** -40 / 3, 0)]
+    for m in ms:
+        row, _, _ = poly._fixed_row(m, bits)
+        (mr, mi), e = gaussian([m])
+        norm, base = mr * mr + mi * mi, min(0, 20 * e)
+        assert [mag for _, _, mag in row] == [isqrt(norm ** b << 2 * bits) << b * e - base
+                                              for b in range(20, -1, -1)], m
 
 
 def _gauss_mul(x, y):
@@ -784,6 +808,54 @@ def test_select_root_policy():
         select_root(roots, len(roots))
 
 
+def _mpc_flags(n, m, s, values):
+    """The degeneracy flags by comparisons of ``mpc`` and ``mpf`` values at
+    the ambient precision, as ``build_context`` once took them."""
+    flags = set()
+    am, as_ = abs(m), abs(s)
+    tol = pretzel.DEGENERACY_TOL
+    if am < tol:
+        flags.add("m_zero")
+    if as_ < tol:
+        flags.add("s_zero")
+    if abs(s - 1) < tol * max(mpf(1), as_):
+        flags.add("s_one")
+    if abs(s + 1) < tol * max(mpf(1), as_):
+        flags.add("s_minus_one")
+    if abs(s ** (2 * n + 1) + 1) < tol * (1 + as_ ** (2 * n + 1)):
+        flags.add("s_power_minus_one")
+    for name, (value, scale) in zip(("alpha_zero", "beta_zero", "H_zero"), values):
+        if scale == 0 or abs(value) < tol * scale:
+            flags.add(name)
+    return frozenset(flags)
+
+
+@pytest.mark.parametrize("n", (1, 2, 5))
+def test_flags_on_both_sides_of_the_tolerance(n):
+    """At 0.95 and 1.05 times its threshold distance from s = 1, from s = -1
+    and from the root e^(i pi/(2n+1)) of s^(2n+1) = -1, in four directions,
+    a point is flagged s_one, s_minus_one or s_power_minus_one, and then
+    not; every point's flags are those of the ``mpc`` comparisons
+    (``_mpc_flags``)."""
+    prec, tol = 256, pretzel.DEGENERACY_TOL
+    m = m_at("1.2", "0.4")
+    polys = alpha_polynomial(n), beta_polynomial(n), h_polynomial(n)
+    with mp.workprec(prec):
+        root = mp.expjpi(mpf(1) / (2 * n + 1))
+        centres = (("s_one", mpc(1), tol), ("s_minus_one", mpc(-1), tol),
+                   ("s_power_minus_one", root, 2 * tol / (2 * n + 1)))
+    for name, centre, distance in centres:
+        for k in range(4):
+            for factor, flagged in (("0.95", True), ("1.05", False)):
+                with mp.workprec(prec):
+                    step = distance * mpf(factor) * mp.expjpi(mpf(k) / 2 + mpf(1) / 8)
+                    s = centre + step if name != "s_power_minus_one" else centre * (1 + step)
+                ctx = build_context(n, m, s, prec)
+                with mp.workprec(prec):
+                    assert ctx.flags == _mpc_flags(n, m, s, [p.eval(m, s) for p in polys])
+                assert (name in ctx.flags) == flagged, (name, k, factor)
+
+
 def test_degeneracy_flags():
     m = m_at("1.2", "0.4")
     assert "s_one" in build_context(2, m, 1).flags
@@ -886,7 +958,7 @@ def test_reciprocal_roots_carry_one_representation(m_pair):
     for i, j in pairs:
         words = []
         for ctx in (ctxs[i], ctxs[j]):
-            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
+            A, B, X = (mpc_matrix(M) for M in ctx.holonomy_matrices[:3])
             with mp.workprec(ctx.prec):
                 words.append([M.a11 + M.a22 for M in (
                     A, B, X, A * B, A * X, B * X, A * B * X)])
@@ -915,7 +987,7 @@ def test_relation_residuals_both_presentations(n):
 
 def test_holonomy_matrix_structure():
     ctx = cached_contexts(3, STD_M[1])[0]
-    A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
+    A, B, X = (mpc_matrix(M) for M in ctx.holonomy_matrices[:3])
     m, S = ctx.m, ctx.S
     assert abs(A.a11 - m) == 0 and abs(A.a21) == 0
     assert abs(X.a11 - S) == 0 and abs(X.a12) == 0
@@ -931,15 +1003,58 @@ def test_holonomy_matrix_structure():
 @pytest.mark.parametrize("n", (1, 2, 5))
 def test_two_generator_image_is_the_full_mpc_product(n, prec):
     """The image of c, rho(x) rho(b), written out without the terms of x12
-    = 0, is bit for bit the full 2x2 product X B in ``mpc`` at ``ctx.prec``,
-    at every nondegenerate root of both standard m."""
+    = 0, is value for value the full 2x2 product X B of the images, every
+    one of its eight products and four sums rounded as ``Gauss`` rounds
+    (exact, then to nearest on one power of two for prec + 64 bits,
+    ``round_to_bits``), at every nondegenerate root of both standard m.
+    Once an ``mpc`` product, it is now taken on ``Gauss``;
+    ``oracles.holonomy_images`` keeps the ``mpc`` formula, which
+    ``test_holonomy_images_are_the_printed_formulas`` compares with."""
+    def rounded(z):
+        return round_to_bits(list(z), prec + 64)
+
+    def product(P, i, Q, j):
+        return rounded((P[i] * Q[j] - P[i + 1] * Q[j + 1], P[i] * Q[j + 1] + P[i + 1] * Q[j]))
+
     for m_pair in STD_M:
         for ctx in cached_contexts(n, m_pair, prec):
-            A, B, X = (Mat2(*M) for M in ctx.holonomy_matrices)
-            with mp.workprec(prec):
-                want = (X * B).entries()
-            got = build_holonomy_rep(ctx, "two").images[1]
-            assert [c._mpc_ for c in got] == [c._mpc_ for c in want]
+            _, B, X, XB = (exact_matrix(M) for M in ctx.holonomy_matrices)
+            assert X[2:4] == [0, 0]
+            want = []
+            for row, col in ((0, 0), (0, 2), (4, 0), (4, 2)):
+                p, q = product(X, row, B, col), product(X, row + 2, B, col + 4)
+                want += rounded((p[0] + q[0], p[1] + q[1]))
+            assert XB == want
+
+
+TINY_M = ("0.0099", "0.0015")
+
+
+@pytest.mark.parametrize("prec", (256, 512))
+@pytest.mark.parametrize("n, m_pair", [(2, STD_M[0]), (3, STD_M[0]), (3, TINY_M)],
+                         ids=("n2-m0", "n3-m0", "n3-tiny"))
+def test_holonomy_images_are_the_printed_formulas(n, m_pair, prec):
+    """rho(a), rho(b), rho(x) and rho(x) rho(b), taken on ``Gauss``, are
+    within 2^(4-prec) of the printed formulas in ``mpc`` at twice the
+    precision (``oracles.holonomy_images``, on the same m, s, alpha, beta
+    and S), relative to each matrix's largest entry, and zero where they
+    are, at every nondegenerate root (solved at 256 bits, its context
+    built at ``prec``).  Measured at most 5.3 * 2^-prec, at the root |s| =
+    1e-4 of m = 0.0099+0.0015i, n = 3, where the lower row of rho(x)
+    rho(b) cancels some 40 bits; at m = 1.2+0.4i under 2^-(prec+50).  The
+    same formulas in ``mpc`` at ``prec`` miss by up to 2^(67-prec) at the
+    tiny m and 2^(9-prec) at m = 1.2+0.4i."""
+    for root in cached_contexts(n, m_pair):
+        ctx = build_context(n, m_at(*m_pair, prec=prec), root.s, prec)
+        assert ctx.nondegenerate
+        got = [mpc_matrix(P) for P in ctx.holonomy_matrices]
+        with mp.workprec(2 * prec):
+            want = oracles.holonomy_images(n, ctx.m, ctx.s, ctx.alpha, ctx.beta, ctx.S)
+            for G, W in zip(got, want):
+                top = max(abs(w) for w in W.entries())
+                for g, w in zip(G.entries(), W.entries()):
+                    assert (g == 0) == (w == 0)
+                    assert abs(g - w) <= mpf(2) ** (4 - prec) * top
 
 
 def test_root_fingerprints_match_the_sweep_fixture():
