@@ -28,17 +28,16 @@ use, so checking only the relations never builds them.
 The walk runs on Gaussian integers and reads no ``mpc``.  rho(x_j) is given
 exactly, as integers over one power of two, and its inverse is adj / det of
 that image rounded once (``_inverse``); the inverse and each prefix
-product, an exact integer product (three integer products per entry
-product), are ``fit`` to prec + ``GUARD_BITS`` bits (the rule and guard of
-``talex.laurent``), a side's first prefix product being its letter's image,
-``fit``; each block entry is the exact sum of its prefix entries, swept by
-the ``LaurentPoly`` cut; and the residual is the ``sqrt_ratio`` of the
-exact end prefixes.  ``wada_polynomial`` hands the blocks to
-``poly_mat_det`` as they are, and the Gaussian-integer long division reads
-the determinant exactly, so only its coefficients and the quotient's are
-rounded at ``rep.prec``.  ``wada_denominator`` writes det(rho(x_k) t^e - I)
-out as 1 - tr rho(x_k) t^e + det rho(x_k) t^2e, the trace and determinant
-exact from the image.  Both read the presentation from ``rep.pres``, so a
+product, an exact integer product, are ``fit`` to prec + ``GUARD_BITS``
+bits (the rule and guard of ``talex.laurent``), a side's first prefix
+product being its letter's image, ``fit``; each block entry is the exact
+sum of its prefix entries, swept by the ``LaurentPoly`` cut; and the
+residual is the ``sqrt_ratio`` of the exact end prefixes.
+``wada_polynomial`` hands the blocks to ``poly_mat_det`` as they are, and
+the Gaussian-integer long division reads the determinant exactly, so only
+its coefficients and the quotient's are rounded at ``rep.prec``.
+``wada_denominator`` writes det(rho(x_k) t^e - I) out as 1 - tr rho(x_k)
+t^e + det rho(x_k) t^2e, the trace and determinant exact from the image.  Both read the presentation from ``rep.pres``, so a
 representation cannot be paired with another presentation.
 
 The symbolic Fox derivative in the group ring and the ring map Phi, which
@@ -135,19 +134,16 @@ _IDENTITY = ((1, 0, 0, 0, 0, 0, 1, 0), 0)
 def _product(P, Q, bits):
     """P Q of two Gaussian-integer matrices, each given as (parts, shift):
     the re and im parts of a11, a12, a21, a22 over the one power of two
-    2^shift.  The product is exact, each entry product of three integer
-    products (re re, im im and (re + im)(re + im)), then ``fit`` to ``bits``
-    bits; the identity times Q is ``fit`` of Q, taken without the product."""
+    2^shift.  The product is exact, then ``fit`` to ``bits`` bits; the
+    identity times Q is ``fit`` of Q, taken without the product."""
     if P is _IDENTITY:
         return fit(*Q, bits)
     (a, b, c, d, e, f, g, h), sp = P
     (A, B, C, D, E, F, G, H), sq = Q
-    ab, cd, ef, gh, AB, CD, EF, GH = a + b, c + d, e + f, g + h, A + B, C + D, E + F, G + H
-    p1, q1, p2, q2, p3, q3, p4, q4 = a * A, b * B, c * E, d * F, a * C, b * D, c * G, d * H
-    p5, q5, p6, q6, p7, q7, p8, q8 = e * A, f * B, g * E, h * F, e * C, f * D, g * G, h * H
-    s1, s2, s3, s4 = p1 + q1 + p2 + q2, p3 + q3 + p4 + q4, p5 + q5 + p6 + q6, p7 + q7 + p8 + q8
-    parts = (p1 - q1 + p2 - q2, ab * AB + cd * EF - s1, p3 - q3 + p4 - q4, ab * CD + cd * GH - s2,
-             p5 - q5 + p6 - q6, ef * AB + gh * EF - s3, p7 - q7 + p8 - q8, ef * CD + gh * GH - s4)
+    parts = (a * A - b * B + c * E - d * F, a * B + b * A + c * F + d * E,
+             a * C - b * D + c * G - d * H, a * D + b * C + c * H + d * G,
+             e * A - f * B + g * E - h * F, e * B + f * A + g * F + h * E,
+             e * C - f * D + g * G - h * H, e * D + f * C + g * H + h * G)
     return fit(parts, sp + sq, bits)
 
 

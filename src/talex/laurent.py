@@ -47,11 +47,10 @@ prefix products and inverses, the rows and s-powers of ``BivarPoly.eval``;
 beyond ``prec``, and ``Gauss`` is the value type that applies it to each
 sum, product and quotient (the closed forms, the holonomy images, the
 degeneracy flags; ``aligned`` puts values on one power of two exactly).
-``_round`` (one part at ``prec`` bits), ``Gauss`` (its two parts),
-``nearest`` (any divisor: the division's quotient, the solver's Newton
-step), ``reciprocal`` (1/z onto a fixed point) and ``read_fixed`` (s, or
-1/s, onto the fixed point of eval's Horner and the solver's) spell it
-again.
+``_round`` (one part at ``prec`` bits), ``nearest`` (any divisor: the
+division's quotient, the solver's Newton step), ``reciprocal`` (1/z onto a
+fixed point) and ``read_fixed`` (s, or 1/s, onto the fixed point of eval's
+Horner and the solver's) spell it again.
 """
 
 from dataclasses import dataclass
@@ -103,12 +102,8 @@ class Gauss:
     __slots__ = ("re", "im", "exp", "bits")
 
     def __init__(self, parts, exp, bits):
-        re, im = parts   # ``fit``, written out for the two parts
-        k = max(abs(re), abs(im)).bit_length() - bits
-        if k > 0:
-            low = (1 << (k - 1)) - 1
-            re, im, exp = (re + low + (re >> k & 1)) >> k, (im + low + (im >> k & 1)) >> k, exp + k
-        self.re, self.im, self.exp, self.bits = re, im, exp, bits
+        (self.re, self.im), self.exp = fit(parts, exp, bits)
+        self.bits = bits
 
     @staticmethod
     def read(bits, *values):

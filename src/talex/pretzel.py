@@ -24,7 +24,7 @@ every evaluation measured; rounding it cost the solver and verify paths a
 few per cent).  The power of s (of 1/s if negative) that the row leaves
 out is powered on Gaussian integers, each product ``fit`` to prec + 64
 bits, which also give its modulus for the scale; only the result is
-rounded to the working precision.  s is read once per root (``_read_s``).
+rounded to the working precision.
 The solver reads eval's row of the cofactor once, seeds from its parts
 rounded to the working precision (``mp.polyroots`` with max(50, 2d) steps
 at degree d), then polishes and certifies its roots on that row and on its
@@ -160,13 +160,13 @@ class BivarPoly:
         last (m, precision) are kept, so every root at one m shares them."""
         prec = mp.prec
         bits = prec + GUARD_BITS
-        if self._rows is None or self._rows[0] != (m._mpc_, bits):
-            self._rows = (m._mpc_, bits), self._fixed_row(m, bits)
+        if self._rows is None or self._rows[0] != (m, bits):
+            self._rows = (m, bits), self._fixed_row(m, bits)
         row, shift, power = self._rows[1]
-        zr, zi, inverted, za = _read_s(s._mpc_, bits)
+        zr, zi, inverted = read_fixed(s, bits)
         if inverted:
             row, power = row[::-1], power + len(row) - 1
-        re, im, mag = _horner(row, zr, zi, za, bits)
+        re, im, mag = _horner(row, zr, zi, isqrt(zr * zr + zi * zi), bits)
         if power < 0:
             with mp.workprec(bits):
                 s, power = 1 / s, -power
@@ -470,14 +470,6 @@ def _horner(row, zr, zi, za, bits):
         re, im = ((re * zr - im * zi) >> bits) + cr, ((re * zi + im * zr) >> bits) + ci
         mag = (mag * za >> bits) + ca
     return re, im, mag
-
-
-@lru_cache(maxsize=16)
-def _read_s(s, bits):
-    """``read_fixed`` of the ``mpc`` whose ``_mpc_`` is s, and its modulus
-    floored: once per root, for every polynomial evaluated there."""
-    zr, zi, inverted = read_fixed(mp.make_mpc(s), bits)
-    return zr, zi, inverted, isqrt(zr * zr + zi * zi)
 
 
 def _newton(rows, z, prec):

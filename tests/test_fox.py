@@ -358,11 +358,10 @@ def identity_walk(rep, rel):
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
 def test_walk_starts_from_the_first_image(n):
     """Each side of the walk starts from ``fit`` of its first letter's
-    image, with no identity x image product, and takes three integer
-    products per entry product, not four; neither changes a bit: the walk's
-    terms, its Fox blocks, their ``shift`` and the ``residuals`` are those
-    of ``identity_walk``, in both presentations at every nondegenerate
-    root of both standard m."""
+    image, with no identity x image product, which changes no bit: the
+    walk's terms, its Fox blocks, their ``shift`` and the ``residuals`` are
+    those of ``identity_walk``, in both presentations at every
+    nondegenerate root of both standard m."""
     def flat(terms):
         return [(g, k, sign, list(parts), shift) for g, k, sign, (parts, shift) in terms]
 

@@ -65,10 +65,9 @@ def test_fit_rounds_ties_to_even_on_one_power_of_two():
 
 def test_one_rounding_rule_in_every_spelling():
     """The rule of ``fit`` is written out again for speed in ``_round`` and
-    in ``Gauss``, and for a divisor that is not a power of two in
-    ``nearest``: all of them round x / d to nearest, ties to even, as
-    ``round`` does on a Fraction (``Gauss`` exactly as ``fit`` does, on
-    the two parts).  About half of the inputs are built as exact ties."""
+    for a divisor that is not a power of two in ``nearest``: all three
+    round x / d to nearest, ties to even, as ``round`` does on a Fraction.
+    About half of the inputs are built as exact ties."""
     rng = random.Random(26)
     for _ in range(3000):
         prec = rng.randint(1, 80)
@@ -81,9 +80,6 @@ def test_one_rounding_rule_in_every_spelling():
         assert laurent._round(x, prec) == want, (x, prec)
         parts, exp = laurent.fit([x], 0, prec)
         assert parts[0] << exp == want, (x, prec)
-        y = rng.choice((0, -x, x >> rng.randint(0, 8)))
-        g = laurent.Gauss((y, x), k, prec)
-        assert ([g.re, g.im], g.exp) == laurent.fit([y, x], k, prec), (x, y, prec)
     for _ in range(3000):
         d = rng.randint(1, 1 << rng.randint(1, 90))
         q = rng.randint(-(1 << 100), 1 << 100)
