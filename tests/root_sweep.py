@@ -2,8 +2,9 @@
 
 One line per case: n, m, prec, then the number of roots, the count of each
 degeneracy flag, and the first 16 hex digits of a SHA-256 over the exact
-(sign, mantissa, exponent, bit count) tuples of every root s (``_mpc_``)
-and its radius (``_mpf_``) and over its sorted flags, in the order
+(sign, mantissa, exponent, bit count) tuples of every root s (``_mpc_``),
+its radius (``_mpf_``), its sorted flags and, at a nondegenerate root, its
+context's eta_1, eta_2 and eta_1 + eta_2 (``_mpc_``), in the order
 ``solve_s_roots`` returns them, so a change of one bit anywhere shows; a
 case that raises prints the exception instead.  A ``diff`` of two runs,
 each against its own source tree, lists the cases that moved.  Run from
@@ -39,7 +40,8 @@ def fingerprint(n, m_pair, prec):
         return f"{type(exc).__name__}: {exc}"
     digest = hashlib.sha256()
     for ctx in roots:
-        digest.update(repr((ctx.s._mpc_, ctx.radius._mpf_, sorted(ctx.flags))).encode())
+        etas = () if ctx.flags else tuple(x._mpc_ for x in (ctx.eta1, ctx.eta2, ctx.eta_sum))
+        digest.update(repr((ctx.s._mpc_, ctx.radius._mpf_, sorted(ctx.flags), etas)).encode())
     flags = Counter(flag for ctx in roots for flag in ctx.flags)
     counts = " ".join(f"{flag}:{k}" for flag, k in sorted(flags.items()))
     return f"{len(roots)} roots  {counts}  {digest.hexdigest()[:16]}"
