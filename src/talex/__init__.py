@@ -26,9 +26,11 @@ of them, the Fox division's quotient and the solver's Newton steps round to
 nearest with ties to even, as mpmath does (``talex.laurent.fit``); the
 Horner shift of ``BivarPoly.eval`` is the one truncation.
 ``solve_s_roots`` returns one ``PretzelContext`` per root, the one
-``build_context`` makes there, whose eta_1, eta_2 and holonomy matrices
-are computed at its ``prec`` on first use, each matrix exact Gaussian
-integers over one power of two, as a ``Representation`` takes its images.
+``build_context`` makes there, whose eta_1, eta_2, eta_1 + eta_2 and r1
+(the paper's forms in alpha and beta, taken before their rounding) and
+holonomy matrices are computed at its ``prec`` on first use, each matrix
+exact Gaussian integers over one power of two, as a ``Representation``
+takes its images.
 ``BivarPoly.eval``, which keeps its rows in s per (m, precision), takes
 ``mpc`` inputs as given, at the caller's ambient precision.  Inputs are
 rounded to the working precision on entry; ``verify_sweep`` takes m as

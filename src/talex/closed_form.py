@@ -16,10 +16,10 @@ cofactor, the four-term derivative expansion) are transcribed in
 
 Every evaluator runs on Gaussian integers by the Fox walk's floating rule:
 the context values are read once, exactly (eta_1 + eta_2 as ``eta_sum``,
-one polynomial's value, since the two cancel), and each sum, product and
-quotient is exact, then ``fit`` to ctx.prec + ``GUARD_BITS`` bits on its
-own power of two (``talex.laurent.Gauss``), so a tiny m or beta keeps its
-relative precision.  Only the results are rounded at ``ctx.prec``: a
+the context's own form with the summed cofactors, since the two cancel),
+and each sum, product and quotient is exact, then ``fit`` to ctx.prec +
+``GUARD_BITS`` bits on its own power of two (``talex.laurent.Gauss``), so
+a tiny m or beta keeps its relative precision.  Only the results are rounded at ``ctx.prec``: a
 polynomial's coefficients from exact terms over one power of two
 (``rounded``), and lambda_i and zeta_i each to an ``mpc``.  Every rounding
 is odd, so each polynomial at -m is t -> -t of the one at m, bit for bit.

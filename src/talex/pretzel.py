@@ -12,7 +12,7 @@ bounds.
 
 ``BivarPoly.eval`` is the one numerical evaluator of these polynomials:
 rows per (m, precision), Horner per root, so every per-root evaluation at
-one m (the solver's residuals, the context values, r1) shares one
+one m (the solver's residuals, alpha, beta and H) shares one
 specialisation.  The rows are the exact values sum_b v m^b (m read exactly
 as a Gaussian integer) and their magnitudes, ``fit`` once to prec + 64
 bits (``GUARD_BITS``) for the largest magnitude; Horner (``_horner``) runs
@@ -34,11 +34,16 @@ each 1/s it reads, is an exact Gaussian quotient rounded once, and only the
 root is rounded to the working precision.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
 ``build_context`` makes there, so alpha, beta and H are evaluated once per
-root and the flags are read from them, exactly, as ``Gauss`` values.  Both
-take the working precision and enter it; a context's eta_1, eta_2, their
-sum and holonomy matrices (Gaussian-integer matrices, taken on ``Gauss``),
-each computed once, on first use, and the functions of a context run at
-``ctx.prec``; ``BivarPoly.eval`` runs at its caller's ambient precision.
+root and the flags are read from them, exactly, as ``Gauss`` values.  The
+context also keeps alpha and beta before their rounding, and eta_1, eta_2,
+eta_1 + eta_2 and r1 are the paper's forms in those two, linear and
+quadratic, with the cofactors of ``FORMS`` (``_cofactors``) taken on
+``Gauss``: no per-root evaluation expands them.  Their builders stay, for
+the identities the tests prove.  Both take the working precision and enter
+it; a context's eta_1, eta_2, their sum, r1 and holonomy matrices
+(Gaussian-integer matrices, taken on ``Gauss``), each computed once, on
+first use, and the functions of a context run at ``ctx.prec``;
+``BivarPoly.eval`` runs at its caller's ambient precision.
 The two presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
@@ -46,13 +51,15 @@ from 1 to ``MAX_N``, the largest n whose roots the solver certified at
 every m probed (at n = 17 it fails at m = 1.2+0.4i).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import combinations
 from math import isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import from_int, from_man_exp, mpf_div, round_ceiling, round_nearest
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, round_ceiling,
+                          round_nearest)
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
@@ -158,6 +165,12 @@ class BivarPoly:
         The scale is the sum of the term magnitudes at |m|, |s|, against
         which residuals and near-zero tests are measured.  The rows of the
         last (m, precision) are kept, so every root at one m shares them."""
+        return self._evaluate(m, s)[:2]
+
+    def _evaluate(self, m, s):
+        """``eval``'s value and scale, and the value before its rounding:
+        Horner's result times the power of s, ``fit`` to prec + 64 bits, as
+        a ``Gauss``."""
         prec = mp.prec
         bits = prec + GUARD_BITS
         if self._rows is None or self._rows[0] != (m, bits):
@@ -178,9 +191,11 @@ class BivarPoly:
                 (pr, pi), exp = fit((pr * br - pi * bi, pr * bi + pi * br), exp + bexp, bits)
         pa = isqrt((pr * pr + pi * pi) << 2 * bits)   # |s^power| 2^(bits - exp)
         exp += shift
-        return (mp.make_mpc((from_man_exp(re * pr - im * pi, exp, prec, round_nearest),
-                             from_man_exp(re * pi + im * pr, exp, prec, round_nearest))),
-                mp.make_mpf(from_man_exp(mag * pa, exp - bits, prec, round_nearest)))
+        re, im = re * pr - im * pi, re * pi + im * pr
+        return (mp.make_mpc((from_man_exp(re, exp, prec, round_nearest),
+                             from_man_exp(im, exp, prec, round_nearest))),
+                mp.make_mpf(from_man_exp(mag * pa, exp - bits, prec, round_nearest)),
+                Gauss((re, im), exp, bits))
 
     def divmod_s(self, divisor):
         """``(quotient, remainder)`` of the long division in s by a divisor
@@ -322,16 +337,22 @@ def eta2_polynomial(n):
 
 
 @lru_cache(maxsize=None)
-def eta_sum_polynomial(n):
-    return eta1_polynomial(n) + eta2_polynomial(n)
-
-
-@lru_cache(maxsize=None)
 def r1_polynomial(n):
     """The combination whose vanishing modulo r0 certifies the representation."""
     alpha, beta = alpha_polynomial(n), beta_polynomial(n)
     t_aa, t_ab, t_bb = (_at(f, n) for f in FORMS["r1"])
     return -(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb
+
+
+@lru_cache(maxsize=None)
+def _cofactors(n):
+    """The cofactors at n (``_at``) of alpha and beta in eta_1, eta_2 and
+    eta_1 + eta_2, whose cofactors are the exact sums of the other two's,
+    and of alpha^2, alpha beta and beta^2 in r1, r1's sign on the first."""
+    eta1, eta2 = ([_at(f, n) for f in FORMS[name]] for name in ("eta1", "eta2"))
+    t_aa, t_ab, t_bb = (_at(f, n) for f in FORMS["r1"])
+    return {"eta1": eta1, "eta2": eta2, "eta_sum": [a + b for a, b in zip(eta1, eta2)],
+            "r1": [-t_aa, t_ab, t_bb]}
 
 
 # ---------------------------------------------------------------------------
@@ -341,11 +362,15 @@ def r1_polynomial(n):
 @dataclass(frozen=True)
 class PretzelContext:
     """One fully instantiated parameter point: n, the meridian eigenvalue m,
-    a root s of r0(m, .), and every derived quantity of the closed forms,
-    eta_1, eta_2 and the holonomy matrices computed at ``prec`` on first
-    use.  ``residual`` and ``radius`` are the solver's (0 at the exact roots
-    0, 1 and -1); a context from ``build_context`` alone holds the residual
-    it was given."""
+    a root s of r0(m, .), and every derived quantity of the closed forms.
+    ``exact`` holds alpha and beta as ``eval`` computes them before their
+    rounding (``Gauss`` at prec + 64 bits); eta_1, eta_2, eta_1 + eta_2
+    and r1 are the paper's forms in them, linear and quadratic, their
+    cofactors evaluated term by term on ``Gauss`` from one table of s- and
+    m-powers, and each is rounded once, at ``prec``, on first use, as are
+    the holonomy matrices.  ``residual`` and ``radius`` are the solver's (0
+    at the exact roots 0, 1 and -1); a context from ``build_context`` alone
+    holds the residual it was given."""
 
     n: int
     m: mpc
@@ -356,6 +381,7 @@ class PretzelContext:
     S: mpc
     prec: int
     flags: frozenset
+    exact: tuple = field(compare=False, repr=False)
     residual: object = None
     radius: object = None
 
@@ -363,14 +389,38 @@ class PretzelContext:
     def nondegenerate(self):
         return not self.flags
 
-    def _value(self, polynomial):
-        with mp.workprec(self.prec):
-            return polynomial(self.n).eval(self.m, self.s)[0]
+    @cached_property
+    def _cofactor_values(self):
+        """{name: cofactor values} of ``_cofactors`` at (m, s): each the
+        exact sum of its terms v s^a m^b over one power of two, then ``fit``,
+        the monomials from one table of s- and m-powers."""
+        bits = self.prec + GUARD_BITS
+        one, m, s = Gauss.read(bits, self.m, self.s)
+        cofactors = _cofactors(self.n)
+        keys = {key for polys in cofactors.values() for poly in polys for key in poly.terms}
+        s_pow, m_pow = ({e: base ** e if e else one for e in exps} for base, exps in (
+            (s, {a for a, _ in keys}), (m, {b for _, b in keys})))
+        monomials = {(a, b): s_pow[a] * m_pow[b] for a, b in keys}
 
-    eta1 = cached_property(lambda self: self._value(eta1_polynomial))
-    eta2 = cached_property(lambda self: self._value(eta2_polynomial))
-    # eta_1 + eta_2 as one polynomial: the two cancel
-    eta_sum = cached_property(lambda self: self._value(eta_sum_polynomial))
+        def value(poly):
+            terms = [(v, monomials[key]) for key, v in poly.terms.items()]
+            low = min(x.exp for _, x in terms)
+            return Gauss((sum(v * x.re << x.exp - low for v, x in terms),
+                          sum(v * x.im << x.exp - low for v, x in terms)), low, bits)
+        return {name: [value(poly) for poly in polys] for name, polys in cofactors.items()}
+
+    def _linear(self, name):
+        (a_fac, b_fac), (alpha, beta) = self._cofactor_values[name], self.exact
+        return (a_fac * alpha + b_fac * beta).mpc(self.prec)
+
+    eta1 = cached_property(lambda self: self._linear("eta1"))
+    eta2 = cached_property(lambda self: self._linear("eta2"))
+    eta_sum = cached_property(lambda self: self._linear("eta_sum"))
+
+    @cached_property
+    def r1(self):
+        (t_aa, t_ab, t_bb), (alpha, beta) = self._cofactor_values["r1"], self.exact
+        return (alpha * alpha * t_aa + alpha * beta * t_ab + beta * beta * t_bb).mpc(self.prec)
 
     @cached_property
     def holonomy_matrices(self):
@@ -425,16 +475,17 @@ def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     check_prec(prec)
     with mp.workprec(prec):
         m, s = mpc(m), mpc(s)
-        values = [poly.eval(m, s) for poly in (
+        values = [poly._evaluate(m, s) for poly in (
             alpha_polynomial(n), beta_polynomial(n), h_polynomial(n))]
-        flags = _flags(n, m, s, values)
+        flags = _flags(n, m, s, [(value, scale) for value, scale, _ in values])
         if strict and flags:
             raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
-        (alpha, _), (beta, _), (H, _) = values
+        (alpha, _, exact_alpha), (beta, _, exact_beta), (H, _, _) = values
         return PretzelContext(
             n=n, m=m, s=s, alpha=alpha, beta=beta, H=H, S=s ** n,
             prec=prec,
             flags=flags,
+            exact=(exact_alpha, exact_beta),
             residual=residual,
         )
 
@@ -541,6 +592,20 @@ def _inclusion_radius(rows, z, prec):
     return mp.make_mpf(mpf_div(from_int(num), from_int(den), prec, round_ceiling))
 
 
+def _disjoint(centres, radii):
+    """Whether the discs about the ``mpc`` centres with the ``mpf`` radii
+    are pairwise disjoint: |z_i - z_j|^2 > (r_i + r_j)^2, on exact integers,
+    every value read onto one power of two (``gaussian``).  Touching discs
+    are not disjoint, nor is a disc of infinite radius."""
+    if any(mpmath.isinf(r) for r in radii):
+        return False
+    parts, _ = gaussian([*centres, *(mp.make_mpc((r._mpf_, fzero)) for r in radii)])
+    d = len(centres)
+    discs = list(zip(parts[0:2 * d:2], parts[1:2 * d:2], parts[2 * d::2]))
+    return all((xr - yr) ** 2 + (xi - yi) ** 2 > (xa + ya) ** 2
+               for (xr, xi, xa), (yr, yi, ya) in combinations(discs, 2))
+
+
 def certified_roots(poly, m, prec):
     """The roots of s -> poly(m, s) other than 0, which must be simple, each
     with an inclusion radius, at ``prec`` bits.
@@ -553,10 +618,11 @@ def certified_roots(poly, m, prec):
     certify them, on that row and on its derivative row, through eval's
     fixed-point Horner: on 1/s over the reversed rows when |s| > 1, so the
     integers stay near prec + 64 bits.  A disc then holds a root of poly(m,
-    .) itself.  The d discs must be pairwise disjoint: each then holds
-    exactly one root.  If they are not, and ``prec`` is above 64, the seeds
-    are computed again at ``prec``; if that fails too, ``NonConvergence``
-    names the discs, or the seeds if none converged.
+    .) itself.  The d discs must be pairwise disjoint, compared exactly
+    (``_disjoint``): each then holds exactly one root.  If they are not,
+    and ``prec`` is above 64, the seeds are computed again at ``prec``; if
+    that fails too, ``NonConvergence`` names the discs, or the seeds if
+    none converged.
     """
     row, shift, _ = poly._fixed_row(m, prec + GUARD_BITS)
     coeffs = [mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
@@ -576,8 +642,7 @@ def certified_roots(poly, m, prec):
         with mp.workprec(prec):
             roots = [_newton(rows, mpc(z), prec) for z in seeds]
             radii = [_inclusion_radius(rows, z, prec) for z in roots]
-            if all(abs(roots[i] - roots[j]) > radii[i] + radii[j]
-                   for i in range(len(roots)) for j in range(i)):
+            if _disjoint(roots, radii):
                 return roots, radii
     raise NonConvergence(f"{reason} at {prec} bits")
 

@@ -22,7 +22,7 @@ from .errors import DegenerateContext, NonConvergence
 from .fox import wada_polynomial
 from .laurent import coefficient_deviation, max_abs, max_pairwise_deviation
 from .pretzel import (DEFAULT_PREC, build_context, build_holonomy_rep, check_n,
-                      r1_polynomial, select_root, solve_s_roots)
+                      select_root, solve_s_roots)
 
 MAX_RETRY_PREC = 1024
 
@@ -70,7 +70,7 @@ def check_context(ctx, independence=False):
         rep3 = build_holonomy_rep(ctx, "three")
         add("relation_two", max(rep2.residuals))
         add("relation_three", max(rep3.residuals))
-        add("r1", abs(r1_polynomial(ctx.n).eval(ctx.m, ctx.s)[0]))
+        add("r1", abs(ctx.r1))
         z1, z2 = zeta_vanishing(ctx)
         add("zeta1", abs(z1))
         add("zeta2", abs(z2))
@@ -116,9 +116,11 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
     ``MAX_RETRY_PREC``, on the root nearest to the one that failed, and stays
     failed if a re-solve is refused or flags every root.  A retry parses m
     afresh from the strings, so it solves for the decimal m, not for its
-    ``prec``-bit rounding.  ``perturb_s`` offsets every root before checking;
-    it is the negative-control hook, is expected to make the suite fail, and is
-    never retried.  Every n is checked before the first root is solved.
+    ``prec``-bit rounding.  The entry's ``retried_at`` lists every precision
+    tried, a refused one too.  ``perturb_s`` offsets every root before
+    checking; it is the negative-control hook, is expected to make the suite
+    fail, and is never retried.  Every n is checked before the first root is
+    solved.
     """
     ns = list(ns)
     for n in ns:
@@ -145,8 +147,9 @@ def verify_sweep(ns, ms, prec=DEFAULT_PREC, thorough=False, perturb_s=None):
                     try:
                         roots2 = [r for r in solve_s_roots(n, m2, p2) if not r.flags]
                     except NonConvergence:   # a refused re-solve, as an empty one
-                        break
+                        roots2 = []
                     if not roots2:   # nothing to re-check: it stays failed
+                        entry["retried_at"].append(p2)
                         break
                     with mp.workprec(p2):
                         near = min(roots2, key=lambda r: abs(r.s - rec.s))

@@ -367,7 +367,8 @@ def test_verify_retry_parses_m_at_the_retry_precision(monkeypatch):
 def test_verify_retry_without_a_nondegenerate_root_reports_the_failure(
         capsys, monkeypatch):
     """A retry whose re-solve flags every root stops retrying: the entry
-    stays failed and is reported (exit 1), not taken for a usage error."""
+    stays failed and is reported (exit 1), not taken for a usage error, and
+    its ``retried_at`` lists the precision tried."""
     solve = verify.solve_s_roots
 
     def flagged_above_256(n, m, prec):
@@ -389,15 +390,16 @@ def test_verify_retry_without_a_nondegenerate_root_reports_the_failure(
                               for line in lines[:-1])
     report = verify.verify_sweep([1], [("1.2", "0.4")])
     assert report["entries"] and not report["all_passed"]
-    assert all(e["retried_at"] == [] for e in report["entries"])
+    assert all(e["retried_at"] == [512] for e in report["entries"])
 
 
 def test_verify_refused_retry_reports_the_point_failed(capsys, monkeypatch):
     """At n = 3, m = 0.0099+0.0015i, root #21 (|s| ~ 9,973) fails its checks
     at 256 bits, and the retry's 512-bit re-solve is refused
     (``NonConvergence``).  As when a re-solve flags every root, the point
-    stays failed and the whole report prints, with exit 1; a refused base
-    solve (n = 4 there) still exits 3."""
+    stays failed, the whole report prints, with exit 1, and the entry's
+    ``retried_at`` lists the refused 512 bits; a refused base solve (n = 4
+    there) still exits 3."""
     refused = []
     solve = verify.solve_s_roots
 
@@ -416,10 +418,15 @@ def test_verify_refused_retry_reports_the_point_failed(capsys, monkeypatch):
     assert lines[-1] == "FAILURES present"
     assert [line.split()[0] for line in lines[:-1]] == ["PASS"] * 11 + ["FAIL"]
     assert "root#21  failing: " in lines[-2]
+    code, out, _ = run(capsys, "verify", "--n-range", "3..3", "--m", "0.0099,0.0015",
+                       "--format", "json")
+    assert code == cli.EXIT_VERIFY_FAILED and refused == [(3, 512)] * 2
+    assert [(e["root_index"], e["retried_at"]) for e in json.loads(out)["entries"]
+            if e["retried_at"]] == [(21, [512])]
     code, out, err = run(capsys, "verify", "--n-range", "4..4", "--m", "0.0099,0.0015")
     assert code == cli.EXIT_NONCONVERGENCE
     assert out == "" and "non-convergence" in err
-    assert refused[1:] == [(4, 256)]
+    assert refused[2:] == [(4, 256)]
 
 
 def test_verify_retry_stops_at_the_ceiling(monkeypatch):

@@ -217,7 +217,8 @@ def test_closed_forms_keep_relative_precision_at_tiny_m(tiny_m_root, prec):
 def test_eta_sum_is_one_evaluation_at_tiny_m(tiny_m_root):
     """At the largest-|s| root of n = 3, m = 0.0099+0.0015i, eta_1 and
     eta_2 cancel by about 40 bits in their sum, so the context evaluates
-    eta_1 + eta_2 as one polynomial (``eta_sum``): at 128 bits it is within
+    eta_1 + eta_2 as one form, with the summed cofactors (``eta_sum``),
+    from alpha and beta before their rounding: at 128 bits it is within
     1e-36 of the oracles' sum at 256 bits, relative (measured 1.7e-39; the
     sum of the two rounded values misses by 2.3e-27)."""
     n, prec = 3, 128

@@ -26,8 +26,14 @@ import talex
 SRC = Path(talex.__file__).parent
 
 # Qualified name (or a class, for all its methods) -> why it may stay.
+_BUILT_BY_NAME = ("perfbench's set-up (workloads.load_talex) builds it by name, and the "
+                  "identity tests prove r1 = Q r0 and zeta_1 = 0 on it; a context takes its "
+                  "value from the form, not from the expanded polynomial")
 ALLOWED = {
     "cli._Parser.error": "argparse calls it on a malformed command line",
+    "pretzel.eta1_polynomial": _BUILT_BY_NAME,
+    "pretzel.eta2_polynomial": _BUILT_BY_NAME,
+    "pretzel.r1_polynomial": _BUILT_BY_NAME,
 }
 
 
