@@ -367,10 +367,10 @@ class PretzelContext:
     rounding (``Gauss`` at prec + 64 bits); eta_1, eta_2, eta_1 + eta_2
     and r1 are the paper's forms in them, linear and quadratic, their
     cofactors evaluated term by term on ``Gauss`` from one table of s- and
-    m-powers, and each is rounded once, at ``prec``, on first use, as are
-    the holonomy matrices.  ``residual`` and ``radius`` are the solver's (0
-    at the exact roots 0, 1 and -1); a context from ``build_context`` alone
-    holds the residual it was given."""
+    m-powers, each computed on first use and rounded once, at ``prec``; so
+    are the holonomy matrices computed on first use.  ``residual`` and
+    ``radius`` are the solver's (0 at the exact roots 0, 1 and -1); a
+    context from ``build_context`` alone holds the residual it was given."""
 
     n: int
     m: mpc
@@ -403,10 +403,10 @@ class PretzelContext:
         monomials = {(a, b): s_pow[a] * m_pow[b] for a, b in keys}
 
         def value(poly):
-            terms = [(v, monomials[key]) for key, v in poly.terms.items()]
-            low = min(x.exp for _, x in terms)
-            return Gauss((sum(v * x.re << x.exp - low for v, x in terms),
-                          sum(v * x.im << x.exp - low for v, x in terms)), low, bits)
+            parts, shift = aligned([monomials[key] for key in poly.terms])
+            coeffs = list(poly.terms.values())
+            return Gauss((sum(map(int.__mul__, coeffs, parts[0::2])),
+                          sum(map(int.__mul__, coeffs, parts[1::2]))), shift, bits)
         return {name: [value(poly) for poly in polys] for name, polys in cofactors.items()}
 
     def _linear(self, name):
