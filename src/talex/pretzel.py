@@ -470,7 +470,9 @@ def _flags(n, m, s, values):
 
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
     """The context at (n, m, s), with m and s rounded to ``prec`` bits and
-    every derived quantity computed at ``prec``."""
+    every derived quantity computed at ``prec``: alpha, beta and H by
+    ``eval``, alpha and beta kept also before their rounding (``exact``),
+    from which the context takes eta_1, eta_2, their sum and r1."""
     check_n(n)
     check_prec(prec)
     with mp.workprec(prec):
