@@ -219,10 +219,13 @@ def _delta_payload(result, ctx, args):
 def cmd_delta(args):
     prec = args.precision_bits
     records = solve_s_roots(args.n, m_at(args.m, prec), prec)
-    if args.root_index is None and all(rec.flags for rec in records):
+    try:
+        idx = select_root(records, args.root_index)
+    except DegenerateContext:
+        if args.root_index is not None:   # a degenerate --root-index: exit 4
+            raise
         print("error: no nondegenerate root at this (n, m)", file=sys.stderr)
         return EXIT_NO_ROOT
-    idx = select_root(records, args.root_index)
     ctx = records[idx]
 
     def run(method):

@@ -33,17 +33,20 @@ cofactor at m itself.  Newton stays on Horner's fixed point: each step, and
 each 1/s it reads, is an exact Gaussian quotient rounded once, and only the
 root is rounded to the working precision.
 ``solve_s_roots`` returns, per root, the ``PretzelContext`` that
-``build_context`` makes there, so alpha, beta and H are evaluated once per
-root and the flags are read from them, exactly, as ``Gauss`` values.  The
-context also keeps alpha and beta before their rounding, and eta_1, eta_2,
-eta_1 + eta_2 and r1 are the paper's forms in those two, linear and
-quadratic, with the cofactors of ``FORMS`` (``_cofactors``) taken on
-``Gauss``: no per-root evaluation expands them.  Their builders stay, for
-the identities the tests prove.  Both take the working precision and enter
-it; a context's eta_1, eta_2, their sum, r1 and holonomy matrices
-(Gaussian-integer matrices, taken on ``Gauss``), each computed once, on
-first use, and the functions of a context run at ``ctx.prec``;
-``BivarPoly.eval`` runs at its caller's ambient precision.
+``build_context`` makes there, sorted at the working precision.  Each
+derived value of a context is computed at ``ctx.prec`` on first use:
+alpha and beta, kept also before their rounding, and H are evaluated
+together, and the flags are read from them, exactly, as ``Gauss`` values;
+eta_1, eta_2, eta_1 + eta_2 and r1 are the paper's forms in the exact
+alpha and beta, linear and quadratic, with the cofactors of ``FORMS``
+(``_cofactors``) taken on ``Gauss``: no per-root evaluation expands them.
+Their builders stay, for the identities the tests prove.  A root no
+caller reads is never evaluated: ``select_root`` reads the flags only up
+to the root it returns, so ``talex delta`` evaluates one.  Both entry
+points take the working precision and enter it; a context's values,
+holonomy matrices (Gaussian-integer matrices, taken on ``Gauss``) and
+functions run at ``ctx.prec``; ``BivarPoly.eval`` runs at its caller's
+ambient precision.
 The two presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
@@ -51,15 +54,15 @@ from 1 to ``MAX_N``, the largest n whose roots the solver certified at
 every m probed (at n = 17 it fails at m = 1.2+0.4i).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations
 from math import isqrt
 
 import mpmath
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_div, round_ceiling,
-                          round_nearest)
+from mpmath.libmp import (from_int, from_man_exp, fzero, mpf_abs, mpf_div,
+                          round_ceiling, round_nearest)
 
 from .errors import DegenerateContext, NonConvergence
 from .fox import Presentation, Relator, Representation, gen, word_invert, word_multiply, word_power
@@ -362,28 +365,40 @@ def _cofactors(n):
 @dataclass(frozen=True)
 class PretzelContext:
     """One fully instantiated parameter point: n, the meridian eigenvalue m,
-    a root s of r0(m, .), and every derived quantity of the closed forms.
-    ``exact`` holds alpha and beta as ``eval`` computes them before their
-    rounding (``Gauss`` at prec + 64 bits); eta_1, eta_2, eta_1 + eta_2
-    and r1 are the paper's forms in them, linear and quadratic, their
-    cofactors evaluated term by term on ``Gauss`` from one table of s- and
-    m-powers, each computed on first use and rounded once, at ``prec``; so
-    are the holonomy matrices computed on first use.  ``residual`` and
+    a root s of r0(m, .), and every derived quantity of the closed forms,
+    each computed at ``prec`` on first use.  alpha, beta and H (their
+    ``eval``), S = s^n, ``exact`` (alpha and beta as ``eval`` computes them
+    before their rounding, ``Gauss`` at prec + 64 bits) and the flags read
+    from them come from one evaluation (``_values``).  eta_1, eta_2, eta_1 +
+    eta_2 and r1 are the paper's forms in the exact alpha and beta, linear
+    and quadratic, their cofactors evaluated term by term on ``Gauss`` from
+    one table of s- and m-powers, each rounded once, at ``prec``; the
+    holonomy matrices are taken from alpha, beta and S.  ``residual`` and
     ``radius`` are the solver's (0 at the exact roots 0, 1 and -1); a
     context from ``build_context`` alone holds the residual it was given."""
 
     n: int
     m: mpc
     s: mpc
-    alpha: mpc
-    beta: mpc
-    H: mpc
-    S: mpc
     prec: int
-    flags: frozenset
-    exact: tuple = field(compare=False, repr=False)
     residual: object = None
     radius: object = None
+
+    @cached_property
+    def _values(self):
+        """alpha, beta and H by ``_evaluate`` at (m, s), inside
+        ``mp.workprec(prec)``, with S, ``exact`` and the flags."""
+        with mp.workprec(self.prec):
+            values = [poly._evaluate(self.m, self.s) for poly in (
+                alpha_polynomial(self.n), beta_polynomial(self.n), h_polynomial(self.n))]
+            flags = _flags(self.n, self.m, self.s, [(value, scale) for value, scale, _ in values])
+            S = self.s ** self.n
+        (alpha, _, exact_alpha), (beta, _, exact_beta), (H, _, _) = values
+        return {"alpha": alpha, "beta": beta, "H": H, "S": S,
+                "exact": (exact_alpha, exact_beta), "flags": flags}
+
+    alpha, beta, H, S, exact, flags = (cached_property(lambda self, key=key: self._values[key])
+                                       for key in ("alpha", "beta", "H", "S", "exact", "flags"))
 
     @property
     def nondegenerate(self):
@@ -469,27 +484,17 @@ def _flags(n, m, s, values):
 
 
 def build_context(n, m, s, prec=DEFAULT_PREC, strict=False, residual=None):
-    """The context at (n, m, s), with m and s rounded to ``prec`` bits and
-    every derived quantity computed at ``prec``: alpha, beta and H by
-    ``eval``, alpha and beta kept also before their rounding (``exact``),
-    from which the context takes eta_1, eta_2, their sum and r1."""
+    """The context at (n, m, s), with m and s rounded to ``prec`` bits;
+    every derived quantity is computed at ``prec`` on first use
+    (``PretzelContext``).  ``strict`` refuses a degenerate point, so it
+    reads the flags at once."""
     check_n(n)
     check_prec(prec)
     with mp.workprec(prec):
-        m, s = mpc(m), mpc(s)
-        values = [poly._evaluate(m, s) for poly in (
-            alpha_polynomial(n), beta_polynomial(n), h_polynomial(n))]
-        flags = _flags(n, m, s, [(value, scale) for value, scale, _ in values])
-        if strict and flags:
-            raise DegenerateContext(f"degenerate parameter point: {sorted(flags)}")
-        (alpha, _, exact_alpha), (beta, _, exact_beta), (H, _, _) = values
-        return PretzelContext(
-            n=n, m=m, s=s, alpha=alpha, beta=beta, H=H, S=s ** n,
-            prec=prec,
-            flags=flags,
-            exact=(exact_alpha, exact_beta),
-            residual=residual,
-        )
+        ctx = PretzelContext(n=n, m=mpc(m), s=mpc(s), prec=prec, residual=residual)
+    if strict and ctx.flags:
+        raise DegenerateContext(f"degenerate parameter point: {sorted(ctx.flags)}")
+    return ctx
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +663,9 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
     (``r0_cofactor``); they are always flagged, never dropped.  The rest
     are the simple roots of the cofactor q(m, .), found by
     ``certified_roots`` at ``prec`` bits and checked against r0 by their
-    relative residual.  Contexts are sorted by Re s, then Im s.
+    relative residual.  Contexts are sorted by Re s, then Im s, at ``prec``
+    bits, whatever the ambient precision; none is evaluated here (each
+    context computes its values on first use).
     """
     check_prec(prec)
     with mp.workprec(prec):
@@ -669,8 +676,7 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
         val, q = r0_cofactor(n)
         records = []
         for root, mult in ((0, val), (1, 2), (-1, 3)):
-            ctx = build_context(n, m, root, prec, residual=mpf(0))
-            records += [replace(ctx, radius=mpf(0))] * mult
+            records += [PretzelContext(n, m, mpc(root), prec, mpf(0), mpf(0))] * mult
         roots, radii = certified_roots(q, m, prec)
         bound = half_prec_tol(prec)
         for s, radius in zip(roots, radii):
@@ -679,20 +685,21 @@ def solve_s_roots(n, m, prec=DEFAULT_PREC):
             if not res <= bound:
                 raise NonConvergence(
                     f"root {s} has relative residual {res} above {bound}")
-            records.append(replace(build_context(n, m, s, prec, residual=res),
-                                   radius=radius))
-    # Re s is compared to 2^(-prec/2) absolute, so real parts that agree up
-    # to rounding noise (conjugate pairs at real m, the m-independent roots
-    # of s^(2n+1) = -1) are ordered by Im s, not by the noise
-    records.sort(key=lambda rec: (mpmath.nint(mpmath.ldexp(rec.s.real, prec // 2)),
-                                  rec.s.imag))
+            records.append(PretzelContext(n, m, s, prec, res, radius))
+        # Re s is compared to 2^(-prec/2) absolute, so real parts that agree
+        # up to rounding noise (conjugate pairs at real m, the m-independent
+        # roots of s^(2n+1) = -1) are ordered by Im s, not by the noise
+        records.sort(key=lambda rec: (mpmath.nint(mpmath.ldexp(rec.s.real, prec // 2)),
+                                      rec.s.imag))
     return records
 
 
 def select_root(records, root_index=None):
-    """Default policy: the nondegenerate root with the largest |Im s|.  This
-    is a convenience, not a geometric claim; every nondegenerate root
-    satisfies the implemented identities."""
+    """Default policy: the nondegenerate root with the largest |Im s|, the
+    lowest index among equal ones.  The roots are scanned by decreasing
+    |Im s|, compared exactly, and the flags read only up to the first
+    nondegenerate one.  This is a convenience, not a geometric claim; every
+    nondegenerate root satisfies the implemented identities."""
     if root_index is not None:
         if not 0 <= root_index < len(records):
             raise IndexError(f"root index {root_index} out of range")
@@ -701,12 +708,10 @@ def select_root(records, root_index=None):
             raise DegenerateContext(
                 f"root {root_index} is degenerate: {sorted(rec.flags)}")
         return root_index
-    best = None
-    for i, rec in enumerate(records):
-        if rec.flags:
-            continue
-        if best is None or abs(rec.s.imag) > abs(records[best].s.imag):
-            best = i
+    # a stable sort: equal |Im s| keep their index order
+    order = sorted(range(len(records)), reverse=True,
+                   key=lambda i: mp.make_mpf(mpf_abs(records[i].s.imag._mpf_)))
+    best = next((i for i in order if not records[i].flags), None)
     if best is None:
         raise DegenerateContext("no nondegenerate root found")
     return best

@@ -11,10 +11,11 @@ each against its own source tree, lists the cases that moved.  Run from
 the repository root:
 
     PYTHONPATH=src python tests/root_sweep.py [--n 1..16] [--prec 128,256,512]
+        [--m RE,IM ...]
 
 The default grid is n = 1..16 at m = 1.2+0.4i, 0.9-0.2i and 0.6872-1.0699i,
 at 128, 256 and 512 bits, 144 cases, with m read from its decimal strings
-at each precision.  It takes about 4.5 minutes on one core of a 2-core VM
+at each precision; ``--m``, repeated, replaces the three m.  It takes about 4.5 minutes on one core of a 2-core VM
 (Python 3.11, mpmath's pure-Python backend); most of it is n >= 13.
 """
 
@@ -65,9 +66,11 @@ def main(argv):
     parser.add_argument("--prec", type=lambda t: [int(p) for p in t.split(",")],
                         default=[128, 256, 512],
                         help="comma-separated precisions (default 128,256,512)")
+    parser.add_argument("--m", type=lambda t: tuple(t.split(",")), action="append",
+                        help="m as RE,IM, repeatable (default: the three of M_VALUES)")
     args = parser.parse_args(argv)
     for n in args.n:
-        for m_pair in M_VALUES:
+        for m_pair in args.m or M_VALUES:
             for prec in args.prec:
                 print(case_line(n, m_pair, prec), flush=True)
 

@@ -262,6 +262,24 @@ def test_no_nondegenerate_root(capsys, monkeypatch):
     assert "no nondegenerate root" in err
 
 
+def test_delta_evaluates_only_the_root_it_reports(capsys, monkeypatch):
+    """``talex delta`` reads the flags, and so evaluates alpha, beta and H,
+    at the one root it reports; the solver evaluates none of its d + 3 = 15
+    contexts at n = 3."""
+    calls = []
+    flags = pretzel._flags
+
+    def counted(*args):
+        calls.append(args)
+        return flags(*args)
+
+    monkeypatch.setattr(pretzel, "_flags", counted)
+    code, out, _ = run(capsys, "delta", "--n", "3", "--m", "1.2,0.4", "--method", "all")
+    assert code == cli.EXIT_OK
+    assert len(calls) == 1
+    assert out.startswith("Delta_(K_3) at root #5, all methods;")
+
+
 def test_nonconvergence_exit(capsys, monkeypatch):
     def explode(*a, **kw):
         raise NonConvergence("did not settle")
@@ -371,11 +389,15 @@ def test_verify_retry_without_a_nondegenerate_root_reports_the_failure(
     its ``retried_at`` lists the precision tried."""
     solve = verify.solve_s_roots
 
+    class Flagged(pretzel.PretzelContext):
+        """A solver context whose flags read degenerate."""
+        flags = frozenset({"s_one"})
+
     def flagged_above_256(n, m, prec):
         roots = solve(n, m, prec)
         if prec == 256:
             return roots
-        return [dataclasses.replace(r, flags=frozenset({"s_one"})) for r in roots]
+        return [Flagged(r.n, r.m, r.s, r.prec, r.residual, r.radius) for r in roots]
 
     monkeypatch.setattr(verify, "solve_s_roots", flagged_above_256)
     # 1e-100 fails at 256 bits (agreement ~1e-70)

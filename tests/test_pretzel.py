@@ -11,6 +11,7 @@ from functools import lru_cache
 from math import isqrt
 from pathlib import Path
 
+import mpmath
 import pytest
 from mpmath import mp, mpf, mpc
 
@@ -807,6 +808,71 @@ def test_select_root_policy():
         select_root(roots, flagged)
     with pytest.raises(IndexError):
         select_root(roots, len(roots))
+
+
+def _eager_default(roots):
+    """The default root by the eager rule: the largest |Im s| over the
+    nondegenerate roots, the lowest index among bit-equal values (None if
+    every root is degenerate)."""
+    with mp.workprec(roots[0].prec):
+        candidates = [(abs(r.s.imag), i) for i, r in enumerate(roots) if not r.flags]
+    if not candidates:
+        return None
+    best = max(value for value, _ in candidates)
+    return min(i for value, i in candidates if value == best)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_select_root_tie_rule(n):
+    """At real m, nondegenerate roots tie in |Im s| to the last bit
+    (conjugate pairs, or real roots), and the default root is the lowest
+    index among the tied ones: at n = 1, m = 0.5 the real roots 0, 4, 7 and
+    12 tie and root 0 is chosen.  ``select_root``, which
+    reads the flags lazily, returns the eager rule's index at n = 1..5, at
+    m = 1, 0.5 and 1.3 and at both standard m."""
+    real = (("1", "0"), ("0.5", "0"), ("1.3", "0"))
+    for m_pair in real + STD_M:
+        _, roots = cached_roots(n, m_pair)
+        want = _eager_default(roots)
+        if want is None:
+            with pytest.raises(DegenerateContext):
+                select_root(roots)
+            continue
+        assert select_root(roots) == want, m_pair
+        if m_pair in real:
+            with mp.workprec(256):
+                best = abs(roots[want].s.imag)
+                ties = [i for i, r in enumerate(roots)
+                        if not r.flags and abs(r.s.imag) == best]
+            assert len(ties) > 1 and ties[0] == want, (m_pair, ties)
+            if (n, m_pair) == (1, ("0.5", "0")):
+                assert ties == [0, 4, 7, 12]
+
+
+def test_solver_orders_its_roots_at_its_precision(monkeypatch):
+    """The sort key of ``solve_s_roots`` rounds Re s 2^(prec/2) to an integer
+    at ``prec`` bits, whatever the ambient precision: at 53 bits the key of
+    10 + 1/3 would equal that of 10 + 1/3 + 2^-100."""
+    precs = []
+    nint = mpmath.nint
+
+    def recorded(x):
+        precs.append(mp.prec)
+        return nint(x)
+
+    monkeypatch.setattr(mpmath, "nint", recorded)
+    m = m_at("1.2", "0.4")
+    with mp.workprec(53):
+        roots = solve_s_roots(2, m, 256)
+    assert len(precs) == len(roots) and set(precs) == {256}
+    with mp.workprec(256):
+        x = mpf(10) + mpf(1) / 3
+        pair = (x, x + mpf(2) ** -100)
+
+    def keys(prec):
+        with mp.workprec(prec):
+            return [nint(mpmath.ldexp(v, 128)) for v in pair]
+    assert len(set(keys(53))) == 1 and len(set(keys(256))) == 2
 
 
 def _mpc_flags(n, m, s, values):
