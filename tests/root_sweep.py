@@ -4,7 +4,9 @@ One line per case: n, m, prec, then the number of roots, the count of each
 degeneracy flag, and the first 16 hex digits of a SHA-256 over the exact
 (sign, mantissa, exponent, bit count) tuples of every root s (``_mpc_``),
 its radius (``_mpf_``), its sorted flags and, at a nondegenerate root, its
-context's eta_1, eta_2 and eta_1 + eta_2 (``_mpc_``), in the order
+context's eta_1, eta_2 and eta_1 + eta_2 (``_mpc_``) and the stored
+integers of ``delta_theorem`` and ``delta_prop32`` (each polynomial's
+sorted ``terms`` and its ``shift``), in the order
 ``solve_s_roots`` returns them, so a change of one bit anywhere shows; a
 case that raises prints the exception instead.  A ``diff`` of two runs,
 each against its own source tree, lists the cases that moved.  Run from
@@ -26,7 +28,7 @@ from collections import Counter
 
 from mpmath import mp, mpc, mpf
 
-from talex import solve_s_roots
+from talex import delta_prop32, delta_theorem, solve_s_roots
 
 M_VALUES = (("1.2", "0.4"), ("0.9", "-0.2"), ("0.6872", "-1.0699"))
 
@@ -41,8 +43,11 @@ def fingerprint(n, m_pair, prec):
         return f"{type(exc).__name__}: {exc}"
     digest = hashlib.sha256()
     for ctx in roots:
-        etas = () if ctx.flags else tuple(x._mpc_ for x in (ctx.eta1, ctx.eta2, ctx.eta_sum))
-        digest.update(repr((ctx.s._mpc_, ctx.radius._mpf_, sorted(ctx.flags), etas)).encode())
+        values = () if ctx.flags else (
+            *(x._mpc_ for x in (ctx.eta1, ctx.eta2, ctx.eta_sum)),
+            *((sorted(d.poly.terms.items()), d.poly.shift)
+              for d in (delta_theorem(ctx), delta_prop32(ctx))))
+        digest.update(repr((ctx.s._mpc_, ctx.radius._mpf_, sorted(ctx.flags), values)).encode())
     flags = Counter(flag for ctx in roots for flag in ctx.flags)
     counts = " ".join(f"{flag}:{k}" for flag, k in sorted(flags.items()))
     return f"{len(roots)} roots  {counts}  {digest.hexdigest()[:16]}"

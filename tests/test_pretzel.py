@@ -1199,7 +1199,9 @@ def test_holonomy_images_are_the_printed_formulas(n, m_pair, prec):
 def test_root_fingerprints_match_the_sweep_fixture():
     """The exact-bit fingerprints of ``root_sweep`` for n = 1..8 at its three
     m and 256 bits equal its stored output (``python tests/root_sweep.py
-    --n 1..8 --prec 256``): every root, radius, flag and their order."""
+    --n 1..8 --prec 256``): every root, radius, flag and their order, and
+    at each nondegenerate root eta_1, eta_2, eta_1 + eta_2 and the stored
+    integers of both closed forms."""
     want = (Path(__file__).parent / "golden" / "root_sweep_256.txt").read_text()
     got = [root_sweep.case_line(n, m_pair, 256)
            for n in range(1, 9) for m_pair in root_sweep.M_VALUES]
