@@ -52,8 +52,7 @@ from .pretzel import (DEFAULT_PREC, BivarPoly, PretzelContext, build_context,
                       presentation_two_gen, r0_polynomial, select_root,
                       solve_s_roots)
 from .closed_form import (delta_prop32, delta_theorem,
-                          genus_fiberedness_report, lambda_coefficients,
-                          zeta_vanishing)
+                          genus_fiberedness_report, zeta_vanishing)
 from .verify import verify_sweep
 
 __version__ = "0.1.0"
@@ -65,7 +64,7 @@ __all__ = [
     "Representation", "TalexError",
     "build_context", "build_holonomy_rep",
     "delta_prop32", "delta_theorem", "genus_fiberedness_report",
-    "lambda_coefficients", "normalize_delta",
+    "normalize_delta",
     "presentation_three_gen", "presentation_two_gen", "r0_polynomial",
     "select_root", "solve_s_roots", "verify_sweep",
     "wada_polynomial", "word_invert", "word_multiply", "zeta_vanishing",

@@ -21,17 +21,17 @@ and each sum, product and quotient is exact, then ``fit`` to ctx.prec +
 ``GUARD_BITS`` bits on its own power of two (``talex.laurent.Gauss``), so
 a tiny m or beta keeps its relative precision.  Only the results are rounded at ``ctx.prec``: a
 polynomial's coefficients from exact terms over one power of two
-(``rounded``), and lambda_i and zeta_i each to an ``mpc``.  Every rounding
+(``rounded``), and zeta_1 and zeta_2 each to an ``mpc``.  Every rounding
 is odd, so each polynomial at -m is t -> -t of the one at m, bit for bit.
 """
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
 from .errors import DegenerateContext
-from .laurent import (GUARD_BITS, DeltaResult, Gauss, convolve_into, gaussian,
-                      half_prec_tol, normalize_delta, rounded)
+from .laurent import (GUARD_BITS, DeltaResult, Gauss, convolve_into, half_prec_tol,
+                      normalize_delta, rounded)
 
 MONIC_TOL = mpf("1e-20")
 
@@ -60,13 +60,16 @@ def _require_nondegenerate(ctx):
         raise DegenerateContext(f"degenerate context: {sorted(ctx.flags)}")
 
 
-def lambda_coefficients(ctx):
-    """The 2n coefficients lambda_0 .. lambda_(2n-1) of the final formula.
+def delta_theorem(ctx):
+    """1 + sum_i lambda_i (t^(i+3) + t^(4n-i+3)) + t^(4n+6), palindromic by
+    construction; no two terms share an exponent.
 
-    Even indices below 2n-1 use the (H, beta, eta_sum) expression, odd
-    ones the balanced s-power ratio, and the top index 2n-1 its own two-term
+    The 2n coefficients lambda_0 .. lambda_(2n-1) of the final formula:
+    even indices below 2n-1 use the (H, beta, eta_sum) expression, odd ones
+    the balanced s-power ratio, and the top index 2n-1 its own two-term
     expression.  s-powers are taken with integer exponents only, each once,
-    and each lambda_i is rounded to an ``mpc`` at ``ctx.prec`` once.
+    and each coefficient is rounded once, from its exact value, at
+    ``ctx.prec`` (``rounded``).
     """
     _require_nondegenerate(ctx)
     n = ctx.n
@@ -83,7 +86,7 @@ def lambda_coefficients(ctx):
     a = (one + m * m) / m
     b = a * s * eta / (H * beta)
     c = a - b
-    out = []
+    terms = {0: one, 4 * n + 6: one}
     for i in range(2 * n):
         if i == 2 * n - 1:
             lam = balanced[n - 1] - (s * s - one) * eta1 / (H * S * beta)
@@ -92,20 +95,8 @@ def lambda_coefficients(ctx):
             lam = c * powers[k] + b * powers[-k]
         else:
             lam = balanced[(i - 1) // 2]
-        out.append(lam.mpc(ctx.prec))
-    return out
-
-
-def delta_theorem(ctx):
-    """1 + sum_i lambda_i (t^(i+3) + t^(4n-i+3)) + t^(4n+6), palindromic by
-    construction; no two terms share an exponent.  The coefficients are the
-    ``lambda_coefficients``, read exactly: they are rounded at ``ctx.prec``."""
-    n = ctx.n
-    parts, shift = gaussian([mpc(1), *lambda_coefficients(ctx)])
-    one, *lams = zip(parts[0::2], parts[1::2])
-    terms = {0: one, 4 * n + 6: one}
-    for i, lam in enumerate(lams):
         terms[i + 3] = terms[4 * n - i + 3] = lam
+    (terms,), shift = _exact(terms)
     return DeltaResult(rounded(terms, shift, ctx.prec), 1, 0, "theorem", mpf(0))
 
 

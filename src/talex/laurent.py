@@ -28,9 +28,7 @@ supports stay finite, degree queries stay meaningful, and the exact
 integers stay near 2*prec bits.  The one sweep rule, ``swept_gaussian``,
 compares exact squared magnitudes with the squared cut, after the
 rounding; long division drops its partial remainders by the same cut
-relative to the dividend.  The constructor drops, before its exact read,
-a coefficient whose top bit lies more than ``prec`` bits below the
-largest, which the rule drops anyway.  ``gaussian`` refuses a non-finite
+relative to the dividend.  ``gaussian`` refuses a non-finite
 number with ``ValueError`` (it has no mantissa, so it would read as 0), so
 no polynomial holds one.  Norms (``max_abs``, the division's remainder,
 ``coefficient_deviation``) compare exact squared magnitudes and take one
@@ -58,7 +56,7 @@ from itertools import combinations
 from math import isqrt
 
 from mpmath import mp, mpf, mpc
-from mpmath.libmp import from_man_exp, fzero, round_nearest
+from mpmath.libmp import from_man_exp, round_nearest
 
 SWEEP_GUARD_BITS = 8
 GUARD_BITS = 64
@@ -336,13 +334,6 @@ class LaurentPoly:
         with mp.workprec(prec):
             values = {e: c if isinstance(c, mpc) else mpc(c)
                       for e, c in terms.items()}
-        # more than prec bits below the top is under the sweep cut: dropped
-        # unread, as reading it would cost integers as long as the spread
-        top = max((x[2] + x[3] for c in values.values() for x in c._mpc_ if x[1]),
-                  default=0)
-        values = {e: c for e, c in values.items()
-                  if not all(x[2] + x[3] < top - prec if x[1] else x == fzero
-                             for x in c._mpc_)}
         parts, shift = gaussian(values.values())
         p = rounded(dict(zip(values, zip(parts[0::2], parts[1::2]))), shift, prec)
         self.terms, self.shift, self.prec = p.terms, p.shift, prec
@@ -435,7 +426,7 @@ def divide_with_remainder(num, den):
         raise ZeroDivisionError("division by the zero Laurent polynomial")
     prec = max(num.prec, den.prec)
     if num.is_zero():
-        return LaurentPoly({}, prec), mpf(0)
+        return _made({}, 0, prec), mpf(0)
     a, sa, d, sd = num.terms, num.shift, den.terms, den.shift
     dmax = den.max_exp
     qmin = num.min_exp - den.min_exp

@@ -40,13 +40,13 @@ together, and the flags are read from them, exactly, as ``Gauss`` values;
 eta_1, eta_2, eta_1 + eta_2 and r1 are the paper's forms in the exact
 alpha and beta, linear and quadratic, with the cofactors of ``FORMS``
 (``_cofactors``) taken on ``Gauss``: no per-root evaluation expands them.
-Their builders stay, for the identities the tests prove.  A root no
-caller reads is never evaluated: ``select_root`` reads the flags only up
-to the root it returns, so ``talex delta`` evaluates one.  Both entry
-points take the working precision and enter it; a context's values,
-holonomy matrices (Gaussian-integer matrices, taken on ``Gauss``) and
-functions run at ``ctx.prec``; ``BivarPoly.eval`` runs at its caller's
-ambient precision.
+Their builders take the same cofactors, for the identities the tests
+prove.  A root no caller reads is never evaluated: ``select_root`` reads
+the flags only up to the root it returns, so ``talex delta`` evaluates
+one.  Both entry points take the working precision and enter it; a
+context's values, holonomy matrices (Gaussian-integer matrices, taken on
+``Gauss``) and functions run at ``ctx.prec``; ``BivarPoly.eval`` runs at
+its caller's ambient precision.
 The two presentations are built once per n.
 ``DEFAULT_PREC`` is the default of the entry points, which accept
 precisions from ``MIN_PREC`` to ``MAX_PREC``.  The family index runs
@@ -328,26 +328,6 @@ def h_polynomial(n):
 
 
 @lru_cache(maxsize=None)
-def eta1_polynomial(n):
-    a_fac, b_fac = (_at(f, n) for f in FORMS["eta1"])
-    return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
-
-
-@lru_cache(maxsize=None)
-def eta2_polynomial(n):
-    a_fac, b_fac = (_at(f, n) for f in FORMS["eta2"])
-    return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
-
-
-@lru_cache(maxsize=None)
-def r1_polynomial(n):
-    """The combination whose vanishing modulo r0 certifies the representation."""
-    alpha, beta = alpha_polynomial(n), beta_polynomial(n)
-    t_aa, t_ab, t_bb = (_at(f, n) for f in FORMS["r1"])
-    return -(alpha * alpha * t_aa) + alpha * beta * t_ab + beta * beta * t_bb
-
-
-@lru_cache(maxsize=None)
 def _cofactors(n):
     """The cofactors at n (``_at``) of alpha and beta in eta_1, eta_2 and
     eta_1 + eta_2, whose cofactors are the exact sums of the other two's,
@@ -356,6 +336,26 @@ def _cofactors(n):
     t_aa, t_ab, t_bb = (_at(f, n) for f in FORMS["r1"])
     return {"eta1": eta1, "eta2": eta2, "eta_sum": [a + b for a, b in zip(eta1, eta2)],
             "r1": [-t_aa, t_ab, t_bb]}
+
+
+@lru_cache(maxsize=None)
+def eta1_polynomial(n):
+    a_fac, b_fac = _cofactors(n)["eta1"]
+    return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
+
+
+@lru_cache(maxsize=None)
+def eta2_polynomial(n):
+    a_fac, b_fac = _cofactors(n)["eta2"]
+    return a_fac * alpha_polynomial(n) + b_fac * beta_polynomial(n)
+
+
+@lru_cache(maxsize=None)
+def r1_polynomial(n):
+    """The combination whose vanishing modulo r0 certifies the representation."""
+    alpha, beta = alpha_polynomial(n), beta_polynomial(n)
+    t_aa, t_ab, t_bb = _cofactors(n)["r1"]
+    return alpha * alpha * t_aa + alpha * beta * t_ab + beta * beta * t_bb
 
 
 # ---------------------------------------------------------------------------

@@ -272,11 +272,11 @@ def test_determinants_and_wada_quotients_are_the_mpc_bits(monkeypatch, prec):
 
 
 @pytest.mark.parametrize("prec", (64, 256))
-def test_far_below_coefficients_are_dropped_before_the_exact_read(prec):
+def test_far_below_coefficients_are_swept_to_prec_bits(prec):
     """A coefficient whose top bit lies more than ``prec`` bits below the
-    largest is dropped before it is read exactly: the kept support is the
-    one rule's, and the stored integers stay within ``prec`` bits plus the
-    sweep's spread, whatever the spread of the input."""
+    largest is read exactly and dropped by the one sweep rule: the kept
+    support is the rule's, and the stored integers stay within ``prec``
+    bits plus the sweep's spread, whatever the spread of the input."""
     for spread in list(range(prec - 12, prec + 4)) + [10 ** 4, 10 ** 7]:
         with mp.workprec(prec):
             terms = {0: mpf(2) ** -spread, 1: 1,
