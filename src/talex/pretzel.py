@@ -629,13 +629,18 @@ def certified_roots(poly, m, prec):
     (``_disjoint``): each then holds exactly one root.  If they are not,
     and ``prec`` is above 64, the seeds are computed again at ``prec``; if
     that fails too, ``NonConvergence`` names the discs, or the seeds if
-    none converged.
+    none converged.  A row whose leading or constant entry rounds to 0 (an
+    extreme |m|) is refused first, naming that entry.
     """
     row, shift, _ = poly._fixed_row(m, prec + GUARD_BITS)
+    d = len(row) - 1
+    for end, (re, im, _) in (("leading", row[0]), ("constant", row[-1])):
+        if not (re or im):
+            raise NonConvergence(f"the {end} coefficient of the degree-{d} polynomial "
+                                 f"in s rounds to 0 at {prec} bits")
     coeffs = [mp.make_mpc((from_man_exp(re, shift, prec, round_nearest),
                            from_man_exp(im, shift, prec, round_nearest)))
               for re, im, _ in row]
-    d = len(row) - 1
     drow = [(j * cr, j * ci, j * ca) for j, (cr, ci, ca) in zip(range(d, 0, -1), row)]
     rows = ((row, drow), (row[::-1], drow[::-1]))
     reason = f"the seeds of the {d} roots did not converge"

@@ -8,9 +8,10 @@ directory is a temporary one and whose ``PYTHONPATH`` has no entry for
 ``tests/``, so ``talex`` must import from ``src/`` (or an install) alone: a
 module of ``src/`` that imports one that lives next to the tests fails
 here.  Its stdout must equal the fixture byte for byte and its exit code
-the recorded one; an unsupported n must be refused with the usage code.
-Prints one line per command and a diff for each mismatch; exits 1 if any
-command failed, 0 otherwise.
+the recorded one; an unsupported n must be refused with the usage code,
+and an m whose cofactor row the solver refuses with the non-convergence
+code.  No command may print a ``Traceback``.  Prints one line per command
+and a diff for each mismatch; exits 1 if any command failed, 0 otherwise.
 """
 
 import difflib
@@ -27,8 +28,12 @@ sys.path.insert(0, str(TESTS))
 from talex import cli  # noqa: E402
 from test_golden import COMMANDS, GOLDEN  # noqa: E402
 
-# an unsupported n is refused at parse time, before any polynomial is built
-REFUSED = ("roots --n 100000000000 --m 1.2,0.4", cli.EXIT_USAGE)
+REFUSED = {
+    # an unsupported n is refused at parse time, before any polynomial is built
+    "refused": ("roots --n 100000000000 --m 1.2,0.4", cli.EXIT_USAGE),
+    # the cofactor row's leading entry rounds to 0, so the solver refuses it
+    "extreme_m": ("roots --n 1 --m 1e300,0", cli.EXIT_NONCONVERGENCE),
+}
 
 
 def main():
@@ -38,8 +43,8 @@ def main():
     env["PYTHONPATH"] = os.pathsep.join(str(Path(p).resolve()) for p in paths)
     ok = True
     with tempfile.TemporaryDirectory() as cwd:
-        cases = [(name, command, code) for name, (command, code) in sorted(COMMANDS.items())]
-        cases.append(("refused", *REFUSED))
+        cases = [(name, command, code)
+                 for name, (command, code) in (*sorted(COMMANDS.items()), *REFUSED.items())]
         for name, command, expected_code in cases:
             proc = subprocess.run([sys.executable, "-m", "talex.cli", *command.split()],
                                   cwd=cwd, env=env, capture_output=True, text=True)
@@ -47,6 +52,8 @@ def main():
             problems = []
             if code != expected_code:
                 problems.append(f"exit code {code}, expected {expected_code}")
+            if "Traceback" in proc.stderr:
+                problems.append("a traceback on stderr")
             if name in COMMANDS:
                 want = (GOLDEN / f"{name}.out").read_text()
                 if out != want:

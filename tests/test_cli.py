@@ -321,6 +321,24 @@ def test_repeated_roots_at_m_i_exit_without_promising_a_retry(capsys, argv):
     assert "retry" not in err and "higher precision" not in err
 
 
+@pytest.mark.parametrize("argv", (
+    ("roots", "--n", "1", "--m", "1e300,0"),
+    ("roots", "--n", "1", "--m", "1e-60,1e-60"),
+    ("delta", "--n", "1", "--m", "1e-300,1e-300"),
+    ("verify", "--n-range", "1..1", "--m", "1e300,0"),
+))
+def test_extreme_m_exits_3_with_the_reason(capsys, argv):
+    """From |m| >= 1e60 or <= 1e-60 the cofactor row's leading entry rounds
+    to 0 against its largest, where ``mp.polyroots`` would divide by it: the
+    solver refuses the row by name, exit 3, and no exception leaves
+    ``main``."""
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_NONCONVERGENCE
+    assert out == ""
+    assert "non-convergence: the leading coefficient of the degree-6" in err
+    assert "rounds to 0 at 256 bits" in err
+
+
 def test_inexact_division_exit(capsys, monkeypatch):
     """A Fox result whose remainder is above 2^-(prec/2) is refused with
     exit 5, by every method that prints it."""
@@ -421,18 +439,18 @@ def test_verify_refused_retry_reports_the_point_failed(capsys, monkeypatch):
     (``NonConvergence``).  As when a re-solve flags every root, the point
     stays failed, the whole report prints, with exit 1, and the entry's
     ``retried_at`` lists the refused 512 bits; a refused base solve (n = 4
-    there) still exits 3."""
+    there) still exits 3.  Both refusals are forced, so the report contract
+    does not rest on where the solver fails."""
     refused = []
     solve = verify.solve_s_roots
 
-    def spy(n, m, prec):
-        try:
-            return solve(n, m, prec)
-        except NonConvergence:
+    def refusing(n, m, prec):
+        if (n, prec) in ((3, 512), (4, 256)):
             refused.append((n, prec))
-            raise
+            raise NonConvergence(f"refused at n = {n}, {prec} bits")
+        return solve(n, m, prec)
 
-    monkeypatch.setattr(verify, "solve_s_roots", spy)
+    monkeypatch.setattr(verify, "solve_s_roots", refusing)
     code, out, err = run(capsys, "verify", "--n-range", "3..3", "--m", "0.0099,0.0015")
     assert code == cli.EXIT_VERIFY_FAILED
     assert err == "" and refused == [(3, 512)]

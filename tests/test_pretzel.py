@@ -741,6 +741,26 @@ def test_certifier_refuses_a_double_root():
         certified_roots(poly, mpc(1), 256)
 
 
+@pytest.mark.parametrize("poly, end", (
+    (BivarPoly({(2, 0): 1, (1, 20): 1, (0, 0): 1}), "leading"),
+    (BivarPoly({(2, 0): 1, (1, 0): 1, (0, 200): 1}), "constant"),
+))
+def test_certifier_refuses_a_row_with_a_zero_end(monkeypatch, poly, end):
+    """A row whose leading or constant entry rounds to 0 against its
+    largest (m^20 = 1e200 beside 1, m^200 = 1e-2000 beside 1) is refused
+    before any seed is sought, naming the end: ``mp.polyroots`` would divide
+    by the zero leading entry."""
+    monkeypatch.setattr(mp, "polyroots", _must_not_seed)
+    m = mpc("1e10") if end == "leading" else mpc("1e-10")
+    with pytest.raises(NonConvergence, match=f"the {end} coefficient of the degree-2 "
+                                             "polynomial in s rounds to 0 at 256 bits"):
+        certified_roots(poly, m, 256)
+
+
+def _must_not_seed(*args, **kwargs):
+    raise AssertionError("seeded a row with a zero end")
+
+
 @pytest.mark.parametrize("prec, seeded_at", ((64, [64]), (256, [64, 256])),
                          ids=("64bit", "256bit"))
 def test_certifier_seeds_once_per_precision(monkeypatch, prec, seeded_at):
